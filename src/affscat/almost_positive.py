@@ -253,33 +253,21 @@ class APContext:
             if a == self.delta or b == self.delta:
                 return 0
             return self.tube_degree(a, b)
-        x, y = a, b
-        for _ in range(cap):
-            i = self._negative_simple_index(x)
-            if i is not None:
-                # [[-alpha_i, beta]] = <rho_i^vee, beta>: the alpha_i coordinate.
-                return int(y[i])
-            j = self._negative_simple_index(y)
-            if j is not None:
-                # [[beta, -alpha_j]] = <rho_j, beta^vee>.
-                cv = self._coroot_coords(x)
-                val = Fraction(cv[j])
-                assert val.denominator == 1
-                return int(val)
-            x, y = self.tau(x), self.tau(y)
-        # Retry in the other direction before giving up.
-        x, y = a, b
-        for _ in range(cap):
-            i = self._negative_simple_index(x)
-            if i is not None:
-                return int(y[i])
-            j = self._negative_simple_index(y)
-            if j is not None:
-                cv = self._coroot_coords(x)
-                val = Fraction(cv[j])
-                assert val.denominator == 1
-                return int(val)
-            x, y = self.tau_inverse(x), self.tau_inverse(y)
+        # Iterate tau first, then retry with tau^{-1} before giving up.
+        for step in (self.tau, self.tau_inverse):
+            x, y = a, b
+            for _ in range(cap):
+                i = self._negative_simple_index(x)
+                if i is not None:
+                    # [[-alpha_i, beta]] = <rho_i^vee, beta>: the alpha_i coordinate.
+                    return int(y[i])
+                j = self._negative_simple_index(y)
+                if j is not None:
+                    # [[beta, -alpha_j]] = <rho_j, beta^vee>.
+                    val = Fraction(self._coroot_coords(x)[j])
+                    assert val.denominator == 1
+                    return int(val)
+                x, y = step(x), step(y)
         raise ResolutionCapExceeded(f"no base case within {cap} tau steps for {(a, b)}")
 
     def compatible(self, a, b) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .linalg import Vec, det, kernel_basis, primitive_vector, vscale, vsub
 
@@ -71,42 +70,11 @@ class ExchangeMatrix:
                     raise NotSkewSymmetrizable(f"sign pattern broken at ({i},{j})")
                 if b[i][j] * b[j][i] > 0:
                     raise NotSkewSymmetrizable(f"entries {i},{j} have equal signs")
-        d: list = [None] * n
-        for start in range(n):
-            if d[start] is not None:
-                continue
-            d[start] = Fraction(1)
-            stack = [start]
-            comp = [start]
-            while stack:
-                i = stack.pop()
-                for j in range(n):
-                    if b[i][j] == 0:
-                        continue
-                    val = d[i] * Fraction(-b[i][j], b[j][i])  # d_i b_ij = -d_j b_ji
-                    if d[j] is None:
-                        d[j] = val
-                        stack.append(j)
-                        comp.append(j)
-                    elif d[j] != val:
-                        raise NotSkewSymmetrizable("inconsistent symmetrizer cycle")
-            # Normalize this component: d_i^{-1} integral with gcd 1.
-            invs = [1 / d[i] for i in comp]
-            denom_lcm = 1
-            for x in invs:
-                denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-            scaled = [int(x * denom_lcm) for x in invs]
-            g = 0
-            for x in scaled:
-                g = gcd(g, x)
-            for i, x in zip(comp, scaled):
-                d[i] = Fraction(g, x)
-        # Final check.
-        for i in range(n):
-            for j in range(n):
-                if d[i] * b[i][j] != -d[j] * b[j][i]:
-                    raise NotSkewSymmetrizable("symmetrizer check failed")
-        return tuple(d)
+        # With the sign pattern checked, d_i b_ij = -d_j b_ji iff d_i |b_ij| = d_j |b_ji|.
+        try:
+            return _solve_symmetrizer([[abs(x) for x in row] for row in b])
+        except ValueError as exc:
+            raise NotSkewSymmetrizable("inconsistent symmetrizer cycle") from exc
 
     def is_acyclic(self) -> bool:
         """No directed cycle in the sign digraph (edge i -> j iff b_ij > 0)."""
@@ -188,9 +156,6 @@ class CartanMatrix:
     def simple_root(self, i: int) -> Vec:
         return tuple(1 if j == i else 0 for j in range(self.n))
 
-    def height(self, v: Vec):
-        return sum(v)
-
     def a_times(self, v: Vec) -> Vec:
         """(A v)_i = sum_j a_ij v_j, i.e. K(alpha_i^vee, v) coordinatewise."""
         return tuple(sum(self.a[i][j] * v[j] for j in range(self.n)) for i in range(self.n))
@@ -223,6 +188,11 @@ class CartanMatrix:
         """s_i(v) = v - K(alpha_i^vee, v) alpha_i on V."""
         coef = sum(self.a[i][j] * v[j] for j in range(self.n))
         return tuple(v[j] - coef if j == i else v[j] for j in range(self.n))
+
+    def peel(self, s: int, inversions) -> frozenset:
+        """s.(inversions \\ {alpha_s}): the inversion set of s w from that of w, for s <= w."""
+        alpha = self.simple_root(s)
+        return frozenset(self.reflect_root(s, b) for b in inversions if b != alpha)
 
     def reflect_weight(self, k: int, x: Vec) -> Vec:
         """Dual action on V*: s_k(x)_i = x_i - a_ik x_k on rho coordinates."""
@@ -280,6 +250,9 @@ class CartanMatrix:
 
 
 def _solve_symmetrizer(a) -> tuple:
+    """Positive d with d_i a_ij = d_j a_ji, for a with a_ij a_ji > 0 off the zero
+    pattern, normalized per connected component so that the d_i^{-1} are
+    coprime positive integers."""
     n = len(a)
     d: list = [None] * n
     for start in range(n):
@@ -300,16 +273,8 @@ def _solve_symmetrizer(a) -> tuple:
                     comp.append(j)
                 elif d[j] != val:
                     raise ValueError("A is not symmetrizable")
-        invs = [1 / d[i] for i in comp]
-        denom_lcm = 1
-        for x in invs:
-            denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-        scaled = [int(x * denom_lcm) for x in invs]
-        g = 0
-        for x in scaled:
-            g = gcd(g, x)
-        for i, x in zip(comp, scaled):
-            d[i] = Fraction(g, x)
+        for i, x in zip(comp, primitive_vector([1 / d[i] for i in comp])):
+            d[i] = Fraction(1, x)
     return tuple(d)
 
 

@@ -3,7 +3,8 @@
 Subcommands: classify, walls, consistency, rank2, clusters, compare, svg.
 Input is a JSON file {"n": int, "b": [[int]]}.  Exit status 0 when all
 requested verifications pass, 1 on a verification failure, 2 on invalid
-input; errors go to stderr as JSON.
+input, 3 on an internal error; errors go to stderr as JSON, internal ones
+marked with "internal": true.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ def run(argv=None) -> int:
         return _dispatch(args, bmat)
     except (NotAffine, NotAcyclic, NotSkewSymmetrizable, UnsupportedRank, InputError) as exc:
         return _fail({"error": str(exc)}, 2)
+    except Exception as exc:  # a bug or an exceeded cap, never a verification result
+        return _fail({"error": f"{type(exc).__name__}: {exc}", "internal": True}, 3)
 
 
 def _dispatch(args, bmat) -> int:

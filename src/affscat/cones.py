@@ -2,8 +2,9 @@
 
 A Cone is stored by linear constraints: equalities <x, e> = 0 and
 inequalities <x, g> <= 0, where e, g are covectors paired with points by the
-plain coordinatewise dot product.  Callers working with root-lattice
-functionals convert them to covectors first (multiply by the symmetrizers).
+plain coordinatewise dot product.  Covectors are stored as given, so the
+primitive integer covectors of root-lattice functionals (see
+CartanMatrix.primitive_in_coroot_lattice) stay ints.
 
 Generators (lineality basis + extreme rays) are computed by the standard
 double description method with the zero-set adjacency test, which is exact
@@ -22,6 +23,7 @@ from .linalg import (
     kernel_basis,
     primitive_vector,
     rank,
+    reduce_mod_rref,
     rref,
     solve_linear,
     vdot,
@@ -36,19 +38,13 @@ class Cone:
 
     @staticmethod
     def from_constraints(dim, eqs=(), ineqs=()) -> "Cone":
-        return Cone(
-            dim,
-            tuple(tuple(Fraction(c) for c in e) for e in eqs),
-            tuple(tuple(Fraction(c) for c in g) for g in ineqs),
-        )
+        return Cone(dim, tuple(map(tuple, eqs)), tuple(map(tuple, ineqs)))
 
     @staticmethod
     def from_rays(dim, rays, lineality=()) -> "Cone":
         """Cone generated by rays plus a lineality space, via dual description."""
-        dual_eqs = [tuple(Fraction(c) for c in v) for v in lineality]
-        dual_ineqs = [tuple(Fraction(c) for c in r) for r in rays]
         # Dual cone {g : <l,g> = 0, <r,g> <= 0}; its generators give our constraints.
-        lin, drays = _double_description(dim, dual_eqs, dual_ineqs)
+        lin, drays = _double_description(dim, list(lineality), list(rays))
         return Cone.from_constraints(dim, eqs=lin, ineqs=drays)
 
     @staticmethod
@@ -162,7 +158,7 @@ def _canonicalize_generators(lin, rays):
     reduced = []
     seen = set()
     for r in rays:
-        rr = _reduce_mod_lineality(r, lin_basis)
+        rr = reduce_mod_rref(r, lin_basis)
         if is_zero_vec(rr):
             continue
         rr = primitive_vector(rr)
@@ -191,19 +187,9 @@ def _is_nonneg_combo(r, others):
                 # Confirm exactly (solve_linear gives one solution; system is
                 # injective since the subset is independent).
                 combo = [sum(subset[i][k] * sol[i] for i in range(size)) for k in range(len(r))]
-                if tuple(combo) == tuple(Fraction(c) for c in r):
+                if tuple(combo) == tuple(r):
                     return True
     return False
-
-
-def _reduce_mod_lineality(v, lin_rref):
-    out = [Fraction(c) for c in v]
-    for row in lin_rref:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        coef = out[p] / row[p]
-        if coef != 0:
-            out = [a - coef * b for a, b in zip(out, row)]
-    return tuple(out)
 
 
 def _double_description(dim, eqs, ineqs):

@@ -32,9 +32,6 @@ class CoxeterContext:
     def n(self) -> int:
         return self.cartan.n
 
-    def word(self) -> tuple:
-        return self.order
-
     # -- initial / final letters and moves -----------------------------------
 
     def is_initial(self, s: int) -> bool:
@@ -62,13 +59,6 @@ class CoxeterContext:
         if self.is_final(s):
             return CoxeterContext(self.cartan, (s,) + rest)
         raise ValueError(f"{s} is neither initial nor final in {self.order}")
-
-    def restrict(self, drop: int) -> "CoxeterContext":
-        """Coxeter element of the parabolic obtained by deleting one letter.
-
-        The ambient Cartan matrix is kept; the order simply loses the letter.
-        """
-        return CoxeterContext(self.cartan, tuple(i for i in self.order if i != drop))
 
     def inverse(self) -> "CoxeterContext":
         return CoxeterContext(self.cartan, tuple(reversed(self.order)))

@@ -21,10 +21,6 @@ def frac_str(x) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def parse_frac(s) -> Fraction:
-    return Fraction(s)
-
-
 def vec_json(v):
     return [frac_str(c) for c in v]
 
@@ -33,15 +29,28 @@ def int_vec_json(v):
     return [int(c) for c in v]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def read_exchange_matrix(data) -> ExchangeMatrix:
+    """Validate {"n": int, "b": n x n list of ints} and build the matrix.
+
+    Only JSON integers are accepted: floats, booleans and strings are
+    rejected rather than coerced.
+    """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
-    try:
-        n = int(data["n"])
-        rows = data["b"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"expected an object with 'n' and 'b': {exc}") from exc
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if not isinstance(data, dict) or "n" not in data or "b" not in data:
+        raise InputError("expected an object with 'n' and 'b'")
+    n, rows = data["n"], data["b"]
+    if not _is_int(n):
+        raise InputError("'n' must be an integer")
+    if (
+        not isinstance(rows, list)
+        or len(rows) != n
+        or not all(isinstance(r, list) and len(r) == n and all(map(_is_int, r)) for r in rows)
+    ):
         raise InputError("'b' must be an n x n integer matrix")
     try:
         return ExchangeMatrix.from_rows(rows)
@@ -82,27 +91,22 @@ def cone_json(cone):
     }
 
 
-def diagram_from_json(data, symmetrizers):
-    """Rebuild a ScatDiagram from its wall dump.  The symmetrizers convert the
-    root-coordinate inequality functionals back into cone covectors."""
+def diagram_from_json(data, cartan):
+    """Rebuild a ScatDiagram from its wall dump.  The Cartan matrix converts
+    the root-coordinate inequality functionals back into cone covectors."""
     from .cones import Cone
-    from .linalg import primitive_vector
     from .scattering import ScatDiagram, Wall
     from .series import TruncatedSeries
 
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     n = int(data["n"])
-    d = tuple(Fraction(x) for x in symmetrizers)
-
-    def cov(phi):
-        return primitive_vector(tuple(d[i] * phi[i] for i in range(n)))
-
+    cov = cartan.primitive_in_coroot_lattice
     walls = []
     for w in data["walls"]:
         normal = tuple(int(c) for c in w["normal"])
         ineqs = [tuple(int(c) for c in g) for g in w["ineqs"]]
-        coeffs = [parse_frac(c) for c in w["series"]["coeffs"]]
+        coeffs = [Fraction(c) for c in w["series"]["coeffs"]]
         f = TruncatedSeries.make(normal, len(coeffs) - 1, coeffs)
         cone = Cone.from_constraints(
             n, eqs=[cov(normal)], ineqs=[cov(g) for g in ineqs]

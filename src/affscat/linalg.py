@@ -13,16 +13,8 @@ Vec = tuple  # tuple of int | Fraction
 Mat = tuple  # tuple of row tuples
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
 
 
 def vscale(c, u: Vec) -> Vec:
@@ -90,6 +82,22 @@ def rref(rows: list[list]) -> list[list[Fraction]]:
     return [row for row in m if any(x != 0 for x in row)]
 
 
+def reduce_mod_rref(v: Vec, rref_rows) -> Vec:
+    """v minus a combination of rref_rows that clears every pivot column of v.
+
+    The rows must be in reduced row echelon form (pivots 1, pivot columns
+    cleared elsewhere), as returned by rref; v is zero on return exactly when
+    it lies in their span.
+    """
+    out = list(v)
+    for row in rref_rows:
+        p = next(i for i, x in enumerate(row) if x != 0)
+        coef = out[p]
+        if coef != 0:
+            out = [a - coef * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
 def rank(rows: list[list]) -> int:
     return len(rref(rows))
 
@@ -133,7 +141,7 @@ def solve_linear(rows: list[list], rhs: list) -> Vec | None:
 
 
 def det(m: list[list]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
+    """Determinant by Gaussian elimination over Fraction (exact)."""
     a = [[Fraction(x) for x in row] for row in m]
     n = len(a)
     result = Fraction(1)

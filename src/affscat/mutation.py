@@ -11,7 +11,7 @@ from fractions import Fraction
 from .almost_positive import APContext
 from .cartan import ExchangeMatrix
 from .coxeter import coxeter_context
-from .linalg import primitive_vector, vdot
+from .linalg import primitive_vector
 from .scattering import build_dcscat, rampart_set, scat_cone_eq
 
 
@@ -108,8 +108,7 @@ def _separating_heights(ap: APContext, p, q, far_cap: int):
     """Heights of AP roots whose hyperplane separates p from q (strictly)."""
     out = []
     for beta in ap.ap_positive_real(far_cap):
-        cov = tuple(ap.cartan.d[i] * beta[i] for i in range(ap.n))
-        a, b = vdot(p, cov), vdot(q, cov)
+        a, b = ap.cartan.pairing(p, beta), ap.cartan.pairing(q, beta)
         if (a > 0 > b) or (a < 0 < b):
             out.append(sum(beta))
     return out

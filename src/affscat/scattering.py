@@ -92,9 +92,6 @@ class _Builder:
         self.shards = ShardContext(self.weyl)
         self.ap = APContext(cox)
 
-    def covector(self, phi):
-        return self.shards.covector(phi)
-
     def series_for(self, beta) -> TruncatedSeries:
         ht = sum(beta)
         return TruncatedSeries.one_plus_q(beta, self.k // ht if ht else 0)
@@ -116,10 +113,9 @@ class _Builder:
                 ineq_roots.append(r)
             elif val < 0:
                 ineq_roots.append(tuple(-c for c in r))
+        cov = self.cartan.primitive_in_coroot_lattice
         cone = Cone.from_constraints(
-            self.n,
-            eqs=[self.covector(delta)],
-            ineqs=[self.covector(g) for g in ineq_roots],
+            self.n, eqs=[cov(delta)], ineqs=[cov(g) for g in ineq_roots]
         )
         f = f_inf_series(delta, self.cox.type_info.is_a2k2, self.k)
         return Wall(
@@ -272,9 +268,10 @@ class LoopCrossing:
     sign: int  # +1 crossing against the normal, -1 with it
 
 
-def _crossing_data(wall: Wall, cartan, b_rows, k: int) -> CrossingData:
-    coroot = cartan.primitive_in_coroot_lattice(wall.normal)
-    return CrossingData(f=wall.f, coroot=tuple(int(c) for c in coroot), b_rows=b_rows)
+def _crossing_data(wall: Wall, cartan, b_rows) -> CrossingData:
+    return CrossingData(
+        f=wall.f, coroot=cartan.primitive_in_coroot_lattice(wall.normal), b_rows=b_rows
+    )
 
 
 def loop_crossings(walls, base_point, u1, u2, covector):
@@ -361,10 +358,10 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
             u1, u2 = extend_to_basis(span, n)
         except ValueError as exc:
             raise DegenerateFace(f"no exact transverse plane at {face.rays}") from exc
-        crossings = loop_crossings(containing, base, u1, u2, _cone_covector(cox))
-        seq = [
-            (_crossing_data(e.wall, cox.cartan, b_rows, k), e.sign) for e in crossings
-        ]
+        crossings = loop_crossings(
+            containing, base, u1, u2, cox.cartan.primitive_in_coroot_lattice
+        )
+        seq = [(_crossing_data(e.wall, cox.cartan, b_rows), e.sign) for e in crossings]
         ok = True
         for gen in _generators(n, k):
             if path_product(gen, seq, k) != gen:
@@ -380,15 +377,6 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
             )
     report["consistent"] = not report["failures"]
     return report
-
-
-def _cone_covector(cox):
-    cartan = cox.cartan
-
-    def cov(phi):
-        return primitive_vector(tuple(cartan.d[i] * phi[i] for i in range(cartan.n)))
-
-    return cov
 
 
 def _codim2_faces(walls, n):
@@ -441,16 +429,14 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
     n, k = 2, truncation
     b_rows = bmat.b
 
-    def covector(phi):
-        return primitive_vector(tuple(cartan.d[i] * phi[i] for i in range(2)))
-
     def ray_wall_shape(beta, direction):
         # The ray through `direction` inside beta-perp, cut out by a
         # root-lattice functional negative on the ray.
         j = next(i for i in range(2) if direction[i] != 0)
         sgn = 1 if direction[j] > 0 else -1
         phi = tuple(-sgn if i == j else 0 for i in range(2))
-        cone = Cone.from_constraints(2, eqs=[covector(beta)], ineqs=[covector(phi)])
+        cov = cartan.primitive_in_coroot_lattice
+        cone = Cone.from_constraints(2, eqs=[cov(beta)], ineqs=[cov(phi)])
         return cone, (phi,)
 
     walls: dict = {}
@@ -458,7 +444,7 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
         beta = cartan.simple_root(i)
         walls[("line", beta)] = Wall(
             normal=beta,
-            cone=Cone.from_constraints(2, eqs=[covector(beta)]),
+            cone=Cone.from_constraints(2, eqs=[cartan.primitive_in_coroot_lattice(beta)]),
             ineq_roots=(),
             f=TruncatedSeries.one_plus_q(beta, k),
             origin=ORIGIN_INITIAL,
@@ -473,10 +459,10 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
         base = (Fraction(0), Fraction(0))
         u1 = (Fraction(1), Fraction(0))
         u2 = (Fraction(0), Fraction(1))
-        crossings = loop_crossings(current_walls, base, u1, u2, covector)
-        return [
-            (_crossing_data(e.wall, cartan, b_rows, k), e.sign) for e in crossings
-        ]
+        crossings = loop_crossings(
+            current_walls, base, u1, u2, cartan.primitive_in_coroot_lattice
+        )
+        return [(_crossing_data(e.wall, cartan, b_rows), e.sign) for e in crossings]
 
     for degree in range(2, k + 1):
         # walls with normal height > degree act trivially mod m^(degree+1)
@@ -493,11 +479,12 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
                     defects.setdefault(phi, {})[i] = coeff
         for phi, per_gen in sorted(defects.items()):
             beta = primitive_vector(phi)
-            coroot = tuple(int(c) for c in cartan.primitive_in_coroot_lattice(beta))
+            coroot = cartan.primitive_in_coroot_lattice(beta)
             direction = outgoing_direction(beta)
             # crossing sign of this outgoing ray in the ccw loop
+            # (in rank 2 the wall's cone covector is this same primitive coroot)
             cw = (direction[1], -direction[0])
-            val = vdot(tuple(cw), covector(beta))
+            val = vdot(cw, coroot)
             assert val != 0
             ray_sign = 1 if val > 0 else -1
             m = sum(phi) // sum(beta)

@@ -11,11 +11,10 @@ not merely empirically stabilized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cones import Cone
 from .coxeter import CoxeterContext
-from .linalg import primitive_vector, rank, solve_linear
+from .linalg import is_zero_vec, primitive_vector, rank, reduce_mod_rref, rref, solve_linear
 from .weyl import GroupElement, WeylContext, is_join_irreducible, weak_leq
 
 
@@ -64,11 +63,6 @@ class ShardContext:
             cached_h = height_cap
         return {r for r in cached if sum(r) <= height_cap}
 
-    def covector(self, phi):
-        return primitive_vector(
-            tuple(self.cartan.d[i] * phi[i] for i in range(self.cartan.n))
-        )
-
     # -- rank-2 subsystems --------------------------------------------------------
 
     def rank2_subsystem(self, beta, gamma, height_cap=None) -> Rank2Subsystem:
@@ -104,18 +98,10 @@ class ShardContext:
         return sub
 
     def _plane_key(self, beta, gamma):
-        from .linalg import rref
-
         return tuple(tuple(r) for r in rref([list(beta), list(gamma)]))
 
     def _in_plane(self, key, r):
-        reduced = [Fraction(c) for c in r]
-        for row in key:
-            p = next(i for i, x in enumerate(row) if x != 0)
-            coef = reduced[p] / row[p]
-            if coef:
-                reduced = [a - coef * b for a, b in zip(reduced, row)]
-        return all(x == 0 for x in reduced)
+        return is_zero_vec(reduce_mod_rref(r, key))
 
     # -- cutting -----------------------------------------------------------------
 
@@ -151,10 +137,9 @@ class ShardContext:
         return self._assemble(beta, cut_list)
 
     def _assemble(self, beta, cut_list) -> ShardCone:
+        cov = self.cartan.primitive_in_coroot_lattice
         cone = Cone.from_constraints(
-            self.cartan.n,
-            eqs=[self.covector(beta)],
-            ineqs=[self.covector(g) for g in cut_list],
+            self.cartan.n, eqs=[cov(beta)], ineqs=[cov(g) for g in cut_list]
         )
         return ShardCone(normal=beta, cut_list=tuple(sorted(cut_list)), cone=cone)
 
@@ -166,7 +151,7 @@ class ShardContext:
         ineqs = []
         for i in range(n):
             img = tuple(w.matrix[r][i] for r in range(n))  # w(alpha_i)
-            ineqs.append(self.covector(tuple(-c for c in img)))
+            ineqs.append(self.cartan.primitive_in_coroot_lattice(tuple(-c for c in img)))
         return Cone.from_constraints(n, ineqs=ineqs)
 
     def upper_elements(self, shard: ShardCone, elements):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .cones import Cone
 from .coxeter import CoxeterContext
-from .linalg import primitive_vector
 from .weyl import (
     GroupElement,
     WeylContext,
@@ -62,12 +61,8 @@ class SortableContext:
         if not order:
             return None  # nonidentity element of the trivial parabolic
         s = order[0]
-        alpha = self.cartan.simple_root(s)
-        if alpha in inversions:
-            reduced = frozenset(
-                tuple(self.cartan.reflect_root(s, b)) for b in inversions if b != alpha
-            )
-            tail = self.sorting_word(reduced, _rotate(order, s))
+        if self.cartan.simple_root(s) in inversions:
+            tail = self.sorting_word(self.cartan.peel(s, inversions), _rotate(order, s))
             return None if tail is None else (s,) + tail
         if any(b[s] != 0 for b in inversions):
             return None  # not in the parabolic W_<s>
@@ -93,14 +88,9 @@ class SortableContext:
         s = order[0]
         alpha = self.cartan.simple_root(s)
         if alpha in inversions:
-            reduced = frozenset(
-                tuple(self.cartan.reflect_root(s, b)) for b in inversions if b != alpha
-            )
-            below = self._pi_down(reduced, _rotate(order, s))
+            below = self._pi_down(self.cartan.peel(s, inversions), _rotate(order, s))
             assert alpha not in below
-            return frozenset(
-                {tuple(self.cartan.reflect_root(s, b)) for b in below} | {alpha}
-            )
+            return frozenset({self.cartan.reflect_root(s, b) for b in below} | {alpha})
         restricted = frozenset(b for b in inversions if b[s] == 0)
         return self._pi_down(restricted, _drop(order, s))
 
@@ -118,11 +108,8 @@ class SortableContext:
             s = order[0]
             alpha = self.cartan.simple_root(s)
             if alpha in inversions:
-                reduced = frozenset(
-                    tuple(self.cartan.reflect_root(s, b)) for b in inversions if b != alpha
-                )
-                inner = self.cone_normals(reduced, _rotate(order, s))
-                result = frozenset(tuple(self.cartan.reflect_root(s, b)) for b in inner)
+                inner = self.cone_normals(self.cartan.peel(s, inversions), _rotate(order, s))
+                result = frozenset(self.cartan.reflect_root(s, b) for b in inner)
             else:
                 inner = self.cone_normals(inversions, _drop(order, s))
                 result = inner | {alpha}
@@ -132,29 +119,24 @@ class SortableContext:
     def cambrian_cone(self, v: GroupElement) -> Cone:
         """Cone_c(v) = {x : <x, beta> >= 0 for beta in C_c(v)} in V*."""
         normals = self.cone_normals(v.inversions)
-        covs = [self._covector(tuple(-c for c in b)) for b in normals]
+        cov = self.cartan.primitive_in_coroot_lattice
+        covs = [cov(tuple(-c for c in b)) for b in normals]
         return Cone.from_constraints(self.cartan.n, ineqs=covs)
-
-    def _covector(self, phi):
-        return primitive_vector(tuple(self.cartan.d[i] * phi[i] for i in range(self.cartan.n)))
 
     # -- enumeration ----------------------------------------------------------------
 
-    def sortables_up_to_length(self, max_len: int, cap=None):
+    def sortables_up_to_length(self, max_len: int):
         out = []
-        for w in enumerate_up_to_length(self.weyl, max_len, cap=cap):
+        for w in enumerate_up_to_length(self.weyl, max_len):
             wit = self.is_sortable(w)
             if wit is not None:
                 out.append(wit)
         return out
 
-    def ji_sortables(self, height_cap: int, length_cap: int, expect_roots=None):
+    def ji_sortables(self, height_cap: int, length_cap: int):
         """Map cover root -> join-irreducible c-sortable element, for cover
-        roots of height at most height_cap.
-
-        Uniqueness per root is enforced.  When expect_roots is given, every
-        root in it must be hit or CapExceeded is raised (the length cap was
-        not enough to certify completeness).
+        roots of height at most height_cap, among elements of length at most
+        length_cap.  Uniqueness per root is enforced.
         """
         found: dict = {}
         for wit in self.sortables_up_to_length(length_cap):
@@ -169,10 +151,4 @@ class SortableContext:
                     f"two join-irreducible sortables share cover root {root}"
                 )
             found[root] = w
-        if expect_roots is not None:
-            missing = [r for r in expect_roots if r not in found]
-            if missing:
-                raise CapExceeded(
-                    f"length cap {length_cap} missed cover roots {missing}"
-                )
         return found

@@ -103,11 +103,8 @@ class WeylContext:
 
     def left_div(self, w: GroupElement, s: int) -> GroupElement:
         """s w for s <= w: inv(sw) = s.(inv(w) \\ {alpha_s})."""
-        alpha = self.simple_root(s)
-        assert alpha in w.inversions, "left_div requires s <= w"
-        inv = frozenset(
-            tuple(self.cartan.reflect_root(s, b)) for b in w.inversions if b != alpha
-        )
+        assert self.simple_root(s) in w.inversions, "left_div requires s <= w"
+        inv = self.cartan.peel(s, w.inversions)
         mat = mat_mul(self.simple_mats[s], w.matrix)
         return GroupElement(word_from_inversions(self, inv), inv, mat)
 
@@ -115,9 +112,7 @@ class WeylContext:
         """s w when s is not <= w (length goes up)."""
         alpha = self.simple_root(s)
         assert alpha not in w.inversions, "left_mul_up requires s not <= w"
-        inv = frozenset(
-            {tuple(self.cartan.reflect_root(s, b)) for b in w.inversions} | {alpha}
-        )
+        inv = frozenset({self.cartan.reflect_root(s, b) for b in w.inversions} | {alpha})
         mat = mat_mul(self.simple_mats[s], w.matrix)
         return GroupElement((s,) + w.word, inv, mat)
 
@@ -130,10 +125,7 @@ def word_from_inversions(ctx: WeylContext, inv: frozenset) -> tuple:
     while current:
         s = min(s for s in range(ctx.n) if ctx.simple_root(s) in current)
         word.append(s)
-        alpha = ctx.simple_root(s)
-        current = frozenset(
-            tuple(ctx.cartan.reflect_root(s, b)) for b in current if b != alpha
-        )
+        current = ctx.cartan.peel(s, current)
     return tuple(word)
 
 

@@ -98,12 +98,47 @@ def test_svg_rank3(b_a2t, tmp_path):
     assert "<svg" in out.read_text()
 
 
-def test_invalid_input_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": 2, "b": [[0, 1], [1, 0]]},
+        {"n": 2, "b": [[0, 2.9], [-2, 0]]},
+        {"n": 2, "b": [[0, True], [-1, 0]]},
+        {"n": 2, "b": [[0, "2"], [-2, 0]]},
+        {"n": "2", "b": [[0, 2], [-2, 0]]},
+        {"n": True, "b": [[0]]},
+        {"n": 2.0, "b": [[0, 2], [-2, 0]]},
+        {"n": 2, "b": 5},
+        {"n": 2, "b": None},
+        {"n": 2, "b": [0, 1]},
+        {"n": 2, "b": [[0, 2], None]},
+        {"n": 2},
+        [[0, 2], [-2, 0]],
+    ],
+    ids=[
+        "not_skew", "float_entry", "bool_entry", "str_entry", "str_n", "bool_n",
+        "float_n", "int_b", "null_b", "flat_b", "null_row", "missing_b", "not_object",
+    ],
+)
+def test_invalid_input_exit_2(payload, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"n": 2, "b": [[0, 1], [1, 0]]}))
+    bad.write_text(json.dumps(payload))
     assert run(["classify", "--input", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error" in json.loads(err)
+
+
+def test_internal_error_exit_3(b_a11, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise AssertionError("boom")
+
+    monkeypatch.setattr("affscat.cli.check_consistency", broken)
+    assert run(["consistency", "--input", b_a11, "--H", "3", "--k", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["internal"] is True
+    assert "boom" in err["error"]
 
 
 def test_missing_file_exit_2(tmp_path):
@@ -153,7 +188,7 @@ def test_walls_json_round_trip(b_a2t, tmp_path):
     bmat = read_exchange_matrix(open(b_a2t).read())
     d = build_dcscat(bmat, 4, 4)
     payload = diagram_json(d)
-    rebuilt = diagram_from_json(payload, exchange_to_cartan(bmat).d)
+    rebuilt = diagram_from_json(payload, exchange_to_cartan(bmat))
     assert rebuilt.same_walls(d)
     assert rebuilt.height_cap == d.height_cap
 
@@ -165,3 +200,47 @@ def test_classify_reports_cartan_data(b_a22, tmp_path):
     assert data["cartan"]["a"] == [[2, -1], [-4, 2]]
     assert data["cartan"]["d"] == ["1", "1/4"]
     assert [1, 0] in data["positive_real_roots"]
+
+
+# sha256 of the --out bytes of small CLI runs on every command that writes a
+# diagram, a report or a fan.  Refactors must leave these bytes unchanged; a
+# deliberate change of the mathematics or the serialization updates them.
+MATRICES = {
+    "A1_1": [[0, 2], [-2, 0]],
+    "A2_2": [[0, 1], [-4, 0]],
+    "A2_1": [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]],
+}
+HK4 = ["--H", "4", "--k", "4"]
+COMPARE = HK4 + ["--L", "4", "--samples", "20", "--seed", "3"]
+PINNED_OUTPUTS = [
+    ("A1_1", "walls", HK4, "af18fc21141dfcd337a2f725de2632d37c35ce353ae8412fbe423eaa0a6c9044"),
+    ("A1_1", "consistency", HK4, "5bf88323513b673bdc3225c8751c04277b01a76a2b345bbbb97c4b7c8b593946"),
+    ("A1_1", "clusters", HK4, "e700164470e2c8fedd3a83d60a208dc1b675e061619df2b7561bf62ff3393887"),
+    ("A1_1", "compare", COMPARE, "4f3e55ce80c0948f8d13157acd48185b25c7436c0af0da60cdc22c771134d1c5"),
+    ("A1_1", "rank2", ["--k", "4"], "4f65e1792f2d49ce59e8a07b869d64c70c7e2874e916298c2080887528adf337"),
+    ("A2_2", "walls", HK4, "ba6eaf7c2e7c89667382bb22b119be39c9779538004a9d36b27a73d952ac781e"),
+    ("A2_2", "consistency", HK4, "5bf88323513b673bdc3225c8751c04277b01a76a2b345bbbb97c4b7c8b593946"),
+    ("A2_2", "clusters", HK4, "64030a3a8d6082db4a0714e4f2c023c15957b689f9c22612bb7d2cfb889f3a0a"),
+    ("A2_2", "compare", COMPARE, "dcdb3913e1bd9a140d827794386b2618ac964adaf180943a42e6a462132352f1"),
+    ("A2_2", "rank2", ["--k", "4"], "09b71edfa0cf2354f69093b108ff8fed8387b08a1a49b7affce56afad974c1a6"),
+    ("A2_1", "walls", HK4, "481516714aec486767cc4530d8213786372544f86cfe3326842df64cfd8a96e5"),
+    ("A2_1", "consistency", HK4, "c6dede802f6319cb1d2576a76462e1906e9bdd3fbd74603324d583a28439a2c5"),
+    ("A2_1", "clusters", HK4, "09b809fb6bc9823329f175aa9b9c9a986b286bfe4f9bb745c4fffb95742b5a40"),
+    ("A2_1", "compare", COMPARE, "da505cb78bef379b0ab4ee5f06a814b8461dcbfade9956ee2329e7ebe7aa3195"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, command, flags, digest",
+    PINNED_OUTPUTS,
+    ids=[f"{name}-{command}" for name, command, _, _ in PINNED_OUTPUTS],
+)
+def test_pinned_output_digest(name, command, flags, digest, tmp_path):
+    import hashlib
+
+    rows = MATRICES[name]
+    inp = tmp_path / "b.json"
+    inp.write_text(json.dumps({"n": len(rows), "b": rows}))
+    out = tmp_path / "out.json"
+    assert run([command, "--input", str(inp), *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

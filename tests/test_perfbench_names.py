@@ -1,0 +1,59 @@
+"""The benchmark in perfbench/ wraps and imports affscat names by string.
+
+Its own smoke test is slow and not part of this suite, so these checks make a
+renamed entry point fail here instead of only in a benchmark run.
+"""
+
+import ast
+import functools
+import importlib
+import importlib.util
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracing_layers_resolve():
+    tracing = _load_tracing()
+    assert tracing.LAYERS
+    for modname, attr, _, _ in tracing.LAYERS:
+        owner = importlib.import_module(f"affscat.{modname}")
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner = getattr(owner, cls_name)
+        assert attr in vars(owner), f"affscat.{modname}: {attr} is missing"
+        assert callable(vars(owner)[attr]) or isinstance(
+            vars(owner)[attr], functools.cached_property
+        )
+    from affscat.cones import Cone
+
+    assert isinstance(vars(Cone)["generators"], functools.cached_property)
+
+
+def test_op_imports_resolve():
+    tree = ast.parse((PERFBENCH / "op.py").read_text())
+    names = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("affscat")
+        for alias in node.names
+    ]
+    assert ("affscat", "cli") in names
+    for module, name in names:
+        mod = importlib.import_module(module)
+        # `from package import submodule` needs no attribute before the import
+        is_submodule = hasattr(mod, "__path__") and importlib.util.find_spec(f"{module}.{name}")
+        found = hasattr(mod, name) or is_submodule
+        assert found, f"{module}.{name} is missing"
+    from affscat import cli
+    from affscat.series import _series_power
+
+    assert callable(cli.run)
+    assert callable(_series_power.cache_info)

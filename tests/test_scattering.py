@@ -174,13 +174,12 @@ def _shards_in_hyperplane(sh, beta):
 
     cut = sh.cut_set(beta)
     n = sh.cartan.n
+    cov = sh.cartan.primitive_in_coroot_lattice
     cells = []
     seen = set()
     for signs in itertools.product((1, -1), repeat=len(cut)):
-        ineqs = [
-            sh.covector(tuple(s * c for c in g)) for s, g in zip(signs, cut)
-        ]
-        cone = Cone.from_constraints(n, eqs=[sh.covector(beta)], ineqs=ineqs)
+        ineqs = [cov(tuple(s * c for c in g)) for s, g in zip(signs, cut)]
+        cone = Cone.from_constraints(n, eqs=[cov(beta)], ineqs=ineqs)
         if cone.dim != n - 1:
             continue
         key = cone.canonical_key
@@ -240,3 +239,14 @@ def test_integrality_audit_clean():
         assert d.provenance["non_integer_series"] == []
     comp = rank2_complete(ExchangeMatrix.from_rows([[0, 1], [-4, 0]]), truncation=9)
     assert comp.provenance["non_integer_series"] == []
+
+
+def test_wall_covectors_stored_as_ints():
+    # Cone covectors are primitive integer vectors and stay ints in storage.
+    b_a22 = ExchangeMatrix.from_rows([[0, 1], [-4, 0]])
+    for b in (B_A11, b_a22, B_A2T):
+        for build in (build_dcscat, build_easy_scat):
+            d = build(b, height_cap=4, truncation=4)
+            for w in d.walls:
+                for cov in w.cone.eqs + w.cone.ineqs:
+                    assert all(type(c) is int for c in cov), (w.normal, cov)

@@ -77,7 +77,8 @@ def test_shard_s1s2_example():
 def test_nonsimple_shard_strictly_smaller():
     j = SH_A11.weyl.from_word((0, 1))
     shard = SH_A11.shard_from_ji(j)
-    full = Cone.from_constraints(2, eqs=[SH_A11.covector(shard.normal)])
+    cov = SH_A11.cartan.primitive_in_coroot_lattice
+    full = Cone.from_constraints(2, eqs=[cov(shard.normal)])
     assert full.contains_cone(shard.cone)
     assert not shard.cone.same_cone(full)
 
@@ -127,6 +128,7 @@ def test_sigma_sj_gluing():
     # (s Sh(sj)) and Sh(j) agree on the <x, alpha_s> <= 0 side, for s < j.
     for sh, cox in ((SH_A11, COX_A11), (SH_A2T, COX_A2T)):
         n = sh.cartan.n
+        cov = sh.cartan.primitive_in_coroot_lattice
         for j in enumerate_up_to_length(sh.weyl, 5):
             if is_join_irreducible(sh.weyl, j) is None:
                 continue
@@ -138,13 +140,10 @@ def test_sigma_sj_gluing():
                 shard_sj = sh.shard_from_ji(sj)
                 reflected = Cone.from_constraints(
                     n,
-                    eqs=[sh.covector(sh.cartan.reflect_root(s, shard_sj.normal))],
-                    ineqs=[
-                        sh.covector(sh.cartan.reflect_root(s, g))
-                        for g in shard_sj.cut_list
-                    ],
+                    eqs=[cov(sh.cartan.reflect_root(s, shard_sj.normal))],
+                    ineqs=[cov(sh.cartan.reflect_root(s, g)) for g in shard_sj.cut_list],
                 )
-                half = [sh.covector(sh.cartan.simple_root(s))]
+                half = [cov(sh.cartan.simple_root(s))]
                 lhs = reflected.intersect(Cone.from_constraints(n, ineqs=half))
                 rhs = shard_j.cone.intersect(Cone.from_constraints(n, ineqs=half))
                 assert lhs.same_cone(rhs)

@@ -103,7 +103,7 @@ def test_above_below_alpha_perp():
             lin, rays = cone.generators
             gens = list(rays) + [l for l in lin] + [tuple(-c for c in l) for l in lin]
             for s in range(n):
-                alpha_cov = sc._covector(sc.cartan.simple_root(s))
+                alpha_cov = sc.cartan.primitive_in_coroot_lattice(sc.cartan.simple_root(s))
                 vals = [sum(a * b for a, b in zip(g, alpha_cov)) for g in gens]
                 if sc.cartan.simple_root(s) in v.inversions:
                     assert all(x <= 0 for x in vals)  # above
