@@ -30,6 +30,21 @@ class NotRealRoot(ValueError):
     pass
 
 
+def is_int(x) -> bool:
+    """An int proper: bools (and floats, strings, ...) are not matrix entries."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_rows(rows) -> tuple:
+    """The rows as tuples of ints; any other entry is rejected, never truncated."""
+    out = tuple(tuple(row) for row in rows)
+    for row in out:
+        for x in row:
+            if not is_int(x):
+                raise ValueError(f"matrix entries must be ints, got {x!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class ExchangeMatrix:
     """Skew-symmetrizable integer matrix B = [b_ij]."""
@@ -40,7 +55,7 @@ class ExchangeMatrix:
     @staticmethod
     def from_rows(rows) -> "ExchangeMatrix":
         n = len(rows)
-        b = tuple(tuple(int(x) for x in row) for row in rows)
+        b = _int_rows(rows)
         for row in b:
             if len(row) != n:
                 raise ValueError("B must be square")
@@ -133,7 +148,7 @@ class CartanMatrix:
     @staticmethod
     def from_rows(rows, d=None) -> "CartanMatrix":
         n = len(rows)
-        a = tuple(tuple(int(x) for x in row) for row in rows)
+        a = _int_rows(rows)
         for i in range(n):
             if a[i][i] != 2:
                 raise ValueError("Cartan diagonal must be 2")

@@ -185,8 +185,7 @@ def _dispatch(args, bmat) -> int:
 
     if args.command == "svg":
         diagram = build_dcscat(bmat, args.H, args.k)
-        cartan = exchange_to_cartan(bmat)
-        text = render_slice(diagram, symmetrizers=cartan.d)
+        text = render_slice(diagram, exchange_to_cartan(bmat))
         _emit(text, args.out)
         return 0
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .cartan import ExchangeMatrix
+from .cartan import ExchangeMatrix, is_int
 
 
 class InputError(ValueError):
@@ -29,10 +29,6 @@ def int_vec_json(v):
     return [int(c) for c in v]
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def read_exchange_matrix(data) -> ExchangeMatrix:
     """Validate {"n": int, "b": n x n list of ints} and build the matrix.
 
@@ -44,12 +40,12 @@ def read_exchange_matrix(data) -> ExchangeMatrix:
     if not isinstance(data, dict) or "n" not in data or "b" not in data:
         raise InputError("expected an object with 'n' and 'b'")
     n, rows = data["n"], data["b"]
-    if not _is_int(n):
+    if not is_int(n):
         raise InputError("'n' must be an integer")
     if (
         not isinstance(rows, list)
         or len(rows) != n
-        or not all(isinstance(r, list) and len(r) == n and all(map(_is_int, r)) for r in rows)
+        or not all(isinstance(r, list) and len(r) == n and all(map(is_int, r)) for r in rows)
     ):
         raise InputError("'b' must be an n x n integer matrix")
     try:

@@ -91,6 +91,12 @@ class _Builder:
         self.weyl = WeylContext(self.cartan)
         self.shards = ShardContext(self.weyl)
         self.ap = APContext(cox)
+        # One per Coxeter element, so generated sortables survive length-cap
+        # doublings.
+        self.sortables = {
+            ORIGIN_SORTABLE: SortableContext(self.weyl, cox),
+            ORIGIN_INV_SORTABLE: SortableContext(self.weyl, cox.inverse()),
+        }
 
     def series_for(self, beta) -> TruncatedSeries:
         ht = sum(beta)
@@ -134,9 +140,8 @@ class _Builder:
     def expected_normals(self):
         return [b for b in self.ap.ap_positive_real(self.H) if sum(b) <= self.H]
 
-    def ji_walls(self, cox: CoxeterContext, origin: str, length_cap: int):
-        sc = SortableContext(self.weyl, cox)
-        found = sc.ji_sortables(self.H, length_cap)
+    def ji_walls(self, origin: str, length_cap: int):
+        found = self.sortables[origin].ji_sortables(self.H, length_cap)
         walls = []
         for root, j in sorted(found.items()):
             shard = self.shards.shard_from_ji(j)
@@ -168,8 +173,8 @@ def build_dcscat(bmat: ExchangeMatrix, height_cap: int, truncation: int) -> Scat
     expected = builder.expected_normals()
     length_cap = max(2 * height_cap, 4)
     while True:
-        c_walls = builder.ji_walls(cox, ORIGIN_SORTABLE, length_cap)
-        inv_walls = builder.ji_walls(cox.inverse(), ORIGIN_INV_SORTABLE, length_cap)
+        c_walls = builder.ji_walls(ORIGIN_SORTABLE, length_cap)
+        inv_walls = builder.ji_walls(ORIGIN_INV_SORTABLE, length_cap)
         merged: dict = {}
         overlap = 0
         for w in c_walls + inv_walls:
@@ -184,9 +189,13 @@ def build_dcscat(bmat: ExchangeMatrix, height_cap: int, truncation: int) -> Scat
             break
         # every positive AP_c root is hit by a c- or c^{-1}-sortable
         # join-irreducible; a miss means the length cap was too small
+        limit = 64 * (height_cap + 2)
+        if 2 * length_cap > limit:
+            raise CapExceeded(
+                f"no join-irreducible for normals {missing} within length cap "
+                f"{length_cap}; doubling it would pass the limit 64*(H+2) = {limit}"
+            )
         length_cap *= 2
-        if length_cap > 64 * (height_cap + 2):
-            raise CapExceeded(f"join-irreducible enumeration missed normals {missing}")
     walls = list(merged.values()) + [builder.imaginary_wall()]
     hyperplanes = [w.normal for w in walls]
     assert len(set(hyperplanes)) == len(hyperplanes), "one wall per hyperplane"

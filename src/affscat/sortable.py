@@ -4,6 +4,13 @@ join-irreducible sortable inventory.
 All recursions work on (inversion set, index order) pairs; the order is a
 linear extension whose first letter is always initial in the current Coxeter
 element, and parabolic descent drops letters from the order.
+
+The same recursion (Reading-Speyer, valid in any Coxeter group) generates the
+c-sortable elements directly: with s initial in c, w is c-sortable iff either
+s <= w and sw is scs-sortable, or w lies in W_<s> and is sc-sortable there.
+So the c-sortables of a given length are the sc-sortables of W_<s> of that
+length plus s v for each scs-sortable v one shorter with s not <= v, and
+no element outside the sortable set is ever built.
 """
 
 from __future__ import annotations
@@ -13,9 +20,10 @@ from dataclasses import dataclass
 from .cones import Cone
 from .coxeter import CoxeterContext
 from .weyl import (
+    CapExceeded,
     GroupElement,
     WeylContext,
-    enumerate_up_to_length,
+    element_cap,
     is_join_irreducible,
 )
 
@@ -42,6 +50,9 @@ class SortableContext:
         self.cartan = weyl.cartan
         self._sort_cache: dict = {}
         self._cone_cache: dict = {}
+        self._level_cache: dict = {}
+        self._generated = 0  # elements built by the generator, against the cap
+        self._cap = element_cap()
 
     # -- sortability ----------------------------------------------------------
 
@@ -126,12 +137,43 @@ class SortableContext:
     # -- enumeration ----------------------------------------------------------------
 
     def sortables_up_to_length(self, max_len: int):
+        """Witnesses for the c-sortable elements of length <= max_len, in
+        (length, sorting word) order; each element's word is its c-sorting word."""
         out = []
-        for w in enumerate_up_to_length(self.weyl, max_len):
-            wit = self.is_sortable(w)
-            if wit is not None:
-                out.append(wit)
+        for length in range(max_len + 1):
+            level = self._sortables_of_length(self.cox.order, length)
+            out.extend(SortableWitness(w, w.word) for w in sorted(level, key=lambda w: w.word))
         return out
+
+    def _sortables_of_length(self, order, length):
+        """The order-sortable elements of the parabolic on the letters of
+        order, of exactly the given length.  sortables_up_to_length fills
+        lengths in increasing order, so a call recurses only through keys
+        still missing, at most one per order reachable from c."""
+        key = (order, length)
+        if key in self._level_cache:
+            return self._level_cache[key]
+        if length == 0:
+            level = [self.weyl.identity()]
+        elif not order:
+            level = []
+        else:
+            s = order[0]
+            alpha = self.cartan.simple_root(s)
+            up = [
+                self.weyl.left_mul_up(v, s)
+                for v in self._sortables_of_length(_rotate(order, s), length - 1)
+                if alpha not in v.inversions
+            ]
+            self._generated += len(up)
+            if self._generated > self._cap:
+                raise CapExceeded(
+                    f"element cap AFFSCAT_CAP={self._cap} exceeded by sortable "
+                    f"generation at length {length}"
+                )
+            level = self._sortables_of_length(_drop(order, s), length) + up
+        self._level_cache[key] = level
+        return level
 
     def ji_sortables(self, height_cap: int, length_cap: int):
         """Map cover root -> join-irreducible c-sortable element, for cover

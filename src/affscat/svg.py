@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .cartan import CartanMatrix
 from .scattering import ORIGIN_IMAGINARY, ScatDiagram
 
 
@@ -60,12 +61,15 @@ HEADER = (
 )
 
 
-def render_slice(diagram: ScatDiagram, symmetrizers=None) -> str:
+def render_slice(diagram: ScatDiagram, cartan: CartanMatrix | None = None) -> str:
+    """The SVG drawing; rank 3 needs the Cartan matrix, whose symmetrizers
+    pair V* with delta to cut the slice <x, delta> = 1."""
     if diagram.cartan_n == 2:
         return _render_rank2(diagram)
     if diagram.cartan_n == 3:
-        d = tuple(symmetrizers) if symmetrizers else (Fraction(1),) * 3
-        return _render_affine_slice(diagram, d)
+        if cartan is None:
+            raise ValueError("rank-3 slices need the Cartan matrix")
+        return _render_affine_slice(diagram, cartan)
     raise UnsupportedRank("SVG rendering supports rank 2 and rank 3 only")
 
 
@@ -91,7 +95,7 @@ def _render_rank2(diagram: ScatDiagram) -> str:
     return "\n".join(parts)
 
 
-def _render_affine_slice(diagram: ScatDiagram, symmetrizers) -> str:
+def _render_affine_slice(diagram: ScatDiagram, cartan: CartanMatrix) -> str:
     # Slice coordinates: (x_1, x_2) parametrize {<x, delta> = 1}.
     imaginary = [w for w in diagram.walls if w.origin == ORIGIN_IMAGINARY]
     assert imaginary, "affine slice rendering expects the imaginary wall"
@@ -105,7 +109,7 @@ def _render_affine_slice(diagram: ScatDiagram, symmetrizers) -> str:
         points = []
         infinite = []
         for r in dirs:
-            val = _delta_pairing(r, delta, symmetrizers)
+            val = cartan.pairing(r, delta)
             if val > 0:
                 points.append((Fraction(r[0]) / val, Fraction(r[1]) / val))
             elif val == 0:
@@ -141,10 +145,6 @@ def _render_affine_slice(diagram: ScatDiagram, symmetrizers) -> str:
         parts.append(_label(mid[0], mid[1], _root_label(w.normal)))
     parts.append("</svg>\n")
     return "\n".join(parts)
-
-
-def _delta_pairing(r, delta, symmetrizers):
-    return sum(Fraction(r[i]) * symmetrizers[i] * delta[i] for i in range(3))
 
 
 def _axes():

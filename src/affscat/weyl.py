@@ -155,11 +155,13 @@ def covers(ctx: WeylContext, w: GroupElement):
 
 
 def is_join_irreducible(ctx: WeylContext, w: GroupElement):
-    """The unique cover root beta_t if w covers exactly one element, else None."""
-    cov = covers(ctx, w)
-    if len(cov) == 1:
-        return cov[0][1]
-    return None
+    """The unique cover root beta_t = -w(alpha_s) if s is the only right
+    descent of w (so w covers exactly one element), else None."""
+    descents = ctx.right_descents(w)
+    if len(descents) != 1:
+        return None
+    s = descents[0]
+    return tuple(-w.matrix[r][s] for r in range(ctx.n))
 
 
 def enumerate_up_to_length(ctx: WeylContext, max_len: int, cap: int | None = None):

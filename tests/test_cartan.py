@@ -47,6 +47,19 @@ def test_rejects_non_skew_symmetrizable():
         ExchangeMatrix.from_rows([[0, 1, -1], [-1, 0, 1], [2, -1, 0]])
 
 
+@pytest.mark.parametrize("rows", [[[0, 2.9], [-2, 0]], [[0, True], [-1, 0]], [[0, "2"], [-2, 0]]])
+def test_exchange_from_rows_rejects_non_ints(rows):
+    # int() would truncate 2.9 to A_1^(1) and read True as A_2.
+    with pytest.raises(ValueError):
+        ExchangeMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("rows", [[[2, -1.0], [-1, 2]], [[2, 0], [False, 2]], [[2.5, -1], [-1, 2]]])
+def test_cartan_from_rows_rejects_non_ints(rows):
+    with pytest.raises(ValueError):
+        CartanMatrix.from_rows(rows)
+
+
 def test_coxeter_order_respects_signs():
     assert B_A11.coxeter_order() == (0, 1)
     assert B_A2TILDE.coxeter_order() == (0, 1, 2)

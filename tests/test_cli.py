@@ -180,6 +180,38 @@ def test_svg_unsupported_rank():
         render_slice(ScatDiagram(cartan_n=4, walls=(), height_cap=0, truncation=0))
 
 
+def test_svg_g21_uses_symmetrizers(tmp_path):
+    # G_2^(1) is not simply laced: the slice <x, delta> = 1 depends on d.
+    from affscat.cartan import CartanMatrix, ExchangeMatrix, exchange_to_cartan
+    from affscat.scattering import build_dcscat
+    from affscat.svg import render_slice
+
+    rows = [[0, 1, 0], [-1, 0, 1], [0, -3, 0]]
+    path = tmp_path / "g21.json"
+    path.write_text(json.dumps({"n": 3, "b": rows}))
+    out = tmp_path / "d.svg"
+    assert run(["svg", "--input", str(path), "--H", "4", "--k", "4", "--out", str(out)]) == 0
+    bmat = ExchangeMatrix.from_rows(rows)
+    cartan = exchange_to_cartan(bmat)
+    diagram = build_dcscat(bmat, 4, 4)
+    assert render_slice(diagram, cartan) == out.read_text()
+    unit_d = CartanMatrix(cartan.n, cartan.a, (1, 1, 1))
+    assert render_slice(diagram, unit_d) != out.read_text()
+    with pytest.raises(ValueError):
+        render_slice(diagram)
+
+
+def test_element_cap_exit_3_names_affscat_cap(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "a31.json"
+    path.write_text(
+        json.dumps({"n": 4, "b": [[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, -1], [-1, 0, 1, 0]]})
+    )
+    monkeypatch.setenv("AFFSCAT_CAP", "50")
+    assert run(["walls", "--input", str(path), "--H", "12", "--k", "12"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert "AFFSCAT_CAP=50" in err["error"]
+
+
 def test_walls_json_round_trip(b_a2t, tmp_path):
     from affscat.cartan import exchange_to_cartan
     from affscat.jsonio import diagram_from_json, diagram_json, read_exchange_matrix

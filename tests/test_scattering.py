@@ -250,3 +250,40 @@ def test_wall_covectors_stored_as_ints():
             for w in d.walls:
                 for cov in w.cone.eqs + w.cone.ineqs:
                     assert all(type(c) is int for c in cov), (w.normal, cov)
+
+
+def test_dcscat_never_walks_w(monkeypatch):
+    # The shard construction generates sortables directly: with every binding
+    # of the Weyl-group BFS made to raise, it still matches easy_scat.
+    import sys
+
+    import affscat.sortable
+    import affscat.weyl
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_dcscat must not enumerate W")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("affscat") and hasattr(module, "enumerate_up_to_length"):
+            monkeypatch.setattr(module, "enumerate_up_to_length", forbidden)
+    assert affscat.weyl.enumerate_up_to_length is forbidden
+    if hasattr(affscat.sortable, "enumerate_up_to_length"):
+        assert affscat.sortable.enumerate_up_to_length is forbidden
+    b = ExchangeMatrix.from_rows(
+        [[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, -1], [-1, 0, 1, 0]]
+    )
+    d1 = build_dcscat(b, height_cap=8, truncation=8)
+    d2 = build_easy_scat(b, height_cap=8, truncation=8)
+    assert sorted(w.key() for w in d1.walls) == sorted(w.key() for w in d2.walls)
+
+
+def test_length_cap_failure_names_the_cap(monkeypatch):
+    import pytest
+
+    from affscat.scattering import _Builder
+    from affscat.weyl import CapExceeded
+
+    # (3, 3) is no root of A_1^(1), so no length cap can find its shard.
+    monkeypatch.setattr(_Builder, "expected_normals", lambda self: [(3, 3)])
+    with pytest.raises(CapExceeded, match=r"length cap 256.*64\*\(H\+2\) = 256"):
+        build_dcscat(B_A11, height_cap=2, truncation=2)

@@ -1,3 +1,5 @@
+import pytest
+
 from affscat.cartan import ExchangeMatrix
 from affscat.coxeter import coxeter_context
 from affscat.sortable import SortableContext
@@ -203,3 +205,51 @@ def test_sortable_iff_aligned():
 
         for w in enumerate_up_to_length(sc.weyl, 5):
             assert (sc.is_sortable(w) is not None) == aligned(w), w.word
+
+
+# The orientations of the benchmark's instances, with the lengths the oracle
+# below enumerates W up to.
+ORIENTATIONS = (
+    ([[0, 2], [-2, 0]], 8),
+    ([[0, 1], [-4, 0]], 8),
+    ([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 7),
+    ([[0, 1, 0], [-1, 0, 1], [0, -3, 0]], 7),
+    ([[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, -1], [-1, 0, 1, 0]], 6),
+    (
+        [
+            [0, 1, 1, 1, 1],
+            [-1, 0, 0, 0, 0],
+            [-1, 0, 0, 0, 0],
+            [-1, 0, 0, 0, 0],
+            [-1, 0, 0, 0, 0],
+        ],
+        6,
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "rows, max_len", ORIENTATIONS, ids=["A1_1", "A2_2", "A2_1", "G2_1", "A3_1", "D4_1"]
+)
+def test_generated_sortables_match_filtered_enumeration(rows, max_len):
+    from affscat.weyl import covers, is_join_irreducible
+
+    cox = coxeter_context(ExchangeMatrix.from_rows(rows))
+    weyl = WeylContext(cox.cartan)
+    elements = enumerate_up_to_length(weyl, max_len)
+    for c in (cox, cox.inverse()):
+        sc = SortableContext(weyl, c)
+        generated = sc.sortables_up_to_length(max_len)
+        filtered = {w.inversions for w in elements if sc.is_sortable(w) is not None}
+        assert len(generated) == len(filtered) > 1
+        assert {wit.element.inversions for wit in generated} == filtered
+        for wit in generated:
+            assert wit.sorting_word == sc.sorting_word(wit.element.inversions)
+        keys = [(wit.element.length, wit.sorting_word) for wit in generated]
+        assert keys == sorted(keys)
+    for w in elements:
+        cov = covers(weyl, w)
+        root = is_join_irreducible(weyl, w)
+        assert (root is not None) == (len(cov) == 1)
+        if root is not None:
+            assert root == cov[0][1]
