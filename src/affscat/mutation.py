@@ -105,11 +105,12 @@ def _fan_profile(cones, point):
 
 
 def _separating_heights(ap: APContext, p, q, far_cap: int):
-    """Heights of AP roots whose hyperplane separates p from q (strictly)."""
+    """Heights of AP roots whose hyperplane separates p from q, counting a
+    hyperplane through one point (but not through both) as separating."""
     out = []
     for beta in ap.ap_positive_real(far_cap):
         a, b = ap.cartan.pairing(p, beta), ap.cartan.pairing(q, beta)
-        if (a > 0 > b) or (a < 0 < b):
+        if a * b <= 0 and (a, b) != (0, 0):
             out.append(sum(beta))
     return out
 

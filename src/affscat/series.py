@@ -5,12 +5,18 @@ q-degree.  Path-ordered products act on truncated elements of the ring
 k[x^{\\pm}][[yhat]]: finite sums of terms x^lambda yhat^phi with lambda in the
 weight lattice and phi a nonnegative root-lattice vector, graded by the total
 yhat-degree (coordinate sum of phi) and cut off above degree k.
+
+Every scattering term has constant term 1, so any integer power f^e, negative
+ones included, is computed in O(k^2) by J. C. P. Miller's recurrence (Knuth,
+TAOCP vol. 2, 4.7): g_0 = 1, m g_m = sum_{j=1..m} ((e+1) j - m) f_j g_{m-j}.
+The division by m is exact, and stays in the integers when f is integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 
 class MixedNormals(ValueError):
@@ -79,28 +85,23 @@ class TruncatedSeries:
                     out[i + j] += a * b
         return TruncatedSeries.make(self.normal, self.k, out)
 
-    def invert(self) -> "TruncatedSeries":
-        if self.coeffs[0] != 1:
-            raise ValueError("inversion requires constant term 1")
-        inv = [1] + [0] * self.k
-        for m in range(1, self.k + 1):
-            inv[m] = -sum(self.coeffs[i] * inv[m - i] for i in range(1, m + 1))
-        return TruncatedSeries.make(self.normal, self.k, inv)
-
     def int_pow(self, e: int) -> "TruncatedSeries":
-        if e == 0:
-            return TruncatedSeries.one(self.normal, self.k)
-        base = self if e > 0 else self.invert()
-        out = TruncatedSeries.one(self.normal, self.k)
-        power = base
-        m = abs(e)
-        while m:
-            if m & 1:
-                out = out.mul(power)
-            m >>= 1
-            if m:
-                power = power.mul(power)
-        return out
+        """f^e by Miller's recurrence; requires constant term 1."""
+        f = self.coeffs
+        if f[0] != 1:
+            raise ValueError("powers require constant term 1")
+        g = [1] + [0] * self.k
+        for m in range(1, self.k + 1):
+            acc = 0
+            for j in range(1, m + 1):
+                if f[j] != 0 and g[m - j] != 0:
+                    acc += ((e + 1) * j - m) * f[j] * g[m - j]
+            if isinstance(acc, int):
+                assert acc % m == 0, "Miller division must be exact"
+                g[m] = acc // m
+            else:
+                g[m] = acc / m
+        return TruncatedSeries.make(self.normal, self.k, g)
 
 
 def geometric_inverse_square(normal, k) -> TruncatedSeries:
@@ -163,11 +164,6 @@ class MonomialExpr:
             d[key] = d.get(key, 0) + c
         return MonomialExpr.from_dict(self.n, self.k, d)
 
-    def scale(self, c) -> "MonomialExpr":
-        return MonomialExpr.from_dict(
-            self.n, self.k, {key: c * v for key, v in self.terms}
-        )
-
     def mul(self, other: "MonomialExpr") -> "MonomialExpr":
         d: dict = {}
         for (l1, p1), c1 in self.terms:
@@ -219,34 +215,32 @@ def wall_cross(expr: MonomialExpr, data: CrossingData, sign: int, k: int) -> Mon
     assert sign in (1, -1)
     beta = data.f.normal
     ht = sum(beta)
-    qdeg = k // ht if ht else 0
+    qdeg = k // ht
     f = data.f.retruncate(qdeg)
+    coroot = data.coroot
+    # omega(beta^vee, phi) = sum_j omega_j phi_j with omega_j = sum_i beta^vee_i b_ij
+    omega = tuple(
+        sum(c * row[j] for c, row in zip(coroot, data.b_rows)) for j in range(expr.n)
+    )
+    shifts = [tuple(m * b for b in beta) for m in range(qdeg + 1)]
     out: dict = {}
-    n = expr.n
     for (lam, phi), c in expr.terms:
-        e_x = sum(l * bv for l, bv in zip(lam, data.coroot))
-        e_y = sum(
-            data.coroot[i] * data.b_rows[i][j] * phi[j]
-            for i in range(n)
-            for j in range(n)
-            if data.coroot[i] != 0 and phi[j] != 0
-        )
-        exponent = sign * (e_x + e_y)
+        e_x = sum(map(mul, lam, coroot))
+        e_y = sum(map(mul, omega, phi))
         if _nonint(e_x) or _nonint(e_y):
             raise NonIntegerExponent(f"non-integer crossing exponent at {(lam, phi)}")
-        series = _series_power(f, int(exponent))
-        budget = k - sum(phi)
-        for m, a in enumerate(series.coeffs):
-            if a == 0 or m * ht > budget:
+        coeffs = _series_power(f, int(sign * (e_x + e_y))).coeffs
+        for m in range(min(qdeg, (k - sum(phi)) // ht) + 1):
+            a = coeffs[m]
+            if a == 0:
                 continue
-            new_phi = tuple(p + m * b for p, b in zip(phi, beta))
-            key = (lam, new_phi)
+            key = (lam, tuple(map(add, phi, shifts[m])))
             out[key] = out.get(key, 0) + c * a
-    return MonomialExpr.from_dict(n, k, out)
+    return MonomialExpr.from_dict(expr.n, k, out)
 
 
 def _nonint(x) -> bool:
-    return Fraction(x).denominator != 1
+    return not isinstance(x, int) and Fraction(x).denominator != 1
 
 
 def path_product(expr: MonomialExpr, crossings, k: int) -> MonomialExpr:

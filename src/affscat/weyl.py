@@ -129,18 +129,6 @@ def word_from_inversions(ctx: WeylContext, inv: frozenset) -> tuple:
     return tuple(word)
 
 
-def mul_simple(ctx: WeylContext, w: GroupElement, s: int, side: str) -> GroupElement:
-    """Multiply by a simple reflection on the chosen side, maintaining the
-    reduced word and inversion set (length changes by one either way)."""
-    if side == "right":
-        return ctx.right_mul(w, s)
-    if side == "left":
-        if ctx.simple_root(s) in w.inversions:
-            return ctx.left_div(w, s)
-        return ctx.left_mul_up(w, s)
-    raise ValueError("side must be 'left' or 'right'")
-
-
 def weak_leq(v: GroupElement, w: GroupElement) -> bool:
     return v.inversions <= w.inversions
 
@@ -184,10 +172,3 @@ def enumerate_up_to_length(ctx: WeylContext, max_len: int, cap: int | None = Non
         frontier = nxt
     return sorted(out, key=lambda w: (w.length, w.word))
 
-
-def parabolic_restrict(ctx: WeylContext, w: GroupElement, keep) -> GroupElement:
-    """The unique w_I in W_I with inv(w_I) = inv(w) restricted to Phi_I."""
-    keep = set(keep)
-    drop = [i for i in range(ctx.n) if i not in keep]
-    inv = frozenset(b for b in w.inversions if all(b[i] == 0 for i in drop))
-    return ctx.from_word(word_from_inversions(ctx, inv))

@@ -82,6 +82,24 @@ def test_compare_small(b_a11, tmp_path):
     assert json.loads(out.read_text())["clean"] is True
 
 
+def test_compare_frontier_pair_is_censored(b_a2t, tmp_path):
+    # At seed 122 one sampled point lies on the hyperplane of the height-7
+    # root (3,2,2), beyond the height cap: a frontier effect, not a
+    # disagreement.
+    out = tmp_path / "out.json"
+    code = run(
+        [
+            "compare", "--input", b_a2t, "--H", "6", "--k", "6",
+            "--L", "6", "--samples", "200", "--seed", "122", "--out", str(out),
+        ]
+    )
+    report = json.loads(out.read_text())
+    assert code == 0
+    assert report["clean"] is True
+    assert report["pair_disagreements"] == []
+    assert report["pair_frontier_censored"] == 1
+
+
 def test_svg_rank2(b_a11, tmp_path):
     out = tmp_path / "d.svg"
     assert run(["svg", "--input", b_a11, "--H", "4", "--k", "4", "--out", str(out)]) == 0
@@ -250,11 +268,13 @@ PINNED_OUTPUTS = [
     ("A1_1", "clusters", HK4, "e700164470e2c8fedd3a83d60a208dc1b675e061619df2b7561bf62ff3393887"),
     ("A1_1", "compare", COMPARE, "4f3e55ce80c0948f8d13157acd48185b25c7436c0af0da60cdc22c771134d1c5"),
     ("A1_1", "rank2", ["--k", "4"], "4f65e1792f2d49ce59e8a07b869d64c70c7e2874e916298c2080887528adf337"),
+    ("A1_1", "rank2", ["--k", "8"], "d9682a3272f98796e58fb9e37e7238c4e8011cd4c8bb49b27fa7526fb281cee1"),
     ("A2_2", "walls", HK4, "ba6eaf7c2e7c89667382bb22b119be39c9779538004a9d36b27a73d952ac781e"),
     ("A2_2", "consistency", HK4, "5bf88323513b673bdc3225c8751c04277b01a76a2b345bbbb97c4b7c8b593946"),
     ("A2_2", "clusters", HK4, "64030a3a8d6082db4a0714e4f2c023c15957b689f9c22612bb7d2cfb889f3a0a"),
     ("A2_2", "compare", COMPARE, "dcdb3913e1bd9a140d827794386b2618ac964adaf180943a42e6a462132352f1"),
     ("A2_2", "rank2", ["--k", "4"], "09b71edfa0cf2354f69093b108ff8fed8387b08a1a49b7affce56afad974c1a6"),
+    ("A2_2", "rank2", ["--k", "6"], "ef30641df362ff7d9bdaf39f72eaf75fe3d3934f7a7ce7c7901fa51974edfe6b"),
     ("A2_1", "walls", HK4, "481516714aec486767cc4530d8213786372544f86cfe3326842df64cfd8a96e5"),
     ("A2_1", "consistency", HK4, "c6dede802f6319cb1d2576a76462e1906e9bdd3fbd74603324d583a28439a2c5"),
     ("A2_1", "clusters", HK4, "09b809fb6bc9823329f175aa9b9c9a986b286bfe4f9bb745c4fffb95742b5a40"),
@@ -262,10 +282,21 @@ PINNED_OUTPUTS = [
 ]
 
 
+
+
+def _pin_ids(rows):
+    """`name-command`; a repeated pair also names its flags, e.g. `A1_1-rank2-k8`."""
+    ids = []
+    for name, command, flags, _ in rows:
+        base = f"{name}-{command}"
+        ids.append(base if base not in ids else base + "".join(flags).replace("--", "-"))
+    return ids
+
+
 @pytest.mark.parametrize(
     "name, command, flags, digest",
     PINNED_OUTPUTS,
-    ids=[f"{name}-{command}" for name, command, _, _ in PINNED_OUTPUTS],
+    ids=_pin_ids(PINNED_OUTPUTS),
 )
 def test_pinned_output_digest(name, command, flags, digest, tmp_path):
     import hashlib

@@ -165,3 +165,45 @@ def test_d_inf_subsectors_rank3():
         "distinguished"
     )
     assert not scat_cone_eq(d, same1, on_ray)
+
+
+B_G21 = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, -3, 0]])
+
+
+def test_separating_heights_counts_a_hyperplane_through_one_point():
+    # The sampled pairs of compare at H=k=6: p lies on the hyperplane of an
+    # almost-positive root above the height cap (A_2^(1) seed 122: (3,2,2);
+    # G_2^(1) seed 113: (2,3,3)).  That root separates p from q; it does not
+    # separate p from 2p, which lies on the same hyperplane.
+    from affscat.mutation import _separating_heights
+
+    cases = [
+        (B_A2T, (-Fraction(11, 3), Fraction(1, 2), 5), (-Fraction(11, 3), Fraction(1, 2), 6), 7),
+        (B_G21, (-1, -1, 5), (-Fraction(3, 2), -Fraction(7, 3), 11), 8),
+    ]
+    for b, p, q, height in cases:
+        cox = coxeter_context(b)
+        ap = APContext(cox)
+        far_cap = 6 + 2 * sum(cox.type_info.delta)
+        assert _separating_heights(ap, p, q, far_cap) == [height]
+        assert _separating_heights(ap, p, tuple(2 * c for c in p), far_cap) == []
+        assert _separating_heights(ap, p, p, far_cap) == []
+
+
+def test_fans_compare_reports_a_missing_wall(monkeypatch):
+    # Negative control for frontier censoring: with the height-1 wall
+    # (1,0,0) removed, pairs that it alone separates are still reported.
+    from dataclasses import replace
+
+    import affscat.mutation as mu
+
+    build = mu.build_dcscat
+
+    def without_wall(bmat, height_cap, truncation):
+        d = build(bmat, height_cap, truncation)
+        return replace(d, walls=tuple(w for w in d.walls if w.normal != (1, 0, 0)))
+
+    monkeypatch.setattr(mu, "build_dcscat", without_wall)
+    report = mu.fans_compare(B_A2T, 6, 6, 6, 200, 122)
+    assert report["pair_disagreements"]
+    assert not report["clean"]

@@ -8,6 +8,7 @@ from affscat.series import (
     CrossingData,
     MixedNormals,
     MonomialExpr,
+    NonIntegerExponent,
     TruncatedSeries,
     f_inf_series,
     geometric_inverse_square,
@@ -26,7 +27,7 @@ def test_square_of_one_plus_q():
 
 def test_geometric_inverse():
     f = TruncatedSeries.make((1, 0), 3, [1, -1])
-    assert f.invert().coeffs == (1, 1, 1, 1)
+    assert f.int_pow(-1).coeffs == (1, 1, 1, 1)
 
 
 def test_inverse_square_matches_repeated_multiplication():
@@ -34,6 +35,50 @@ def test_inverse_square_matches_repeated_multiplication():
     by_power = f.int_pow(-2)
     assert by_power.coeffs == (1, 2, 3, 4, 5)
     assert by_power == geometric_inverse_square((1, 1), 4)
+
+
+def reference_inverse(f):
+    inv = [1] + [0] * f.k
+    for m in range(1, f.k + 1):
+        inv[m] = -sum(f.coeffs[i] * inv[m - i] for i in range(1, m + 1))
+    return TruncatedSeries.make(f.normal, f.k, inv)
+
+
+def reference_power(f, e):
+    """f^e by |e| multiplications (of f^-1 when e < 0)."""
+    base = f if e >= 0 else reference_inverse(f)
+    out = TruncatedSeries.one(f.normal, f.k)
+    for _ in range(abs(e)):
+        out = out.mul(base)
+    return out
+
+
+MILLER_CASES = [
+    ((1, 0), 12, [1, 1]),
+    ((1, 1), 12, [m + 1 for m in range(13)]),  # (1 - q)^-2
+    ((2, 1), 9, [1, 1, 3]),
+    ((1, 2), 7, [1, Fraction(1, 2), 0, Fraction(-2, 3)]),
+]
+
+
+@pytest.mark.parametrize("normal, k, coeffs", MILLER_CASES)
+def test_miller_power_matches_repeated_multiplication(normal, k, coeffs):
+    f = TruncatedSeries.make(normal, k, coeffs)
+    one = TruncatedSeries.one(normal, k)
+    for e in range(-12, 13):
+        by_mul = reference_power(f, abs(e))
+        if e >= 0:
+            assert f.int_pow(e) == by_mul
+        else:
+            assert f.int_pow(e).mul(by_mul) == one
+
+
+def test_int_pow_needs_constant_term_one():
+    for coeffs in ([2, 1], [0, 1], [-1, 1]):
+        f = TruncatedSeries.make((1, 0), 4, coeffs)
+        for e in (-2, 0, 3):
+            with pytest.raises(ValueError):
+                f.int_pow(e)
 
 
 def test_mixed_normals_rejected():
@@ -178,3 +223,58 @@ def test_height_filter_soundness():
     for lam in [(1, 0), (0, 1), (2, -1)]:
         expr = MonomialExpr.x_monomial(2, k, lam)
         assert wall_cross(expr, data, 1, k) == expr
+
+
+def test_non_integer_exponent_raised():
+    k = 3
+    data = CrossingData(f=TruncatedSeries.one_plus_q((1, 0), k), coroot=(1, 0), b_rows=B_KRONECKER)
+    half = MonomialExpr.x_monomial(2, k, (Fraction(1, 2), 0))
+    with pytest.raises(NonIntegerExponent):
+        wall_cross(half, data, 1, k)
+    whole = MonomialExpr.x_monomial(2, k, (Fraction(2, 1), 0))
+    assert wall_cross(whole, data, 1, k) == cross_initial(
+        MonomialExpr.x_monomial(2, k, (2, 0)), 0, 1, k
+    )
+
+
+def reference_wall_cross(expr, data, sign, k):
+    """The per-term formula: exponent <lambda, s beta^vee> + omega(s beta^vee,
+    phi) summed over all i, j, and f^exponent by repeated multiplication."""
+    n = expr.n
+    beta = data.f.normal
+    ht = sum(beta)
+    f = data.f.retruncate(k // ht)
+    out = {}
+    for (lam, phi), c in expr.terms:
+        e_x = sum(l * bv for l, bv in zip(lam, data.coroot))
+        e_y = sum(
+            data.coroot[i] * data.b_rows[i][j] * phi[j] for i in range(n) for j in range(n)
+        )
+        for m, a in enumerate(reference_power(f, sign * (e_x + e_y)).coeffs):
+            if m * ht <= k - sum(phi):
+                key = (lam, tuple(p + m * b for p, b in zip(phi, beta)))
+                out[key] = out.get(key, 0) + c * a
+    return MonomialExpr.from_dict(n, k, out)
+
+
+@st.composite
+def crossings(draw, n):
+    k = draw(st.integers(1, 5))
+    beta = draw(st.tuples(*[st.integers(0, 2)] * n).filter(any))
+    qdeg = k // sum(beta)
+    coeff = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))
+    tail = draw(st.lists(coeff, max_size=qdeg))
+    f = TruncatedSeries.make(beta, qdeg, [1, *tail])
+    coroot = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    b_rows = draw(st.tuples(*[st.tuples(*[st.integers(-2, 2)] * n)] * n))
+    expr = draw(small_expr(n, k))
+    sign = draw(st.sampled_from([1, -1]))
+    return expr, CrossingData(f=f, coroot=coroot, b_rows=b_rows), sign, k
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_wall_cross_matches_reference(n, data):
+    expr, crossing, sign, k = data.draw(crossings(n))
+    assert wall_cross(expr, crossing, sign, k) == reference_wall_cross(expr, crossing, sign, k)

@@ -7,7 +7,6 @@ from affscat.weyl import (
     covers,
     enumerate_up_to_length,
     is_join_irreducible,
-    parabolic_restrict,
     weak_leq,
     word_from_inversions,
 )
@@ -102,16 +101,6 @@ def test_cover_reflections_remove_single_inversion():
             assert w.inversions - below.inversions == {root}
 
 
-def test_parabolic_restrict():
-    w = A2.from_word((0, 1))
-    r = parabolic_restrict(A2, w, keep={0})
-    assert r == A2.from_word((0,))
-    assert parabolic_restrict(A2, A2.identity(), keep={0}) == A2.identity()
-    # element already in the parabolic restricts to itself
-    u = A2.from_word((1,))
-    assert parabolic_restrict(A2, u, keep={1}) == u
-
-
 def test_word_from_inversions_reduced():
     for w in enumerate_up_to_length(A11, 6):
         word = word_from_inversions(A11, w.inversions)
@@ -155,19 +144,3 @@ def test_biconvexity_of_inversion_sets():
                         if sum(r) <= 6 and sh.cartan.k_form(r, r) > 0:
                             assert r in w.inversions, (w.word, r)
 
-
-def test_mul_simple_both_sides():
-    from affscat.weyl import mul_simple
-
-    w = A11.from_word((0, 1))
-    right = mul_simple(A11, w, 0, "right")
-    assert right.length == 3
-    assert mul_simple(A11, right, 0, "right") == w
-    left_up = mul_simple(A11, w, 1, "left")
-    assert left_up.length == 3
-    left_down = mul_simple(A11, w, 0, "left")
-    assert left_down == A11.from_word((1,))
-    import pytest
-
-    with pytest.raises(ValueError):
-        mul_simple(A11, w, 0, "sideways")
