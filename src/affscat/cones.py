@@ -4,7 +4,10 @@ A Cone is stored by linear constraints: equalities <x, e> = 0 and
 inequalities <x, g> <= 0, where e, g are covectors paired with points by the
 plain coordinatewise dot product.  Covectors are stored as given, so the
 primitive integer covectors of root-lattice functionals (see
-CartanMatrix.primitive_in_coroot_lattice) stay ints.
+CartanMatrix.primitive_in_coroot_lattice) stay ints.  Point membership
+(`contains`) pairs with a cached integer multiple of each covector, so a
+point with integer coordinates (see linalg.integral_multiple) is tested in
+integer arithmetic alone, whatever the covectors the cone was built from.
 
 Generators (lineality basis + extreme rays) are computed by the standard
 double description method with the zero-set adjacency test, which is exact
@@ -19,6 +22,7 @@ from functools import cached_property
 
 from .linalg import (
     Vec,
+    integral_multiple,
     is_zero_vec,
     kernel_basis,
     primitive_vector,
@@ -77,10 +81,18 @@ class Cone:
 
     # -- point queries --------------------------------------------------------
 
-    def contains(self, x: Vec) -> bool:
-        return all(vdot(x, e) == 0 for e in self.eqs) and all(
-            vdot(x, g) <= 0 for g in self.ineqs
+    @cached_property
+    def _integral_constraints(self):
+        """(eqs, ineqs) with each covector scaled by a positive integer to an
+        integer covector: the same cone, with integer dot products."""
+        return (
+            tuple(map(integral_multiple, self.eqs)),
+            tuple(map(integral_multiple, self.ineqs)),
         )
+
+    def contains(self, x: Vec) -> bool:
+        eqs, ineqs = self._integral_constraints
+        return all(vdot(x, e) == 0 for e in eqs) and all(vdot(x, g) <= 0 for g in ineqs)
 
     @cached_property
     def _implicit_ineqs(self):

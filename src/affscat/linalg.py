@@ -7,7 +7,7 @@ are exact.  Nothing here knows about root systems.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple  # tuple of int | Fraction
 Mat = tuple  # tuple of row tuples
@@ -43,18 +43,25 @@ def identity_mat(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def integral_multiple(v: Vec) -> Vec:
+    """v times the lcm of its entries' denominators, as a tuple of ints.
+
+    The zero vector is allowed.  The factor is positive, so every test that is
+    invariant under positive scaling (cone membership, signs of linear
+    functionals) gives the same answer on the result as on v.
+    """
+    m = 1
+    for a in v:
+        m = lcm(m, a.denominator)
+    return tuple(a.numerator * (m // a.denominator) for a in v)
+
+
 def primitive_vector(v: Vec) -> Vec:
     """Scale a nonzero rational vector to a primitive integer vector, preserving direction."""
-    fracs = [Fraction(a) for a in v]
-    if all(a == 0 for a in fracs):
+    ints = integral_multiple(v)
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive form")
-    denom_lcm = 1
-    for a in fracs:
-        denom_lcm = denom_lcm * a.denominator // gcd(denom_lcm, a.denominator)
-    ints = [int(a * denom_lcm) for a in fracs]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
     return tuple(a // g for a in ints)
 
 

@@ -11,19 +11,20 @@ from fractions import Fraction
 from .almost_positive import APContext
 from .cartan import ExchangeMatrix
 from .coxeter import coxeter_context
-from .linalg import primitive_vector
+from .linalg import integral_multiple, primitive_vector
 from .scattering import build_dcscat, rampart_set, scat_cone_eq
+from .weyl import CapExceeded, element_cap
 
 
 @dataclass(frozen=True)
 class ExtendedExchangeMatrix:
     n: int
-    rows: tuple  # first n rows are the exchange matrix; the rest are rational
+    rows: tuple  # first n rows are the exchange matrix; the rest are ints or Fractions
 
     @staticmethod
     def from_matrix(bmat: ExchangeMatrix, extra=()) -> "ExtendedExchangeMatrix":
         rows = tuple(tuple(x for x in row) for row in bmat.b)
-        rows += tuple(tuple(Fraction(x) for x in row) for row in extra)
+        rows += tuple(tuple(row) for row in extra)
         return ExtendedExchangeMatrix(bmat.n, rows)
 
     def top(self):
@@ -76,9 +77,12 @@ def b_class_probe(bmat: ExchangeMatrix, x, y, length_cap: int) -> dict:
     (immediate repeats pruned: mutation is an involution).
 
     "distinguished" proves different B-classes; "indistinct" is only evidence
-    relative to the cap.
+    relative to the cap.  An indistinct pair builds n (n-1)^(l-1) words of
+    each length l, so more than AFFSCAT_CAP words raise CapExceeded.
     """
     n = bmat.n
+    cap = element_cap()
+    built = 0
     start = ExtendedExchangeMatrix.from_matrix(bmat, extra=[tuple(x), tuple(y)])
     if _sign_vector(start.rows[-2]) != _sign_vector(start.rows[-1]):
         return {"verdict": "distinguished", "witness": ()}
@@ -89,6 +93,12 @@ def b_class_probe(bmat: ExchangeMatrix, x, y, length_cap: int) -> dict:
             for k in range(n):
                 if word and word[-1] == k:
                     continue
+                built += 1
+                if built > cap:
+                    raise CapExceeded(
+                        f"element cap AFFSCAT_CAP={cap} exceeded by the mutation probe "
+                        f"at word length {len(word) + 1} of --L {length_cap}"
+                    )
                 moved = mutate(ext, k)
                 if _sign_vector(moved.rows[-2]) != _sign_vector(moved.rows[-1]):
                     return {"verdict": "distinguished", "witness": word + (k,)}
@@ -192,24 +202,28 @@ def fans_compare(
     far_cap = height_cap + 2 * sum(cox.type_info.delta)
 
     def sample_point():
+        """A rational point for the report and its integer multiple, which
+        every test below receives: each is invariant under positive scaling
+        (mutation maps are positively homogeneous)."""
         for _ in range(10**4):
             x = tuple(
                 Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3])) for _ in range(n)
             )
-            if rampart_set(diagram, x):
+            xi = integral_multiple(x)
+            if rampart_set(diagram, xi):
                 continue  # exclude wall loci
-            if not any(cone.contains(x) for _, cone in maximal):
+            if not any(cone.contains(xi) for _, cone in maximal):
                 continue  # outside the height-capped fan
-            return x
+            return x, xi
         raise AssertionError("sampler starved")
 
     pairs_done = 0
     while pairs_done < sample_count:
-        p, q = sample_point(), sample_point()
-        scat_eq = scat_cone_eq(diagram, p, q)
-        fan_eq = _fan_profile(fan, p) == _fan_profile(fan, q)
+        (p, pi), (q, qi) = sample_point(), sample_point()
+        scat_eq = scat_cone_eq(diagram, pi, qi)
+        fan_eq = _fan_profile(fan, pi) == _fan_profile(fan, qi)
         if scat_eq != fan_eq:
-            seps = _separating_heights(ap, p, q, far_cap)
+            seps = _separating_heights(ap, pi, qi, far_cap)
             if any(h > height_cap for h in seps):
                 report["pair_frontier_censored"] += 1
                 continue
@@ -218,7 +232,7 @@ def fans_compare(
             )
             pairs_done += 1
             continue
-        verdict = b_class_probe(bt, p, q, probe_cap)
+        verdict = b_class_probe(bt, pi, qi, probe_cap)
         report["probe_checked"] += 1
         if scat_eq and verdict["verdict"] == "distinguished":
             report["probe_contradictions"].append(

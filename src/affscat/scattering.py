@@ -19,7 +19,7 @@ from .almost_positive import APContext
 from .cartan import ExchangeMatrix, NotAcyclic, NotAffine, exchange_to_cartan
 from .cones import Cone
 from .coxeter import CoxeterContext, coxeter_context
-from .linalg import extend_to_basis, kernel_basis, primitive_vector, vdot
+from .linalg import extend_to_basis, integral_multiple, kernel_basis, primitive_vector, vdot
 from .series import (
     CrossingData,
     MonomialExpr,
@@ -560,37 +560,47 @@ def integrality_audit(diagram: ScatDiagram) -> list:
 
 def rampart_set(diagram: ScatDiagram, point) -> frozenset:
     """Indices of walls containing the point (each rampart is a single wall)."""
-    return frozenset(
-        i for i, w in enumerate(diagram.walls) if w.cone.contains(tuple(point))
-    )
+    x = integral_multiple(point)
+    return frozenset(i for i, w in enumerate(diagram.walls) if w.cone.contains(x))
 
 
 def scat_cone_eq(diagram: ScatDiagram, p, q) -> bool:
     """Whether p and q are D-equivalent, decided along the straight segment by
-    exact subdivision at all wall-constraint crossings."""
-    p = tuple(Fraction(c) for c in p)
-    q = tuple(Fraction(c) for c in q)
-    base = rampart_set(diagram, p)
-    if rampart_set(diagram, q) != base:
+    exact subdivision at all wall-constraint crossings.
+
+    Walls are cones, so p and q may each be scaled by a positive factor; both
+    are cleared of denominators.  With a = <p, g> and b = <q, g> for a wall
+    constraint g, the point at t = u/v (v > 0) pairs with g to
+    ((v - u) a + u b) / v, so each sample is decided by the sign of that
+    integer.
+    """
+    p, q = integral_multiple(p), integral_multiple(q)
+    ends = [
+        (
+            [(vdot(p, e), vdot(q, e)) for e in w.cone.eqs],
+            [(vdot(p, g), vdot(q, g)) for g in w.cone.ineqs],
+        )
+        for w in diagram.walls
+    ]
+
+    def ramparts(t):
+        u, v = t.numerator, t.denominator
+        return [
+            all((v - u) * a + u * b == 0 for a, b in eqs)
+            and all((v - u) * a + u * b <= 0 for a, b in ineqs)
+            for eqs, ineqs in ends
+        ]
+
+    base = ramparts(Fraction(0))
+    if ramparts(Fraction(1)) != base:
         return False
     ts = {Fraction(0), Fraction(1)}
-    direction = tuple(b - a for a, b in zip(p, q))
-    for w in diagram.walls:
-        for g in list(w.cone.eqs) + list(w.cone.ineqs):
-            num = vdot(p, g)
-            den = vdot(direction, g)
-            if den != 0:
-                t = Fraction(-num, den)
+    for eqs, ineqs in ends:
+        for a, b in eqs + ineqs:
+            if a != b:
+                t = Fraction(a, a - b)
                 if 0 < t < 1:
                     ts.add(t)
     samples = sorted(ts)
-    points = []
-    for a, b in zip(samples, samples[1:]):
-        points.append(a)
-        points.append((a + b) / 2)
-    points.append(Fraction(1))
-    for t in points:
-        x = tuple(a + t * d for a, d in zip(p, direction))
-        if rampart_set(diagram, x) != base:
-            return False
-    return True
+    midpoints = [(lo + hi) / 2 for lo, hi in zip(samples, samples[1:])]
+    return all(ramparts(t) == base for t in samples[1:-1] + midpoints)

@@ -230,6 +230,17 @@ def test_element_cap_exit_3_names_affscat_cap(tmp_path, monkeypatch, capsys):
     assert "AFFSCAT_CAP=50" in err["error"]
 
 
+def test_probe_cap_exit_3_names_affscat_cap_and_l(b_a2t, monkeypatch, capsys):
+    # A cap of 100 admits every sortable element at H=4 but not the 3 (2^8 - 1)
+    # words that an indistinct pair costs the mutation probe at --L 8.
+    monkeypatch.setenv("AFFSCAT_CAP", "100")
+    argv = ["compare", "--input", b_a2t, "--H", "4", "--k", "4",
+            "--L", "8", "--samples", "20", "--seed", "3"]
+    assert run(argv) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert "AFFSCAT_CAP=100" in err["error"] and "--L 8" in err["error"]
+
+
 def test_walls_json_round_trip(b_a2t, tmp_path):
     from affscat.cartan import exchange_to_cartan
     from affscat.jsonio import diagram_from_json, diagram_json, read_exchange_matrix
@@ -259,6 +270,7 @@ MATRICES = {
     "A1_1": [[0, 2], [-2, 0]],
     "A2_2": [[0, 1], [-4, 0]],
     "A2_1": [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]],
+    "G2_1": [[0, 1, 0], [-1, 0, 1], [0, -3, 0]],
 }
 HK4 = ["--H", "4", "--k", "4"]
 COMPARE = HK4 + ["--L", "4", "--samples", "20", "--seed", "3"]
@@ -279,6 +291,7 @@ PINNED_OUTPUTS = [
     ("A2_1", "consistency", HK4, "c6dede802f6319cb1d2576a76462e1906e9bdd3fbd74603324d583a28439a2c5"),
     ("A2_1", "clusters", HK4, "09b809fb6bc9823329f175aa9b9c9a986b286bfe4f9bb745c4fffb95742b5a40"),
     ("A2_1", "compare", COMPARE, "da505cb78bef379b0ab4ee5f06a814b8461dcbfade9956ee2329e7ebe7aa3195"),
+    ("G2_1", "compare", COMPARE, "4b91d5499fe15e163c0dc0729ab8b2fd13123cb2ae1e82af7d357a4f70e64f24"),
 ]
 
 

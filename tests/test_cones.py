@@ -1,6 +1,11 @@
+import random
 from fractions import Fraction
 
+from affscat.almost_positive import APContext
+from affscat.cartan import ExchangeMatrix
 from affscat.cones import Cone
+from affscat.coxeter import coxeter_context
+from affscat.linalg import vdot
 
 F = Fraction
 
@@ -100,3 +105,23 @@ def test_span_covectors():
     # span is the plane x = 0; its annihilator is spanned by (1,0,0).
     assert len(covs) == 1
     assert covs[0][1] == 0 and covs[0][2] == 0
+
+
+def test_contains_is_invariant_under_positive_scaling():
+    # The nu_c fan cones of G_2^(1) carry Fraction covectors from double
+    # description, some of them not integral; contains pairs points with an
+    # integer multiple of each covector.
+    b = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, -3, 0]])
+    cones = [cone for _, cone in APContext(coxeter_context(b)).fan_cones(6)]
+    assert any(F(x).denominator != 1 for c in cones for g in c.ineqs + c.eqs for x in g)
+    rng = random.Random(5)
+    points = {tuple(F(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(3)) for _ in range(30)}
+    points |= {r for c in cones for r in c.rays}  # on the boundaries of the neighbours
+    points |= {c.relint_point() for c in cones}
+    for cone in cones:
+        for x in points:
+            expected = all(vdot(x, e) == 0 for e in cone.eqs) and all(
+                vdot(x, g) <= 0 for g in cone.ineqs
+            )
+            for c in (1, F(1, 6), F(5, 2), 3):
+                assert cone.contains(tuple(c * a for a in x)) == expected

@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix
 from affscat.coxeter import coxeter_context
@@ -11,6 +15,7 @@ from affscat.mutation import (
     mutate,
     mutate_sequence,
 )
+from affscat.weyl import CapExceeded
 
 B_A11 = ExchangeMatrix.from_rows([[0, 2], [-2, 0]])
 B_A2T = ExchangeMatrix.from_rows([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
@@ -89,6 +94,43 @@ def test_b_class_probe_adjacent_chambers():
     bt = B_A11.transpose()
     out = b_class_probe(bt, (1, 1), (-1, 3), 4)
     assert out["verdict"] == "distinguished"
+
+
+_coord = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 3))
+_positive = st.builds(Fraction, st.integers(1, 12), st.integers(1, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.tuples(_coord, _coord, _coord),
+    q=st.tuples(_coord, _coord, _coord),
+    a=_positive,
+    b=_positive,
+    on_ray=st.booleans(),
+)
+def test_b_class_probe_is_invariant_under_positive_scaling(p, q, a, b, on_ray):
+    # Mutation maps are positively homogeneous, so each point may be scaled
+    # by its own positive factor; on_ray makes the pair indistinct.
+    if on_ray:
+        q = p
+    bt = B_A2T.transpose()
+    scaled = b_class_probe(bt, tuple(a * c for c in p), tuple(b * c for c in q), 5)
+    assert scaled == b_class_probe(bt, p, q, 5)
+
+
+def test_b_class_probe_cap_names_itself(monkeypatch):
+    # An indistinct pair builds 3 + 6 + ... + 96 = 189 words at --L 6 on a
+    # rank-3 matrix, and 3 (2^8 - 1) = 765 at --L 8.
+    bt = B_A2T.transpose()
+    x = (1, -2, 3)
+    monkeypatch.setenv("AFFSCAT_CAP", "189")
+    assert b_class_probe(bt, x, x, 6)["verdict"] == "indistinct_up_to_cap"
+    monkeypatch.setenv("AFFSCAT_CAP", "188")
+    with pytest.raises(CapExceeded, match=r"AFFSCAT_CAP=188 .*--L 6"):
+        b_class_probe(bt, x, x, 6)
+    monkeypatch.setenv("AFFSCAT_CAP", "50")
+    with pytest.raises(CapExceeded, match=r"AFFSCAT_CAP=50 .*--L 8"):
+        b_class_probe(bt, x, x, 8)
 
 
 def test_b_class_probe_inside_d_inf():
@@ -205,5 +247,8 @@ def test_fans_compare_reports_a_missing_wall(monkeypatch):
 
     monkeypatch.setattr(mu, "build_dcscat", without_wall)
     report = mu.fans_compare(B_A2T, 6, 6, 6, 200, 122)
-    assert report["pair_disagreements"]
+    # reported as the sampled rational points, not their integer multiples
+    assert len(report["pair_disagreements"]) == 9
+    first = report["pair_disagreements"][0]
+    assert first == {"p": ["-5/2", "-3", "-8"], "q": ["5", "-3", "-12"]}
     assert not report["clean"]

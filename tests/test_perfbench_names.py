@@ -8,6 +8,7 @@ import ast
 import functools
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -57,3 +58,40 @@ def test_op_imports_resolve():
 
     assert callable(cli.run)
     assert callable(_series_power.cache_info)
+
+
+def test_fans_layers_are_called(monkeypatch):
+    # The fans workload's per-layer metrics come from wrappers around these
+    # names; an inlined call would read 0 there without failing anything.
+    from affscat.cartan import ExchangeMatrix
+    from affscat.cones import Cone
+    from affscat.mutation import fans_compare
+
+    calls = {}
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Cone, "contains", counted("Cone.contains", Cone.contains))
+    for modname, attr in (
+        ("scattering", "rampart_set"),
+        ("scattering", "scat_cone_eq"),
+        ("mutation", "b_class_probe"),
+    ):
+        original = getattr(importlib.import_module(f"affscat.{modname}"), attr)
+        wrapped = counted(attr, original)
+        # every binding, re-imported names included, as tracing.install does
+        for name, module in list(sys.modules.items()):
+            if name == "affscat" or name.startswith("affscat."):
+                for binding, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, binding, wrapped)
+
+    fans_compare(ExchangeMatrix.from_rows([[0, 2], [-2, 0]]), 4, 4, 4, 20, 3)
+    for name in ("Cone.contains", "rampart_set", "scat_cone_eq", "b_class_probe"):
+        assert calls.get(name), f"{name} is never called by fans_compare"

@@ -1,5 +1,13 @@
+import functools
+from dataclasses import replace
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from affscat.cartan import ExchangeMatrix
 from affscat.coxeter import coxeter_context
+from affscat.linalg import kernel_basis, vdot
 from affscat.scattering import (
     ORIGIN_IMAGINARY,
     ORIGIN_INITIAL,
@@ -158,6 +166,79 @@ def test_scat_cone_eq():
     assert not scat_cone_eq(d, (3, 1), (-1, 3))  # separated by the alpha_1 wall
     p = (5, 3)
     assert not scat_cone_eq(d, p, tuple(-c for c in p))
+
+
+def _scat_cone_eq_fraction_reference(diagram, p, q):
+    """scat_cone_eq in Fraction arithmetic on the unscaled segment from p to q."""
+
+    def ramparts(x):
+        return frozenset(
+            i
+            for i, w in enumerate(diagram.walls)
+            if all(vdot(x, e) == 0 for e in w.cone.eqs)
+            and all(vdot(x, g) <= 0 for g in w.cone.ineqs)
+        )
+
+    p = tuple(Fraction(c) for c in p)
+    q = tuple(Fraction(c) for c in q)
+    base = ramparts(p)
+    if ramparts(q) != base:
+        return False
+    ts = {Fraction(0), Fraction(1)}
+    direction = tuple(b - a for a, b in zip(p, q))
+    for w in diagram.walls:
+        for g in list(w.cone.eqs) + list(w.cone.ineqs):
+            den = vdot(direction, g)
+            if den != 0:
+                t = Fraction(-vdot(p, g), den)
+                if 0 < t < 1:
+                    ts.add(t)
+    samples = sorted(ts)
+    points = samples + [(a + b) / 2 for a, b in zip(samples, samples[1:])]
+    return all(ramparts(tuple(a + t * d for a, d in zip(p, direction))) == base for t in points)
+
+
+@functools.cache
+def _rank3_diagram(rows):
+    return build_dcscat(ExchangeMatrix.from_rows([list(r) for r in rows]), 4, 4)
+
+
+RANK3_ROWS = (
+    ((0, 1, 1), (-1, 0, 1), (-1, -1, 0)),  # A_2^(1)
+    ((0, 1, 0), (-1, 0, 1), (0, -3, 0)),  # G_2^(1)
+)
+_coord = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 3))
+_point = st.tuples(_coord, _coord, _coord)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.sampled_from(RANK3_ROWS),
+    p=_point,
+    q=_point,
+    where=st.sampled_from(["anywhere", "on_ray", "in_a_wall_plane", "from_a_wall_ray"]),
+    wall=st.integers(0, 12),
+    lone_wall=st.booleans(),
+)
+def test_scat_cone_eq_matches_fraction_reference(rows, p, q, where, wall, lone_wall):
+    # Generic pairs cross walls transversally; pairs on one ray, in the plane
+    # of one wall or starting on a boundary ray of a wall run along and
+    # through wall boundaries.  In the full diagram every boundary ray lies
+    # in two walls or more; a diagram of one wall also has rays in one wall.
+    d = _rank3_diagram(rows)
+    chosen = d.walls[wall % len(d.walls)]
+    if lone_wall:
+        d = replace(d, walls=(chosen,))
+    if where == "on_ray":
+        q = tuple(2 * c for c in p)
+    elif where != "anywhere":
+        cone = chosen.cone
+        (normal,) = cone.eqs
+        b1, b2 = kernel_basis([list(normal)])
+        p, q = (tuple(x[0] * u + x[1] * v for u, v in zip(b1, b2)) for x in (p, q))
+        if where == "from_a_wall_ray" and cone.rays:
+            p = cone.rays[wall % len(cone.rays)]
+    assert scat_cone_eq(d, p, q) == _scat_cone_eq_fraction_reference(d, p, q)
 
 
 def test_overlap_reported():
