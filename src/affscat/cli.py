@@ -33,6 +33,7 @@ from .scattering import (
     rank2_complete,
 )
 from .svg import UnsupportedRank, render_slice
+from .weyl import element_cap
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -71,6 +72,10 @@ def run(argv=None) -> int:
     for name in ("H", "k", "L", "samples"):
         if getattr(args, name) <= 0:
             return _fail({"error": f"--{name} must be positive"}, 2)
+    try:
+        element_cap()
+    except ValueError as exc:
+        return _fail({"error": str(exc)}, 2)
     try:
         with open(args.input) as fh:
             bmat = read_exchange_matrix(json.load(fh))

@@ -11,7 +11,12 @@ integer arithmetic alone, whatever the covectors the cone was built from.
 
 Generators (lineality basis + extreme rays) are computed by the standard
 double description method with the zero-set adjacency test, which is exact
-over the rationals and comfortable at the small ranks used here.
+over the rationals and comfortable at the small ranks used here.  Each step
+keeps the rays exactly the extreme rays (Fukuda-Prodon 1996), so nothing
+filters them afterwards: cutting by {g <= 0} keeps the rays with <r, g> <= 0
+plus one ray inside each edge crossing g = 0 (the pairs the zero-set test
+calls adjacent), or, if g pierces the lineality L = L' + span(w), gives
+L' + cone(rays projected along w, and w), whose rays stay extreme and distinct.
 """
 
 from __future__ import annotations
@@ -23,13 +28,11 @@ from functools import cached_property
 from .linalg import (
     Vec,
     integral_multiple,
-    is_zero_vec,
     kernel_basis,
     primitive_vector,
     rank,
     reduce_mod_rref,
     rref,
-    solve_linear,
     vdot,
 )
 
@@ -147,11 +150,10 @@ class Cone:
             tuple(tuple(-c for c in g) for g in self.ineqs),
         )
 
-    @cached_property
+    @property
     def canonical_key(self):
-        lin, rays = self.generators
-        lin_rows = tuple(tuple(r) for r in rref([list(v) for v in lin]))
-        return (lin_rows, tuple(sorted(rays)))
+        """The generators: rref lineality rows and sorted primitive rays."""
+        return self.generators
 
     def same_cone(self, other: "Cone") -> bool:
         return self.canonical_key == other.canonical_key
@@ -167,41 +169,8 @@ class Cone:
 
 def _canonicalize_generators(lin, rays):
     lin_basis = [tuple(r) for r in rref([list(v) for v in lin])]
-    reduced = []
-    seen = set()
-    for r in rays:
-        rr = reduce_mod_rref(r, lin_basis)
-        if is_zero_vec(rr):
-            continue
-        rr = primitive_vector(rr)
-        if rr not in seen:
-            seen.add(rr)
-            reduced.append(rr)
-    extreme = [r for r in reduced if not _is_nonneg_combo(r, [o for o in reduced if o != r])]
-    return tuple(lin_basis), tuple(sorted(extreme))
-
-
-def _is_nonneg_combo(r, others):
-    """Whether r is a nonnegative combination of the other rays (all reduced mod
-    lineality already).  Caratheodory: it suffices to try independent subsets."""
-    from itertools import combinations
-
-    if not others:
-        return False
-    dim_span = rank([list(o) for o in others] + [list(r)])
-    for size in range(1, min(dim_span, len(others)) + 1):
-        for subset in combinations(others, size):
-            rows = [list(col) for col in zip(*subset)]  # columns are subset rays
-            if rank([list(s) for s in subset]) < size:
-                continue
-            sol = solve_linear(rows, list(r))
-            if sol is not None and all(t >= 0 for t in sol):
-                # Confirm exactly (solve_linear gives one solution; system is
-                # injective since the subset is independent).
-                combo = [sum(subset[i][k] * sol[i] for i in range(size)) for k in range(len(r))]
-                if tuple(combo) == tuple(r):
-                    return True
-    return False
+    reduced = [primitive_vector(reduce_mod_rref(r, lin_basis)) for r in rays]
+    return tuple(lin_basis), tuple(sorted(reduced))
 
 
 def _double_description(dim, eqs, ineqs):
@@ -233,9 +202,9 @@ def _add_halfspace(lin, rays, g, processed):
         new_rays = []
         for r in rays:
             coef = Fraction(vdot(r, g), wval)
-            new_rays.append(tuple(a - coef * b for a, b in zip(r, witness)))
-        new_rays.append(witness)
-        return new_lin, _dedupe_rays(new_rays)
+            new_rays.append(primitive_vector(tuple(a - coef * b for a, b in zip(r, witness))))
+        new_rays.append(primitive_vector(witness))
+        return new_lin, new_rays
 
     neg = [r for r in rays if vdot(r, g) < 0]
     zero = [r for r in rays if vdot(r, g) == 0]
@@ -246,16 +215,14 @@ def _add_halfspace(lin, rays, g, processed):
     for rp in pos:
         vp = vdot(rp, g)
         for rn in neg:
-            if not _adjacent(rp, rn, rays, processed, lin):
+            if not _adjacent(rp, rn, rays, processed):
                 continue
             vn = vdot(rn, g)
-            combo = tuple(vp * a - vn * b for a, b in zip(rn, rp))
-            if not is_zero_vec(combo):
-                combos.append(primitive_vector(combo))
-    return lin, _dedupe_rays(neg + zero + combos)
+            combos.append(primitive_vector(tuple(vp * a - vn * b for a, b in zip(rn, rp))))
+    return lin, neg + zero + combos
 
 
-def _adjacent(r1, r2, rays, processed, lin):
+def _adjacent(r1, r2, rays, processed):
     """Zero-set adjacency: no third ray is tight on every constraint tight at both."""
     tight = [g for g in processed if vdot(r1, g) == 0 and vdot(r2, g) == 0]
     for r3 in rays:
@@ -264,16 +231,3 @@ def _adjacent(r1, r2, rays, processed, lin):
         if all(vdot(r3, g) == 0 for g in tight):
             return False
     return True
-
-
-def _dedupe_rays(rays):
-    seen = set()
-    out = []
-    for r in rays:
-        if is_zero_vec(r):
-            continue
-        key = primitive_vector(r)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out

@@ -572,7 +572,10 @@ def scat_cone_eq(diagram: ScatDiagram, p, q) -> bool:
     are cleared of denominators.  With a = <p, g> and b = <q, g> for a wall
     constraint g, the point at t = u/v (v > 0) pairs with g to
     ((v - u) a + u b) / v, so each sample is decided by the sign of that
-    integer.
+    integer.  Only the ends and the crossings strictly inside the segment
+    (a b < 0) are sampled: between two consecutive crossings no constraint
+    changes sign, so as walls are closed and convex, a point there lies in
+    exactly the walls that contain both crossings around it.
     """
     p, q = integral_multiple(p), integral_multiple(q)
     ends = [
@@ -594,13 +597,5 @@ def scat_cone_eq(diagram: ScatDiagram, p, q) -> bool:
     base = ramparts(Fraction(0))
     if ramparts(Fraction(1)) != base:
         return False
-    ts = {Fraction(0), Fraction(1)}
-    for eqs, ineqs in ends:
-        for a, b in eqs + ineqs:
-            if a != b:
-                t = Fraction(a, a - b)
-                if 0 < t < 1:
-                    ts.add(t)
-    samples = sorted(ts)
-    midpoints = [(lo + hi) / 2 for lo, hi in zip(samples, samples[1:])]
-    return all(ramparts(t) == base for t in samples[1:-1] + midpoints)
+    ts = {Fraction(a, a - b) for eqs, ineqs in ends for a, b in eqs + ineqs if a * b < 0}
+    return all(ramparts(t) == base for t in ts)

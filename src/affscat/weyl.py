@@ -24,8 +24,11 @@ class CapExceeded(RuntimeError):
 
 
 def element_cap() -> int:
-    env = os.environ.get("AFFSCAT_CAP")
-    return int(env) if env else DEFAULT_ELEMENT_CAP
+    """AFFSCAT_CAP as a positive int (default DEFAULT_ELEMENT_CAP); ValueError otherwise."""
+    env = os.environ.get("AFFSCAT_CAP") or str(DEFAULT_ELEMENT_CAP)
+    if not (env.isdecimal() and int(env) > 0):
+        raise ValueError(f"AFFSCAT_CAP must be a positive integer, got {env!r}")
+    return int(env)
 
 
 @dataclass(frozen=True)

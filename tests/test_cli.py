@@ -241,6 +241,15 @@ def test_probe_cap_exit_3_names_affscat_cap_and_l(b_a2t, monkeypatch, capsys):
     assert "AFFSCAT_CAP=100" in err["error"] and "--L 8" in err["error"]
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-5"])
+def test_malformed_element_cap_exit_2_names_affscat_cap(b_a11, monkeypatch, capsys, value):
+    monkeypatch.setenv("AFFSCAT_CAP", value)
+    assert run(["walls", "--input", b_a11]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "AFFSCAT_CAP" in err["error"] and repr(value) in err["error"]
+    assert "internal" not in err
+
+
 def test_walls_json_round_trip(b_a2t, tmp_path):
     from affscat.cartan import exchange_to_cartan
     from affscat.jsonio import diagram_from_json, diagram_json, read_exchange_matrix
@@ -292,6 +301,7 @@ PINNED_OUTPUTS = [
     ("A2_1", "clusters", HK4, "09b809fb6bc9823329f175aa9b9c9a986b286bfe4f9bb745c4fffb95742b5a40"),
     ("A2_1", "compare", COMPARE, "da505cb78bef379b0ab4ee5f06a814b8461dcbfade9956ee2329e7ebe7aa3195"),
     ("G2_1", "compare", COMPARE, "4b91d5499fe15e163c0dc0729ab8b2fd13123cb2ae1e82af7d357a4f70e64f24"),
+    ("G2_1", "clusters", ["--H", "6"], "460f158cb99289b7c6362eb108d0f79ac86e7bcc1e7f16a9ef14366f432859ef"),
 ]
 
 

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix
 from affscat.cones import Cone
 from affscat.coxeter import coxeter_context
-from affscat.linalg import vdot
+from affscat.linalg import rank, solve_linear, vdot
 
 F = Fraction
 
@@ -125,3 +126,60 @@ def test_contains_is_invariant_under_positive_scaling():
             )
             for c in (1, F(1, 6), F(5, 2), 3):
                 assert cone.contains(tuple(c * a for a in x)) == expected
+
+
+def _is_nonneg_combo(r, others):
+    """Whether r is a nonnegative combination of others.  Caratheodory: it
+    suffices to try the linearly independent subsets."""
+    for size in range(1, len(others) + 1):
+        for subset in combinations(others, size):
+            if rank([list(s) for s in subset]) < size:
+                continue
+            sol = solve_linear([list(col) for col in zip(*subset)], list(r))
+            if sol is not None and all(t >= 0 for t in sol):
+                return True
+    return False
+
+
+def _random_cone(rng):
+    """A small cone with lineality, redundant or implicit-equality
+    inequalities, or (from rays) duplicate and interior rays."""
+    dim = rng.randint(2, 4)
+
+    def vec():
+        return tuple(rng.randint(-3, 3) for _ in range(dim))
+
+    def plus(u, v):
+        return tuple(a + b for a, b in zip(u, v))
+
+    if rng.random() < 0.4:
+        rays = [vec() for _ in range(rng.randint(1, 6))]
+        rays += [rng.choice(rays), plus(rng.choice(rays), rng.choice(rays))]
+        lineality = [vec() for _ in range(rng.randint(0, 1))]
+        return Cone.from_rays(dim, rays, lineality)
+    ineqs = [vec() for _ in range(rng.randint(1, 7))]
+    ineqs.append(plus(rng.choice(ineqs), rng.choice(ineqs)))
+    if rng.random() < 0.3:
+        ineqs.append(tuple(-c for c in rng.choice(ineqs)))
+    rng.shuffle(ineqs)
+    eqs = [vec() for _ in range(rng.randint(0, 1))]
+    return Cone.from_constraints(dim, eqs, ineqs)
+
+
+def test_double_description_generators_are_minimal():
+    # Double description alone must give the extreme rays: nothing filters
+    # or dedupes its result afterwards.
+    rng = random.Random(8)
+    for _ in range(300):
+        cone = _random_cone(rng)
+        lin, rays = cone.generators
+        dim = cone.dim_ambient
+        assert len(set(rays)) == len(rays), cone
+        for r in rays:
+            assert cone.contains(r), cone
+            assert rank([list(v) for v in lin + (r,)]) == len(lin) + 1, cone
+            tight = list(cone.eqs) + [g for g in cone.ineqs if vdot(r, g) == 0]
+            assert rank([list(g) for g in tight]) == dim - 1 - len(lin), (cone, r)
+        if len(rays) <= 6:
+            for r in rays:
+                assert not _is_nonneg_combo(r, [o for o in rays if o != r]), (cone, r)
