@@ -15,7 +15,7 @@ from functools import cached_property
 from .cartan import NotAffine
 from .cones import Cone
 from .coxeter import CoxeterContext
-from .linalg import is_zero_vec, rank, solve_linear
+from .linalg import rank, solve_linear
 
 
 class ResolutionCapExceeded(RuntimeError):
@@ -131,12 +131,6 @@ class APContext:
             rows = [[xi[i][j] for i in cycle] for j in range(self.n)]
             sol = solve_linear(rows, list(root))
             if sol is None:
-                continue
-            residue = [
-                root[j] - sum(sol[t] * xi[cycle[t]][j] for t in range(len(cycle)))
-                for j in range(self.n)
-            ]
-            if not is_zero_vec(residue):
                 continue
             assert all(c in (0, 1) for c in sol), f"tube root {root} is not an arc"
             return frozenset(cycle[t] for t, c in enumerate(sol) if c == 1)

@@ -1,7 +1,9 @@
 """Exact rational linear algebra on tuples of Fractions.
 
 Vectors are plain tuples whose entries are ints or Fractions; all results
-are exact.  Nothing here knows about root systems.
+are exact.  Nothing here knows about root systems.  One helper is
+integer-only: wedge_key names the plane spanned by two integer vectors
+without any division.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ def vscale(c, u: Vec) -> Vec:
 def vdot(u: Vec, v: Vec):
     """Plain coordinatewise dot product (no bilinear form)."""
     return sum(a * b for a, b in zip(u, v, strict=True))
-
-
-def is_zero_vec(u: Vec) -> bool:
-    return all(a == 0 for a in u)
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
@@ -63,6 +61,25 @@ def primitive_vector(v: Vec) -> Vec:
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(a // g for a in ints)
+
+
+def wedge_key(u: Vec, v: Vec) -> Vec | None:
+    """The plane span(u, v) of two integer vectors as a primitive integer vector.
+
+    The entries are the 2x2 minors u_i v_j - u_j v_i (i < j), divided by their
+    gcd and signed so that the first nonzero entry is positive.  Two
+    independent pairs get the same key exactly when they span the same plane
+    (a change of basis scales every minor by its determinant).  None when u
+    and v are parallel.
+    """
+    n = len(u)
+    minors = [u[i] * v[j] - u[j] * v[i] for i in range(n) for j in range(i + 1, n)]
+    g = gcd(*minors)
+    if g == 0:
+        return None
+    if next(m for m in minors if m != 0) < 0:
+        g = -g
+    return tuple(m // g for m in minors)
 
 
 def rref(rows: list[list]) -> list[list[Fraction]]:

@@ -6,6 +6,24 @@ below every non-canonical root of their subsystem (each non-canonical
 positive root is an N-combination of both canonical roots), so cut(beta)
 only needs candidates of height < height(beta); this makes cut sets exact,
 not merely empirically stabilized.
+
+A plane is named by linalg.wedge_key, the primitive integer vector of the
+2x2 minors of any two vectors spanning it.  cut(beta) buckets the positive
+real roots by wedge_key(beta, r) once, with the roots parallel to beta in
+every bucket, and reads the canonical pair of each plane through beta off
+its bucket as the bucket's two extreme roots.  Two facts make that exact:
+
+1. By the theorem above, once the height reaches max(ht beta, ht gamma),
+   both real canonical roots of plane(beta, gamma) are listed: if beta (or
+   gamma) is not canonical, both canonical roots lie strictly below it.
+   Every listed root is a nonnegative combination of the two, and positive
+   roots span a pointed cone, so the canonical roots are the two extreme
+   directions of the listed roots, at that height and at any larger one.
+   Hence one extreme pair per bucket serves every gamma in it, and the
+   pair can never fail to be determined.
+2. The imaginary roots in the plane (multiples of delta) are nonnegative
+   combinations of the two real canonical roots and are never parallel to
+   one of them, so they never change the extreme pair and are not listed.
 """
 
 from __future__ import annotations
@@ -14,12 +32,8 @@ from dataclasses import dataclass
 
 from .cones import Cone
 from .coxeter import CoxeterContext
-from .linalg import is_zero_vec, primitive_vector, rank, reduce_mod_rref, rref, solve_linear
+from .linalg import wedge_key
 from .weyl import GroupElement, WeylContext, is_join_irreducible, weak_leq
-
-
-class HeightInsufficient(RuntimeError):
-    pass
 
 
 class NotFoundWithinL(RuntimeError):
@@ -29,9 +43,8 @@ class NotFoundWithinL(RuntimeError):
 @dataclass(frozen=True)
 class Rank2Subsystem:
     plane: tuple  # two spanning roots
-    roots: tuple  # positive roots (and delta multiples) in the plane, up to the height used
+    roots: tuple  # positive real roots in the plane, up to the height used
     canonical: tuple  # the two canonical roots
-    certified: bool
 
 
 @dataclass(frozen=True)
@@ -46,12 +59,7 @@ class ShardContext:
         self.weyl = weyl
         self.cartan = weyl.cartan
         self._roots_cache: tuple = (0, set())
-        self._plane_cache: dict = {}
         self._cut_cache: dict = {}
-        self._delta = None
-        info = self.cartan.classify()
-        if info.kind == "affine":
-            self._delta = info.delta
 
     # -- root inventory ---------------------------------------------------------
 
@@ -65,43 +73,36 @@ class ShardContext:
 
     # -- rank-2 subsystems --------------------------------------------------------
 
-    def rank2_subsystem(self, beta, gamma, height_cap=None) -> Rank2Subsystem:
-        if rank([list(beta), list(gamma)]) != 2:
-            raise ValueError("need two independent roots")
-        if height_cap is None:
-            height_cap = max(sum(beta), sum(gamma))
-        key = self._plane_key(beta, gamma)
-        cached = self._plane_cache.get((key, height_cap))
-        if cached is not None:
-            return cached
-        members = []
+    def _planes(self, beta, height_cap):
+        """Positive real roots up to the cap, bucketed by the plane they span
+        with beta; the roots parallel to beta are in every bucket."""
+        buckets = {}
+        parallel = []
         for r in self.positive_real_roots(height_cap):
-            if self._in_plane(key, r):
-                members.append(r)
-        if self._delta is not None and self._in_plane(key, self._delta):
-            k = 1
-            while k * sum(self._delta) <= height_cap:
-                members.append(tuple(k * c for c in self._delta))
-                k += 1
-        canonical, certified = _extreme_pair(members, beta, gamma)
-        if not certified:
-            raise HeightInsufficient(
-                f"cannot certify canonical roots of plane({beta}, {gamma}) at height {height_cap}"
-            )
-        sub = Rank2Subsystem(
+            key = wedge_key(beta, r)
+            if key is None:
+                parallel.append(r)
+            else:
+                buckets.setdefault(key, []).append(r)
+        for members in buckets.values():
+            members.extend(parallel)
+        return buckets
+
+    def rank2_subsystem(self, beta, gamma, height_cap=None) -> Rank2Subsystem:
+        height = max(sum(beta), sum(gamma))
+        if height_cap is None:
+            height_cap = height
+        if height_cap < height:
+            raise ValueError(f"height cap {height_cap} is below the pair's height {height}")
+        key = wedge_key(beta, gamma)
+        if key is None:
+            raise ValueError("need two independent roots")
+        members = self._planes(beta, height_cap)[key]
+        return Rank2Subsystem(
             plane=(beta, gamma),
             roots=tuple(sorted(members)),
-            canonical=canonical,
-            certified=certified,
+            canonical=_extreme_pair(members, beta, gamma),
         )
-        self._plane_cache[(key, height_cap)] = sub
-        return sub
-
-    def _plane_key(self, beta, gamma):
-        return tuple(tuple(r) for r in rref([list(beta), list(gamma)]))
-
-    def _in_plane(self, key, r):
-        return is_zero_vec(reduce_mod_rref(r, key))
 
     # -- cutting -----------------------------------------------------------------
 
@@ -113,12 +114,11 @@ class ShardContext:
             return self._cut_cache[key]
         cap = sum(beta) - 1 if height_cap is None else height_cap
         out = []
-        for gamma in sorted(self.positive_real_roots(cap)):
-            if rank([list(beta), list(gamma)]) != 2:
-                continue
-            sub = self.rank2_subsystem(beta, gamma, max(sum(beta), sum(gamma)))
-            if gamma in sub.canonical and beta not in sub.canonical:
-                out.append(gamma)
+        for members in self._planes(beta, max(cap, sum(beta))).values():
+            # members[0] spans the plane with beta: parallel roots come last
+            pair = _extreme_pair(members, beta, members[0])
+            if beta not in pair:
+                out.extend(gamma for gamma in pair if sum(gamma) <= cap)
         result = tuple(sorted(out))
         self._cut_cache[key] = result
         return result
@@ -188,37 +188,23 @@ class ShardContext:
 
 
 def _extreme_pair(members, beta, gamma):
-    """Two extreme directions of the listed plane roots, certified when all
-    other listed roots are strictly inside their span."""
-    coords = {}
-    directions = []
-    for r in members:
-        ab = _plane_coords(r, beta, gamma)
-        key = primitive_vector(ab)
-        if key not in coords:
-            coords[key] = r  # lowest root in each direction wins (sorted callers)
-            directions.append(key)
-        elif sum(coords[key]) > sum(r):
-            coords[key] = r
-    lo = [d for d in directions if all(_cross(d, o) >= 0 for o in directions)]
-    hi = [d for d in directions if all(_cross(o, d) >= 0 for o in directions)]
-    if len(lo) != 1 or len(hi) != 1 or lo == hi:
-        return (), False
-    u, v = coords[lo[0]], coords[hi[0]]
-    strict = all(
-        _cross(lo[0], d) > 0 and _cross(d, hi[0]) > 0
-        for d in directions
-        if d != lo[0] and d != hi[0]
+    """The two extreme roots of members, positive roots in span(beta, gamma).
+
+    The coordinates (i, j) of a nonzero minor of (beta, gamma) map the plane
+    isomorphically onto Z^2, so the extreme roots are those of the projected
+    integer vectors; the map's orientation only swaps the two.
+    """
+    n = len(beta)
+    i, j = next(
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if beta[i] * gamma[j] != beta[j] * gamma[i]
     )
-    return tuple(sorted((u, v))), strict or len(directions) == 2
-
-
-def _plane_coords(r, beta, gamma):
-    rows = [list(col) for col in zip(beta, gamma)]
-    sol = solve_linear(rows, list(r))
-    assert sol is not None
-    return sol
-
-
-def _cross(a, b):
-    return a[0] * b[1] - a[1] * b[0]
+    lo = hi = members[0]
+    for r in members[1:]:
+        if r[i] * lo[j] > r[j] * lo[i]:
+            lo = r
+        if hi[i] * r[j] > hi[j] * r[i]:
+            hi = r
+    return tuple(sorted((lo, hi)))

@@ -1,6 +1,11 @@
+from itertools import combinations, permutations
+
+import pytest
+
 from affscat.cartan import CartanMatrix, ExchangeMatrix
 from affscat.cones import Cone
 from affscat.coxeter import coxeter_context
+from affscat.linalg import primitive_vector, rank, solve_linear
 from affscat.shards import ShardContext
 from affscat.weyl import WeylContext, enumerate_up_to_length, is_join_irreducible
 
@@ -15,13 +20,14 @@ def make(rows):
 SH_A11, COX_A11 = make([[0, 2], [-2, 0]])
 SH_A2T, COX_A2T = make([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
 SH_A2, COX_A2 = make([[0, 1], [-1, 0]])
+SH_G21, _ = make([[0, 1, 0], [-1, 0, 1], [0, -3, 0]])
+SH_A31, _ = make([[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, -1], [-1, 0, 1, 0]])
 
 
 def test_canonical_roots_finite_a2():
     sub = SH_A2.rank2_subsystem((1, 0), (0, 1), height_cap=3)
     assert sub.canonical == ((0, 1), (1, 0))
     assert (1, 1) in sub.roots
-    assert sub.certified
 
 
 def test_canonical_roots_affine_plane():
@@ -50,9 +56,103 @@ def test_cut_examples():
     assert SH_A2.cut_set((1, 1)) == ((0, 1), (1, 0))
 
 
+def test_canonical_roots_need_the_pairs_height():
+    with pytest.raises(ValueError):
+        SH_A2T.rank2_subsystem((1, 0, 0), (1, 1, 0), height_cap=1)
+    with pytest.raises(ValueError):
+        SH_A11.rank2_subsystem((1, 2), (2, 1), height_cap=2)
+
+
 def test_cut_stabilizes_with_bigger_cap():
-    for beta in [(2, 1), (1, 2), (3, 2)]:
-        assert SH_A11.cut_set(beta) == SH_A11.cut_set(beta, height_cap=sum(beta) + 6)
+    cases = [(SH_A11, beta) for beta in [(2, 1), (1, 2), (3, 2)]]
+    cases += [(sh, beta) for sh in (SH_G21, SH_A31) for beta in sorted(sh.positive_real_roots(8))]
+    for sh, beta in cases:
+        assert sh.cut_set(beta) == sh.cut_set(beta, height_cap=sum(beta) + 6), beta
+
+
+# The benchmark's six orientations (A_1^(1), A_2^(2), A_2^(1), G_2^(1),
+# A_3^(1), D_4^(1)), with the height the oracle below checks every root up to.
+BENCHMARK_INSTANCES = (
+    ([[0, 2], [-2, 0]], 16),
+    ([[0, 1], [-4, 0]], 16),
+    ([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 16),
+    ([[0, 1, 0], [-1, 0, 1], [0, -3, 0]], 16),
+    ([[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, -1], [-1, 0, 1, 0]], 12),
+    (
+        [
+            [0, 1, 1, 1, 1],
+            [-1, 0, 0, 0, 0],
+            [-1, 0, 0, 0, 0],
+            [-1, 0, 0, 0, 0],
+            [-1, 0, 0, 0, 0],
+        ],
+        8,
+    ),
+)
+
+
+def _reference_planes(roots, delta, height):
+    """Each ordered pair of roots mapped to every root of the plane they span
+    up to the height, delta multiples included; plane membership is decided
+    by Fraction rank."""
+    imaginary = [tuple(k * c for c in delta) for k in range(1, height // sum(delta) + 1)]
+    planes = {}
+    for beta, gamma in combinations(roots, 2):
+        if (beta, gamma) in planes or rank([beta, gamma]) != 2:
+            continue
+        # a root already in another plane through beta is not in this one
+        candidates = [r for r in roots + imaginary if (beta, r) not in planes]
+        members = tuple(r for r in candidates if rank([beta, gamma, r]) == 2)
+        # distinct positive real roots are never parallel
+        planes.update((pair, members) for pair in permutations(set(roots) & set(members), 2))
+    return planes
+
+
+def _reference_canonical(members, height):
+    """The two extreme directions of the plane's roots up to the height, in
+    Fraction coordinates over two of them, the lowest root standing for each;
+    both extremes must be unique."""
+    members = sorted((r for r in members if sum(r) <= height), key=sum)
+    basis = next((a, b) for a, b in combinations(members, 2) if rank([a, b]) == 2)
+    cols = [list(col) for col in zip(*basis)]
+    lowest = {}
+    for r in members:
+        lowest.setdefault(primitive_vector(solve_linear(cols, list(r))), r)
+    dirs = list(lowest)
+    lo = [d for d in dirs if all(d[0] * o[1] - d[1] * o[0] >= 0 for o in dirs)]
+    hi = [d for d in dirs if all(o[0] * d[1] - o[1] * d[0] >= 0 for o in dirs)]
+    assert len(lo) == 1 and len(hi) == 1 and lo != hi
+    return {lowest[lo[0]], lowest[hi[0]]}
+
+
+def _reference_cut_set(planes, roots, beta, cap, canonical):
+    """The roots up to the cap that are canonical in their plane with beta
+    at height max(ht beta, ht gamma) while beta is not."""
+    out = []
+    for gamma in roots:
+        if sum(gamma) > cap or (beta, gamma) not in planes:
+            continue
+        key = (planes[beta, gamma], max(sum(beta), sum(gamma)))
+        if key not in canonical:
+            canonical[key] = _reference_canonical(*key)
+        pair = canonical[key]
+        if gamma in pair and beta not in pair:
+            out.append(gamma)
+    return tuple(out)
+
+
+def test_cut_set_matches_fraction_reference():
+    for rows, height in BENCHMARK_INSTANCES:
+        sh, _ = make(rows)
+        delta = sh.cartan.classify().delta
+        roots = sorted(sh.positive_real_roots(height))
+        planes = _reference_planes(roots, delta, height)
+        canonical = {}
+        for beta in roots:
+            for cap in (None, height):
+                ref_cap = sum(beta) - 1 if cap is None else cap
+                expected = _reference_cut_set(planes, roots, beta, ref_cap, canonical)
+                assert sh.cut_set(beta, cap) == expected, (rows, beta, cap)
 
 
 def test_shard_of_simple_is_full_hyperplane():
