@@ -1,9 +1,10 @@
 """Exact rational linear algebra on tuples of Fractions.
 
 Vectors are plain tuples whose entries are ints or Fractions; all results
-are exact.  Nothing here knows about root systems.  One helper is
+are exact.  Nothing here knows about root systems.  Two helpers are
 integer-only: wedge_key names the plane spanned by two integer vectors
-without any division.
+without any division, and nonzero_minor picks two coordinates on which
+that plane projects isomorphically.
 """
 
 from __future__ import annotations
@@ -61,6 +62,22 @@ def primitive_vector(v: Vec) -> Vec:
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(a // g for a in ints)
+
+
+def nonzero_minor(u: Vec, v: Vec) -> tuple:
+    """The first (i, j), i < j in lexicographic order, with u_i v_j != u_j v_i.
+
+    For exactly these (i, j), projecting onto coordinates i, j maps span(u, v)
+    isomorphically onto a plane, and span(e_i, e_j) meets the common kernel
+    {x : <x, u> = <x, v> = 0} only at 0.  Raises ValueError when u and v are
+    parallel.
+    """
+    n = len(u)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if u[i] * v[j] != u[j] * v[i]:
+                return i, j
+    raise ValueError("parallel vectors have no nonzero minor")
 
 
 def wedge_key(u: Vec, v: Vec) -> Vec | None:
@@ -183,24 +200,3 @@ def det(m: list[list]) -> Fraction:
                 factor = a[r][col] * inv
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return result
-
-
-def extend_to_basis(vectors: list[Vec], dim: int) -> list[Vec]:
-    """Complete an independent family to a basis using standard unit vectors.
-
-    Returns only the added unit vectors.
-    """
-    rows = [list(v) for v in vectors]
-    current = rank(rows)
-    added = []
-    for j in range(dim):
-        if current == dim:
-            break
-        unit = [Fraction(1) if i == j else Fraction(0) for i in range(dim)]
-        if rank(rows + [unit]) > current:
-            rows.append(unit)
-            added.append(tuple(unit))
-            current += 1
-    if current != dim:
-        raise ValueError("could not extend to a basis")
-    return added

@@ -4,8 +4,17 @@ build_dcscat assembles walls from shards of join-irreducible c- and
 c^{-1}-sortable elements plus the imaginary wall; build_easy_scat assembles
 the same diagram from the almost-positive roots and the cutting relation.
 Consistency is checked by composing wall crossings around codimension-2
-faces, ordered angularly in an exact transverse plane.  rank2_complete runs
-the order-by-order completion in rank 2.
+faces, ordered angularly in an exact transverse plane, in integers.  Wall
+covectors are the normals scaled coordinatewise by the positive symmetrizer
+d, so for a face cut out by walls with normals beta1, beta2:
+- a wall's hyperplane contains the face's span only if its normal lies in
+  span(beta1, beta2): it is beta1 or has the plane key wedge_key(beta1, beta2);
+- for (i, j) = nonzero_minor(beta1, beta2), that minor of the two covectors
+  is d_i d_j > 0 times it, so span(e_i, e_j) meets the face's span only at 0
+  and every wall through the face traces a line in it;
+- crossing signs are read off the trace directions (see loop_crossings).
+
+rank2_complete runs the order-by-order completion in rank 2.
 """
 
 from __future__ import annotations
@@ -19,7 +28,14 @@ from .almost_positive import APContext
 from .cartan import ExchangeMatrix, NotAcyclic, NotAffine, exchange_to_cartan
 from .cones import Cone
 from .coxeter import CoxeterContext, coxeter_context
-from .linalg import extend_to_basis, integral_multiple, kernel_basis, primitive_vector, vdot
+from .linalg import (
+    identity_mat,
+    integral_multiple,
+    nonzero_minor,
+    primitive_vector,
+    vdot,
+    wedge_key,
+)
 from .series import (
     CrossingData,
     MonomialExpr,
@@ -37,10 +53,6 @@ ORIGIN_SORTABLE = "sortable_ji"
 ORIGIN_INV_SORTABLE = "inv_sortable_ji"
 ORIGIN_IMAGINARY = "imaginary"
 ORIGIN_RANK2 = "rank2_completed"
-
-
-class DegenerateFace(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -285,52 +297,32 @@ def _crossing_data(wall: Wall, cartan, b_rows) -> CrossingData:
 
 def loop_crossings(walls, base_point, u1, u2, covector):
     """Walls crossed by a small counterclockwise loop around base_point inside
-    the plane spanned by u1, u2, in angular order with crossing signs.
+    the plane base_point + span(u1, u2), in angular order with crossing signs.
 
-    Each wall must contain base_point; its trace near the base point in the
-    plane is the tangent cone there, a ray or a full line.
+    Each wall must contain base_point, and the plane must be transverse to its
+    hyperplane.  With c = covector(normal), a = <u1, c> and b = <u2, c>, the
+    wall's trace in the plane is the line spanned by (-b, a); near the base
+    point the wall is its tangent cone there, so the loop crosses it at each
+    direction of the line on which the inequalities tight at base_point hold.
+    Just clockwise of a direction d the loop is at d + t (d_2, -d_1), t > 0
+    small, where <., c> equals t (d_2 a - d_1 b).  So the crossing sign is
+    sgn(d_2 a - d_1 b): +1 at the primitive multiple of (-b, a), -1 at its
+    negative.
     """
     events = []
     for w in walls:
-        # Trace line: plane directions annihilated by every equality of the wall.
-        rows = [[vdot(u1, e), vdot(u2, e)] for e in w.cone.eqs]
-        ker = kernel_basis(rows)
-        assert len(ker) == 1, "wall trace in the transverse plane must be a line"
-        line_dir = primitive_vector(ker[0])
+        c = covector(w.normal)
+        a, b = vdot(u1, c), vdot(u2, c)
+        line = primitive_vector((-b, a))
         tight = [g for g in w.cone.ineqs if vdot(base_point, g) == 0]
         hits = 0
-        for cand in (line_dir, tuple(-c for c in line_dir)):
-            vec = tuple(cand[0] * x + cand[1] * y for x, y in zip(u1, u2))
+        for d, sign in ((line, 1), ((-line[0], -line[1]), -1)):
+            vec = tuple(d[0] * x + d[1] * y for x, y in zip(u1, u2))
             if all(vdot(vec, g) <= 0 for g in tight):
-                events.append(LoopCrossing(wall=w, direction=cand, sign=0))
+                events.append(LoopCrossing(wall=w, direction=d, sign=sign))
                 hits += 1
         assert hits >= 1, "wall containing the face must cross the loop"
-    # Region separators keep every angular gap below pi.
-    seps = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
-            (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1))]
-    dirs = sorted(
-        {primitive_vector(e.direction) for e in events}
-        | {primitive_vector(s) for s in seps},
-        key=cmp_to_key(_angle_cmp),
-    )
-    ordered = sorted(events, key=cmp_to_key(lambda e1, e2: _angle_cmp(e1.direction, e2.direction)))
-
-    def arc_dir_before(direction):
-        d = primitive_vector(direction)
-        idx = dirs.index(d)
-        prev = dirs[idx - 1]
-        return tuple(a + b for a, b in zip(prev, d))
-
-    out = []
-    for e in ordered:
-        before = arc_dir_before(e.direction)
-        cov = covector(e.wall.normal)
-        vec = tuple(before[0] * x + before[1] * y for x, y in zip(u1, u2))
-        val = vdot(vec, cov)
-        assert val != 0, "arc sample fell on the wall"
-        sign = 1 if val > 0 else -1
-        out.append(LoopCrossing(wall=e.wall, direction=e.direction, sign=sign))
-    return out
+    return sorted(events, key=cmp_to_key(lambda e1, e2: _angle_cmp(e1.direction, e2.direction)))
 
 
 def _generators(n, k):
@@ -350,25 +342,22 @@ def _b_rows_from_cox(cox: CoxeterContext):
 
 def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext) -> dict:
     """Compose wall crossings around every codimension-2 face of the diagram
-    and report which loops fail to be the identity mod m^(truncation+1)."""
+    and report which loops fail to be the identity mod m^(truncation+1).
+    Each face's walls and loop plane come from its two normals (see the
+    module docstring)."""
     n = diagram.cartan_n
     k = truncation
     walls = [w for w in diagram.walls if sum(w.normal) <= k]
     b_rows = _b_rows_from_cox(cox)
+    units = identity_mat(n)
     faces = _codim2_faces(walls, n)
     report = {"faces": len(faces), "failures": [], "checked": 0}
-    for face in faces:
-        containing = [w for w in walls if w.cone.contains_cone(face)]
-        if len(containing) < 2:
-            continue
-        base = _generic_relint_point(face, [w for w in walls if not w.cone.contains_cone(face)])
-        span = list(face.lineality) + list(face.rays)
-        try:
-            u1, u2 = extend_to_basis(span, n)
-        except ValueError as exc:
-            raise DegenerateFace(f"no exact transverse plane at {face.rays}") from exc
+    for face, beta1, beta2 in faces:
+        containing, others = _walls_around(face, beta1, beta2, walls)
+        base = _generic_relint_point(face, others)
+        i, j = nonzero_minor(beta1, beta2)
         crossings = loop_crossings(
-            containing, base, u1, u2, cox.cartan.primitive_in_coroot_lattice
+            containing, base, units[i], units[j], cox.cartan.primitive_in_coroot_lattice
         )
         seq = [(_crossing_data(e.wall, cox.cartan, b_rows), e.sign) for e in crossings]
         ok = True
@@ -389,6 +378,8 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
 
 
 def _codim2_faces(walls, n):
+    """The distinct (n-2)-dimensional meets of two walls, each as (face,
+    beta1, beta2) with the normals of the first pair that cut it out."""
     faces = []
     seen = set()
     for w1, w2 in itertools.combinations(walls, 2):
@@ -400,16 +391,32 @@ def _codim2_faces(walls, n):
         key = meet.canonical_key
         if key not in seen:
             seen.add(key)
-            faces.append(meet)
+            faces.append((meet, w1.normal, w2.normal))
     return faces
 
 
+def _walls_around(face: Cone, beta1, beta2, walls):
+    """(walls containing the face, the other walls), each in the given order;
+    only walls with normal in span(beta1, beta2) are tested."""
+    plane = wedge_key(beta1, beta2)
+    containing, others = [], []
+    for w in walls:
+        in_plane = w.normal == beta1 or wedge_key(beta1, w.normal) == plane
+        (containing if in_plane and w.cone.contains_cone(face) else others).append(w)
+    return containing, others
+
+
 def _generic_relint_point(face: Cone, other_walls):
-    """A relative-interior point of the face avoiding all walls that do not
-    contain the face (deterministic perturbation search)."""
+    """An integer relative-interior point of the face avoiding all walls that
+    do not contain the face (deterministic perturbation search).
+
+    Each candidate is cleared of denominators before it is tested; every test
+    is invariant under positive scaling, so the same candidate is chosen, and
+    the tests run in integers.
+    """
     lin, rays = face.generators
     if not rays and not lin:
-        return tuple(Fraction(0) for _ in range(face.dim_ambient))
+        return (0,) * face.dim_ambient
     gens = list(rays) + list(lin)
     for attempt in range(1, 60):
         point = [Fraction(0)] * face.dim_ambient
@@ -419,7 +426,7 @@ def _generic_relint_point(face: Cone, other_walls):
                 scale = -scale  # lineality directions may need both signs
             for j, c in enumerate(r):
                 point[j] += scale * c
-        p = tuple(point)
+        p = integral_multiple(point)
         if not face.relint_contains(p):
             continue
         if all(not w.cone.contains(p) for w in other_walls):
@@ -465,11 +472,8 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
         )
 
     def loop_seq(current_walls):
-        base = (Fraction(0), Fraction(0))
-        u1 = (Fraction(1), Fraction(0))
-        u2 = (Fraction(0), Fraction(1))
         crossings = loop_crossings(
-            current_walls, base, u1, u2, cartan.primitive_in_coroot_lattice
+            current_walls, (0, 0), (1, 0), (0, 1), cartan.primitive_in_coroot_lattice
         )
         return [(_crossing_data(e.wall, cartan, b_rows), e.sign) for e in crossings]
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .cones import Cone
 from .coxeter import CoxeterContext
-from .linalg import wedge_key
+from .linalg import nonzero_minor, wedge_key
 from .weyl import GroupElement, WeylContext, is_join_irreducible, weak_leq
 
 
@@ -42,7 +42,6 @@ class NotFoundWithinL(RuntimeError):
 
 @dataclass(frozen=True)
 class Rank2Subsystem:
-    plane: tuple  # two spanning roots
     roots: tuple  # positive real roots in the plane, up to the height used
     canonical: tuple  # the two canonical roots
 
@@ -99,7 +98,6 @@ class ShardContext:
             raise ValueError("need two independent roots")
         members = self._planes(beta, height_cap)[key]
         return Rank2Subsystem(
-            plane=(beta, gamma),
             roots=tuple(sorted(members)),
             canonical=_extreme_pair(members, beta, gamma),
         )
@@ -190,17 +188,11 @@ class ShardContext:
 def _extreme_pair(members, beta, gamma):
     """The two extreme roots of members, positive roots in span(beta, gamma).
 
-    The coordinates (i, j) of a nonzero minor of (beta, gamma) map the plane
+    The coordinates (i, j) of linalg.nonzero_minor(beta, gamma) map the plane
     isomorphically onto Z^2, so the extreme roots are those of the projected
     integer vectors; the map's orientation only swaps the two.
     """
-    n = len(beta)
-    i, j = next(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if beta[i] * gamma[j] != beta[j] * gamma[i]
-    )
+    i, j = nonzero_minor(beta, gamma)
     lo = hi = members[0]
     for r in members[1:]:
         if r[i] * lo[j] > r[j] * lo[i]:

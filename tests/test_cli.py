@@ -53,6 +53,21 @@ def test_consistency_exit_zero(b_a11, tmp_path):
     assert json.loads(out.read_text())["consistent"]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: wall (1,1,0,1) splits the codim-2 face of d_inf and "
+    "d_(0,0,1,0), so no generic base point exists and consistency exits 3",
+)
+def test_consistency_codim2_repro(tmp_path, capsys):
+    path = tmp_path / "a31.json"
+    path.write_text(
+        json.dumps({"n": 4, "b": [[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, 1], [-1, 0, -1, 0]]})
+    )
+    out = tmp_path / "out.json"
+    assert run(["consistency", "--input", str(path), "--H", "4", "--k", "4", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["consistent"] is True
+
+
 def test_walls_equal(b_a11, tmp_path):
     out = tmp_path / "out.json"
     assert run(["walls", "--input", b_a11, "--H", "4", "--k", "4", "--out", str(out)]) == 0

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from affscat.linalg import integral_multiple, primitive_vector, rank, wedge_key
+from affscat.linalg import integral_multiple, nonzero_minor, primitive_vector, rank, wedge_key
 
 F = Fraction
 
@@ -80,3 +80,30 @@ def test_wedge_key_is_invariant_under_change_of_basis():
             x = tuple(a * s + b * t for s, t in zip(u, v))
             y = tuple(c * s + d * t for s, t in zip(u, v))
             assert wedge_key(x, y) == key, (u, v, (a, b, c, d))
+
+
+def test_nonzero_minor_is_the_first_nonzero_minor():
+    assert nonzero_minor((1, 0, 0), (0, 1, 0)) == (0, 1)
+    assert nonzero_minor((0, 1, 2), (0, 2, 5)) == (1, 2)
+    assert nonzero_minor((1, 2, 0, 1), (2, 4, 0, 3)) == (0, 3)
+    for dim in (2, 3, 5):
+        for u, v in _random_pairs(20 + dim, 200, dim, (-2, -1, 0, 0, 1, 2)):
+            nonzero = [
+                (i, j)
+                for i in range(dim)
+                for j in range(i + 1, dim)
+                if u[i] * v[j] - u[j] * v[i] != 0
+            ]
+            if nonzero:
+                assert nonzero_minor(u, v) == nonzero[0], (u, v)
+
+
+def test_nonzero_minor_rejects_parallel_vectors():
+    for u, v in (((2, -4, 6), (-1, 2, -3)), ((0, 0, 0), (1, 2, 3)), ((0, 0), (0, 0))):
+        with pytest.raises(ValueError):
+            nonzero_minor(u, v)
+    parallel = [p for p in _random_pairs(3, 200, 4, (-1, 0, 0, 1)) if rank(list(p)) < 2]
+    assert len(parallel) > 5
+    for u, v in parallel:
+        with pytest.raises(ValueError):
+            nonzero_minor(u, v)

@@ -1,21 +1,29 @@
 import functools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import affscat.scattering
 from affscat.cartan import ExchangeMatrix
 from affscat.coxeter import coxeter_context
-from affscat.linalg import kernel_basis, vdot
+from affscat.linalg import identity_mat, kernel_basis, nonzero_minor, primitive_vector, vdot
 from affscat.scattering import (
     ORIGIN_IMAGINARY,
     ORIGIN_INITIAL,
     ORIGIN_RANK2,
+    _angle_cmp,
+    _codim2_faces,
+    _generic_relint_point,
+    _walls_around,
     build_dcscat,
     build_easy_scat,
     check_consistency,
     classify_wall,
+    loop_crossings,
     rampart_set,
     rank2_complete,
     scat_cone_eq,
@@ -116,6 +124,102 @@ def test_consistency_a2_tilde():
     report = check_consistency(d, 5, COX_A2T)
     assert report["consistent"], report["failures"]
     assert report["checked"] >= 3
+
+
+def _loop_crossings_reference(walls, base_point, u1, u2, covector):
+    """loop_crossings by Fraction elimination and arc samples: each wall's
+    trace is the kernel of its equalities in the plane, and its crossing sign
+    is the sign of its covector on the arc just clockwise of the crossing,
+    sampled between the crossing and the previous direction among all
+    crossings and four separators that keep every arc below pi.  Returns
+    (normal, direction, sign) triples in angular order."""
+    events = []
+    for w in walls:
+        rows = [[vdot(u1, e), vdot(u2, e)] for e in w.cone.eqs]
+        (ker,) = kernel_basis(rows)
+        line = primitive_vector(ker)
+        tight = [g for g in w.cone.ineqs if vdot(base_point, g) == 0]
+        for d in (line, tuple(-c for c in line)):
+            vec = tuple(d[0] * x + d[1] * y for x, y in zip(u1, u2))
+            if all(vdot(vec, g) <= 0 for g in tight):
+                events.append((w, d))
+    order = functools.cmp_to_key(_angle_cmp)
+    seps = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    dirs = sorted({d for _, d in events} | set(seps), key=order)
+    out = []
+    for w, d in sorted(events, key=lambda e: order(e[1])):
+        prev = dirs[dirs.index(d) - 1]
+        before = tuple(a + b for a, b in zip(prev, d))
+        vec = tuple(before[0] * x + before[1] * y for x, y in zip(u1, u2))
+        val = vdot(vec, covector(w.normal))
+        assert val != 0, "arc sample fell on the wall"
+        out.append((w.normal, d, 1 if val > 0 else -1))
+    return out
+
+
+def _crossing_triples(crossings):
+    return [(e.wall.normal, e.direction, e.sign) for e in crossings]
+
+
+# The benchmark's orientations; D_4^(1) is the star with vertex 0 a source.
+LOOP_ROWS = {
+    "A2_1": [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]],
+    "G2_1": [[0, 1, 0], [-1, 0, 1], [0, -3, 0]],
+    "A3_1": [[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, -1], [-1, 0, 1, 0]],
+    "D4_1": [[0, 1, 1, 1, 1]] + [[-1, 0, 0, 0, 0]] * 4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_ROWS))
+def test_loop_crossings_match_reference_on_every_face(name):
+    # Checks, on every codim-2 face at H = k = 4: the plane-key filter keeps
+    # exactly the walls an all-walls contains_cone scan keeps, and the trace
+    # directions and signs equal the arc-sample reference, on the plane of
+    # the first nonzero minor and on a random transverse integer plane.
+    bmat = ExchangeMatrix.from_rows(LOOP_ROWS[name])
+    cox = coxeter_context(bmat)
+    cov = cox.cartan.primitive_in_coroot_lattice
+    n = bmat.n
+    walls = list(build_dcscat(bmat, 4, 4).walls)
+    units = identity_mat(n)
+    rng = random.Random(n)
+    faces = _codim2_faces(walls, n)
+    assert len(faces) >= 10
+    for face, beta1, beta2 in faces:
+        containing, others = _walls_around(face, beta1, beta2, walls)
+        scan = [w for w in walls if w.cone.contains_cone(face)]
+        assert [w.normal for w in containing] == [w.normal for w in scan]
+        assert [w.normal for w in others] == [w.normal for w in walls if w not in scan]
+        base = _generic_relint_point(face, others)
+        assert all(type(c) is int for c in base)
+        i, j = nonzero_minor(beta1, beta2)
+        planes = [(units[i], units[j])]
+        while len(planes) < 2:
+            u1, u2 = (tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(2))
+            e1, e2 = face.eqs
+            if vdot(u1, e1) * vdot(u2, e2) != vdot(u2, e1) * vdot(u1, e2):
+                planes.append((u1, u2))
+        for u1, u2 in planes:
+            got = _crossing_triples(loop_crossings(containing, base, u1, u2, cov))
+            assert got == _loop_crossings_reference(containing, base, u1, u2, cov), beta1
+            assert len(got) >= len(containing)
+
+
+def test_rank2_complete_loops_match_reference(monkeypatch):
+    calls = []
+    real = affscat.scattering.loop_crossings
+
+    def checked(walls, base_point, u1, u2, covector):
+        got = real(walls, base_point, u1, u2, covector)
+        ref = _loop_crossings_reference(walls, base_point, u1, u2, covector)
+        assert _crossing_triples(got) == ref
+        calls.append(len(got))
+        return got
+
+    monkeypatch.setattr(affscat.scattering, "loop_crossings", checked)
+    rank2_complete(B_A11, truncation=10)
+    rank2_complete(ExchangeMatrix.from_rows([[0, 1], [-4, 0]]), truncation=10)
+    assert len(calls) == 2 * 9 + 2 and max(calls) >= 12
 
 
 def test_rank2_complete_finite_a2():
