@@ -4,6 +4,13 @@ AP_c = negative simples, positive real roots off the hyperplane H_c, the
 finite tube set APT_c, and the imaginary root delta.  The compatibility
 degree is evaluated by the tube formulas on tube pairs and otherwise by
 tau_c-iteration down to the negative-simple base cases.
+
+The degree is tau_c-invariant, so a pair (a, b) may be read at any common
+step (tau_c^t a, tau_c^t b).  Rather than walk both roots step by step for
+every pair, each root's tau_c-orbit (and tau_c^{-1}-orbit) is walked once,
+lazily, into a table that also records the first step at which the orbit is
+a negative simple.  A pair is answered at the smaller of its two roots'
+first steps, which is exactly where the joint walk would stop.
 """
 
 from __future__ import annotations
@@ -41,6 +48,9 @@ class APContext:
         self.n = cox.n
         self.delta = cox.type_info.delta
         self._compat_cache: dict = {}
+        # per direction (tau, tau^{-1}): root -> (orbit walked so far, the
+        # step of its first negative simple, which ends it, or None)
+        self._orbits: tuple = ({}, {})
 
     # -- tubes -------------------------------------------------------------------
 
@@ -238,7 +248,34 @@ class APContext:
         self._compat_cache[key] = val
         return val
 
+    def _orbit(self, root, direction, limit):
+        """(orbit, t): root's tau-orbit (direction 0) or tau^{-1}-orbit
+        (direction 1) and the first step t < limit at which it is a negative
+        simple, else t = None.  Each orbit is walked once, lazily: it ends at
+        its first negative simple or at step limit - 1, whichever comes first.
+        A stored entry is never changed, only replaced by a longer one, so a
+        concurrent reader always sees a true prefix of the orbit."""
+        orbits = self._orbits[direction]
+        orbit, hit = orbits.get(root, ((), None))
+        if hit is None and len(orbit) < limit:
+            step = self.tau_inverse if direction else self.tau
+            walk = list(orbit)
+            while hit is None and len(walk) < limit:
+                walk.append(step(walk[-1]) if walk else root)
+                if self._negative_simple_index(walk[-1]) is not None:
+                    hit = len(walk) - 1
+            orbit = tuple(walk)
+            orbits[root] = (orbit, hit)
+        return orbit, hit if hit is not None and hit < limit else None
+
     def _compat(self, a, b, step_cap):
+        """Tube formulas on tube pairs; otherwise the base case at the first
+        step t below the cap at which tau^t a or tau^t b is a negative simple,
+        trying tau^{-1} when tau finds none.  The degree is tau-invariant, so
+        (a, b) has the degree of (tau^t a, tau^t b).  t is the smaller of the
+        two roots' first hits, read off their orbit tables, and a hit by
+        tau^t a wins a tie: the answer of walking both roots together step
+        by step, with each root's orbit walked once for all its pairs."""
         n = self.n
         cap = step_cap if step_cap is not None else 4 * n * (max(sum(map(abs, a)), sum(map(abs, b))) + 4)
         in_tube_a = a == self.delta or self.is_tube_real(a)
@@ -247,21 +284,20 @@ class APContext:
             if a == self.delta or b == self.delta:
                 return 0
             return self.tube_degree(a, b)
-        # Iterate tau first, then retry with tau^{-1} before giving up.
-        for step in (self.tau, self.tau_inverse):
-            x, y = a, b
-            for _ in range(cap):
-                i = self._negative_simple_index(x)
-                if i is not None:
-                    # [[-alpha_i, beta]] = <rho_i^vee, beta>: the alpha_i coordinate.
-                    return int(y[i])
-                j = self._negative_simple_index(y)
-                if j is not None:
-                    # [[beta, -alpha_j]] = <rho_j, beta^vee>.
-                    val = Fraction(self._coroot_coords(x)[j])
-                    assert val.denominator == 1
-                    return int(val)
-                x, y = step(x), step(y)
+        for direction in (0, 1):
+            orbit_a, ta = self._orbit(a, direction, cap)
+            # b's orbit must reach step ta, where a tie goes to a.
+            orbit_b, tb = self._orbit(b, direction, cap if ta is None else ta + 1)
+            if tb is not None and (ta is None or tb < ta):
+                # [[beta, -alpha_j]] = <rho_j, beta^vee>.
+                j = self._negative_simple_index(orbit_b[tb])
+                val = Fraction(self._coroot_coords(orbit_a[tb])[j])
+                assert val.denominator == 1
+                return int(val)
+            if ta is not None:
+                # [[-alpha_i, beta]] = <rho_i^vee, beta>: the alpha_i coordinate.
+                i = self._negative_simple_index(orbit_a[ta])
+                return int(orbit_b[ta][i])
         raise ResolutionCapExceeded(f"no base case within {cap} tau steps for {(a, b)}")
 
     def compatible(self, a, b) -> bool:
@@ -318,8 +354,9 @@ class APContext:
         return out
 
     def fan_cone(self, members) -> Cone:
-        """nu_c image of the cone spanned by a compatible set."""
-        return Cone.from_rays(self.n, [self.cox.nu(r) for r in members])
+        """nu_c image of the cone spanned by a compatible set, whose images
+        are linearly independent."""
+        return Cone.simplicial(self.n, [self.cox.nu(r) for r in members])
 
     def fan_cones(self, height_cap: int):
         """All cones of nu_c(Fan_c) from height-capped compatible sets, with

@@ -17,6 +17,12 @@ filters them afterwards: cutting by {g <= 0} keeps the rays with <r, g> <= 0
 plus one ray inside each edge crossing g = 0 (the pairs the zero-set test
 calls adjacent), or, if g pierces the lineality L = L' + span(w), gives
 L' + cone(rays projected along w, and w), whose rays stay extreme and distinct.
+
+A cone on linearly independent rays (`Cone.simplicial`) skips the second
+conversion: it is pointed, since a line in it would be a nonzero combination
+of the rays equal to zero, and no ray is a nonnegative combination of the
+others, so its extreme rays are exactly the given rays.  Only the dual
+description for its constraints runs.
 """
 
 from __future__ import annotations
@@ -55,8 +61,15 @@ class Cone:
         return Cone.from_constraints(dim, eqs=lin, ineqs=drays)
 
     @staticmethod
-    def full_space(dim) -> "Cone":
-        return Cone.from_constraints(dim)
+    def simplicial(dim, rays) -> "Cone":
+        """Cone on linearly independent rays.  They are its extreme rays, so
+        `generators` is set from them; only the constraints come from the
+        dual description."""
+        cone = Cone.from_rays(dim, rays)
+        # The dual cone's lineality is the annihilator of span(rays).
+        assert len(cone.eqs) == dim - len(rays), "simplicial cone needs independent rays"
+        cone.__dict__["generators"] = ((), tuple(sorted(map(primitive_vector, rays))))
+        return cone
 
     # -- generators ----------------------------------------------------------
 
@@ -78,9 +91,6 @@ class Cone:
     def dim(self) -> int:
         lin, rays = self.generators
         return rank([list(v) for v in lin] + [list(r) for r in rays])
-
-    def is_empty_but_origin(self) -> bool:
-        return self.dim == 0
 
     # -- point queries --------------------------------------------------------
 
@@ -119,17 +129,6 @@ class Cone:
             elif val >= 0:
                 return False
         return True
-
-    def relint_point(self) -> Vec:
-        """A rational point in the relative interior (the origin for the zero cone)."""
-        lin, rays = self.generators
-        if not rays:
-            return tuple(Fraction(0) for _ in range(self.dim_ambient))
-        acc = [Fraction(0)] * self.dim_ambient
-        for r in rays:
-            for i, c in enumerate(r):
-                acc[i] += c
-        return tuple(acc)
 
     # -- cone relations --------------------------------------------------------
 

@@ -266,9 +266,9 @@ def test_fan_property_pairwise_intersection_in_face():
         for i, c1 in enumerate(cones):
             for c2 in cones[i + 1 :]:
                 meet = c1.intersect(c2)
-                if meet.is_empty_but_origin():
+                if meet.dim == 0:
                     continue
-                p = meet.relint_point()
+                p = tuple(map(sum, zip(*meet.rays)))  # in the relative interior
                 for c in (c1, c2):
                     face = _minimal_face_at(c, p)
                     assert face.same_cone(meet), (c1.rays, c2.rays)
@@ -338,3 +338,90 @@ def test_resolution_cap_error():
     fresh = make([[0, 2], [-2, 0]])  # bypass the degree memo
     with pytest.raises(ResolutionCapExceeded):
         fresh.compatibility_degree((2, 1), (1, 2), step_cap=0)
+
+
+# The perfbench orientations of the fans and clusters instances, with their
+# height caps.  D_4^(1) is the star with vertex 0 a source.
+FAN_INSTANCES = (
+    ([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 6),
+    ([[0, 1, 0], [-1, 0, 1], [0, -3, 0]], 6),
+    ([[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, -1], [-1, 0, 1, 0]], 4),
+    ([[0, 1, 1, 1, 1]] + [[-1, 0, 0, 0, 0]] * 4, 4),
+)
+
+
+def _tau_walk_degree(ap, a, b, step_cap=None):
+    """The compatibility degree by walking both roots together, one tau step
+    at a time, then tau^{-1}: the reference for the orbit table.  Returns
+    (degree, direction), direction 0 for tau, 1 for tau^{-1}, None for tubes."""
+    from fractions import Fraction
+
+    from affscat.almost_positive import ResolutionCapExceeded
+
+    cap = step_cap if step_cap is not None else 4 * ap.n * (max(sum(map(abs, a)), sum(map(abs, b))) + 4)
+    in_tube_a = a == ap.delta or ap.is_tube_real(a)
+    in_tube_b = b == ap.delta or ap.is_tube_real(b)
+    if in_tube_a and in_tube_b:
+        if a == ap.delta or b == ap.delta:
+            return 0, None
+        return ap.tube_degree(a, b), None
+    for direction, step in enumerate((ap.tau, ap.tau_inverse)):
+        x, y = a, b
+        for _ in range(cap):
+            i = ap._negative_simple_index(x)
+            if i is not None:
+                return int(y[i]), direction
+            j = ap._negative_simple_index(y)
+            if j is not None:
+                val = Fraction(ap._coroot_coords(x)[j])
+                assert val.denominator == 1
+                return int(val), direction
+            x, y = step(x), step(y)
+    raise ResolutionCapExceeded(f"no base case within {cap} tau steps for {(a, b)}")
+
+
+def _outcome(degree):
+    from affscat.almost_positive import ResolutionCapExceeded
+
+    try:
+        return degree()
+    except ResolutionCapExceeded:
+        return "cap exceeded"
+
+
+def test_orbit_table_matches_tau_walk():
+    for rows, H in FAN_INSTANCES:
+        ap = make(rows)
+        directions = set()
+        roots = ap.ap_roots(H)
+        for a in roots:
+            for b in roots:
+                expect, direction = _tau_walk_degree(ap, a, b)
+                directions.add(direction)
+                assert ap.compatibility_degree(a, b) == expect, (rows, a, b)
+        assert {0, 1} <= directions, rows  # tau^{-1} decides some pairs
+
+
+def test_orbit_table_step_cap_boundary():
+    # Caps 0-4 raise on some pairs, and decide others by tau or by tau^{-1}.
+    # A fresh context walks no orbit past the cap.  A warm one, whose orbits
+    # were walked at the default caps, asked past its degree memo, must still
+    # ignore a negative simple at or beyond the cap.
+    for rows, H in FAN_INSTANCES:
+        warm = make(rows)
+        roots = warm.ap_roots(H)
+        for a in roots:
+            for b in roots:
+                warm.compatibility_degree(a, b)
+        seen = set()
+        for cap in range(5):
+            fresh = make(rows)  # a fresh degree memo and orbit table per cap
+            for a in roots:
+                for b in roots:
+                    walk = _outcome(lambda: _tau_walk_degree(fresh, a, b, cap))
+                    seen.add(walk if walk == "cap exceeded" else walk[1])
+                    expect = walk if walk == "cap exceeded" else walk[0]
+                    got = _outcome(lambda: fresh.compatibility_degree(a, b, cap))
+                    assert got == expect, (rows, cap, a, b)
+                    assert _outcome(lambda: warm._compat(a, b, cap)) == expect, (rows, cap, a, b)
+        assert {0, 1, "cap exceeded"} <= seen, rows

@@ -295,6 +295,8 @@ MATRICES = {
     "A2_2": [[0, 1], [-4, 0]],
     "A2_1": [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]],
     "G2_1": [[0, 1, 0], [-1, 0, 1], [0, -3, 0]],
+    "A3_1": [[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, -1], [-1, 0, 1, 0]],
+    "D4_1": [[0, 1, 1, 1, 1]] + [[-1, 0, 0, 0, 0]] * 4,  # the star, vertex 0 a source
 }
 HK4 = ["--H", "4", "--k", "4"]
 COMPARE = HK4 + ["--L", "4", "--samples", "20", "--seed", "3"]
@@ -317,6 +319,8 @@ PINNED_OUTPUTS = [
     ("A2_1", "compare", COMPARE, "da505cb78bef379b0ab4ee5f06a814b8461dcbfade9956ee2329e7ebe7aa3195"),
     ("G2_1", "compare", COMPARE, "4b91d5499fe15e163c0dc0729ab8b2fd13123cb2ae1e82af7d357a4f70e64f24"),
     ("G2_1", "clusters", ["--H", "6"], "460f158cb99289b7c6362eb108d0f79ac86e7bcc1e7f16a9ef14366f432859ef"),
+    ("A3_1", "clusters", ["--H", "4"], "77ecdc4dbf0fba81956c8ebb9d2d5384a6e81a231360eaa541dd22e90d79daf5"),
+    ("D4_1", "clusters", ["--H", "4"], "aefbbd8b4d55e82fbd110ca248355f8a58b73268212e03fdef2d608c36505503"),
 ]
 
 

@@ -12,7 +12,7 @@ F = Fraction
 
 
 def test_full_space_generators():
-    c = Cone.full_space(2)
+    c = Cone.from_constraints(2)
     lin, rays = c.generators
     assert len(lin) == 2 and rays == ()
     assert c.dim == 2
@@ -45,7 +45,7 @@ def test_simplicial_cone_3d():
     c = Cone.from_constraints(3, ineqs=[(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
     assert set(c.rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     assert c.dim == 3
-    p = c.relint_point()
+    p = tuple(map(sum, zip(*c.rays)))
     assert c.relint_contains(p)
 
 
@@ -118,7 +118,7 @@ def test_contains_is_invariant_under_positive_scaling():
     rng = random.Random(5)
     points = {tuple(F(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(3)) for _ in range(30)}
     points |= {r for c in cones for r in c.rays}  # on the boundaries of the neighbours
-    points |= {c.relint_point() for c in cones}
+    points |= {tuple(sum(r[i] for r in c.rays) for i in range(3)) for c in cones}  # relative interiors
     for cone in cones:
         for x in points:
             expected = all(vdot(x, e) == 0 for e in cone.eqs) and all(
@@ -183,3 +183,39 @@ def test_double_description_generators_are_minimal():
         if len(rays) <= 6:
             for r in rays:
                 assert not _is_nonneg_combo(r, [o for o in rays if o != r]), (cone, r)
+
+
+# The perfbench orientations of the fans and clusters instances, with their
+# height caps.  D_4^(1) is the star with vertex 0 a source.
+FAN_INSTANCES = (
+    ([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 6),
+    ([[0, 1, 0], [-1, 0, 1], [0, -3, 0]], 6),
+    ([[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, -1], [-1, 0, 1, 0]], 4),
+    ([[0, 1, 1, 1, 1]] + [[-1, 0, 0, 0, 0]] * 4, 4),
+)
+
+
+def test_simplicial_generators_match_double_description():
+    for rows, H in FAN_INSTANCES:
+        ap = APContext(coxeter_context(ExchangeMatrix.from_rows(rows)))
+        for members, cone in ap.fan_cones(H):
+            rays = [ap.cox.nu(r) for r in members]
+            by_rays = Cone.from_rays(ap.n, rays)
+            assert (cone.eqs, cone.ineqs) == (by_rays.eqs, by_rays.ineqs), members
+            by_dd = Cone.from_constraints(ap.n, cone.eqs, cone.ineqs)
+            assert cone.generators == by_dd.generators, members
+
+
+def test_simplicial_rejects_dependent_rays():
+    import pytest
+
+    for rays in ([(1, 0), (2, 0)], [(1, 0), (0, 1), (1, 1)]):
+        with pytest.raises(AssertionError):
+            Cone.simplicial(2, rays)
+
+
+def test_simplicial_zero_cone():
+    c = Cone.simplicial(2, [])
+    assert c.generators == ((), ())
+    assert c.dim == 0
+    assert c.contains((0, 0)) and not c.contains((1, 0))
