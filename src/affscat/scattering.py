@@ -352,8 +352,11 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
     units = identity_mat(n)
     faces = _codim2_faces(walls, n)
     report = {"faces": len(faces), "failures": [], "checked": 0}
+    by_plane: dict = {}  # beta1 -> _walls_by_plane(beta1, walls)
     for face, beta1, beta2 in faces:
-        containing, others = _walls_around(face, beta1, beta2, walls)
+        if beta1 not in by_plane:
+            by_plane[beta1] = _walls_by_plane(beta1, walls)
+        containing, others = _walls_around(face, beta1, beta2, walls, by_plane[beta1])
         base = _generic_relint_point(face, others)
         i, j = nonzero_minor(beta1, beta2)
         crossings = loop_crossings(
@@ -395,15 +398,26 @@ def _codim2_faces(walls, n):
     return faces
 
 
-def _walls_around(face: Cone, beta1, beta2, walls):
+def _walls_by_plane(beta1, walls) -> dict:
+    """Indices of the walls, in the given order, bucketed by
+    wedge_key(beta1, normal); the walls with normal beta1 lie in every plane
+    through beta1 and are bucketed under None."""
+    buckets: dict = {}
+    for i, w in enumerate(walls):
+        buckets.setdefault(wedge_key(beta1, w.normal), []).append(i)
+    return buckets
+
+
+def _walls_around(face: Cone, beta1, beta2, walls, by_plane=None):
     """(walls containing the face, the other walls), each in the given order;
-    only walls with normal in span(beta1, beta2) are tested."""
-    plane = wedge_key(beta1, beta2)
-    containing, others = [], []
-    for w in walls:
-        in_plane = w.normal == beta1 or wedge_key(beta1, w.normal) == plane
-        (containing if in_plane and w.cone.contains_cone(face) else others).append(w)
-    return containing, others
+    only walls with normal in span(beta1, beta2) are tested.  by_plane is
+    _walls_by_plane(beta1, walls), computed here when not given."""
+    if by_plane is None:
+        by_plane = _walls_by_plane(beta1, walls)
+    near = sorted(by_plane.get(wedge_key(beta1, beta2), []) + by_plane.get(None, []))
+    inside = [i for i in near if walls[i].cone.contains_cone(face)]
+    taken = set(inside)
+    return [walls[i] for i in inside], [w for i, w in enumerate(walls) if i not in taken]
 
 
 def _generic_relint_point(face: Cone, other_walls):

@@ -9,14 +9,29 @@ yhat-degree (coordinate sum of phi) and cut off above degree k.
 Every scattering term has constant term 1, so any integer power f^e, negative
 ones included, is computed in O(k^2) by J. C. P. Miller's recurrence (Knuth,
 TAOCP vol. 2, 4.7): g_0 = 1, m g_m = sum_{j=1..m} ((e+1) j - m) f_j g_{m-j}.
-The division by m is exact, and stays in the integers when f is integral.
+The sum runs over the nonzero f_j only (most walls carry 1 + q), and the
+division by m is exact, staying in the integers when f is integral.  Powers
+are cached by (coefficient tuple, exponent), so equal terms on different walls
+share their entries.
+
+A MonomialExpr holds the table the crossing kernel works on: its terms grouped
+by lambda, and within a group phi stored by its base-(k+1) index
+sum_j phi_j (k+1)^(n-1-j).  A term of degree at most k has every phi_j at
+most k, so multiplying by q^m = yhat^(m beta) within the truncation adds m
+times the index of beta, with no digit carry and no tuple built per term.  A
+crossing multiplies x^lambda yhat^phi by f^(s(<lambda, beta^vee> +
+omega(beta^vee, phi))); the lambda part and its integrality are settled once
+per lambda group, and the omega part is checked per term only when omega is
+not integral.  A path product hands the table from crossing to crossing, and
+the sorted `terms` tuple is built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from functools import lru_cache
+from operator import mul
 
 
 class MixedNormals(ValueError):
@@ -60,9 +75,6 @@ class TruncatedSeries:
     def is_one(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:]) and self.coeffs[0] == 1
 
-    def retruncate(self, k: int) -> "TruncatedSeries":
-        return TruncatedSeries.make(self.normal, k, self.coeffs)
-
     def _check(self, other: "TruncatedSeries"):
         if self.normal != other.normal or self.k != other.k:
             raise MixedNormals("series must share normal and truncation")
@@ -87,21 +99,7 @@ class TruncatedSeries:
 
     def int_pow(self, e: int) -> "TruncatedSeries":
         """f^e by Miller's recurrence; requires constant term 1."""
-        f = self.coeffs
-        if f[0] != 1:
-            raise ValueError("powers require constant term 1")
-        g = [1] + [0] * self.k
-        for m in range(1, self.k + 1):
-            acc = 0
-            for j in range(1, m + 1):
-                if f[j] != 0 and g[m - j] != 0:
-                    acc += ((e + 1) * j - m) * f[j] * g[m - j]
-            if isinstance(acc, int):
-                assert acc % m == 0, "Miller division must be exact"
-                g[m] = acc // m
-            else:
-                g[m] = acc / m
-        return TruncatedSeries.make(self.normal, self.k, g)
+        return TruncatedSeries(self.normal, self.k, _series_power(self.coeffs, e))
 
 
 def geometric_inverse_square(normal, k) -> TruncatedSeries:
@@ -122,23 +120,28 @@ def f_inf_series(delta, is_a2k2: bool, ydeg: int) -> TruncatedSeries:
     return base
 
 
-@dataclass(frozen=True)
 class MonomialExpr:
-    """Truncated element of k[x^{\\pm}][[yhat]]: {(lambda, phi): coeff} with
-    total yhat-degree of phi at most k."""
+    """Truncated element of k[x^{\\pm}][[yhat]]: terms x^lambda yhat^phi with
+    phi >= 0 of total yhat-degree at most k.
 
-    n: int
-    k: int
-    terms: tuple  # sorted tuple of ((lambda, phi), coeff)
+    The terms are held as the kernel table {lambda: {index(phi): coeff}}, with
+    phi at its base-(k+1) index and no zero coefficients; `terms`, the sorted
+    tuple of ((lambda, phi), coeff), is built only when read.
+    """
+
+    __slots__ = ("n", "k", "_table", "_terms")
+
+    def __init__(self, n: int, k: int, table: dict):
+        self.n, self.k, self._table, self._terms = n, k, table, None
 
     @staticmethod
     def from_dict(n, k, d) -> "MonomialExpr":
-        cleaned = {}
+        table: dict = {}
         for (lam, phi), c in d.items():
             if c == 0 or sum(phi) > k:
                 continue
-            cleaned[(tuple(lam), tuple(phi))] = _num(c)
-        return MonomialExpr(n, k, tuple(sorted(cleaned.items())))
+            table.setdefault(tuple(lam), {})[_index(phi, k + 1)] = _num(c)
+        return MonomialExpr(n, k, table)
 
     @staticmethod
     def x_monomial(n, k, lam) -> "MonomialExpr":
@@ -150,10 +153,19 @@ class MonomialExpr:
         zero = tuple(0 for _ in range(n))
         return MonomialExpr.from_dict(n, k, {(zero, tuple(phi)): 1})
 
-    @staticmethod
-    def one(n, k) -> "MonomialExpr":
-        zero = tuple(0 for _ in range(n))
-        return MonomialExpr.from_dict(n, k, {(zero, zero): 1})
+    @property
+    def terms(self) -> tuple:
+        """Sorted tuple of ((lambda, phi), coeff)."""
+        if self._terms is None:
+            phis = _phis(self.n, self.k + 1)
+            self._terms = tuple(
+                sorted(
+                    ((lam, phis[i][1]), _num(c))
+                    for lam, row in self._table.items()
+                    for i, c in row.items()
+                )
+            )
+        return self._terms
 
     def as_dict(self):
         return dict(self.terms)
@@ -181,11 +193,48 @@ class MonomialExpr:
             isinstance(other, MonomialExpr)
             and self.n == other.n
             and self.k == other.k
-            and self.terms == other.terms
+            and self._table == other._table
         )
 
     def __hash__(self):
         return hash((self.n, self.k, self.terms))
+
+    def __repr__(self):
+        return f"MonomialExpr(n={self.n}, k={self.k}, terms={self.terms!r})"
+
+
+def _index(phi, radix: int) -> int:
+    """Base-radix index of phi, phi_0 the leading digit; every phi_j must be a
+    nonnegative integer below radix."""
+    idx = 0
+    for p in phi:
+        p = _num(p)
+        if not isinstance(p, int) or not 0 <= p < radix:
+            raise ValueError(f"yhat exponent {tuple(phi)} is not a nonnegative integer vector")
+        idx = idx * radix + p
+    return idx
+
+
+class _Phis(dict):
+    """index -> (degree, phi) for phi in Z_{>=0}^n in base radix, filled on demand."""
+
+    def __init__(self, n: int, radix: int):
+        super().__init__()
+        self.n, self.radix = n, radix
+
+    def __missing__(self, idx):
+        digits, rest = [], idx
+        for _ in range(self.n):
+            rest, d = divmod(rest, self.radix)
+            digits.append(d)
+        phi = tuple(reversed(digits))
+        self[idx] = entry = (sum(phi), phi)
+        return entry
+
+
+@lru_cache(maxsize=64)
+def _phis(n: int, radix: int) -> _Phis:
+    return _Phis(n, radix)
 
 
 @dataclass(frozen=True)
@@ -198,12 +247,26 @@ class CrossingData:
     b_rows: tuple  # exchange matrix, for omega(alpha_i^vee, alpha_j) = b_ij
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=4096)
-def _series_power(f: TruncatedSeries, exponent: int) -> TruncatedSeries:
-    return f.int_pow(exponent)
+def _series_power(coeffs: tuple, exponent: int) -> tuple:
+    """f^exponent for f = sum_m coeffs[m] q^m with coeffs[0] = 1, truncated at
+    q-degree len(coeffs) - 1, by Miller's recurrence over the nonzero f_j."""
+    if coeffs[0] != 1:
+        raise ValueError("powers require constant term 1")
+    support = [(j, c) for j, c in enumerate(coeffs) if j and c]
+    g = [1]
+    for m in range(1, len(coeffs)):
+        acc = 0
+        for j, c in support:
+            if j > m:
+                break
+            acc += ((exponent + 1) * j - m) * c * g[m - j]
+        if isinstance(acc, int):
+            assert acc % m == 0, "Miller division must be exact"
+            g.append(acc // m)
+        else:
+            g.append(_num(acc / m))
+    return tuple(g)
 
 
 def wall_cross(expr: MonomialExpr, data: CrossingData, sign: int, k: int) -> MonomialExpr:
@@ -214,29 +277,46 @@ def wall_cross(expr: MonomialExpr, data: CrossingData, sign: int, k: int) -> Mon
     """
     assert sign in (1, -1)
     beta = data.f.normal
+    if min(beta) < 0:
+        raise ValueError(f"wall normal {beta} has a negative coordinate")
+    n = expr.n
     ht = sum(beta)
     qdeg = k // ht
-    f = data.f.retruncate(qdeg)
+    fkey = data.f.coeffs[: qdeg + 1]
+    fkey += (0,) * (qdeg + 1 - len(fkey))
     coroot = data.coroot
-    # omega(beta^vee, phi) = sum_j omega_j phi_j with omega_j = sum_i beta^vee_i b_ij
+    # omega(s beta^vee, phi) = sum_j omega_j phi_j with omega_j = s sum_i beta^vee_i b_ij
     omega = tuple(
-        sum(c * row[j] for c, row in zip(coroot, data.b_rows)) for j in range(expr.n)
+        sign * sum(c * row[j] for c, row in zip(coroot, data.b_rows)) for j in range(n)
     )
-    shifts = [tuple(m * b for b in beta) for m in range(qdeg + 1)]
-    out: dict = {}
-    for (lam, phi), c in expr.terms:
+    integral = all(isinstance(w, int) for w in omega)
+    step = sum(b * (k + 1) ** (n - 1 - j) for j, b in enumerate(beta))  # index of beta
+    shifts = [m * step for m in range(qdeg + 1)]  # index offsets of q^m
+    table = expr._table if expr.k == k else MonomialExpr.from_dict(n, k, expr.as_dict())._table
+    phis = _phis(n, k + 1)
+    out = {}
+    for lam, row in table.items():
         e_x = sum(map(mul, lam, coroot))
-        e_y = sum(map(mul, omega, phi))
-        if _nonint(e_x) or _nonint(e_y):
-            raise NonIntegerExponent(f"non-integer crossing exponent at {(lam, phi)}")
-        coeffs = _series_power(f, int(sign * (e_x + e_y))).coeffs
-        for m in range(min(qdeg, (k - sum(phi)) // ht) + 1):
-            a = coeffs[m]
-            if a == 0:
-                continue
-            key = (lam, tuple(map(add, phi, shifts[m])))
-            out[key] = out.get(key, 0) + c * a
-    return MonomialExpr.from_dict(expr.n, k, out)
+        if _nonint(e_x):
+            raise NonIntegerExponent(f"non-integer crossing exponent at lambda = {lam}")
+        e_x = sign * int(e_x)
+        new: dict = {}
+        for idx, c in row.items():
+            deg, phi = phis[idx]
+            e_y = sum(map(mul, omega, phi))
+            if not integral:
+                if _nonint(e_y):
+                    raise NonIntegerExponent(f"non-integer crossing exponent at {(lam, phi)}")
+                e_y = int(e_y)
+            # q^m with m ht > k - deg falls past the truncation
+            for a, shift in zip(_series_power(fkey, e_x + e_y), shifts[: (k - deg) // ht + 1]):
+                if a:
+                    i = idx + shift
+                    new[i] = new.get(i, 0) + c * a
+        new = {i: c for i, c in new.items() if c}
+        if new:
+            out[lam] = new
+    return MonomialExpr(n, k, out)
 
 
 def _nonint(x) -> bool:

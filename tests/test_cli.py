@@ -307,16 +307,19 @@ PINNED_OUTPUTS = [
     ("A1_1", "compare", COMPARE, "4f3e55ce80c0948f8d13157acd48185b25c7436c0af0da60cdc22c771134d1c5"),
     ("A1_1", "rank2", ["--k", "4"], "4f65e1792f2d49ce59e8a07b869d64c70c7e2874e916298c2080887528adf337"),
     ("A1_1", "rank2", ["--k", "8"], "d9682a3272f98796e58fb9e37e7238c4e8011cd4c8bb49b27fa7526fb281cee1"),
+    ("A1_1", "rank2", ["--k", "16"], "29659ac0b0bab60e412be6b279a01f1cf04c95edc934868b108eac9b0dc819e0"),
     ("A2_2", "walls", HK4, "ba6eaf7c2e7c89667382bb22b119be39c9779538004a9d36b27a73d952ac781e"),
     ("A2_2", "consistency", HK4, "5bf88323513b673bdc3225c8751c04277b01a76a2b345bbbb97c4b7c8b593946"),
     ("A2_2", "clusters", HK4, "64030a3a8d6082db4a0714e4f2c023c15957b689f9c22612bb7d2cfb889f3a0a"),
     ("A2_2", "compare", COMPARE, "dcdb3913e1bd9a140d827794386b2618ac964adaf180943a42e6a462132352f1"),
     ("A2_2", "rank2", ["--k", "4"], "09b71edfa0cf2354f69093b108ff8fed8387b08a1a49b7affce56afad974c1a6"),
     ("A2_2", "rank2", ["--k", "6"], "ef30641df362ff7d9bdaf39f72eaf75fe3d3934f7a7ce7c7901fa51974edfe6b"),
+    ("A2_2", "rank2", ["--k", "10"], "7da2b28f9df7d950875d106368df0fc666ce24428ee357de1f694941cacc72a4"),
     ("A2_1", "walls", HK4, "481516714aec486767cc4530d8213786372544f86cfe3326842df64cfd8a96e5"),
     ("A2_1", "consistency", HK4, "c6dede802f6319cb1d2576a76462e1906e9bdd3fbd74603324d583a28439a2c5"),
     ("A2_1", "clusters", HK4, "09b809fb6bc9823329f175aa9b9c9a986b286bfe4f9bb745c4fffb95742b5a40"),
     ("A2_1", "compare", COMPARE, "da505cb78bef379b0ab4ee5f06a814b8461dcbfade9956ee2329e7ebe7aa3195"),
+    ("G2_1", "consistency", HK4, "c6dede802f6319cb1d2576a76462e1906e9bdd3fbd74603324d583a28439a2c5"),
     ("G2_1", "compare", COMPARE, "4b91d5499fe15e163c0dc0729ab8b2fd13123cb2ae1e82af7d357a4f70e64f24"),
     ("G2_1", "clusters", ["--H", "6"], "460f158cb99289b7c6362eb108d0f79ac86e7bcc1e7f16a9ef14366f432859ef"),
     ("A3_1", "clusters", ["--H", "4"], "77ecdc4dbf0fba81956c8ebb9d2d5384a6e81a231360eaa541dd22e90d79daf5"),

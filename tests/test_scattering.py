@@ -222,6 +222,30 @@ def test_rank2_complete_loops_match_reference(monkeypatch):
     assert len(calls) == 2 * 9 + 2 and max(calls) >= 12
 
 
+def test_path_products_match_reference_fold(monkeypatch):
+    # Every path product of the rank-2 completion and of a rank-4 consistency
+    # check equals the per-term reference crossing, folded over the path.
+    from test_series import reference_path_product
+
+    calls = []
+    real = affscat.scattering.path_product
+
+    def checked(expr, crossings, k):
+        got = real(expr, crossings, k)
+        assert got == reference_path_product(expr, crossings, k)
+        calls.append(len(crossings))
+        return got
+
+    monkeypatch.setattr(affscat.scattering, "path_product", checked)
+    rank2_complete(B_A11, truncation=6)
+    rank2_complete(ExchangeMatrix.from_rows([[0, 1], [-4, 0]]), truncation=6)
+    rank2_calls = len(calls)
+    bmat = ExchangeMatrix.from_rows(LOOP_ROWS["A3_1"])
+    report = check_consistency(build_dcscat(bmat, 4, 4), 4, coxeter_context(bmat))
+    assert report["consistent"] and report["checked"] >= 10
+    assert rank2_calls == 2 * (2 * 5 + 4) and len(calls) > rank2_calls and max(calls) >= 8
+
+
 def test_rank2_complete_finite_a2():
     d = rank2_complete(ExchangeMatrix.from_rows([[0, 1], [-1, 0]]), truncation=10)
     added = [w for w in d.walls if w.origin == ORIGIN_RANK2]

@@ -58,6 +58,8 @@ MILLER_CASES = [
     ((1, 1), 12, [m + 1 for m in range(13)]),  # (1 - q)^-2
     ((2, 1), 9, [1, 1, 3]),
     ((1, 2), 7, [1, Fraction(1, 2), 0, Fraction(-2, 3)]),
+    ((1, 0), 12, [1, 0, 0, 2]),  # interior zeros skipped by the support-only recurrence
+    ((0, 1), 12, [1, 0, Fraction(1, 3)]),
 ]
 
 
@@ -237,13 +239,24 @@ def test_non_integer_exponent_raised():
     )
 
 
+def test_non_integer_omega_raised():
+    # omega(alpha_1^vee, .) = (0, 1/2): yhat^(0,1) has exponent 1/2, yhat^(0,2) exponent 1.
+    k = 3
+    b = ((0, Fraction(1, 2)), (Fraction(-1, 2), 0))
+    data = CrossingData(f=TruncatedSeries.one_plus_q((1, 0), k), coroot=(1, 0), b_rows=b)
+    with pytest.raises(NonIntegerExponent):
+        wall_cross(MonomialExpr.yhat_monomial(2, k, (0, 1)), data, 1, k)
+    got = wall_cross(MonomialExpr.yhat_monomial(2, k, (0, 2)), data, 1, k)
+    assert got == MonomialExpr.from_dict(2, k, {((0, 0), (0, 2)): 1, ((0, 0), (1, 2)): 1})
+
+
 def reference_wall_cross(expr, data, sign, k):
     """The per-term formula: exponent <lambda, s beta^vee> + omega(s beta^vee,
     phi) summed over all i, j, and f^exponent by repeated multiplication."""
     n = expr.n
     beta = data.f.normal
     ht = sum(beta)
-    f = data.f.retruncate(k // ht)
+    f = TruncatedSeries.make(beta, k // ht, data.f.coeffs)
     out = {}
     for (lam, phi), c in expr.terms:
         e_x = sum(l * bv for l, bv in zip(lam, data.coroot))
@@ -258,8 +271,7 @@ def reference_wall_cross(expr, data, sign, k):
 
 
 @st.composite
-def crossings(draw, n):
-    k = draw(st.integers(1, 5))
+def crossing_data(draw, n, k):
     beta = draw(st.tuples(*[st.integers(0, 2)] * n).filter(any))
     qdeg = k // sum(beta)
     coeff = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))
@@ -267,9 +279,16 @@ def crossings(draw, n):
     f = TruncatedSeries.make(beta, qdeg, [1, *tail])
     coroot = draw(st.tuples(*[st.integers(-2, 2)] * n))
     b_rows = draw(st.tuples(*[st.tuples(*[st.integers(-2, 2)] * n)] * n))
+    return CrossingData(f=f, coroot=coroot, b_rows=b_rows)
+
+
+@st.composite
+def crossings(draw, n):
+    k = draw(st.integers(1, 5))
+    data = draw(crossing_data(n, k))
     expr = draw(small_expr(n, k))
     sign = draw(st.sampled_from([1, -1]))
-    return expr, CrossingData(f=f, coroot=coroot, b_rows=b_rows), sign, k
+    return expr, data, sign, k
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -278,3 +297,53 @@ def crossings(draw, n):
 def test_wall_cross_matches_reference(n, data):
     expr, crossing, sign, k = data.draw(crossings(n))
     assert wall_cross(expr, crossing, sign, k) == reference_wall_cross(expr, crossing, sign, k)
+
+
+def reference_path_product(expr, crossings, k):
+    for data, sign in crossings:
+        expr = reference_wall_cross(expr, data, sign, k)
+    return expr
+
+
+@st.composite
+def paths(draw, n):
+    """An expression over at least two lambdas with Fraction coefficients, and
+    1-5 crossings at one truncation."""
+    k = draw(st.integers(1, 5))
+    lam = st.tuples(*[st.integers(-2, 2)] * n)
+    phi = st.tuples(*[st.integers(0, 2)] * n)
+    frac = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from([1, 2, 3]))
+    terms = draw(
+        st.dictionaries(st.tuples(lam, phi), frac, min_size=2, max_size=6).filter(
+            lambda d: len({key[0] for key in d}) >= 2
+        )
+    )
+    walls = draw(
+        st.lists(st.tuples(crossing_data(n, k), st.sampled_from([1, -1])), min_size=1, max_size=5)
+    )
+    return MonomialExpr.from_dict(n, k, terms), walls, k
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_path_product_matches_reference_fold(n, data):
+    expr, walls, k = data.draw(paths(n))
+    assert path_product(expr, walls, k) == reference_path_product(expr, walls, k)
+
+
+def test_yhat_exponents_and_normals_must_be_nonnegative_integers():
+    for phi in [(-1, 2), (Fraction(1, 2), 0)]:
+        with pytest.raises(ValueError):
+            MonomialExpr.yhat_monomial(2, 4, phi)
+    assert MonomialExpr.yhat_monomial(2, 4, (Fraction(2), 0)) == MonomialExpr.yhat_monomial(2, 4, (2, 0))
+    data = CrossingData(f=TruncatedSeries.one_plus_q((2, -1), 4), coroot=(2, -1), b_rows=B_KRONECKER)
+    with pytest.raises(ValueError):
+        wall_cross(MonomialExpr.x_monomial(2, 4, (1, 0)), data, 1, 4)
+
+
+def test_wall_cross_at_another_truncation():
+    expr = MonomialExpr.from_dict(2, 5, {((1, 0), (0, 1)): 2, ((0, 1), (2, 2)): 3, ((1, 1), (0, 0)): 1})
+    data = CrossingData(f=TruncatedSeries.one_plus_q((1, 1), 5), coroot=(1, 1), b_rows=B_KRONECKER)
+    for k in (2, 3, 7):
+        assert wall_cross(expr, data, -1, k) == reference_wall_cross(expr, data, -1, k)
