@@ -10,13 +10,21 @@ point with integer coordinates (see linalg.integral_multiple) is tested in
 integer arithmetic alone, whatever the covectors the cone was built from.
 
 Generators (lineality basis + extreme rays) are computed by the standard
-double description method with the zero-set adjacency test, which is exact
-over the rationals and comfortable at the small ranks used here.  Each step
-keeps the rays exactly the extreme rays (Fukuda-Prodon 1996), so nothing
-filters them afterwards: cutting by {g <= 0} keeps the rays with <r, g> <= 0
-plus one ray inside each edge crossing g = 0 (the pairs the zero-set test
-calls adjacent), or, if g pierces the lineality L = L' + span(w), gives
-L' + cone(rays projected along w, and w), whose rays stay extreme and distinct.
+double description method with the zero-set adjacency test, in integers
+throughout (Fukuda-Prodon 1996).  Each inequality is cleared of denominators
+first, the lineality starts as the integer identity or the cleared kernel
+basis of the equalities, and every vector stays primitive.  Each step keeps
+the rays exactly the extreme rays, so nothing filters them afterwards:
+cutting by {g <= 0} keeps the rays with <r, g> <= 0 plus one ray inside
+each edge crossing g = 0 (the pairs the zero-set test calls adjacent), or,
+if g pierces the lineality L = L' + span(w) with <w, g> < 0, gives
+L' + cone(rays projected along w, and w), whose rays stay extreme and
+distinct; the projection of v is -<w, g> v + <v, g> w, a positive multiple
+of the rational one, so no division happens.  Fractions appear only in the
+rref that canonicalizes a lineality basis (`generators`) and in the
+constraints `from_rays` returns: there each dual lineality vector is divided
+by its entry at its home coordinate (see _double_description), which gives
+the vectors the rational method gives.
 
 A cone on linearly independent rays (`Cone.simplicial`) skips the second
 conversion: it is pointed, since a line in it would be a nonzero combination
@@ -57,8 +65,9 @@ class Cone:
     def from_rays(dim, rays, lineality=()) -> "Cone":
         """Cone generated by rays plus a lineality space, via dual description."""
         # Dual cone {g : <l,g> = 0, <r,g> <= 0}; its generators give our constraints.
-        lin, drays = _double_description(dim, list(lineality), list(rays))
-        return Cone.from_constraints(dim, eqs=lin, ineqs=drays)
+        lin, homes, drays = _double_description(dim, list(lineality), list(rays))
+        eqs = [tuple(Fraction(x, v[h]) for x in v) for v, h in zip(lin, homes)]
+        return Cone.from_constraints(dim, eqs=eqs, ineqs=drays)
 
     @staticmethod
     def simplicial(dim, rays) -> "Cone":
@@ -76,7 +85,7 @@ class Cone:
     @cached_property
     def generators(self):
         """(lineality basis, extreme rays), rays primitive and reduced mod lineality."""
-        lin, rays = _double_description(self.dim_ambient, self.eqs, self.ineqs)
+        lin, _, rays = _double_description(self.dim_ambient, self.eqs, self.ineqs)
         return _canonicalize_generators(lin, rays)
 
     @property
@@ -173,43 +182,57 @@ def _canonicalize_generators(lin, rays):
 
 
 def _double_description(dim, eqs, ineqs):
-    """Generators (lineality, rays) of {x : <x,e>=0, <x,g><=0}."""
-    lin = [tuple(v) for v in kernel_basis([list(e) for e in eqs])] if eqs else [
-        tuple(Fraction(1) if i == j else Fraction(0) for i in range(dim)) for j in range(dim)
-    ]
+    """Generators of {x : <x,e>=0, <x,g><=0}: (lineality, homes, rays).
+
+    Everything is an integer vector.  Each lineality vector has a home
+    coordinate, where it is positive and every other lineality vector is 0,
+    so dividing it by that entry gives the vector of the rational method.
+    """
+    if eqs:
+        # A basis vector is 1 at its free column and the others are 0 there.
+        basis = kernel_basis([list(e) for e in eqs])
+        homes = [
+            next(
+                j for j, x in enumerate(v) if x == 1 and all(u[j] == 0 for u in basis if u is not v)
+            )
+            for v in basis
+        ]
+        lin = [integral_multiple(v) for v in basis]
+    else:
+        homes = list(range(dim))
+        lin = [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
     rays: list = []
     processed: list = []
-    for g in ineqs:
-        lin, rays = _add_halfspace(lin, rays, g, processed)
+    for g in map(integral_multiple, ineqs):
+        lin, homes, rays = _add_halfspace(lin, homes, rays, g, processed)
         processed.append(g)
-    return lin, rays
+    return lin, homes, rays
 
 
-def _add_halfspace(lin, rays, g, processed):
-    pierced = next((l for l in lin if vdot(l, g) != 0), None)
-    if pierced is not None:
+def _add_halfspace(lin, homes, rays, g, processed):
+    idx = next((i for i, l in enumerate(lin) if vdot(l, g) != 0), None)
+    if idx is not None:
         # Lineality drops by one; keep the in-hyperplane part and one new ray.
-        val0 = vdot(pierced, g)
-        witness = tuple(-c for c in pierced) if val0 > 0 else pierced  # <witness, g> < 0
+        # With <witness, g> = wval < 0, v - (<v, g> / wval) witness lies on
+        # g = 0; times -wval > 0 it is an integer vector in the same direction.
+        pierced = lin[idx]
+        witness = tuple(-c for c in pierced) if vdot(pierced, g) > 0 else pierced
         wval = vdot(witness, g)
-        new_lin = []
-        for l in lin:
-            if l is pierced:
-                continue
-            coef = Fraction(vdot(l, g), wval)
-            new_lin.append(tuple(a - coef * b for a, b in zip(l, witness)))
-        new_rays = []
-        for r in rays:
-            coef = Fraction(vdot(r, g), wval)
-            new_rays.append(primitive_vector(tuple(a - coef * b for a, b in zip(r, witness))))
+
+        def project(v):
+            vval = vdot(v, g)
+            return primitive_vector(tuple(vval * b - wval * a for a, b in zip(v, witness)))
+
+        new_lin = [project(l) for i, l in enumerate(lin) if i != idx]
+        new_rays = [project(r) for r in rays]
         new_rays.append(primitive_vector(witness))
-        return new_lin, new_rays
+        return new_lin, homes[:idx] + homes[idx + 1 :], new_rays
 
     neg = [r for r in rays if vdot(r, g) < 0]
     zero = [r for r in rays if vdot(r, g) == 0]
     pos = [r for r in rays if vdot(r, g) > 0]
     if not pos:
-        return lin, rays
+        return lin, homes, rays
     combos = []
     for rp in pos:
         vp = vdot(rp, g)
@@ -218,7 +241,7 @@ def _add_halfspace(lin, rays, g, processed):
                 continue
             vn = vdot(rn, g)
             combos.append(primitive_vector(tuple(vp * a - vn * b for a, b in zip(rn, rp))))
-    return lin, neg + zero + combos
+    return lin, homes, neg + zero + combos
 
 
 def _adjacent(r1, r2, rays, processed):

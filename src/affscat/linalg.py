@@ -1,10 +1,12 @@
-"""Exact rational linear algebra on tuples of Fractions.
+"""Exact linear algebra on tuples of ints and Fractions.
 
 Vectors are plain tuples whose entries are ints or Fractions; all results
-are exact.  Nothing here knows about root systems.  Two helpers are
-integer-only: wedge_key names the plane spanned by two integer vectors
+are exact.  Nothing here knows about root systems.  Three helpers work in
+integers alone: rank eliminates fraction-free (Bareiss) on rows cleared of
+denominators, wedge_key names the plane spanned by two integer vectors
 without any division, and nonzero_minor picks two coordinates on which
-that plane projects isomorphically.
+that plane projects isomorphically.  rref, kernel_basis, solve_linear and
+det eliminate over Fraction.
 """
 
 from __future__ import annotations
@@ -31,11 +33,6 @@ def vdot(u: Vec, v: Vec):
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(vdot(row, v) for row in m)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b))
-    return tuple(tuple(vdot(row, col) for col in bt) for row in a)
 
 
 def identity_mat(n: int) -> Mat:
@@ -140,7 +137,32 @@ def reduce_mod_rref(v: Vec, rref_rows) -> Vec:
 
 
 def rank(rows: list[list]) -> int:
-    return len(rref(rows))
+    """Rank by Bareiss fraction-free elimination on the rows cleared of
+    denominators (integral_multiple).
+
+    After k pivots every entry below them is a (k+1) x (k+1) minor of the
+    cleared matrix, so the division by the previous pivot is exact (Bareiss,
+    Math. Comp. 1968) and every value stays an integer.
+    """
+    m = [integral_multiple(row) for row in rows if any(row)]
+    prev = 1
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        pivot_row = m[r]
+        p = pivot_row[col]
+        for i in range(r + 1, len(m)):
+            row = m[i]
+            f = row[col]
+            m[i] = tuple((p * x - f * y) // prev for x, y in zip(row, pivot_row))
+        prev = p
+        r += 1
+        if r == len(m):
+            break
+    return r
 
 
 def kernel_basis(rows: list[list]) -> list[Vec]:

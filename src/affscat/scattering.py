@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 
 from .almost_positive import APContext
 from .cartan import ExchangeMatrix, NotAcyclic, NotAffine, exchange_to_cartan
@@ -289,10 +289,8 @@ class LoopCrossing:
     sign: int  # +1 crossing against the normal, -1 with it
 
 
-def _crossing_data(wall: Wall, cartan, b_rows) -> CrossingData:
-    return CrossingData(
-        f=wall.f, coroot=cartan.primitive_in_coroot_lattice(wall.normal), b_rows=b_rows
-    )
+def _crossing_data(wall: Wall, coroot, b_rows) -> CrossingData:
+    return CrossingData(f=wall.f, coroot=coroot(wall.normal), b_rows=b_rows)
 
 
 def loop_crossings(walls, base_point, u1, u2, covector):
@@ -350,6 +348,7 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
     walls = [w for w in diagram.walls if sum(w.normal) <= k]
     b_rows = _b_rows_from_cox(cox)
     units = identity_mat(n)
+    coroot = cache(cox.cartan.primitive_in_coroot_lattice)  # once per normal
     faces = _codim2_faces(walls, n)
     report = {"faces": len(faces), "failures": [], "checked": 0}
     by_plane: dict = {}  # beta1 -> _walls_by_plane(beta1, walls)
@@ -359,10 +358,8 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
         containing, others = _walls_around(face, beta1, beta2, walls, by_plane[beta1])
         base = _generic_relint_point(face, others)
         i, j = nonzero_minor(beta1, beta2)
-        crossings = loop_crossings(
-            containing, base, units[i], units[j], cox.cartan.primitive_in_coroot_lattice
-        )
-        seq = [(_crossing_data(e.wall, cox.cartan, b_rows), e.sign) for e in crossings]
+        crossings = loop_crossings(containing, base, units[i], units[j], coroot)
+        seq = [(_crossing_data(e.wall, coroot, b_rows), e.sign) for e in crossings]
         ok = True
         for gen in _generators(n, k):
             if path_product(gen, seq, k) != gen:
@@ -458,6 +455,7 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
     cartan = exchange_to_cartan(bmat)
     n, k = 2, truncation
     b_rows = bmat.b
+    coroot = cache(cartan.primitive_in_coroot_lattice)  # once per normal
 
     def ray_wall_shape(beta, direction):
         # The ray through `direction` inside beta-perp, cut out by a
@@ -465,8 +463,7 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
         j = next(i for i in range(2) if direction[i] != 0)
         sgn = 1 if direction[j] > 0 else -1
         phi = tuple(-sgn if i == j else 0 for i in range(2))
-        cov = cartan.primitive_in_coroot_lattice
-        cone = Cone.from_constraints(2, eqs=[cov(beta)], ineqs=[cov(phi)])
+        cone = Cone.from_constraints(2, eqs=[coroot(beta)], ineqs=[coroot(phi)])
         return cone, (phi,)
 
     walls: dict = {}
@@ -474,7 +471,7 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
         beta = cartan.simple_root(i)
         walls[("line", beta)] = Wall(
             normal=beta,
-            cone=Cone.from_constraints(2, eqs=[cartan.primitive_in_coroot_lattice(beta)]),
+            cone=Cone.from_constraints(2, eqs=[coroot(beta)]),
             ineq_roots=(),
             f=TruncatedSeries.one_plus_q(beta, k),
             origin=ORIGIN_INITIAL,
@@ -486,10 +483,8 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
         )
 
     def loop_seq(current_walls):
-        crossings = loop_crossings(
-            current_walls, (0, 0), (1, 0), (0, 1), cartan.primitive_in_coroot_lattice
-        )
-        return [(_crossing_data(e.wall, cartan, b_rows), e.sign) for e in crossings]
+        crossings = loop_crossings(current_walls, (0, 0), (1, 0), (0, 1), coroot)
+        return [(_crossing_data(e.wall, coroot, b_rows), e.sign) for e in crossings]
 
     for degree in range(2, k + 1):
         # walls with normal height > degree act trivially mod m^(degree+1)
@@ -506,21 +501,21 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
                     defects.setdefault(phi, {})[i] = coeff
         for phi, per_gen in sorted(defects.items()):
             beta = primitive_vector(phi)
-            coroot = cartan.primitive_in_coroot_lattice(beta)
+            beta_coroot = coroot(beta)
             direction = outgoing_direction(beta)
             # crossing sign of this outgoing ray in the ccw loop
             # (in rank 2 the wall's cone covector is this same primitive coroot)
             cw = (direction[1], -direction[0])
-            val = vdot(cw, coroot)
+            val = vdot(cw, beta_coroot)
             assert val != 0
             ray_sign = 1 if val > 0 else -1
             m = sum(phi) // sum(beta)
             candidates = []
             for i in range(2):
-                if coroot[i] == 0:
+                if beta_coroot[i] == 0:
                     continue
                 g = per_gen.get(i, Fraction(0))
-                candidates.append(Fraction(g, ray_sign * coroot[i]))
+                candidates.append(Fraction(g, ray_sign * beta_coroot[i]))
             assert candidates and all(c == candidates[0] for c in candidates), (
                 "defect is not a single wall correction"
             )

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 
 from .cartan import CartanMatrix
-from .linalg import Vec, identity_mat, mat_mul, mat_vec
+from .linalg import Vec, identity_mat, mat_vec
 
 DEFAULT_ELEMENT_CAP = 10**6
 
@@ -55,16 +55,31 @@ class GroupElement:
 
 
 class WeylContext:
-    """Simple-reflection matrices and element constructors for one Cartan matrix."""
+    """Element constructors for one Cartan matrix.
+
+    s_i(alpha_j) = alpha_j - a_ij alpha_i, so the matrix of s_i is the identity
+    except in row i, which is e_i - a_i for the Cartan row a_i.  So s_i M
+    changes only row i of M, to M[i] - sum_j a_ij M[j], and M s_i is the
+    rank-1 update M[r] - M[r][i] a_i of every row: O(n^2) integer operations,
+    not O(n^3).
+    """
 
     def __init__(self, cartan: CartanMatrix):
         self.cartan = cartan
         self.n = cartan.n
-        n = cartan.n
-        self.simple_mats = []
-        for i in range(n):
-            cols = [cartan.reflect_root(i, cartan.simple_root(j)) for j in range(n)]
-            self.simple_mats.append(tuple(tuple(cols[j][r] for j in range(n)) for r in range(n)))
+
+    def _left_reflect(self, s: int, m: tuple) -> tuple:
+        """s m: row s becomes m[s] - sum_j a_sj m[j]; the other rows are kept."""
+        row = m[s]
+        for j, c in enumerate(self.cartan.a[s]):
+            if c:
+                row = tuple(x - c * y for x, y in zip(row, m[j]))
+        return m[:s] + (row,) + m[s + 1 :]
+
+    def _right_reflect(self, m: tuple, s: int) -> tuple:
+        """m s: every row r becomes r - r[s] a_s."""
+        a = self.cartan.a[s]
+        return tuple(tuple(x - r[s] * c for x, c in zip(r, a)) if r[s] else r for r in m)
 
     def identity(self) -> GroupElement:
         return GroupElement((), frozenset(), identity_mat(self.n))
@@ -81,7 +96,7 @@ class WeylContext:
     def right_mul(self, w: GroupElement, s: int) -> GroupElement:
         """w s, maintaining the reduced word and inversion set."""
         root = tuple(w.matrix[r][s] for r in range(self.n))  # w(alpha_s)
-        mat = mat_mul(w.matrix, self.simple_mats[s])
+        mat = self._right_reflect(w.matrix, s)
         if all(c >= 0 for c in root):
             return GroupElement(w.word + (s,), w.inversions | {root}, mat)
         removed = tuple(-c for c in root)
@@ -108,7 +123,7 @@ class WeylContext:
         """s w for s <= w: inv(sw) = s.(inv(w) \\ {alpha_s})."""
         assert self.simple_root(s) in w.inversions, "left_div requires s <= w"
         inv = self.cartan.peel(s, w.inversions)
-        mat = mat_mul(self.simple_mats[s], w.matrix)
+        mat = self._left_reflect(s, w.matrix)
         return GroupElement(word_from_inversions(self, inv), inv, mat)
 
     def left_mul_up(self, w: GroupElement, s: int) -> GroupElement:
@@ -116,7 +131,7 @@ class WeylContext:
         alpha = self.simple_root(s)
         assert alpha not in w.inversions, "left_mul_up requires s not <= w"
         inv = frozenset({self.cartan.reflect_root(s, b) for b in w.inversions} | {alpha})
-        mat = mat_mul(self.simple_mats[s], w.matrix)
+        mat = self._left_reflect(s, w.matrix)
         return GroupElement((s,) + w.word, inv, mat)
 
 

@@ -324,6 +324,9 @@ PINNED_OUTPUTS = [
     ("G2_1", "clusters", ["--H", "6"], "460f158cb99289b7c6362eb108d0f79ac86e7bcc1e7f16a9ef14366f432859ef"),
     ("A3_1", "clusters", ["--H", "4"], "77ecdc4dbf0fba81956c8ebb9d2d5384a6e81a231360eaa541dd22e90d79daf5"),
     ("D4_1", "clusters", ["--H", "4"], "aefbbd8b4d55e82fbd110ca248355f8a58b73268212e03fdef2d608c36505503"),
+    ("D4_1", "consistency", HK4, "0ee5647af7b0ce0aa2cc965d73cc07c436b39598c46a15920adb1b81a58b788e"),
+    ("A3_1", "consistency", ["--H", "6", "--k", "6"], "a45e2f1655614027512427a22d08dbff45b6d3ce429f5f651a0318b92d5761d2"),
+    ("A3_1", "walls", ["--H", "8", "--k", "8"], "512f96d2a03242b7d20656d86c26a158903aae0a6047a6443bdc974081fb67f9"),
 ]
 
 

@@ -4,9 +4,10 @@ from itertools import combinations
 
 from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix
-from affscat.cones import Cone
+from affscat.cones import Cone, _canonicalize_generators
 from affscat.coxeter import coxeter_context
-from affscat.linalg import rank, solve_linear, vdot
+from affscat.jsonio import cone_json, dumps
+from affscat.linalg import kernel_basis, primitive_vector, rank, rref, solve_linear, vdot
 
 F = Fraction
 
@@ -141,13 +142,19 @@ def _is_nonneg_combo(r, others):
     return False
 
 
-def _random_cone(rng):
-    """A small cone with lineality, redundant or implicit-equality
-    inequalities, or (from rays) duplicate and interior rays."""
-    dim = rng.randint(2, 4)
+def _random_cone_input(rng, dims=(2, 4), fractions=False):
+    """(from_rays, dim, first, second): the rays and lineality of a small cone
+    with duplicate and interior rays when from_rays, else its inequalities,
+    some redundant or forming implicit equalities, and equalities.  With
+    fractions, some entries get denominators 2 to 4."""
+    dim = rng.randint(*dims)
+
+    def entry():
+        a = rng.randint(-3, 3)
+        return F(a, rng.randint(2, 4)) if fractions and rng.random() < 0.3 else a
 
     def vec():
-        return tuple(rng.randint(-3, 3) for _ in range(dim))
+        return tuple(entry() for _ in range(dim))
 
     def plus(u, v):
         return tuple(a + b for a, b in zip(u, v))
@@ -156,14 +163,19 @@ def _random_cone(rng):
         rays = [vec() for _ in range(rng.randint(1, 6))]
         rays += [rng.choice(rays), plus(rng.choice(rays), rng.choice(rays))]
         lineality = [vec() for _ in range(rng.randint(0, 1))]
-        return Cone.from_rays(dim, rays, lineality)
+        return True, dim, rays, lineality
     ineqs = [vec() for _ in range(rng.randint(1, 7))]
     ineqs.append(plus(rng.choice(ineqs), rng.choice(ineqs)))
     if rng.random() < 0.3:
         ineqs.append(tuple(-c for c in rng.choice(ineqs)))
     rng.shuffle(ineqs)
     eqs = [vec() for _ in range(rng.randint(0, 1))]
-    return Cone.from_constraints(dim, eqs, ineqs)
+    return False, dim, ineqs, eqs
+
+
+def _random_cone(rng):
+    from_rays, dim, first, second = _random_cone_input(rng)
+    return Cone.from_rays(dim, first, second) if from_rays else Cone.from_constraints(dim, second, first)
 
 
 def test_double_description_generators_are_minimal():
@@ -219,3 +231,112 @@ def test_simplicial_zero_cone():
     assert c.generators == ((), ())
     assert c.dim == 0
     assert c.contains((0, 0)) and not c.contains((1, 0))
+
+
+# The rational double description the integer one replaced, kept verbatim as
+# the reference: its lineality vectors are Fraction vectors, and the pierced
+# branch divides by <witness, g>.
+def _reference_double_description(dim, eqs, ineqs):
+    """Generators (lineality, rays) of {x : <x,e>=0, <x,g><=0}."""
+    lin = [tuple(v) for v in kernel_basis([list(e) for e in eqs])] if eqs else [
+        tuple(Fraction(1) if i == j else Fraction(0) for i in range(dim)) for j in range(dim)
+    ]
+    rays: list = []
+    processed: list = []
+    for g in ineqs:
+        lin, rays = _reference_add_halfspace(lin, rays, g, processed)
+        processed.append(g)
+    return lin, rays
+
+
+def _reference_add_halfspace(lin, rays, g, processed):
+    pierced = next((l for l in lin if vdot(l, g) != 0), None)
+    if pierced is not None:
+        # Lineality drops by one; keep the in-hyperplane part and one new ray.
+        val0 = vdot(pierced, g)
+        witness = tuple(-c for c in pierced) if val0 > 0 else pierced  # <witness, g> < 0
+        wval = vdot(witness, g)
+        new_lin = []
+        for l in lin:
+            if l is pierced:
+                continue
+            coef = Fraction(vdot(l, g), wval)
+            new_lin.append(tuple(a - coef * b for a, b in zip(l, witness)))
+        new_rays = []
+        for r in rays:
+            coef = Fraction(vdot(r, g), wval)
+            new_rays.append(primitive_vector(tuple(a - coef * b for a, b in zip(r, witness))))
+        new_rays.append(primitive_vector(witness))
+        return new_lin, new_rays
+
+    neg = [r for r in rays if vdot(r, g) < 0]
+    zero = [r for r in rays if vdot(r, g) == 0]
+    pos = [r for r in rays if vdot(r, g) > 0]
+    if not pos:
+        return lin, rays
+    combos = []
+    for rp in pos:
+        vp = vdot(rp, g)
+        for rn in neg:
+            if not _reference_adjacent(rp, rn, rays, processed):
+                continue
+            vn = vdot(rn, g)
+            combos.append(primitive_vector(tuple(vp * a - vn * b for a, b in zip(rn, rp))))
+    return lin, neg + zero + combos
+
+
+def _reference_adjacent(r1, r2, rays, processed):
+    """Zero-set adjacency: no third ray is tight on every constraint tight at both."""
+    tight = [g for g in processed if vdot(r1, g) == 0 and vdot(r2, g) == 0]
+    for r3 in rays:
+        if r3 is r1 or r3 is r2:
+            continue
+        if all(vdot(r3, g) == 0 for g in tight):
+            return False
+    return True
+
+
+def _check_against_reference(dim, ineqs, eqs):
+    """The cone {<x, e> = 0, <x, g> <= 0}, and the cone with rays ineqs and
+    lineality eqs, against the rational double description."""
+    lin, rays = _reference_double_description(dim, eqs, ineqs)
+    cone = Cone.from_constraints(dim, eqs, ineqs)
+    assert cone.generators == _canonicalize_generators(lin, rays), (dim, eqs, ineqs)
+    assert cone.dim == len(rref([list(v) for v in lin] + [list(r) for r in rays]))
+
+    dual_lin, dual_rays = _reference_double_description(dim, list(eqs), list(ineqs))
+    by_rays = Cone.from_rays(dim, ineqs, eqs)
+    assert by_rays.eqs == tuple(dual_lin) and by_rays.ineqs == tuple(dual_rays), (dim, eqs, ineqs)
+    assert all(type(x) is Fraction for e in by_rays.eqs for x in e)
+    ref = Cone.from_constraints(dim, dual_lin, dual_rays)
+    ref.__dict__["generators"] = _canonicalize_generators(
+        *_reference_double_description(dim, dual_lin, dual_rays)
+    )
+    assert dumps(cone_json(by_rays)) == dumps(cone_json(ref))
+
+
+def test_double_description_matches_rational_reference():
+    # The minimality set of test_double_description_generators_are_minimal,
+    # then dims 2-5 with Fraction covectors, with and without equalities.
+    rng = random.Random(8)
+    inputs = [_random_cone_input(rng) for _ in range(300)]
+    rng = random.Random(13)
+    inputs += [_random_cone_input(rng, (2, 5), fractions=True) for _ in range(300)]
+    assert any(second for *_, second in inputs) and any(not second for *_, second in inputs)
+    assert any(F(x).denominator != 1 for _, _, first, _ in inputs for v in first for x in v)
+    for _, dim, first, second in inputs:
+        _check_against_reference(dim, first, second)
+
+
+def test_rank_matches_rref():
+    rng = random.Random(21)
+    assert rank([]) == 0
+    assert rank([[0, 0, 0], [0, 0, 0]]) == 0
+    for _ in range(400):
+        rows, cols = rng.randint(0, 6), rng.randint(1, 6)
+        m = [[rng.choice((0, 0, 1, -1, 2, F(1, 2), F(-3, 4))) for _ in range(cols)] for _ in range(rows)]
+        if m and rng.random() < 0.3:
+            m.append([0] * cols)
+            m.append([a + b for a, b in zip(m[0], m[-2])])
+            rng.shuffle(m)
+        assert rank(m) == len(rref(m)), m

@@ -144,3 +144,51 @@ def test_biconvexity_of_inversion_sets():
                         if sum(r) <= 6 and sh.cartan.k_form(r, r) > 0:
                             assert r in w.inversions, (w.word, r)
 
+
+
+def _reference_product(a, b):
+    """The plain matrix product a b."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def _simple_mats(cartan):
+    """The matrices of the simple reflections; column j is s_i(alpha_j)."""
+    n = cartan.n
+    mats = []
+    for i in range(n):
+        cols = [cartan.reflect_root(i, cartan.simple_root(j)) for j in range(n)]
+        mats.append(tuple(tuple(cols[j][r] for j in range(n)) for r in range(n)))
+    return mats
+
+
+# A_2^(1), G_2^(1) and D_4^(1) (the star with vertex 0 a source).
+REFLECTION_UPDATE_INSTANCES = (
+    [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]],
+    [[0, 1, 0], [-1, 0, 1], [0, -3, 0]],
+    [[0, 1, 1, 1, 1]] + [[-1, 0, 0, 0, 0]] * 4,
+)
+
+
+@pytest.mark.parametrize("rows", REFLECTION_UPDATE_INSTANCES, ids=["A2_1", "G2_1", "D4_1"])
+def test_reflection_updates_match_matrix_products(rows):
+    # right_mul, left_mul_up and left_div update one row or apply a rank-1
+    # update; they must give the full products with the simple reflections.
+    ctx = WeylContext(exchange_to_cartan(ExchangeMatrix.from_rows(rows)))
+    sims = _simple_mats(ctx.cartan)
+
+    def check(u, expected):
+        assert u.matrix == expected, (u.word, expected)
+        assert all(type(x) is int for row in u.matrix for x in row)
+
+    for w in enumerate_up_to_length(ctx, 6):
+        expected = ctx.identity().matrix
+        for s in w.word:
+            expected = _reference_product(expected, sims[s])
+        check(w, expected)
+        for s in range(ctx.n):
+            check(ctx.right_mul(w, s), _reference_product(w.matrix, sims[s]))
+            left = _reference_product(sims[s], w.matrix)
+            if s in ctx.left_descents(w):
+                check(ctx.left_div(w, s), left)
+            else:
+                check(ctx.left_mul_up(w, s), left)
