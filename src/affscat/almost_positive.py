@@ -365,7 +365,7 @@ class APContext:
         seen = set()
         for subset in self.compatible_subsets(height_cap):
             cone = self.fan_cone(subset)
-            key = cone.canonical_key
+            key = cone.generators
             if key not in seen:
                 seen.add(key)
                 out.append((subset, cone))

@@ -12,19 +12,20 @@ integer arithmetic alone, whatever the covectors the cone was built from.
 Generators (lineality basis + extreme rays) are computed by the standard
 double description method with the zero-set adjacency test, in integers
 throughout (Fukuda-Prodon 1996).  Each inequality is cleared of denominators
-first, the lineality starts as the integer identity or the cleared kernel
-basis of the equalities, and every vector stays primitive.  Each step keeps
-the rays exactly the extreme rays, so nothing filters them afterwards:
-cutting by {g <= 0} keeps the rays with <r, g> <= 0 plus one ray inside
-each edge crossing g = 0 (the pairs the zero-set test calls adjacent), or,
-if g pierces the lineality L = L' + span(w) with <w, g> < 0, gives
-L' + cone(rays projected along w, and w), whose rays stay extreme and
-distinct; the projection of v is -<w, g> v + <v, g> w, a positive multiple
-of the rational one, so no division happens.  Fractions appear only in the
-rref that canonicalizes a lineality basis (`generators`) and in the
-constraints `from_rays` returns: there each dual lineality vector is divided
-by its entry at its home coordinate (see _double_description), which gives
-the vectors the rational method gives.
+first, the lineality starts as the integer kernel of the equalities
+(linalg.integer_kernel, the identity when there are none), and every vector
+stays primitive.  Each step keeps the rays exactly the extreme rays, so
+nothing filters them afterwards: cutting by {g <= 0} keeps the rays with
+<r, g> <= 0 plus one ray inside each edge crossing g = 0 (the pairs the
+zero-set test calls adjacent), or, if g pierces the lineality
+L = L' + span(w) with <w, g> < 0, gives L' + cone(rays projected along w,
+and w), whose rays stay extreme and distinct; the projection of v is
+-<w, g> v + <v, g> w, a positive multiple of the rational one, so no
+division happens.  Fractions appear only where
+a result is divided out: the rref rows that canonicalize a lineality basis
+(`generators`), and the constraints `from_rays` returns, where each dual
+lineality vector is divided by its entry at its home coordinate (see
+_double_description), which gives the vectors the rational method gives.
 
 A cone on linearly independent rays (`Cone.simplicial`) skips the second
 conversion: it is pointed, since a line in it would be a nonzero combination
@@ -41,6 +42,7 @@ from functools import cached_property
 
 from .linalg import (
     Vec,
+    integer_kernel,
     integral_multiple,
     kernel_basis,
     primitive_vector,
@@ -158,13 +160,8 @@ class Cone:
             tuple(tuple(-c for c in g) for g in self.ineqs),
         )
 
-    @property
-    def canonical_key(self):
-        """The generators: rref lineality rows and sorted primitive rays."""
-        return self.generators
-
     def same_cone(self, other: "Cone") -> bool:
-        return self.canonical_key == other.canonical_key
+        return self.generators == other.generators
 
     def span_covectors(self):
         """Covectors cutting out the linear span (for tangent-space work)."""
@@ -187,20 +184,11 @@ def _double_description(dim, eqs, ineqs):
     Everything is an integer vector.  Each lineality vector has a home
     coordinate, where it is positive and every other lineality vector is 0,
     so dividing it by that entry gives the vector of the rational method.
+    The lineality starts as integer_kernel(eqs), whose homes are the free
+    columns.
     """
-    if eqs:
-        # A basis vector is 1 at its free column and the others are 0 there.
-        basis = kernel_basis([list(e) for e in eqs])
-        homes = [
-            next(
-                j for j, x in enumerate(v) if x == 1 and all(u[j] == 0 for u in basis if u is not v)
-            )
-            for v in basis
-        ]
-        lin = [integral_multiple(v) for v in basis]
-    else:
-        homes = list(range(dim))
-        lin = [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
+    # Without equalities this is the kernel of a zero row: the identity.
+    homes, lin = integer_kernel(eqs or [(0,) * dim])
     rays: list = []
     processed: list = []
     for g in map(integral_multiple, ineqs):

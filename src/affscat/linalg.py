@@ -1,18 +1,20 @@
 """Exact linear algebra on tuples of ints and Fractions.
 
 Vectors are plain tuples whose entries are ints or Fractions; all results
-are exact.  Nothing here knows about root systems.  Three helpers work in
-integers alone: rank eliminates fraction-free (Bareiss) on rows cleared of
-denominators, wedge_key names the plane spanned by two integer vectors
-without any division, and nonzero_minor picks two coordinates on which
-that plane projects isomorphically.  rref, kernel_basis, solve_linear and
-det eliminate over Fraction.
+are exact.  Nothing here knows about root systems.  One elimination does all
+the row reduction: echelon runs fraction-free Gauss-Jordan on rows cleared
+of denominators, in integers alone, and rref, rank, integer_kernel,
+kernel_basis, solve_linear and det read its rows, pivots and common pivot
+value; only rref, kernel_basis, solve_linear and det divide, once per entry,
+to return Fractions.  wedge_key names the plane spanned by two integer
+vectors without any division, and nonzero_minor picks two coordinates on
+which that plane projects isomorphically.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 Vec = tuple  # tuple of int | Fraction
 Mat = tuple  # tuple of row tuples
@@ -96,28 +98,52 @@ def wedge_key(u: Vec, v: Vec) -> Vec | None:
     return tuple(m // g for m in minors)
 
 
-def rref(rows: list[list]) -> list[list[Fraction]]:
-    """Reduced row echelon form; returns only the nonzero rows."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return []
-    ncols = len(m[0])
-    pivot_row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(pivot_row, len(m)) if m[r][col] != 0), None)
+def echelon(rows: list[list]) -> tuple:
+    """Fraction-free Gauss-Jordan elimination: (rows, pivots, d, sign).
+
+    Each row is first cleared of denominators (integral_multiple).  At each
+    pivot p every other row, above and below, becomes (p x - f y) // prev,
+    with f its entry in the pivot column and prev the previous pivot; every
+    entry is then a minor of the cleared matrix, so the division is exact
+    (Bareiss, Math. Comp. 1968; Nakos-Turner-Williams, SIGSAM Bull. 1997) and
+    every value stays an integer.  The result holds only the nonzero rows:
+    row i has the entry d > 0 at column pivots[i] and every pivot column is
+    zero elsewhere, so the rows divided by d are the reduced row echelon form.
+    sign * d is the determinant of the cleared matrix when it is square and
+    of full rank; sign is -1 per row swap, and flips when d is made positive.
+    """
+    m = [integral_multiple(row) for row in rows]
+    pivots: list = []
+    prev = sign = 1
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
         if sel is None:
             continue
-        m[pivot_row], m[sel] = m[sel], m[pivot_row]
-        pv = m[pivot_row][col]
-        m[pivot_row] = [x / pv for x in m[pivot_row]]
-        for r in range(len(m)):
-            if r != pivot_row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(m):
+        if sel != r:
+            m[r], m[sel] = m[sel], m[r]
+            sign = -sign
+        pivot_row = m[r]
+        p = pivot_row[col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = tuple((p * x - f * y) // prev for x, y in zip(row, pivot_row))
+        prev = p
+        pivots.append(col)
+        if len(pivots) == len(m):
             break
-    return [row for row in m if any(x != 0 for x in row)]
+    m = m[: len(pivots)]
+    if prev < 0:
+        m = [tuple(-x for x in row) for row in m]
+        prev, sign = -prev, -sign
+    return m, pivots, prev, sign
+
+
+def rref(rows: list[list]) -> list[list[Fraction]]:
+    """Reduced row echelon form; returns only the nonzero rows."""
+    red, _, d, _ = echelon(rows)
+    return [[Fraction(x, d) for x in row] for row in red]
 
 
 def reduce_mod_rref(v: Vec, rref_rows) -> Vec:
@@ -137,52 +163,38 @@ def reduce_mod_rref(v: Vec, rref_rows) -> Vec:
 
 
 def rank(rows: list[list]) -> int:
-    """Rank by Bareiss fraction-free elimination on the rows cleared of
-    denominators (integral_multiple).
+    """The number of pivots of echelon(rows)."""
+    return len(echelon(rows)[1])
 
-    After k pivots every entry below them is a (k+1) x (k+1) minor of the
-    cleared matrix, so the division by the previous pivot is exact (Bareiss,
-    Math. Comp. 1968) and every value stays an integer.
+
+def integer_kernel(rows: list[list]) -> tuple:
+    """(free columns, integer kernel basis) of a nonempty matrix.
+
+    For each free column j of echelon(rows) the vector is
+    d e_j - sum over pivots p of row_p[j] e_p: it is d > 0 at j and 0 at
+    every other free column, and divided by d it is the vector kernel_basis
+    returns.
     """
-    m = [integral_multiple(row) for row in rows if any(row)]
-    prev = 1
-    r = 0
-    for col in range(len(m[0]) if m else 0):
-        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        pivot_row = m[r]
-        p = pivot_row[col]
-        for i in range(r + 1, len(m)):
-            row = m[i]
-            f = row[col]
-            m[i] = tuple((p * x - f * y) // prev for x, y in zip(row, pivot_row))
-        prev = p
-        r += 1
-        if r == len(m):
-            break
-    return r
-
-
-def kernel_basis(rows: list[list]) -> list[Vec]:
-    """Basis of the right kernel {v : M v = 0}."""
-    if not rows:
-        return []
+    red, pivots, d, _ = echelon(rows)
     ncols = len(rows[0])
-    red = rref(rows)
-    pivots = []
-    for row in red:
-        pivots.append(next(i for i, x in enumerate(row) if x != 0))
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
     for j in free:
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
+        v = [0] * ncols
+        v[j] = d
         for row, p in zip(red, pivots):
             v[p] = -row[j]
         basis.append(tuple(v))
-    return basis
+    return free, basis
+
+
+def kernel_basis(rows: list[list]) -> list[Vec]:
+    """Basis of the right kernel {v : M v = 0}: one vector per free column,
+    1 there and 0 at the other free columns."""
+    if not rows:
+        return []
+    free, basis = integer_kernel(rows)
+    return [tuple(Fraction(x, v[j]) for x in v) for j, v in zip(free, basis)]
 
 
 def solve_linear(rows: list[list], rhs: list) -> Vec | None:
@@ -190,35 +202,22 @@ def solve_linear(rows: list[list], rhs: list) -> Vec | None:
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs, strict=True)]
-    red = rref(aug)
-    # In rref each pivot column is cleared elsewhere, so free variables = 0
-    # and pivot variables read off the last column directly.
+    aug = [[*row, b] for row, b in zip(rows, rhs, strict=True)]
+    red, pivots, d, _ = echelon(aug)
+    if pivots and pivots[-1] == ncols:
+        return None
+    # Each pivot column is cleared elsewhere, so free variables = 0 and pivot
+    # variables read off the last column directly.
     sol = [Fraction(0)] * ncols
-    for row in red:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        if p == ncols:
-            return None
-        sol[p] = row[ncols]
+    for row, p in zip(red, pivots):
+        sol[p] = Fraction(row[ncols], d)
     return tuple(sol)
 
 
 def det(m: list[list]) -> Fraction:
-    """Determinant by Gaussian elimination over Fraction (exact)."""
-    a = [[Fraction(x) for x in row] for row in m]
-    n = len(a)
-    result = Fraction(1)
-    for col in range(n):
-        sel = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if sel is None:
-            return Fraction(0)
-        if sel != col:
-            a[col], a[sel] = a[sel], a[col]
-            result = -result
-        result *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return result
+    """Determinant of a square matrix: sign * d from echelon, divided by the
+    factors that cleared the rows of denominators."""
+    _, pivots, d, sign = echelon(m)
+    if len(pivots) < len(m):
+        return Fraction(0)
+    return Fraction(sign * d, prod(lcm(*(x.denominator for x in row)) for row in m))

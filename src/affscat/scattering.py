@@ -64,10 +64,10 @@ class Wall:
     origin: str
 
     def key(self):
-        return (self.normal, self.cone.canonical_key)
+        return (self.normal, self.cone.generators)
 
     def full_key(self):
-        return (self.normal, self.cone.canonical_key, self.f.coeffs)
+        return (self.normal, self.cone.generators, self.f.coeffs)
 
 
 @dataclass(frozen=True)
@@ -388,7 +388,7 @@ def _codim2_faces(walls, n):
         meet = w1.cone.intersect(w2.cone)
         if meet.dim != n - 2:
             continue
-        key = meet.canonical_key
+        key = meet.generators
         if key not in seen:
             seen.add(key)
             faces.append((meet, w1.normal, w2.normal))
@@ -405,12 +405,10 @@ def _walls_by_plane(beta1, walls) -> dict:
     return buckets
 
 
-def _walls_around(face: Cone, beta1, beta2, walls, by_plane=None):
+def _walls_around(face: Cone, beta1, beta2, walls, by_plane):
     """(walls containing the face, the other walls), each in the given order;
     only walls with normal in span(beta1, beta2) are tested.  by_plane is
-    _walls_by_plane(beta1, walls), computed here when not given."""
-    if by_plane is None:
-        by_plane = _walls_by_plane(beta1, walls)
+    _walls_by_plane(beta1, walls)."""
     near = sorted(by_plane.get(wedge_key(beta1, beta2), []) + by_plane.get(None, []))
     inside = [i for i in near if walls[i].cone.contains_cone(face)]
     taken = set(inside)
@@ -421,23 +419,27 @@ def _generic_relint_point(face: Cone, other_walls):
     """An integer relative-interior point of the face avoiding all walls that
     do not contain the face (deterministic perturbation search).
 
-    Each candidate is cleared of denominators before it is tested; every test
-    is invariant under positive scaling, so the same candidate is chosen, and
-    the tests run in integers.
+    The generators are cleared of denominators by one common factor, so each
+    candidate sum (attempt^(i+1) + i + 1) g_i, with the lineality terms
+    negated on even attempts, is an integer positive multiple of the rational
+    one (whose weights are divided by attempt).  Every test on the point is
+    invariant under positive scaling, so the same candidate is chosen.
     """
     lin, rays = face.generators
+    n = face.dim_ambient
     if not rays and not lin:
-        return (0,) * face.dim_ambient
-    gens = list(rays) + list(lin)
+        return (0,) * n
+    flat = integral_multiple([x for g in rays + lin for x in g])
+    gens = [flat[i : i + n] for i in range(0, len(flat), n)]
     for attempt in range(1, 60):
-        point = [Fraction(0)] * face.dim_ambient
-        for i, r in enumerate(gens):
-            scale = Fraction(attempt ** (i + 1) + i + 1, attempt)
+        point = [0] * n
+        for i, g in enumerate(gens):
+            scale = attempt ** (i + 1) + i + 1
             if i >= len(rays) and attempt % 2 == 0:
                 scale = -scale  # lineality directions may need both signs
-            for j, c in enumerate(r):
+            for j, c in enumerate(g):
                 point[j] += scale * c
-        p = integral_multiple(point)
+        p = tuple(point)
         if not face.relint_contains(p):
             continue
         if all(not w.cone.contains(p) for w in other_walls):

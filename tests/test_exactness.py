@@ -1,5 +1,7 @@
 """The core computes exactly: no module of affscat but svg.py (which draws
-with floats) holds a float literal or calls float()."""
+with floats) holds a float literal or calls float().  The integer layers
+name no Fraction at all: the Weyl, sortable and shard modules, and the
+bodies of linalg.echelon and of the double description in cones."""
 
 import ast
 from pathlib import Path
@@ -30,4 +32,46 @@ def test_float_uses_are_found():
 def test_no_floating_point_in_the_core():
     assert {"scattering.py", "cones.py", "linalg.py", "series.py"} <= {p.name for p in CORE}
     found = {p.name: _float_uses(ast.parse(p.read_text())) for p in CORE}
+    assert not any(found.values()), {name: lines for name, lines in found.items() if lines}
+
+
+# Modules, and (module, function) bodies, that compute in integers alone.
+INTEGER_MODULES = ("weyl.py", "sortable.py", "shards.py")
+INTEGER_FUNCTIONS = (
+    ("linalg.py", "echelon"),
+    ("cones.py", "_double_description"),
+    ("cones.py", "_add_halfspace"),
+)
+
+
+def _fraction_uses(tree):
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+        or (isinstance(node, ast.alias) and node.name == "Fraction")
+    ]
+
+
+def _function(path, name):
+    tree = ast.parse(path.read_text())
+    return next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def test_fraction_uses_are_found():
+    tree = ast.parse(
+        "from fractions import Fraction\nx = 1\ny = Fraction(1, 2)\n"
+        "import fractions\nz = fractions.Fraction(3)\nw = float(x)\n"
+    )
+    assert _fraction_uses(tree) == [1, 3, 5]
+
+
+def test_integer_layers_name_no_fraction():
+    root = Path(affscat.__file__).parent
+    found = {name: _fraction_uses(ast.parse((root / name).read_text())) for name in INTEGER_MODULES}
+    for module, name in INTEGER_FUNCTIONS:
+        found[f"{module}:{name}"] = _fraction_uses(_function(root / module, name))
     assert not any(found.values()), {name: lines for name, lines in found.items() if lines}

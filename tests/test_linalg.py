@@ -4,7 +4,19 @@ from itertools import combinations
 
 import pytest
 
-from affscat.linalg import integral_multiple, nonzero_minor, primitive_vector, rank, wedge_key
+from affscat.linalg import (
+    det,
+    echelon,
+    integer_kernel,
+    integral_multiple,
+    kernel_basis,
+    nonzero_minor,
+    primitive_vector,
+    rank,
+    rref,
+    solve_linear,
+    wedge_key,
+)
 
 F = Fraction
 
@@ -107,3 +119,197 @@ def test_nonzero_minor_rejects_parallel_vectors():
     for u, v in parallel:
         with pytest.raises(ValueError):
             nonzero_minor(u, v)
+
+
+# The Fraction eliminations that echelon replaced, kept verbatim as the
+# reference: rref divides each pivot row by its pivot, kernel_basis and
+# solve_linear read that rref, and det eliminates on its own.
+def _reference_rref(rows: list[list]) -> list[list[Fraction]]:
+    """Reduced row echelon form; returns only the nonzero rows."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return []
+    ncols = len(m[0])
+    pivot_row = 0
+    for col in range(ncols):
+        sel = next((r for r in range(pivot_row, len(m)) if m[r][col] != 0), None)
+        if sel is None:
+            continue
+        m[pivot_row], m[sel] = m[sel], m[pivot_row]
+        pv = m[pivot_row][col]
+        m[pivot_row] = [x / pv for x in m[pivot_row]]
+        for r in range(len(m)):
+            if r != pivot_row and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(m):
+            break
+    return [row for row in m if any(x != 0 for x in row)]
+
+
+def _reference_kernel_basis(rows: list[list]) -> list:
+    """Basis of the right kernel {v : M v = 0}."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red = _reference_rref(rows)
+    pivots = []
+    for row in red:
+        pivots.append(next(i for i, x in enumerate(row) if x != 0))
+    free = [j for j in range(ncols) if j not in pivots]
+    basis = []
+    for j in free:
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[j]
+        basis.append(tuple(v))
+    return basis
+
+
+def _reference_solve_linear(rows: list[list], rhs: list):
+    """One solution of M x = b, or None if inconsistent."""
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs, strict=True)]
+    red = _reference_rref(aug)
+    # In rref each pivot column is cleared elsewhere, so free variables = 0
+    # and pivot variables read off the last column directly.
+    sol = [Fraction(0)] * ncols
+    for row in red:
+        p = next(i for i, x in enumerate(row) if x != 0)
+        if p == ncols:
+            return None
+        sol[p] = row[ncols]
+    return tuple(sol)
+
+
+def _reference_det(m: list[list]) -> Fraction:
+    """Determinant by Gaussian elimination over Fraction (exact)."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    result = Fraction(1)
+    for col in range(n):
+        sel = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if sel is None:
+            return Fraction(0)
+        if sel != col:
+            a[col], a[sel] = a[sel], a[col]
+            result = -result
+        result *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                factor = a[r][col] * inv
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return result
+
+
+ENTRIES = (0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-3, 4), F(5, 3))
+
+
+def _random_matrix(rng, rows, cols):
+    """A random rows x cols matrix, often rank-deficient: a zero row, or a
+    row that is a combination of two others, may replace a random row."""
+    m = [[rng.choice(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 1 and rng.random() < 0.25:
+        m[rng.randrange(rows)] = [0] * cols
+    if rows >= 3 and rng.random() < 0.4:
+        i, j, k = rng.sample(range(rows), 3)
+        a, b = rng.choice((1, -2, F(1, 3))), rng.choice((1, -1, 3))
+        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def _matrices(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield _random_matrix(rng, rng.randint(0, 6), rng.randint(1, 7))
+
+
+def test_echelon_is_integral_gauss_jordan():
+    for m in _matrices(31, 600):
+        red, pivots, d, sign = echelon(m)
+        assert d > 0 and sign in (1, -1)
+        assert all(type(x) is int for row in red for x in row)
+        assert len(red) == len(pivots) and pivots == sorted(set(pivots))
+        for i, row in enumerate(red):
+            assert [row[p] for p in pivots] == [d if k == i else 0 for k in range(len(pivots))]
+            assert all(x == 0 for x in row[: pivots[i]])
+
+
+def test_reduction_matches_fraction_reference():
+    for m in _matrices(32, 600):
+        assert rref(m) == _reference_rref(m), m
+        assert rank(m) == len(_reference_rref(m)), m
+        assert kernel_basis(m) == _reference_kernel_basis(m), m
+        assert all(type(x) is Fraction for v in kernel_basis(m) for x in v)
+        if m and len(m) == len(m[0]):
+            assert det(m) == _reference_det(m), m
+
+
+def test_det_matches_fraction_reference():
+    rng = random.Random(33)
+    signs = set()
+    assert det([]) == _reference_det([]) == 1
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        m = _random_matrix(rng, n, n)
+        assert det(m) == _reference_det(m), m
+        signs.add((det(m) > 0) - (det(m) < 0))
+    assert signs == {-1, 0, 1}
+
+
+def test_negative_last_pivot_is_normalized():
+    # Before d is made positive, the last pivot of each of these is negative.
+    assert echelon([[-1, 3, 3, 1]]) == ([(1, -3, -3, -1)], [0], 1, -1)
+    assert echelon([[0, -2], [0, 0]]) == ([(0, 2)], [1], 2, -1)
+    assert echelon([[1, 2], [3, 4]]) == ([(2, 0), (0, 2)], [0, 1], 2, -1)
+    for m in ([[-1, 3, 3, 1]], [[0, -2], [0, 0]], [[1, 0], [0, -1]], [[1, 2], [3, 4]]):
+        assert rref(m) == _reference_rref(m)
+        assert kernel_basis(m) == _reference_kernel_basis(m)
+        assert integer_kernel(m)[1] == [
+            tuple(echelon(m)[2] * x for x in v) for v in _reference_kernel_basis(m)
+        ]
+        assert solve_linear(m, [1] * len(m)) == _reference_solve_linear(m, [1] * len(m))
+    assert det([[1, 0], [0, -1]]) == -1 and det([[1, 2], [3, 4]]) == -2
+    assert det([[0, 1], [1, 0]]) == -1
+
+
+def test_integer_kernel_is_d_times_the_reference():
+    for m in _matrices(34, 600):
+        if not m:
+            continue
+        free, basis = integer_kernel(m)
+        ref = _reference_kernel_basis(m)
+        assert len(basis) == len(ref) == len(free)
+        d = echelon(m)[2]
+        for j, v, r in zip(free, basis, ref):
+            assert all(type(x) is int for x in v)
+            assert [v[k] for k in free] == [d if k == j else 0 for k in free]
+            assert v == tuple(d * x for x in r), m
+
+
+def test_solve_linear_matches_fraction_reference():
+    rng = random.Random(35)
+    consistent = inconsistent = 0
+    assert solve_linear([], []) is None
+    for _ in range(800):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = _random_matrix(rng, rows, cols)
+        if rng.random() < 0.5:
+            # b in the column space: consistent by construction
+            x = [rng.choice(ENTRIES) for _ in range(cols)]
+            b = [sum(a * c for a, c in zip(row, x)) for row in m]
+        else:
+            b = [rng.choice(ENTRIES) for _ in range(rows)]
+        got = solve_linear(m, b)
+        assert got == _reference_solve_linear(m, b), (m, b)
+        if got is None:
+            inconsistent += 1
+        else:
+            consistent += 1
+            assert all(sum(a * c for a, c in zip(row, got)) == y for row, y in zip(m, b))
+    assert consistent > 100 and inconsistent > 100

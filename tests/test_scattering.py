@@ -19,6 +19,7 @@ from affscat.scattering import (
     _codim2_faces,
     _generic_relint_point,
     _walls_around,
+    _walls_by_plane,
     build_dcscat,
     build_easy_scat,
     check_consistency,
@@ -186,7 +187,9 @@ def test_loop_crossings_match_reference_on_every_face(name):
     faces = _codim2_faces(walls, n)
     assert len(faces) >= 10
     for face, beta1, beta2 in faces:
-        containing, others = _walls_around(face, beta1, beta2, walls)
+        containing, others = _walls_around(
+            face, beta1, beta2, walls, _walls_by_plane(beta1, walls)
+        )
         scan = [w for w in walls if w.cone.contains_cone(face)]
         assert [w.normal for w in containing] == [w.normal for w in scan]
         assert [w.normal for w in others] == [w.normal for w in walls if w not in scan]
@@ -391,7 +394,7 @@ def _shards_in_hyperplane(sh, beta):
         cone = Cone.from_constraints(n, eqs=[cov(beta)], ineqs=ineqs)
         if cone.dim != n - 1:
             continue
-        key = cone.canonical_key
+        key = cone.generators
         if key not in seen:
             seen.add(key)
             cells.append(cone)
@@ -424,10 +427,10 @@ def test_antipodal_diagram_for_negated_b():
         d = build_dcscat(b, height_cap=4, truncation=4)
         d_neg = build_dcscat(b.negate(), height_cap=4, truncation=4)
         keys = sorted(
-            (w.normal, w.cone.negate().canonical_key, w.f.coeffs) for w in d.walls
+            (w.normal, w.cone.negate().generators, w.f.coeffs) for w in d.walls
         )
         keys_neg = sorted(
-            (w.normal, w.cone.canonical_key, w.f.coeffs) for w in d_neg.walls
+            (w.normal, w.cone.generators, w.f.coeffs) for w in d_neg.walls
         )
         assert keys == keys_neg
 
