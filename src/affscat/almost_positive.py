@@ -16,7 +16,6 @@ first steps, which is exactly where the joint walk would stop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .cartan import NotAffine
@@ -221,7 +220,8 @@ class APContext:
         neg = all(c <= 0 for c in root)
         base = tuple(-c for c in root) if neg else root
         cv = self.cartan.coroot_coords(self.cartan.coroot(base))
-        cv = tuple(int(c) if Fraction(c).denominator == 1 else c for c in cv)
+        assert all(c.denominator == 1 for c in cv), "a real coroot lies in Q^vee"
+        cv = tuple(map(int, cv))
         return tuple(-c for c in cv) if neg else cv
 
     def tube_degree(self, a, b) -> int:
@@ -291,9 +291,7 @@ class APContext:
             if tb is not None and (ta is None or tb < ta):
                 # [[beta, -alpha_j]] = <rho_j, beta^vee>.
                 j = self._negative_simple_index(orbit_b[tb])
-                val = Fraction(self._coroot_coords(orbit_a[tb])[j])
-                assert val.denominator == 1
-                return int(val)
+                return self._coroot_coords(orbit_a[tb])[j]
             if ta is not None:
                 # [[-alpha_i, beta]] = <rho_i^vee, beta>: the alpha_i coordinate.
                 i = self._negative_simple_index(orbit_a[ta])

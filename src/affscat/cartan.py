@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .linalg import Vec, det, kernel_basis, primitive_vector, vscale, vsub
 
@@ -200,9 +201,9 @@ class CartanMatrix:
         return primitive_vector(self.coroot_coords(v))
 
     def reflect_root(self, i: int, v: Vec) -> Vec:
-        """s_i(v) = v - K(alpha_i^vee, v) alpha_i on V."""
-        coef = sum(self.a[i][j] * v[j] for j in range(self.n))
-        return tuple(v[j] - coef if j == i else v[j] for j in range(self.n))
+        """s_i(v) = v - K(alpha_i^vee, v) alpha_i on V; only coordinate i changes."""
+        coef = sum(map(mul, self.a[i], v))
+        return v[:i] + (v[i] - coef,) + v[i + 1 :]
 
     def peel(self, s: int, inversions) -> frozenset:
         """s.(inversions \\ {alpha_s}): the inversion set of s w from that of w, for s <= w."""

@@ -21,10 +21,17 @@ zero-set test calls adjacent), or, if g pierces the lineality
 L = L' + span(w) with <w, g> < 0, gives L' + cone(rays projected along w,
 and w), whose rays stay extreme and distinct; the projection of v is
 -<w, g> v + <v, g> w, a positive multiple of the rational one, so no
-division happens.  Fractions appear only where
-a result is divided out: the rref rows that canonicalize a lineality basis
-(`generators`), and the constraints `from_rays` returns, where each dual
-lineality vector is divided by its entry at its home coordinate (see
+division happens.
+
+`generators` is canonical, and integer too: the lineality basis is the
+reduced row echelon form of the lineality space with each row scaled to a
+primitive integer vector (linalg.echelon's rows, divided by their gcd), and
+each ray is cleared at the pivot columns against those rows and made
+primitive.  The reduced row echelon form of a subspace is unique, so two
+cones are equal exactly when their generators are.  Every point test
+(`contains`, `relint_contains`, `contains_cone`) therefore runs in integers.
+Fractions appear only in the constraints `from_rays` returns, where each
+dual lineality vector is divided by its entry at its home coordinate (see
 _double_description), which gives the vectors the rational method gives.
 
 A cone on linearly independent rays (`Cone.simplicial`) skips the second
@@ -42,13 +49,11 @@ from functools import cached_property
 
 from .linalg import (
     Vec,
+    echelon,
     integer_kernel,
     integral_multiple,
-    kernel_basis,
     primitive_vector,
     rank,
-    reduce_mod_rref,
-    rref,
     vdot,
 )
 
@@ -86,7 +91,8 @@ class Cone:
 
     @cached_property
     def generators(self):
-        """(lineality basis, extreme rays), rays primitive and reduced mod lineality."""
+        """(lineality basis, extreme rays) in the canonical integer form of
+        _canonicalize_generators."""
         lin, _, rays = _double_description(self.dim_ambient, self.eqs, self.ineqs)
         return _canonicalize_generators(lin, rays)
 
@@ -124,15 +130,16 @@ class Cone:
         lin, rays = self.generators
         gens = list(lin) + [tuple(-c for c in v) for v in lin] + list(rays)
         out = set()
-        for idx, g in enumerate(self.ineqs):
+        for idx, g in enumerate(self._integral_constraints[1]):
             if all(vdot(v, g) == 0 for v in gens):
                 out.add(idx)
         return out
 
     def relint_contains(self, x: Vec) -> bool:
-        if not all(vdot(x, e) == 0 for e in self.eqs):
+        eqs, ineqs = self._integral_constraints
+        if not all(vdot(x, e) == 0 for e in eqs):
             return False
-        for idx, g in enumerate(self.ineqs):
+        for idx, g in enumerate(ineqs):
             val = vdot(x, g)
             if idx in self._implicit_ineqs:
                 if val != 0:
@@ -163,19 +170,25 @@ class Cone:
     def same_cone(self, other: "Cone") -> bool:
         return self.generators == other.generators
 
-    def span_covectors(self):
-        """Covectors cutting out the linear span (for tangent-space work)."""
-        lin, rays = self.generators
-        gens = [list(v) for v in lin] + [list(r) for r in rays]
-        if not gens:
-            gens = [[Fraction(0)] * self.dim_ambient]
-        return kernel_basis(gens)
-
 
 def _canonicalize_generators(lin, rays):
-    lin_basis = [tuple(r) for r in rref([list(v) for v in lin])]
-    reduced = [primitive_vector(reduce_mod_rref(r, lin_basis)) for r in rays]
-    return tuple(lin_basis), tuple(sorted(reduced))
+    """(basis, rays) determined by the cone alone, all integer vectors.
+
+    The basis rows are echelon(lin)'s rows divided by their gcd: each is
+    positive at its pivot column and 0 at the other pivot columns, and is the
+    primitive multiple of a reduced row echelon row.  At each pivot p a ray r
+    becomes row[p] r - r[p] row, row[p] > 0 times the rational step
+    r - (r[p] / row[p]) row, so it ends 0 at every pivot column as a positive
+    multiple of its reduction modulo the rref rows; it is then made
+    primitive, and the rays are sorted."""
+    red, pivots, _, _ = echelon(lin)
+    basis = tuple(map(primitive_vector, red))
+    reduced = []
+    for r in rays:
+        for row, p in zip(basis, pivots):
+            r = tuple(row[p] * a - r[p] * b for a, b in zip(r, row))
+        reduced.append(primitive_vector(r))
+    return basis, tuple(sorted(reduced))
 
 
 def _double_description(dim, eqs, ineqs):

@@ -3,12 +3,14 @@
 Vectors are plain tuples whose entries are ints or Fractions; all results
 are exact.  Nothing here knows about root systems.  One elimination does all
 the row reduction: echelon runs fraction-free Gauss-Jordan on rows cleared
-of denominators, in integers alone, and rref, rank, integer_kernel,
-kernel_basis, solve_linear and det read its rows, pivots and common pivot
-value; only rref, kernel_basis, solve_linear and det divide, once per entry,
-to return Fractions.  wedge_key names the plane spanned by two integer
-vectors without any division, and nonzero_minor picks two coordinates on
-which that plane projects isomorphically.
+of denominators, in integers alone, and rank, integer_kernel, kernel_basis,
+solve_linear, det and rref read its rows, pivots and common pivot value;
+only kernel_basis, solve_linear, det and rref divide, once per entry, to
+return Fractions.  The cones canonicalize their generators on echelon's
+integer rows; rref is kept for the benchmark's tracing and for the tests,
+which use it as a reference.  wedge_key names the plane spanned by two
+integer vectors without any division, and nonzero_minor picks two
+coordinates on which that plane projects isomorphically.
 """
 
 from __future__ import annotations
@@ -144,22 +146,6 @@ def rref(rows: list[list]) -> list[list[Fraction]]:
     """Reduced row echelon form; returns only the nonzero rows."""
     red, _, d, _ = echelon(rows)
     return [[Fraction(x, d) for x in row] for row in red]
-
-
-def reduce_mod_rref(v: Vec, rref_rows) -> Vec:
-    """v minus a combination of rref_rows that clears every pivot column of v.
-
-    The rows must be in reduced row echelon form (pivots 1, pivot columns
-    cleared elsewhere), as returned by rref; v is zero on return exactly when
-    it lies in their span.
-    """
-    out = list(v)
-    for row in rref_rows:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        coef = out[p]
-        if coef != 0:
-            out = [a - coef * b for a, b in zip(out, row)]
-    return tuple(out)
 
 
 def rank(rows: list[list]) -> int:

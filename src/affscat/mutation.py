@@ -170,11 +170,10 @@ def fans_compare(
         if cone.dim != n - 1:
             continue
         report["skeleton_faces"] += 1
-        covs = cone.span_covectors()
-        assert len(covs) == 1
-        beta = primitive_vector(
-            tuple(Fraction(covs[0][i]) / cox.cartan.d[i] for i in range(n))
-        )
+        # Cone.simplicial stores dim - len(rays) equalities, so a codimension-1
+        # fan cone has exactly one: the covector that cuts out its span.
+        (eq,) = cone.eqs
+        beta = primitive_vector(tuple(Fraction(eq[i]) / cox.cartan.d[i] for i in range(n)))
         if any(c < 0 for c in beta):
             beta = tuple(-c for c in beta)
         if beta not in wall_by_normal:

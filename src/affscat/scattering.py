@@ -369,7 +369,7 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
         if not ok:
             report["failures"].append(
                 {
-                    "face_rays": [list(map(int, r)) for r in face.rays],
+                    "face_rays": [list(r) for r in face.rays],
                     "walls": [list(w.normal) for w in containing],
                 }
             )
@@ -419,29 +419,31 @@ def _generic_relint_point(face: Cone, other_walls):
     """An integer relative-interior point of the face avoiding all walls that
     do not contain the face (deterministic perturbation search).
 
-    The generators are cleared of denominators by one common factor, so each
-    candidate sum (attempt^(i+1) + i + 1) g_i, with the lineality terms
-    negated on even attempts, is an integer positive multiple of the rational
-    one (whose weights are divided by attempt).  Every test on the point is
-    invariant under positive scaling, so the same candidate is chosen.
+    The generators are integer vectors, so every candidate is.  A candidate
+    sums (attempt^(i+1) + i + 1) g_i over the rays and then the lineality
+    basis, with the lineality terms negated on even attempts: every extreme
+    ray gets a positive weight, so the point lies in the relative interior
+    of the face whichever attempt it comes from, and only the avoidance test
+    picks among them.  Which relative-interior point is used does not change
+    the loop: loop_crossings reads only the inequalities of each containing
+    wall that are tight at the point, and at any relative-interior point
+    those are exactly the inequalities that vanish on the whole face (each
+    is <= 0 on the face, and a face of the face that meets its relative
+    interior is the whole face).
     """
     lin, rays = face.generators
     n = face.dim_ambient
     if not rays and not lin:
         return (0,) * n
-    flat = integral_multiple([x for g in rays + lin for x in g])
-    gens = [flat[i : i + n] for i in range(0, len(flat), n)]
     for attempt in range(1, 60):
         point = [0] * n
-        for i, g in enumerate(gens):
+        for i, g in enumerate(rays + lin):
             scale = attempt ** (i + 1) + i + 1
             if i >= len(rays) and attempt % 2 == 0:
                 scale = -scale  # lineality directions may need both signs
             for j, c in enumerate(g):
                 point[j] += scale * c
         p = tuple(point)
-        if not face.relint_contains(p):
-            continue
         if all(not w.cone.contains(p) for w in other_walls):
             return p
     raise AssertionError("could not find a generic relative-interior point")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .cones import Cone
 from .coxeter import CoxeterContext
-from .linalg import nonzero_minor, wedge_key
+from .linalg import nonzero_minor, vdot, wedge_key
 from .weyl import GroupElement, WeylContext, is_join_irreducible, weak_leq
 
 
@@ -131,7 +131,11 @@ class ShardContext:
         return self._assemble(root, cut_list)
 
     def shard_from_root(self, beta, cox: CoxeterContext) -> ShardCone:
-        cut_list = tuple(g for g in self.cut_set(beta) if cox.omega(g, beta) > 0)
+        # omega_c(g, beta) = sum_i g_i d_i omega_c(alpha_i^vee, beta), and
+        # cov(g) is a positive multiple of (g_i d_i): the sign is read in ints.
+        cov = self.cartan.primitive_in_coroot_lattice
+        omega_beta = cox.omega_covector(beta)
+        cut_list = tuple(g for g in self.cut_set(beta) if vdot(cov(g), omega_beta) > 0)
         return self._assemble(beta, cut_list)
 
     def _assemble(self, beta, cut_list) -> ShardCone:

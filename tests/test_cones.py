@@ -4,7 +4,7 @@ from itertools import combinations
 
 from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix
-from affscat.cones import Cone, _canonicalize_generators
+from affscat.cones import Cone, _canonicalize_generators, _double_description
 from affscat.coxeter import coxeter_context
 from affscat.jsonio import cone_json, dumps
 from affscat.linalg import kernel_basis, primitive_vector, rank, rref, solve_linear, vdot
@@ -99,14 +99,6 @@ def test_negate():
 def test_extreme_filter_drops_interior_ray():
     c = Cone.from_rays(2, [(1, 0), (1, 1), (0, 1)])
     assert set(c.rays) == {(1, 0), (0, 1)}
-
-
-def test_span_covectors():
-    c = Cone.from_constraints(3, eqs=[(1, 0, 0)], ineqs=[(0, 0, -1)])
-    covs = c.span_covectors()
-    # span is the plane x = 0; its annihilator is spanned by (1,0,0).
-    assert len(covs) == 1
-    assert covs[0][1] == 0 and covs[0][2] == 0
 
 
 def test_contains_is_invariant_under_positive_scaling():
@@ -218,6 +210,31 @@ def test_simplicial_generators_match_double_description():
             assert cone.generators == by_dd.generators, members
 
 
+def _wall_normal(covector, d):
+    """The primitive nonnegative root whose coroot-lattice covector spans the
+    line of covector, as mutation.fans_compare reads it."""
+    beta = primitive_vector(tuple(F(c) / di for c, di in zip(covector, d)))
+    return tuple(-c for c in beta) if any(c < 0 for c in beta) else beta
+
+
+def test_codim1_fan_cone_equality_is_its_span_covector():
+    # fans_compare reads a codimension-1 fan cone's normal off its one
+    # equality; the span covector from a kernel of its rays gives the same.
+    checked = 0
+    for rows, H in FAN_INSTANCES:
+        ap = APContext(coxeter_context(ExchangeMatrix.from_rows(rows)))
+        d = ap.cox.cartan.d
+        for members, cone in ap.fan_cones(H):
+            if cone.dim != ap.n - 1:
+                continue
+            (eq,) = cone.eqs
+            assert all(vdot(r, eq) == 0 for r in cone.rays), members
+            (ker,) = kernel_basis([list(r) for r in cone.rays])
+            assert _wall_normal(eq, d) == _wall_normal(ker, d), members
+            checked += 1
+    assert checked > 0
+
+
 def test_simplicial_rejects_dependent_rays():
     import pytest
 
@@ -315,13 +332,18 @@ def _check_against_reference(dim, ineqs, eqs):
     assert dumps(cone_json(by_rays)) == dumps(cone_json(ref))
 
 
-def test_double_description_matches_rational_reference():
-    # The minimality set of test_double_description_generators_are_minimal,
-    # then dims 2-5 with Fraction covectors, with and without equalities.
+def _reference_inputs():
+    """The minimality set of test_double_description_generators_are_minimal,
+    then dims 2-5 with Fraction covectors, with and without equalities."""
     rng = random.Random(8)
     inputs = [_random_cone_input(rng) for _ in range(300)]
     rng = random.Random(13)
     inputs += [_random_cone_input(rng, (2, 5), fractions=True) for _ in range(300)]
+    return inputs
+
+
+def test_double_description_matches_rational_reference():
+    inputs = _reference_inputs()
     assert any(second for *_, second in inputs) and any(not second for *_, second in inputs)
     assert any(F(x).denominator != 1 for _, _, first, _ in inputs for v in first for x in v)
     for _, dim, first, second in inputs:
@@ -340,3 +362,102 @@ def test_rank_matches_rref():
             m.append([a + b for a, b in zip(m[0], m[-2])])
             rng.shuffle(m)
         assert rank(m) == len(rref(m)), m
+
+
+# The rref canonicalization the integer one replaced, kept verbatim as the
+# reference: Fraction basis rows with pivot 1, and rays reduced against them.
+def _reference_reduce_mod_rref(v, rref_rows):
+    """v minus a combination of rref_rows that clears every pivot column of v.
+
+    The rows must be in reduced row echelon form (pivots 1, pivot columns
+    cleared elsewhere), as returned by rref; v is zero on return exactly when
+    it lies in their span.
+    """
+    out = list(v)
+    for row in rref_rows:
+        p = next(i for i, x in enumerate(row) if x != 0)
+        coef = out[p]
+        if coef != 0:
+            out = [a - coef * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
+def _reference_canonicalize_generators(lin, rays):
+    lin_basis = [tuple(r) for r in rref([list(v) for v in lin])]
+    reduced = [primitive_vector(_reference_reduce_mod_rref(r, lin_basis)) for r in rays]
+    return tuple(lin_basis), tuple(sorted(reduced))
+
+
+def _generator_cases():
+    """(lineality, rays) straight from the double description: of both
+    descriptions of each reference input, and of 300 seeded random cones."""
+    cases = []
+    for _, dim, first, second in _reference_inputs():
+        for eqs, ineqs in ((second, first), (first, second)):
+            lin, _, rays = _double_description(dim, eqs, ineqs)
+            cases.append((lin, rays))
+    rng = random.Random(8)
+    for _ in range(300):
+        cone = _random_cone(rng)
+        lin, _, rays = _double_description(cone.dim_ambient, cone.eqs, cone.ineqs)
+        cases.append((lin, rays))
+    return cases
+
+
+def test_canonical_generators_match_rref_reference():
+    cases = _generator_cases()
+    assert sum(1 for lin, _ in cases if len(lin) >= 2) > 50
+    for lin, rays in cases:
+        basis, reduced = _canonicalize_generators(lin, rays)
+        ref_basis, ref_rays = _reference_canonicalize_generators(lin, rays)
+        assert reduced == ref_rays, (lin, rays)
+        assert basis == tuple(primitive_vector(row) for row in ref_basis), (lin, rays)
+        assert all(type(x) is int for v in basis + reduced for x in v)
+
+
+def test_canonical_generators_ignore_the_choice_of_basis():
+    # Shuffling the lineality, scaling it by positive factors, mixing it by
+    # unimodular row operations, and moving each ray along it and scaling it
+    # leave the same cone, so they must leave the same generators.
+    rng = random.Random(4)
+    for lin, rays in _generator_cases():
+        expected = _canonicalize_generators(lin, rays)
+        for _ in range(2):
+            mixed = [list(v) for v in lin]
+            rng.shuffle(mixed)
+            for _ in range(len(mixed)):
+                if len(mixed) >= 2:
+                    i, j = rng.sample(range(len(mixed)), 2)
+                    c = rng.randint(-3, 3)
+                    mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
+            scales = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in mixed]
+            mixed = [tuple(c * a for a in v) for c, v in zip(scales, mixed)]
+            moved = []
+            for r in rays:
+                shift = [rng.randint(-2, 2) for _ in lin]
+                scale = rng.randint(1, 4)
+                r = tuple(a + sum(c * v[k] for c, v in zip(shift, lin)) for k, a in enumerate(r))
+                moved.append(tuple(scale * a for a in r))
+            rng.shuffle(moved)
+            assert _canonicalize_generators(mixed, moved) == expected, (lin, rays)
+
+
+def test_relint_candidates_lie_in_the_relative_interior():
+    # Every candidate of scattering._generic_relint_point weights each
+    # extreme ray positively, so it needs no relative-interior test.
+    rng = random.Random(8)
+    checked = 0
+    for _ in range(300):
+        face = _random_cone(rng)
+        lin, rays = face.generators
+        for attempt in (1, 2, 3):
+            point = [0] * face.dim_ambient
+            for i, g in enumerate(rays + lin):
+                scale = attempt ** (i + 1) + i + 1
+                if i >= len(rays) and attempt % 2 == 0:
+                    scale = -scale
+                for j, c in enumerate(g):
+                    point[j] += scale * c
+            assert face.relint_contains(tuple(point)), (face, attempt)
+            checked += 1
+    assert checked == 900

@@ -1,7 +1,10 @@
 """The core computes exactly: no module of affscat but svg.py (which draws
 with floats) holds a float literal or calls float().  The integer layers
-name no Fraction at all: the Weyl, sortable and shard modules, and the
-bodies of linalg.echelon and of the double description in cones."""
+name no Fraction at all: the Weyl, sortable, shard and almost-positive
+modules, and the bodies of linalg.echelon, of the double description and
+the generator canonicalization in cones, and of the relative-interior point
+search in scattering.  Those two bodies read integer generators as they
+are: they call neither rref nor integral_multiple."""
 
 import ast
 from pathlib import Path
@@ -36,11 +39,19 @@ def test_no_floating_point_in_the_core():
 
 
 # Modules, and (module, function) bodies, that compute in integers alone.
-INTEGER_MODULES = ("weyl.py", "sortable.py", "shards.py")
+INTEGER_MODULES = ("weyl.py", "sortable.py", "shards.py", "almost_positive.py")
 INTEGER_FUNCTIONS = (
     ("linalg.py", "echelon"),
     ("cones.py", "_double_description"),
     ("cones.py", "_add_halfspace"),
+    ("cones.py", "_canonicalize_generators"),
+    ("scattering.py", "_generic_relint_point"),
+)
+# Bodies that take integer generators as they come, with no rational
+# reduction or clearing of denominators.
+GENERATOR_READERS = (
+    ("cones.py", "_canonicalize_generators"),
+    ("scattering.py", "_generic_relint_point"),
 )
 
 
@@ -74,4 +85,33 @@ def test_integer_layers_name_no_fraction():
     found = {name: _fraction_uses(ast.parse((root / name).read_text())) for name in INTEGER_MODULES}
     for module, name in INTEGER_FUNCTIONS:
         found[f"{module}:{name}"] = _fraction_uses(_function(root / module, name))
+    assert not any(found.values()), {name: lines for name, lines in found.items() if lines}
+
+
+def _calls_to(tree, names):
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id in names)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr in names)
+        )
+    ]
+
+
+def test_calls_are_found():
+    tree = ast.parse(
+        "x = rref(m)\ny = linalg.integral_multiple(v)\nz = echelon(m)\n"
+        "w = rref\nu = [integral_multiple(r) for r in m]\n"
+    )
+    assert _calls_to(tree, {"rref", "integral_multiple"}) == [1, 2, 5]
+
+
+def test_generator_readers_neither_reduce_nor_clear():
+    root = Path(affscat.__file__).parent
+    found = {
+        f"{module}:{name}": _calls_to(_function(root / module, name), {"rref", "integral_multiple"})
+        for module, name in GENERATOR_READERS
+    }
     assert not any(found.values()), {name: lines for name, lines in found.items() if lines}
