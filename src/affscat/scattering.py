@@ -4,7 +4,8 @@ build_dcscat assembles walls from shards of join-irreducible c- and
 c^{-1}-sortable elements plus the imaginary wall; build_easy_scat assembles
 the same diagram from the almost-positive roots and the cutting relation.
 Consistency is checked by composing wall crossings around codimension-2
-faces, ordered angularly in an exact transverse plane, in integers.  Wall
+faces, ordered angularly in an exact transverse plane, in integers, and
+applying each loop to x_1 + ... + x_n (see check_consistency).  Wall
 covectors are the normals scaled coordinatewise by the positive symmetrizer
 d, so for a face cut out by walls with normals beta1, beta2:
 - a wall's hyperplane contains the face's span only if its normal lies in
@@ -323,13 +324,10 @@ def loop_crossings(walls, base_point, u1, u2, covector):
     return sorted(events, key=cmp_to_key(lambda e1, e2: _angle_cmp(e1.direction, e2.direction)))
 
 
-def _generators(n, k):
-    gens = []
-    for i in range(n):
-        lam = tuple(1 if j == i else 0 for j in range(n))
-        gens.append(MonomialExpr.x_monomial(n, k, lam))
-        gens.append(MonomialExpr.yhat_monomial(n, k, lam))
-    return gens
+def _x_sum(n, k) -> MonomialExpr:
+    """x_1 + ... + x_n, truncated at yhat-degree k."""
+    zero = (0,) * n
+    return MonomialExpr.from_dict(n, k, {(u, zero): 1 for u in identity_mat(n)})
 
 
 def _b_rows_from_cox(cox: CoxeterContext):
@@ -342,12 +340,36 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
     """Compose wall crossings around every codimension-2 face of the diagram
     and report which loops fail to be the identity mod m^(truncation+1).
     Each face's walls and loop plane come from its two normals (see the
-    module docstring)."""
+    module docstring).
+
+    A loop is the identity exactly when its path product fixes the single
+    element X = x_1 + ... + x_n, for two reasons.
+
+    1. Fixing every x_i fixes every yhat_j.  A crossing multiplies
+       x^lambda yhat^phi by f^(<lambda, s beta^vee> + omega(s beta^vee, phi)),
+       and omega(s beta^vee, e_j) = s sum_i beta^vee_i b_ij = <b_j, s beta^vee>
+       for b_j = (b_1j, ..., b_nj); so one crossing multiplies yhat_j and the
+       Laurent monomial x^(b_j) by the same series.  Crossings are ring
+       automorphisms that multiply every monomial by a series in yhat, so by
+       induction along the path a composite multiplies yhat_j and x^(b_j) by
+       one series R_j.  If it fixes every x_i it fixes x^(b_j), so
+       R_j = 1 mod m^(k+1) and yhat_j is fixed too: this is the substitution
+       yhat = x^(B .) of Gross-Hacking-Keel-Kontsevich (Canonical bases for
+       cluster algebras, JAMS 2018).  The omega entries and the coroots are
+       integers, so no crossing exponent is ever non-integral and checking
+       the yhat_j as well could not raise NonIntegerExponent either.
+    2. Fixing X fixes every x_i.  wall_cross is linear and keeps each lambda
+       group apart (it multiplies x^lambda yhat^phi by a series in yhat), so
+       the image of X is the sum of the images of the x_i, the image of x_i
+       lies in the lambda = e_i group, and the image of X equals X exactly
+       when the image of each x_i equals x_i.
+    """
     n = diagram.cartan_n
     k = truncation
     walls = [w for w in diagram.walls if sum(w.normal) <= k]
     b_rows = _b_rows_from_cox(cox)
     units = identity_mat(n)
+    xsum = _x_sum(n, k)
     coroot = cache(cox.cartan.primitive_in_coroot_lattice)  # once per normal
     faces = _codim2_faces(walls, n)
     report = {"faces": len(faces), "failures": [], "checked": 0}
@@ -360,13 +382,8 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
         i, j = nonzero_minor(beta1, beta2)
         crossings = loop_crossings(containing, base, units[i], units[j], coroot)
         seq = [(_crossing_data(e.wall, coroot, b_rows), e.sign) for e in crossings]
-        ok = True
-        for gen in _generators(n, k):
-            if path_product(gen, seq, k) != gen:
-                ok = False
-                break
         report["checked"] += 1
-        if not ok:
+        if path_product(xsum, seq, k) != xsum:
             report["failures"].append(
                 {
                     "face_rays": [list(r) for r in face.rays],
@@ -454,7 +471,14 @@ def _generic_relint_point(face: Cone, other_walls):
 
 def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
     """Order-by-order consistency completion of the rank-2 diagram, exact
-    through total yhat-degree `truncation`."""
+    through total yhat-degree `truncation`.
+
+    At each degree d the loop of the walls so far is applied once, to
+    x_1 + x_2 mod m^(d+1).  Crossings keep each lambda group apart (see
+    check_consistency), so the degree-d terms in the lambda = e_i group are
+    the defect of x_i; every defect must stay on such a unit lambda.  The
+    final check that the completed loop closes uses x_1 + x_2 too.
+    """
     assert bmat.n == 2, "completion is implemented for rank 2 only"
     cartan = exchange_to_cartan(bmat)
     n, k = 2, truncation
@@ -490,19 +514,16 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
         crossings = loop_crossings(current_walls, (0, 0), (1, 0), (0, 1), coroot)
         return [(_crossing_data(e.wall, coroot, b_rows), e.sign) for e in crossings]
 
+    units = identity_mat(2)
     for degree in range(2, k + 1):
         # walls with normal height > degree act trivially mod m^(degree+1)
         active = [w for w in walls.values() if sum(w.normal) <= degree]
         seq = loop_seq(active)
         defects: dict = {}
-        for i in range(2):
-            lam = tuple(1 if j == i else 0 for j in range(2))
-            gen = MonomialExpr.x_monomial(2, degree, lam)
-            image = path_product(gen, seq, degree)
-            for (lam2, phi), coeff in image.terms:
-                if sum(phi) == degree and (lam2, phi) != (lam, (0,) * 2):
-                    assert lam2 == lam, "defect must stay on the same x-monomial"
-                    defects.setdefault(phi, {})[i] = coeff
+        for (lam, phi), coeff in path_product(_x_sum(2, degree), seq, degree).terms:
+            if sum(phi) == degree:
+                assert lam in units, "defect must stay on an x-monomial"
+                defects.setdefault(phi, {})[units.index(lam)] = coeff
         for phi, per_gen in sorted(defects.items()):
             beta = primitive_vector(phi)
             beta_coroot = coroot(beta)
@@ -544,8 +565,8 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
             walls[key] = replace(wall, f=TruncatedSeries.make(beta, wall.f.k, coeffs))
     # final verification
     seq = loop_seq(list(walls.values()))
-    for gen in _generators(2, k):
-        assert path_product(gen, seq, k) == gen, "completion failed to close"
+    xsum = _x_sum(2, k)
+    assert path_product(xsum, seq, k) == xsum, "completion failed to close"
     kept = [w for w in walls.values() if w.origin == ORIGIN_INITIAL or not w.f.is_one()]
     out = ScatDiagram(
         cartan_n=2,

@@ -1,0 +1,107 @@
+"""Every acyclic orientation of every affine diagram of rank at most 4.
+
+Each matrix of cartan._affine_table(n), n <= 4, gives an exchange matrix for
+each choice of b_ij = +-|a_ij| on its edges (b_ji then has the opposite sign
+and |a_ji|); the acyclic ones are the 84 orientations checked here, at
+H = k = max(4, |delta|).  Below |delta| the imaginary wall d_inf lies in no
+loop, so neither the consistency check nor its negative control would say
+anything about it.
+"""
+
+import functools
+import itertools
+
+import pytest
+
+from affscat.cartan import ExchangeMatrix, _affine_table
+from affscat.coxeter import coxeter_context
+from affscat.mutation import fans_compare
+from affscat.scattering import build_dcscat, build_easy_scat, check_consistency
+
+
+def acyclic_orientations(n):
+    """(label, index, rows) for the acyclic orientations of each affine
+    Cartan matrix with n nodes; index counts every orientation of the
+    matrix's edges, acyclic or not, in itertools.product order."""
+    out = []
+    for label, a in _affine_table(n):
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if a[i][j]]
+        for index, signs in enumerate(itertools.product((1, -1), repeat=len(edges))):
+            rows = [[0] * n for _ in range(n)]
+            for (i, j), s in zip(edges, signs):
+                rows[i][j] = s * abs(a[i][j])
+                rows[j][i] = -s * abs(a[j][i])
+            if ExchangeMatrix.from_rows(rows).is_acyclic():
+                out.append((label, index, tuple(map(tuple, rows))))
+    return out
+
+
+ORIENTATIONS = [o for n in (2, 3, 4) for o in acyclic_orientations(n)]
+
+# Orientations on which check_consistency raises AssertionError("could not
+# find a generic relative-interior point"): a wall whose normal lies in a
+# face's plane covers the face's relative interior without containing the
+# face (ROADMAP item 1).
+CODIM2_CRASHES = {
+    *(("A_3^(1)", i) for i in (0, 3, 5, 6, 9, 10, 12, 15)),
+    *(("C_3^(1)", i) for i in range(8)),
+    *(("D_4^(2)", i) for i in (1, 3)),
+    *(("A_6^(2)", i) for i in range(8)),
+}
+
+
+def _id(orientation):
+    label, index, _ = orientation
+    return f"{label}-{index}"
+
+
+@functools.cache
+def _instance(rows):
+    bmat = ExchangeMatrix.from_rows([list(r) for r in rows])
+    cox = coxeter_context(bmat)
+    cap = max(4, sum(cox.type_info.delta))
+    return bmat, cox, cap, build_dcscat(bmat, cap, cap)
+
+
+def test_orientation_count():
+    assert len(ORIENTATIONS) == 84
+    assert len({_id(o) for o in ORIENTATIONS}) == 84
+    assert len(CODIM2_CRASHES) == 26 and CODIM2_CRASHES <= {o[:2] for o in ORIENTATIONS}
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS, ids=_id)
+def test_constructions_agree_and_d_inf_is_needed(orientation):
+    bmat, cox, cap, diagram = _instance(orientation[2])
+    assert diagram.same_walls(build_easy_scat(bmat, cap, cap))
+    report = fans_compare(
+        bmat, height_cap=cap, truncation=cap, probe_cap=4, sample_count=30, seed=3
+    )
+    assert report["clean"], report
+    assert not check_consistency(diagram.drop_imaginary(), cap, cox)["consistent"]
+
+
+@pytest.mark.parametrize(
+    "orientation",
+    [
+        pytest.param(
+            o,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="ROADMAP item 1: a wall splits a codim-2 face, so no "
+                "generic base point exists",
+            ),
+        )
+        if o[:2] in CODIM2_CRASHES
+        else o
+        for o in ORIENTATIONS
+    ],
+    ids=_id,
+)
+def test_consistent(orientation):
+    _, cox, cap, diagram = _instance(orientation[2])
+    report = check_consistency(diagram, cap, cox)
+    # pytest.fail, not assert: the strict xfails expect only the crash's
+    # AssertionError, so an inconsistent report fails them too.
+    if not report["consistent"] or not report["checked"]:
+        pytest.fail(f"inconsistent or no loop checked: {report}")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import affscat.scattering
 from affscat.cartan import ExchangeMatrix
+from affscat.cones import Cone
 from affscat.coxeter import coxeter_context
 from affscat.linalg import identity_mat, kernel_basis, nonzero_minor, primitive_vector, vdot
 from affscat.scattering import (
@@ -16,7 +17,9 @@ from affscat.scattering import (
     ORIGIN_INITIAL,
     ORIGIN_RANK2,
     _angle_cmp,
+    _b_rows_from_cox,
     _codim2_faces,
+    _crossing_data,
     _generic_relint_point,
     _walls_around,
     _walls_by_plane,
@@ -29,6 +32,7 @@ from affscat.scattering import (
     rank2_complete,
     scat_cone_eq,
 )
+from affscat.series import MonomialExpr, TruncatedSeries, path_product
 
 B_A11 = ExchangeMatrix.from_rows([[0, 2], [-2, 0]])
 B_A2T = ExchangeMatrix.from_rows([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
@@ -246,7 +250,117 @@ def test_path_products_match_reference_fold(monkeypatch):
     bmat = ExchangeMatrix.from_rows(LOOP_ROWS["A3_1"])
     report = check_consistency(build_dcscat(bmat, 4, 4), 4, coxeter_context(bmat))
     assert report["consistent"] and report["checked"] >= 10
-    assert rank2_calls == 2 * (2 * 5 + 4) and len(calls) > rank2_calls and max(calls) >= 8
+    # each completion: one product of x_1 + x_2 per degree 2..6, one final check
+    assert rank2_calls == 2 * (5 + 1)
+    assert len(calls) == rank2_calls + report["checked"] and max(calls) >= 8
+
+
+def _check_consistency_reference(diagram, truncation, cox):
+    """check_consistency with one path product per generator: each x_i, then
+    each yhat_i, stopping at the first generator the loop moves."""
+    n = diagram.cartan_n
+    k = truncation
+    walls = [w for w in diagram.walls if sum(w.normal) <= k]
+    b_rows = _b_rows_from_cox(cox)
+    units = identity_mat(n)
+    coroot = functools.cache(cox.cartan.primitive_in_coroot_lattice)
+    gens = [MonomialExpr.x_monomial(n, k, u) for u in units]
+    gens += [MonomialExpr.yhat_monomial(n, k, u) for u in units]
+    faces = _codim2_faces(walls, n)
+    report = {"faces": len(faces), "failures": [], "checked": 0}
+    for face, beta1, beta2 in faces:
+        containing, others = _walls_around(
+            face, beta1, beta2, walls, _walls_by_plane(beta1, walls)
+        )
+        base = _generic_relint_point(face, others)
+        i, j = nonzero_minor(beta1, beta2)
+        crossings = loop_crossings(containing, base, units[i], units[j], coroot)
+        seq = [(_crossing_data(e.wall, coroot, b_rows), e.sign) for e in crossings]
+        report["checked"] += 1
+        if any(path_product(gen, seq, k) != gen for gen in gens):
+            report["failures"].append(
+                {
+                    "face_rays": [list(r) for r in face.rays],
+                    "walls": [list(w.normal) for w in containing],
+                }
+            )
+    report["consistent"] = not report["failures"]
+    return report
+
+
+def _perturbed(diagram, index, delta):
+    """The diagram with coefficient 1 of wall `index`'s scattering term
+    moved by delta."""
+    walls = list(diagram.walls)
+    w = walls[index]
+    coeffs = list(w.f.coeffs)
+    coeffs[1] += delta
+    walls[index] = replace(w, f=TruncatedSeries.make(w.normal, w.f.k, coeffs))
+    return replace(diagram, walls=tuple(walls))
+
+
+# (rows, H = k): the verify workload's two instances, then A_1^(1), A_2^(1)
+REFERENCE_INSTANCES = (
+    (LOOP_ROWS["D4_1"], 6),
+    (LOOP_ROWS["A3_1"], 8),
+    ([[0, 2], [-2, 0]], 6),
+    (LOOP_ROWS["A2_1"], 5),
+)
+
+
+@pytest.mark.parametrize("rows, cap", REFERENCE_INSTANCES)
+def test_consistency_matches_generator_loop_reference(rows, cap):
+    bmat = ExchangeMatrix.from_rows(rows)
+    cox = coxeter_context(bmat)
+    d = build_dcscat(bmat, cap, cap)
+    for diagram in (d, d.drop_imaginary()):
+        got = check_consistency(diagram, cap, cox)
+        assert got == _check_consistency_reference(diagram, cap, cox)
+        assert got["consistent"] == (diagram is d)
+
+
+@pytest.mark.parametrize("rows, cap", REFERENCE_INSTANCES[2:] + ((LOOP_ROWS["A3_1"], 4),))
+def test_consistency_matches_reference_on_perturbed_walls(rows, cap):
+    # Every wall whose series reaches q^1 gets its coefficient 1 moved by +1
+    # or -1/2 in turn; most perturbed diagrams are inconsistent, so the
+    # reports compare failures as well as passes.
+    bmat = ExchangeMatrix.from_rows(rows)
+    cox = coxeter_context(bmat)
+    d = build_dcscat(bmat, cap, cap)
+    verdicts = []
+    for index, w in enumerate(d.walls):
+        if w.f.k < 1:
+            continue
+        delta = 1 if index % 2 else Fraction(-1, 2)
+        diagram = _perturbed(d, index, delta)
+        got = check_consistency(diagram, cap, cox)
+        assert got == _check_consistency_reference(diagram, cap, cox), w.normal
+        verdicts.append(got["consistent"])
+    assert len(verdicts) >= 5 and verdicts.count(False) > len(verdicts) // 2
+
+
+@pytest.mark.parametrize("rows", [B_A11.b, LOOP_ROWS["A2_1"]], ids=["A1_1", "A2_1"])
+def test_consistency_sees_a_defect_on_one_generator(rows):
+    # At k = 1 only the initial walls e_i-perp count.  Cut wall e_i down to
+    # its half x_j >= 0: a loop around e_i-perp and e_j-perp then crosses it
+    # once and crosses e_j-perp twice, so mod m^2 it moves x_i alone, to
+    # x_i (1 + yhat_i)^(+-1).  Every x_i must therefore be checked.
+    bmat = ExchangeMatrix.from_rows([list(r) for r in rows])
+    cox = coxeter_context(bmat)
+    cov = cox.cartan.primitive_in_coroot_lattice
+    n = bmat.n
+    d = build_dcscat(bmat, 1, 1)
+    units = identity_mat(n)
+    for i in range(n):
+        j = (i + 1) % n
+        half = Cone.from_constraints(
+            n, eqs=[cov(units[i])], ineqs=[tuple(-c for c in cov(units[j]))]
+        )
+        walls = tuple(replace(w, cone=half) if w.normal == units[i] else w for w in d.walls)
+        diagram = replace(d, walls=walls)
+        got = check_consistency(diagram, 1, cox)
+        assert got == _check_consistency_reference(diagram, 1, cox)
+        assert not got["consistent"], i
 
 
 def test_rank2_complete_finite_a2():
