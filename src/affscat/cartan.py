@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .linalg import Vec, det, kernel_basis, primitive_vector, vscale, vsub
@@ -66,6 +67,12 @@ class ExchangeMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.b[i][j]
+
+    @cached_property
+    def mutation_tree(self) -> dict:
+        """Word -> the rows of B mutated along it, grown lazily by
+        mutation.b_class_probe and kept as long as this matrix."""
+        return {(): self.b}
 
     def transpose(self) -> "ExchangeMatrix":
         return ExchangeMatrix(self.n, tuple(zip(*self.b)))

@@ -34,6 +34,18 @@ Fractions appear only in the constraints `from_rays` returns, where each
 dual lineality vector is divided by its entry at its home coordinate (see
 _double_description), which gives the vectors the rational method gives.
 
+`SignTable(cones)` locates points against many cones at once.  It keeps the
+distinct primitive directions d_j of the cones' integer constraints, with g
+and -g sharing one direction (first nonzero entry positive) and zero
+covectors skipped, and turns each cone into two bitmasks: the directions on
+which it forbids a positive pairing and those on which it forbids a negative
+one (an inequality forbids one sign, an equality both).  A point is paired
+with each direction once, giving the masks of the directions it pairs with
+positively and negatively, and lies in a cone exactly when neither mask
+meets the cone's forbidden mask of the same sign.  Membership is invariant
+under positive scaling of a constraint, so the answers are those of
+`contains`.
+
 A cone on linearly independent rays (`Cone.simplicial`) skips the second
 conversion: it is pointed, since a line in it would be a nonzero combination
 of the rays equal to zero, and no ray is a nonnegative combination of the
@@ -46,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .linalg import (
     Vec,
@@ -169,6 +182,57 @@ class Cone:
 
     def same_cone(self, other: "Cone") -> bool:
         return self.generators == other.generators
+
+
+class SignTable:
+    """Point location against a fixed list of cones by sign masks over their
+    distinct constraint directions (see the module docstring)."""
+
+    def __init__(self, cones):
+        slots: dict = {}
+        forbid = []
+        for cone in cones:
+            eqs, ineqs = cone._integral_constraints
+            pos = neg = 0
+            for g, is_eq in [(e, True) for e in eqs] + [(g, False) for g in ineqs]:
+                if not any(g):
+                    continue
+                d = primitive_vector(g)
+                flip = next(c for c in d if c) < 0
+                bit = 1 << slots.setdefault(tuple(-c for c in d) if flip else d, len(slots))
+                # <x, g> <= 0 forbids the sign of g along its direction.
+                if is_eq or not flip:
+                    pos |= bit
+                if is_eq or flip:
+                    neg |= bit
+            forbid.append((pos, neg))
+        self.directions = tuple(slots)
+        self.forbid = tuple(forbid)
+
+    @staticmethod
+    def mask(values):
+        """(pos, neg): the bits j with values[j] > 0, and those with values[j] < 0."""
+        pos = neg = 0
+        bit = 1
+        for v in values:
+            if v > 0:
+                pos |= bit
+            elif v < 0:
+                neg |= bit
+            bit <<= 1
+        return pos, neg
+
+    def signs(self, x):
+        """The masks of x paired with each direction."""
+        return self.mask([sum(map(mul, x, d)) for d in self.directions])
+
+    def holds(self, pos, neg) -> list:
+        """For each cone, whether a point with these masks lies in it."""
+        return [not (pos & fp or neg & fn) for fp, fn in self.forbid]
+
+    def members(self, x) -> list:
+        """[cone.contains(x) for cone in cones]."""
+        return self.holds(*self.signs(x))
 
 
 def _canonicalize_generators(lin, rays):

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from .almost_positive import APContext
 from .cartan import ExchangeMatrix
+from .cones import SignTable
 from .coxeter import coxeter_context
 from .linalg import integral_multiple, primitive_vector
 from .scattering import build_dcscat, rampart_set, scat_cone_eq
@@ -31,26 +32,25 @@ class ExtendedExchangeMatrix:
         return self.rows[: self.n]
 
 
-def sgn(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 def mutate(ext: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
     """One mutation step: b'_ij = -b_ij if i = k or j = k, else
     b_ij + sgn(b_kj) max(b_ik b_kj, 0), applied to every row."""
-    n = ext.n
-    rows = ext.rows
-    row_k = rows[k]
-    out = []
-    for i, row in enumerate(rows):
-        new_row = []
-        for j in range(n):
-            if i == k or j == k:
-                new_row.append(-row[j])
-            else:
-                new_row.append(row[j] + sgn(row_k[j]) * max(row[k] * row_k[j], 0))
-        out.append(tuple(new_row))
-    return ExtendedExchangeMatrix(n, tuple(out))
+    row_k = ext.rows[k]
+    out = tuple(
+        tuple(-c for c in row) if i == k else _mutate_row(row, row_k, k)
+        for i, row in enumerate(ext.rows)
+    )
+    return ExtendedExchangeMatrix(ext.n, out)
+
+
+def _mutate_row(row, row_k, k) -> tuple:
+    """Row i != k of one mutation step at k, given row k of the exchange
+    matrix: sgn(b_kj) max(b_ik b_kj, 0) is |b_kj| b_ik when b_ik b_kj > 0,
+    else 0, and b_kk = 0."""
+    r = row[k]
+    out = [c + abs(b) * r if r * b > 0 else c for c, b in zip(row, row_k)]
+    out[k] = -r
+    return tuple(out)
 
 
 def mutate_sequence(ext: ExtendedExchangeMatrix, seq) -> ExtendedExchangeMatrix:
@@ -68,28 +68,39 @@ def eta(bmat: ExchangeMatrix, seq, x) -> tuple:
     return ext.rows[-1]
 
 
-def _sign_vector(x):
-    return tuple(sgn(c) for c in x)
+def _same_signs(u, v) -> bool:
+    return all(a * b > 0 or a == b == 0 for a, b in zip(u, v))
 
 
 def b_class_probe(bmat: ExchangeMatrix, x, y, length_cap: int) -> dict:
     """Compare sign vectors of eta over all words of length <= length_cap
-    (immediate repeats pruned: mutation is an involution).
+    (immediate repeats pruned: mutation is an involution), breadth first.
 
     "distinguished" proves different B-classes; "indistinct" is only evidence
     relative to the cap.  An indistinct pair builds n (n-1)^(l-1) words of
     each length l, so more than AFFSCAT_CAP words raise CapExceeded.
+
+    B mutated along a word does not depend on x and y, so it comes from
+    bmat.mutation_tree, which keeps it for every word expanded so far and is
+    shared by all pairs probed on bmat.  Each word then moves only the two
+    extra rows, with row k of the mutated B: mutating the extended matrix
+    leaves the rows of B as they would be without x and y.
     """
     n = bmat.n
     cap = element_cap()
     built = 0
-    start = ExtendedExchangeMatrix.from_matrix(bmat, extra=[tuple(x), tuple(y)])
-    if _sign_vector(start.rows[-2]) != _sign_vector(start.rows[-1]):
+    tree = bmat.mutation_tree
+    x, y = tuple(x), tuple(y)
+    if not _same_signs(x, y):
         return {"verdict": "distinguished", "witness": ()}
-    frontier = [((), start)]
+    frontier = [((), x, y)]
     for _ in range(length_cap):
         nxt = []
-        for word, ext in frontier:
+        for word, u, v in frontier:
+            b = tree.get(word)
+            if b is None:
+                parent = ExtendedExchangeMatrix(n, tree[word[:-1]])
+                b = tree[word] = mutate(parent, word[-1]).rows
             for k in range(n):
                 if word and word[-1] == k:
                     continue
@@ -99,10 +110,10 @@ def b_class_probe(bmat: ExchangeMatrix, x, y, length_cap: int) -> dict:
                         f"element cap AFFSCAT_CAP={cap} exceeded by the mutation probe "
                         f"at word length {len(word) + 1} of --L {length_cap}"
                     )
-                moved = mutate(ext, k)
-                if _sign_vector(moved.rows[-2]) != _sign_vector(moved.rows[-1]):
+                mu, mv = _mutate_row(u, b[k], k), _mutate_row(v, b[k], k)
+                if not _same_signs(mu, mv):
                     return {"verdict": "distinguished", "witness": word + (k,)}
-                nxt.append((word + (k,), moved))
+                nxt.append((word + (k,), mu, mv))
         frontier = nxt
     return {"verdict": "indistinct_up_to_cap", "witness": None}
 
@@ -110,8 +121,8 @@ def b_class_probe(bmat: ExchangeMatrix, x, y, length_cap: int) -> dict:
 # -- fan comparison ----------------------------------------------------------------
 
 
-def _fan_profile(cones, point):
-    return frozenset(i for i, (_, cone) in enumerate(cones) if cone.contains(point))
+def _fan_profile(table: SignTable, point):
+    return frozenset(i for i, inside in enumerate(table.members(point)) if inside)
 
 
 def _separating_heights(ap: APContext, p, q, far_cap: int):
@@ -197,13 +208,14 @@ def fans_compare(
     # (b)+(c) sampled pairs.
     rng = random.Random(seed)
     bt = bmat.transpose()
-    maximal = [(m, c) for m, c in fan if c.dim == n]
+    fan_table = SignTable([c for _, c in fan])
+    maximal = frozenset(i for i, (_, c) in enumerate(fan) if c.dim == n)
     far_cap = height_cap + 2 * sum(cox.type_info.delta)
 
     def sample_point():
-        """A rational point for the report and its integer multiple, which
-        every test below receives: each is invariant under positive scaling
-        (mutation maps are positively homogeneous)."""
+        """A rational point for the report, its integer multiple, which every
+        test below receives (each is invariant under positive scaling, and
+        mutation maps are positively homogeneous), and its fan profile."""
         for _ in range(10**4):
             x = tuple(
                 Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3])) for _ in range(n)
@@ -211,16 +223,17 @@ def fans_compare(
             xi = integral_multiple(x)
             if rampart_set(diagram, xi):
                 continue  # exclude wall loci
-            if not any(cone.contains(xi) for _, cone in maximal):
+            profile = _fan_profile(fan_table, xi)
+            if profile.isdisjoint(maximal):
                 continue  # outside the height-capped fan
-            return x, xi
+            return x, xi, profile
         raise AssertionError("sampler starved")
 
     pairs_done = 0
     while pairs_done < sample_count:
-        (p, pi), (q, qi) = sample_point(), sample_point()
+        (p, pi, p_profile), (q, qi, q_profile) = sample_point(), sample_point()
         scat_eq = scat_cone_eq(diagram, pi, qi)
-        fan_eq = _fan_profile(fan, pi) == _fan_profile(fan, qi)
+        fan_eq = p_profile == q_profile
         if scat_eq != fan_eq:
             seps = _separating_heights(ap, pi, qi, far_cap)
             if any(h > height_cap for h in seps):

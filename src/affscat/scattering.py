@@ -23,11 +23,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, cmp_to_key
+from functools import cache, cached_property, cmp_to_key
 
 from .almost_positive import APContext
 from .cartan import ExchangeMatrix, NotAcyclic, NotAffine, exchange_to_cartan
-from .cones import Cone
+from .cones import Cone, SignTable
 from .coxeter import CoxeterContext, coxeter_context
 from .linalg import (
     identity_mat,
@@ -78,6 +78,11 @@ class ScatDiagram:
     height_cap: int
     truncation: int
     provenance: dict = field(compare=False, default_factory=dict)
+
+    @cached_property
+    def wall_table(self) -> SignTable:
+        """The walls' cones as one SignTable, read by rampart_set and scat_cone_eq."""
+        return SignTable([w.cone for w in self.walls])
 
     def wall_by_normal(self, beta):
         return [w for w in self.walls if w.normal == tuple(beta)]
@@ -598,8 +603,8 @@ def integrality_audit(diagram: ScatDiagram) -> list:
 
 def rampart_set(diagram: ScatDiagram, point) -> frozenset:
     """Indices of walls containing the point (each rampart is a single wall)."""
-    x = integral_multiple(point)
-    return frozenset(i for i, w in enumerate(diagram.walls) if w.cone.contains(x))
+    members = diagram.wall_table.members(integral_multiple(point))
+    return frozenset(i for i, inside in enumerate(members) if inside)
 
 
 def scat_cone_eq(diagram: ScatDiagram, p, q) -> bool:
@@ -607,33 +612,27 @@ def scat_cone_eq(diagram: ScatDiagram, p, q) -> bool:
     exact subdivision at all wall-constraint crossings.
 
     Walls are cones, so p and q may each be scaled by a positive factor; both
-    are cleared of denominators.  With a = <p, g> and b = <q, g> for a wall
-    constraint g, the point at t = u/v (v > 0) pairs with g to
-    ((v - u) a + u b) / v, so each sample is decided by the sign of that
-    integer.  Only the ends and the crossings strictly inside the segment
-    (a b < 0) are sampled: between two consecutive crossings no constraint
-    changes sign, so as walls are closed and convex, a point there lies in
-    exactly the walls that contain both crossings around it.
+    are cleared of denominators.  With a = <p, d> and b = <q, d> for each
+    distinct direction d of the wall constraints (diagram.wall_table), the
+    point at t = u/v (v > 0) pairs with d to ((v - u) a + u b) / v, so each
+    sample is located by the signs of those integers.  A crossing t =
+    a / (a - b) does not change when d is scaled by a nonzero factor, so these
+    are the crossings of every wall constraint.  Only the ends and the
+    crossings strictly inside the segment (a b < 0) are sampled: between two
+    consecutive crossings no constraint changes sign, so as walls are closed
+    and convex, a point there lies in exactly the walls that contain both
+    crossings around it.
     """
+    table = diagram.wall_table
     p, q = integral_multiple(p), integral_multiple(q)
-    ends = [
-        (
-            [(vdot(p, e), vdot(q, e)) for e in w.cone.eqs],
-            [(vdot(p, g), vdot(q, g)) for g in w.cone.ineqs],
-        )
-        for w in diagram.walls
-    ]
+    ends = [(vdot(p, d), vdot(q, d)) for d in table.directions]
 
     def ramparts(t):
         u, v = t.numerator, t.denominator
-        return [
-            all((v - u) * a + u * b == 0 for a, b in eqs)
-            and all((v - u) * a + u * b <= 0 for a, b in ineqs)
-            for eqs, ineqs in ends
-        ]
+        return table.holds(*table.mask([(v - u) * a + u * b for a, b in ends]))
 
     base = ramparts(Fraction(0))
     if ramparts(Fraction(1)) != base:
         return False
-    ts = {Fraction(a, a - b) for eqs, ineqs in ends for a, b in eqs + ineqs if a * b < 0}
+    ts = {Fraction(a, a - b) for a, b in ends if a * b < 0}
     return all(ramparts(t) == base for t in ts)

@@ -143,16 +143,6 @@ class MonomialExpr:
             table.setdefault(tuple(lam), {})[_index(phi, k + 1)] = _num(c)
         return MonomialExpr(n, k, table)
 
-    @staticmethod
-    def x_monomial(n, k, lam) -> "MonomialExpr":
-        zero = tuple(0 for _ in range(n))
-        return MonomialExpr.from_dict(n, k, {(tuple(lam), zero): 1})
-
-    @staticmethod
-    def yhat_monomial(n, k, phi) -> "MonomialExpr":
-        zero = tuple(0 for _ in range(n))
-        return MonomialExpr.from_dict(n, k, {(zero, tuple(phi)): 1})
-
     @property
     def terms(self) -> tuple:
         """Sorted tuple of ((lambda, phi), coeff)."""

@@ -4,10 +4,11 @@ from itertools import combinations
 
 from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix
-from affscat.cones import Cone, _canonicalize_generators, _double_description
+from affscat.cones import Cone, SignTable, _canonicalize_generators, _double_description
 from affscat.coxeter import coxeter_context
 from affscat.jsonio import cone_json, dumps
 from affscat.linalg import kernel_basis, primitive_vector, rank, rref, solve_linear, vdot
+from affscat.scattering import build_dcscat
 
 F = Fraction
 
@@ -461,3 +462,57 @@ def test_relint_candidates_lie_in_the_relative_interior():
             assert face.relint_contains(tuple(point)), (face, attempt)
             checked += 1
     assert checked == 900
+
+
+def _sign_table_points(cones, rng, count=150):
+    """The origin, seeded integer points, every ray and lineality vector (both
+    signs) of every cone, and on the boundaries: the sum of two rays of one
+    cone and a ray plus a lineality vector."""
+    n = cones[0].dim_ambient
+    points = {(0,) * n}
+    points.update(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(count))
+    for cone in cones:
+        lin, rays = cone.generators
+        lin = lin + tuple(tuple(-c for c in v) for v in lin)
+        points.update(rays + lin)
+        points.update(tuple(a + b for a, b in zip(u, v)) for u, v in combinations(rays + lin, 2))
+    return sorted(points)
+
+
+def _check_sign_table(cones, points):
+    table = SignTable(cones)
+    for x in points:
+        assert table.members(x) == [c.contains(x) for c in cones], x
+
+
+def test_sign_table_matches_contains_on_fan_cones():
+    rng = random.Random(31)
+    for rows, H in FAN_INSTANCES:
+        ap = APContext(coxeter_context(ExchangeMatrix.from_rows(rows)))
+        cones = [cone for _, cone in ap.fan_cones(H)]
+        _check_sign_table(cones, _sign_table_points(cones, rng))
+
+
+def test_sign_table_matches_contains_on_walls():
+    # A_2^(1) and G_2^(1) at H=k=6, the fans workload's diagrams; the points
+    # include the fan cones' generators too.
+    rng = random.Random(32)
+    for rows, H in FAN_INSTANCES[:2]:
+        bmat = ExchangeMatrix.from_rows(rows)
+        walls = [w.cone for w in build_dcscat(bmat, H, H).walls]
+        fan = [cone for _, cone in APContext(coxeter_context(bmat)).fan_cones(H)]
+        _check_sign_table(walls, _sign_table_points(walls + fan, rng))
+
+
+def test_sign_table_shares_a_direction_between_g_and_minus_g():
+    cones = [
+        Cone.from_constraints(2, ineqs=[(1, 2)]),
+        Cone.from_constraints(2, ineqs=[(-2, -4), (0, 0)]),
+        Cone.from_constraints(2, eqs=[(F(1, 2), 1), (0, 0)]),
+        Cone.from_constraints(2, eqs=[(0, 0)]),
+        Cone.from_constraints(2, ineqs=[(3, 6), (-1, 0)]),
+    ]
+    table = SignTable(cones)
+    assert table.directions == ((1, 2), (1, 0))
+    assert table.forbid == ((1, 0), (0, 1), (1, 1), (0, 0), (1, 2))
+    _check_sign_table(cones, [(a, b) for a in range(-3, 4) for b in range(-3, 4)])

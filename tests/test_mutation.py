@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix
 from affscat.coxeter import coxeter_context
+from affscat.linalg import integral_multiple
 from affscat.mutation import (
     ExtendedExchangeMatrix,
     b_class_probe,
@@ -15,7 +16,7 @@ from affscat.mutation import (
     mutate,
     mutate_sequence,
 )
-from affscat.weyl import CapExceeded
+from affscat.weyl import CapExceeded, element_cap
 
 B_A11 = ExchangeMatrix.from_rows([[0, 2], [-2, 0]])
 B_A2T = ExchangeMatrix.from_rows([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
@@ -131,6 +132,144 @@ def test_b_class_probe_cap_names_itself(monkeypatch):
     monkeypatch.setenv("AFFSCAT_CAP", "50")
     with pytest.raises(CapExceeded, match=r"AFFSCAT_CAP=50 .*--L 8"):
         b_class_probe(bt, x, x, 8)
+
+
+# The probe that mutated the whole extended matrix for every word, with the
+# mutation step it used, kept verbatim as the reference for the shared
+# mutation tree and the two-row update.
+def sgn(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _reference_mutate(ext: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
+    """One mutation step: b'_ij = -b_ij if i = k or j = k, else
+    b_ij + sgn(b_kj) max(b_ik b_kj, 0), applied to every row."""
+    n = ext.n
+    rows = ext.rows
+    row_k = rows[k]
+    out = []
+    for i, row in enumerate(rows):
+        new_row = []
+        for j in range(n):
+            if i == k or j == k:
+                new_row.append(-row[j])
+            else:
+                new_row.append(row[j] + sgn(row_k[j]) * max(row[k] * row_k[j], 0))
+        out.append(tuple(new_row))
+    return ExtendedExchangeMatrix(n, tuple(out))
+
+
+def _sign_vector(x):
+    return tuple(sgn(c) for c in x)
+
+
+def _reference_b_class_probe(bmat: ExchangeMatrix, x, y, length_cap: int) -> dict:
+    """Compare sign vectors of eta over all words of length <= length_cap
+    (immediate repeats pruned: mutation is an involution).
+
+    "distinguished" proves different B-classes; "indistinct" is only evidence
+    relative to the cap.  An indistinct pair builds n (n-1)^(l-1) words of
+    each length l, so more than AFFSCAT_CAP words raise CapExceeded.
+    """
+    n = bmat.n
+    cap = element_cap()
+    built = 0
+    start = ExtendedExchangeMatrix.from_matrix(bmat, extra=[tuple(x), tuple(y)])
+    if _sign_vector(start.rows[-2]) != _sign_vector(start.rows[-1]):
+        return {"verdict": "distinguished", "witness": ()}
+    frontier = [((), start)]
+    for _ in range(length_cap):
+        nxt = []
+        for word, ext in frontier:
+            for k in range(n):
+                if word and word[-1] == k:
+                    continue
+                built += 1
+                if built > cap:
+                    raise CapExceeded(
+                        f"element cap AFFSCAT_CAP={cap} exceeded by the mutation probe "
+                        f"at word length {len(word) + 1} of --L {length_cap}"
+                    )
+                moved = _reference_mutate(ext, k)
+                if _sign_vector(moved.rows[-2]) != _sign_vector(moved.rows[-1]):
+                    return {"verdict": "distinguished", "witness": word + (k,)}
+                nxt.append((word + (k,), moved))
+        frontier = nxt
+    return {"verdict": "indistinct_up_to_cap", "witness": None}
+
+
+def test_mutate_matches_reference():
+    rng = random.Random(2025)
+    for _ in range(500):
+        ext = random_ext(rng, n=rng.randint(2, 4), extra=rng.randint(0, 2))
+        if rng.random() < 0.5:
+            ext = ExtendedExchangeMatrix(ext.n, tuple(map(integral_multiple, ext.rows)))
+        k = rng.randrange(ext.n)
+        assert mutate(ext, k) == _reference_mutate(ext, k)
+
+
+B_A31 = ExchangeMatrix.from_rows([[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, -1], [-1, 0, 1, 0]])
+PROBE_INSTANCES = (
+    B_A11,
+    B_A2T,
+    ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, -3, 0]]),  # G_2^(1)
+    B_A31,
+)
+
+
+def _probe_pairs(rng, n, count):
+    """Seeded (p, q, L): unrelated points, points with equal sign vectors
+    (which only a mutation can tell apart), nearby directions (told apart,
+    if at all, by long words) and points on one ray."""
+
+    def coord():
+        return Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3]))
+
+    for i in range(count):
+        p = tuple(coord() for _ in range(n))
+        kind = i % 4
+        if kind == 0:
+            q = tuple(coord() for _ in range(n))
+        elif kind == 1:
+            q = tuple(sgn(c) * Fraction(rng.randint(1, 12), rng.choice([1, 2, 3])) for c in p)
+        elif kind == 2:
+            m = rng.randint(3, 12)
+            q = tuple(m * c + Fraction(rng.randint(-2, 2), 3) for c in p)
+        else:
+            q = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 4)) * c for c in p)
+        yield p, q, rng.randint(0, 6)
+
+
+def _outcome(probe, *args):
+    try:
+        return probe(*args)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+def test_b_class_probe_matches_whole_matrix_reference(monkeypatch):
+    rng = random.Random(17)
+    seen = set()
+    for b in PROBE_INSTANCES:
+        bt = b.transpose()
+        for p, q, cap in _probe_pairs(rng, b.n, 60):
+            for x, y in ((p, q), (integral_multiple(p), integral_multiple(q))):
+                got = b_class_probe(bt, x, y, cap)
+                assert got == _reference_b_class_probe(bt, x, y, cap), (b, x, y, cap)
+                seen.add((got["verdict"], len(got["witness"] or ())))
+    assert ("indistinct_up_to_cap", 0) in seen
+    assert {0, 1, 2, 3} <= {depth for verdict, depth in seen if verdict == "distinguished"}
+    # The shared tree counts words against the cap as the whole-matrix probe does.
+    monkeypatch.setenv("AFFSCAT_CAP", "40")
+    capped = 0
+    for b in PROBE_INSTANCES:
+        bt = b.transpose()
+        for p, q, cap in _probe_pairs(rng, b.n, 12):
+            args = (bt, integral_multiple(p), integral_multiple(q), cap)
+            got = _outcome(b_class_probe, *args)
+            assert got == _outcome(_reference_b_class_probe, *args), args
+            capped += isinstance(got, str)
+    assert capped > 0
 
 
 def test_b_class_probe_inside_d_inf():

@@ -264,8 +264,9 @@ def _check_consistency_reference(diagram, truncation, cox):
     b_rows = _b_rows_from_cox(cox)
     units = identity_mat(n)
     coroot = functools.cache(cox.cartan.primitive_in_coroot_lattice)
-    gens = [MonomialExpr.x_monomial(n, k, u) for u in units]
-    gens += [MonomialExpr.yhat_monomial(n, k, u) for u in units]
+    zero = (0,) * n
+    gens = [MonomialExpr.from_dict(n, k, {(u, zero): 1}) for u in units]
+    gens += [MonomialExpr.from_dict(n, k, {(zero, u): 1}) for u in units]
     faces = _codim2_faces(walls, n)
     report = {"faces": len(faces), "failures": [], "checked": 0}
     for face, beta1, beta2 in faces:
@@ -444,8 +445,8 @@ def _scat_cone_eq_fraction_reference(diagram, p, q):
 
 
 @functools.cache
-def _rank3_diagram(rows):
-    return build_dcscat(ExchangeMatrix.from_rows([list(r) for r in rows]), 4, 4)
+def _rank3_diagram(rows, cap=4):
+    return build_dcscat(ExchangeMatrix.from_rows([list(r) for r in rows]), cap, cap)
 
 
 RANK3_ROWS = (
@@ -484,6 +485,40 @@ def test_scat_cone_eq_matches_fraction_reference(rows, p, q, where, wall, lone_w
         if where == "from_a_wall_ray" and cone.rays:
             p = cone.rays[wall % len(cone.rays)]
     assert scat_cone_eq(d, p, q) == _scat_cone_eq_fraction_reference(d, p, q)
+
+
+def test_scat_cone_eq_matches_fraction_reference_from_a_wall():
+    # At H=k=6, the fans workload's caps, with one end on a wall: a random
+    # combination of its generators, in its relative interior or on a
+    # boundary ray or face.  The other end lies in the relative interior of
+    # the same wall (so the ends often agree and a crossing between them
+    # decides), on another wall or anywhere.
+    rng = random.Random(6)
+
+    def in_wall(wall, boundary):
+        lin, rays = wall.cone.generators
+        gens = rays + lin + tuple(tuple(-c for c in v) for v in lin)
+        pool = [0, 0, 1, 2, Fraction(1, 3)] if boundary else [1, 2, 5, Fraction(1, 3)]
+        weights = [rng.choice(pool) for _ in gens]
+        return tuple(sum(c * g[j] for c, g in zip(weights, gens)) for j in range(3))
+
+    verdicts = set()
+    for rows in RANK3_ROWS:
+        d = _rank3_diagram(rows, 6)
+        for wall in d.walls:
+            for kind in range(10):
+                p = in_wall(wall, kind % 2)
+                if kind < 6:
+                    q = in_wall(wall, False)
+                elif kind < 9:
+                    q = in_wall(rng.choice(d.walls), True)
+                else:
+                    q = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 3)) for _ in p)
+                for a, b in ((p, q), (q, p)):
+                    got = scat_cone_eq(d, a, b)
+                    assert got == _scat_cone_eq_fraction_reference(d, a, b), (rows, a, b)
+                    verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_overlap_reported():
