@@ -11,6 +11,13 @@ every pair, each root's tau_c-orbit (and tau_c^{-1}-orbit) is walked once,
 lazily, into a table that also records the first step at which the orbit is
 a negative simple.  A pair is answered at the smaller of its two roots'
 first steps, which is exactly where the joint walk would stop.
+
+Compatibility is symmetric: a degree is zero exactly when its transpose is
+(Reading-Stella, An affine almost positive roots model).  So the
+compatibility graph tests each unordered pair of roots once.  One
+enumeration of its cliques, the compatible sets, serves both the fan, one
+simplicial cone per compatible set, and the clusters, which are the maximal
+compatible sets: those whose members have no common partner.
 """
 
 from __future__ import annotations
@@ -298,16 +305,18 @@ class APContext:
                 return int(orbit_b[ta][i])
         raise ResolutionCapExceeded(f"no base case within {cap} tau steps for {(a, b)}")
 
-    def compatible(self, a, b) -> bool:
-        return self.compatibility_degree(a, b) == 0
-
     # -- clusters and the fan -----------------------------------------------------------
 
     def compatibility_graph(self, height_cap: int):
+        """The height-capped AP_c and its compatible pairs, root -> partners.
+        Compatibility is symmetric, so each unordered pair is tested once."""
         roots = self.ap_roots(height_cap)
-        edges = {
-            r: {s for s in roots if s != r and self.compatible(r, s)} for r in roots
-        }
+        edges = {r: set() for r in roots}
+        for i, r in enumerate(roots):
+            for s in roots[i + 1 :]:
+                if self.compatibility_degree(r, s) == 0:
+                    edges[r].add(s)
+                    edges[s].add(r)
         return roots, edges
 
     def clusters(self, height_cap: int):
@@ -318,10 +327,10 @@ class APContext:
         the height cap.
         """
         roots, edges = self.compatibility_graph(height_cap)
-        cliques = []
-        _bron_kerbosch(set(), set(roots), set(), edges, cliques)
         real, imaginary, frontier = [], [], []
-        for cl in cliques:
+        for cl in _cliques(roots, edges):
+            if not cl or set.intersection(*(edges[r] for r in cl)):
+                continue  # empty, or not maximal: its members have a common partner
             members = tuple(sorted(cl))
             if self.delta in cl:
                 assert len(cl) == self.n - 1, "imaginary clusters have n-1 roots"
@@ -339,17 +348,7 @@ class APContext:
 
     def compatible_subsets(self, height_cap: int):
         """All pairwise-compatible subsets of the height-capped AP_c."""
-        roots, edges = self.compatibility_graph(height_cap)
-        out = [()]
-        stack = [((), list(roots))]
-        while stack:
-            base, candidates = stack.pop()
-            for idx, r in enumerate(candidates):
-                subset = base + (r,)
-                out.append(subset)
-                rest = [s for s in candidates[idx + 1 :] if s in edges[r]]
-                stack.append((subset, rest))
-        return out
+        return _cliques(*self.compatibility_graph(height_cap))
 
     def fan_cone(self, members) -> Cone:
         """nu_c image of the cone spanned by a compatible set, whose images
@@ -358,24 +357,24 @@ class APContext:
 
     def fan_cones(self, height_cap: int):
         """All cones of nu_c(Fan_c) from height-capped compatible sets, with
-        their generating root sets."""
-        out = []
-        seen = set()
-        for subset in self.compatible_subsets(height_cap):
-            cone = self.fan_cone(subset)
-            key = cone.generators
-            if key not in seen:
-                seen.add(key)
-                out.append((subset, cone))
-        return out
+        their generating root sets: distinct compatible sets span distinct
+        simplicial cones."""
+        return [
+            (subset, self.fan_cone(subset))
+            for subset in self.compatible_subsets(height_cap)
+        ]
 
 
-def _bron_kerbosch(r, p, x, edges, out):
-    if not p and not x:
-        out.append(set(r))
-        return
-    pivot = max(p | x, key=lambda v: len(edges[v] & p))
-    for v in list(p - edges[pivot]):
-        _bron_kerbosch(r | {v}, p & edges[v], x & edges[v], edges, out)
-        p.remove(v)
-        x.add(v)
+def _cliques(roots, edges):
+    """Every clique of the graph as a tuple in roots order, the empty one
+    first, each extended only by later roots so that it is built once."""
+    out = [()]
+    stack = [((), list(roots))]
+    while stack:
+        base, candidates = stack.pop()
+        for idx, r in enumerate(candidates):
+            subset = base + (r,)
+            out.append(subset)
+            rest = [s for s in candidates[idx + 1 :] if s in edges[r]]
+            stack.append((subset, rest))
+    return out

@@ -133,13 +133,11 @@ class CoxeterContext:
     @cached_property
     def coxeter_matrix(self) -> tuple:
         """Matrix of c acting on V (alpha coordinates)."""
-        cols = []
-        for j in range(self.n):
-            v = self.cartan.simple_root(j)
-            for i in reversed(self.order):
-                v = self.cartan.reflect_root(i, v)
-            cols.append(v)
-        return tuple(tuple(cols[j][r] for j in range(self.n)) for r in range(self.n))
+        cols = [
+            self.cartan.act_word_on_root(self.order, self.cartan.simple_root(j))
+            for j in range(self.n)
+        ]
+        return tuple(zip(*cols))
 
     @cached_property
     def affine(self) -> "AffineVectors":

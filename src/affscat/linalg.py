@@ -35,10 +35,6 @@ def vdot(u: Vec, v: Vec):
     return sum(a * b for a, b in zip(u, v, strict=True))
 
 
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(vdot(row, v) for row in m)
-
-
 def identity_mat(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

@@ -5,7 +5,6 @@ comparison (scattering cones, nu_c fan cones, mutation-map sign vectors).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .almost_positive import APContext
@@ -17,30 +16,15 @@ from .scattering import build_dcscat, rampart_set, scat_cone_eq
 from .weyl import CapExceeded, element_cap
 
 
-@dataclass(frozen=True)
-class ExtendedExchangeMatrix:
-    n: int
-    rows: tuple  # first n rows are the exchange matrix; the rest are ints or Fractions
-
-    @staticmethod
-    def from_matrix(bmat: ExchangeMatrix, extra=()) -> "ExtendedExchangeMatrix":
-        rows = tuple(tuple(x for x in row) for row in bmat.b)
-        rows += tuple(tuple(row) for row in extra)
-        return ExtendedExchangeMatrix(bmat.n, rows)
-
-    def top(self):
-        return self.rows[: self.n]
-
-
-def mutate(ext: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
-    """One mutation step: b'_ij = -b_ij if i = k or j = k, else
-    b_ij + sgn(b_kj) max(b_ik b_kj, 0), applied to every row."""
-    row_k = ext.rows[k]
-    out = tuple(
+def mutate(rows, k: int) -> tuple:
+    """One mutation step at k on a tuple of rows, B's rows first and any extra
+    rows (ints or Fractions) after: b'_ij = -b_ij if i = k or j = k, else
+    b_ij + sgn(b_kj) max(b_ik b_kj, 0)."""
+    row_k = rows[k]
+    return tuple(
         tuple(-c for c in row) if i == k else _mutate_row(row, row_k, k)
-        for i, row in enumerate(ext.rows)
+        for i, row in enumerate(rows)
     )
-    return ExtendedExchangeMatrix(ext.n, out)
 
 
 def _mutate_row(row, row_k, k) -> tuple:
@@ -53,19 +37,14 @@ def _mutate_row(row, row_k, k) -> tuple:
     return tuple(out)
 
 
-def mutate_sequence(ext: ExtendedExchangeMatrix, seq) -> ExtendedExchangeMatrix:
-    """Apply mutations with seq[0] acting first."""
-    for k in seq:
-        ext = mutate(ext, k)
-    return ext
-
-
 def eta(bmat: ExchangeMatrix, seq, x) -> tuple:
-    """Mutation map eta_seq^B on V* (rho coordinates): adjoin x as an extra row,
-    mutate along seq (first entry first), read off the transformed row."""
-    ext = ExtendedExchangeMatrix.from_matrix(bmat, extra=[tuple(x)])
-    ext = mutate_sequence(ext, seq)
-    return ext.rows[-1]
+    """Mutation map eta_seq^B on V* (rho coordinates): x moves as an extra row
+    beside B's rows, which are mutated along seq (first entry first)."""
+    b, x = bmat.b, tuple(x)
+    for k in seq:
+        x = _mutate_row(x, b[k], k)
+        b = mutate(b, k)
+    return x
 
 
 def _same_signs(u, v) -> bool:
@@ -99,8 +78,7 @@ def b_class_probe(bmat: ExchangeMatrix, x, y, length_cap: int) -> dict:
         for word, u, v in frontier:
             b = tree.get(word)
             if b is None:
-                parent = ExtendedExchangeMatrix(n, tree[word[:-1]])
-                b = tree[word] = mutate(parent, word[-1]).rows
+                b = tree[word] = mutate(tree[word[:-1]], word[-1])
             for k in range(n):
                 if word and word[-1] == k:
                     continue

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 
 from .cartan import CartanMatrix
-from .linalg import Vec, identity_mat, mat_vec
+from .linalg import Vec, identity_mat
 
 DEFAULT_ELEMENT_CAP = 10**6
 
@@ -49,9 +49,6 @@ class GroupElement:
 
     def is_identity(self) -> bool:
         return not self.inversions
-
-    def act(self, v: Vec) -> Vec:
-        return mat_vec(self.matrix, v)
 
 
 class WeylContext:

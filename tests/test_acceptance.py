@@ -8,18 +8,13 @@ wall-clock ceilings.
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 
 from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix
 from affscat.coxeter import coxeter_context
 from affscat.linalg import primitive_vector
-from affscat.mutation import (
-    ExtendedExchangeMatrix,
-    eta,
-    fans_compare,
-    mutate,
-    mutate_sequence,
-)
+from affscat.mutation import eta, fans_compare, mutate
 from affscat.scattering import (
     ORIGIN_INITIAL,
     build_dcscat,
@@ -229,16 +224,13 @@ def test_criterion_10_mutation_algebra():
             [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
             for _ in range(rng.randint(0, 2))
         ]
-        ext = ExtendedExchangeMatrix(
-            n, tuple(tuple(r) for r in rows) + tuple(tuple(r) for r in extra)
-        )
+        ext = tuple(tuple(r) for r in rows) + tuple(tuple(r) for r in extra)
         k = rng.randrange(n)
         assert mutate(mutate(ext, k), k) == ext
     for name, b in INSTANCES:
         cox = coxeter_context(b)
-        ext = ExtendedExchangeMatrix.from_matrix(b)
         seq = list(reversed(cox.order))
-        assert mutate_sequence(ext, seq).top() == b.b  # mu_{12...n}(B) = B
+        assert reduce(mutate, seq, b.b) == b.b  # mu_{12...n}(B) = B
         ap = APContext(cox)
         bt = b.transpose()
         for beta in ap.ap_roots(4):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,7 @@ from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix
 from affscat.coxeter import coxeter_context
 from affscat.linalg import integral_multiple
-from affscat.mutation import (
-    ExtendedExchangeMatrix,
-    b_class_probe,
-    eta,
-    mutate,
-    mutate_sequence,
-)
+from affscat.mutation import b_class_probe, eta, mutate
 from affscat.weyl import CapExceeded, element_cap
 
 B_A11 = ExchangeMatrix.from_rows([[0, 2], [-2, 0]])
@@ -23,6 +18,7 @@ B_A2T = ExchangeMatrix.from_rows([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
 
 
 def random_ext(rng, n=3, extra=2):
+    """The rows of a random skew-symmetric B, then extra rational rows."""
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -33,9 +29,7 @@ def random_ext(rng, n=3, extra=2):
         [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
         for _ in range(extra)
     ]
-    return ExtendedExchangeMatrix(
-        n, tuple(tuple(r) for r in rows) + tuple(tuple(r) for r in ext)
-    )
+    return tuple(tuple(r) for r in rows) + tuple(tuple(r) for r in ext)
 
 
 def test_mutation_involution_random():
@@ -49,15 +43,13 @@ def test_mutation_involution_random():
 def test_mu_c_identity():
     # mu_{12...n}(B) = B for acyclic B with c = s_1...s_n (apply n first).
     for b in (B_A11, B_A2T):
-        ext = ExtendedExchangeMatrix.from_matrix(b)
         seq = list(reversed(b.coxeter_order()))
-        assert mutate_sequence(ext, seq).top() == b.b
+        assert reduce(mutate, seq, b.b) == b.b
 
 
 def test_extra_row_example():
-    ext = ExtendedExchangeMatrix.from_matrix(B_A11, extra=[(1, 0)])
-    moved = mutate(ext, 0)
-    assert moved.rows[-1] == (-1, 2)
+    moved = mutate(B_A11.b + ((1, 0),), 0)
+    assert moved[-1] == (-1, 2)
 
 
 def test_eta_on_single_index():
@@ -141,11 +133,10 @@ def sgn(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _reference_mutate(ext: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
+def _reference_mutate(rows, k: int) -> tuple:
     """One mutation step: b'_ij = -b_ij if i = k or j = k, else
     b_ij + sgn(b_kj) max(b_ik b_kj, 0), applied to every row."""
-    n = ext.n
-    rows = ext.rows
+    n = len(rows[k])
     row_k = rows[k]
     out = []
     for i, row in enumerate(rows):
@@ -156,7 +147,7 @@ def _reference_mutate(ext: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMa
             else:
                 new_row.append(row[j] + sgn(row_k[j]) * max(row[k] * row_k[j], 0))
         out.append(tuple(new_row))
-    return ExtendedExchangeMatrix(n, tuple(out))
+    return tuple(out)
 
 
 def _sign_vector(x):
@@ -174,8 +165,8 @@ def _reference_b_class_probe(bmat: ExchangeMatrix, x, y, length_cap: int) -> dic
     n = bmat.n
     cap = element_cap()
     built = 0
-    start = ExtendedExchangeMatrix.from_matrix(bmat, extra=[tuple(x), tuple(y)])
-    if _sign_vector(start.rows[-2]) != _sign_vector(start.rows[-1]):
+    start = bmat.b + (tuple(x), tuple(y))
+    if _sign_vector(start[-2]) != _sign_vector(start[-1]):
         return {"verdict": "distinguished", "witness": ()}
     frontier = [((), start)]
     for _ in range(length_cap):
@@ -191,7 +182,7 @@ def _reference_b_class_probe(bmat: ExchangeMatrix, x, y, length_cap: int) -> dic
                         f"at word length {len(word) + 1} of --L {length_cap}"
                     )
                 moved = _reference_mutate(ext, k)
-                if _sign_vector(moved.rows[-2]) != _sign_vector(moved.rows[-1]):
+                if _sign_vector(moved[-2]) != _sign_vector(moved[-1]):
                     return {"verdict": "distinguished", "witness": word + (k,)}
                 nxt.append((word + (k,), moved))
         frontier = nxt
@@ -203,9 +194,31 @@ def test_mutate_matches_reference():
     for _ in range(500):
         ext = random_ext(rng, n=rng.randint(2, 4), extra=rng.randint(0, 2))
         if rng.random() < 0.5:
-            ext = ExtendedExchangeMatrix(ext.n, tuple(map(integral_multiple, ext.rows)))
-        k = rng.randrange(ext.n)
+            ext = tuple(map(integral_multiple, ext))
+        k = rng.randrange(len(ext[0]))
         assert mutate(ext, k) == _reference_mutate(ext, k)
+
+
+def _reference_eta(bmat: ExchangeMatrix, seq, x) -> tuple:
+    """eta by the whole extended matrix: adjoin x as a row, mutate every row
+    along seq (first entry first), read off the last row."""
+    rows = bmat.b + (tuple(x),)
+    for k in seq:
+        rows = _reference_mutate(rows, k)
+    return rows[-1]
+
+
+def test_eta_matches_whole_matrix_reference():
+    rng = random.Random(2026)
+    for _ in range(500):
+        n = rng.randint(2, 4)
+        top = random_ext(rng, n=n, extra=0)
+        bmat = ExchangeMatrix.from_rows(top)
+        x = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n))
+        seq = [rng.randrange(n) for _ in range(rng.randint(0, 6))]
+        assert eta(bmat, seq, x) == _reference_eta(bmat, seq, x), (top, seq, x)
+        xi = integral_multiple(x)
+        assert eta(bmat, seq, xi) == _reference_eta(bmat, seq, xi)
 
 
 B_A31 = ExchangeMatrix.from_rows([[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, -1], [-1, 0, 1, 0]])
@@ -292,9 +305,7 @@ def test_eta_transports_cambrian_cones():
 
     b = B_A2T
     k = 0
-    mutated = ExtendedExchangeMatrix.from_matrix(b)
-    mutated = mutate(mutated, k)
-    b2 = ExchangeMatrix.from_rows([list(r) for r in mutated.top()])
+    b2 = ExchangeMatrix.from_rows([list(r) for r in mutate(b.b, k)])
     assert b2.is_acyclic()
     cox1, cox2 = coxeter_context(b), coxeter_context(b2)
     sc1 = SortableContext(WeylContext(cox1.cartan), cox1)

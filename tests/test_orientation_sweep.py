@@ -13,8 +13,10 @@ import itertools
 
 import pytest
 
+from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix, _affine_table
 from affscat.coxeter import coxeter_context
+from affscat.linalg import rank
 from affscat.mutation import fans_compare
 from affscat.scattering import build_dcscat, build_easy_scat, check_consistency
 
@@ -105,3 +107,55 @@ def test_consistent(orientation):
     # AssertionError, so an inconsistent report fails them too.
     if not report["consistent"] or not report["checked"]:
         pytest.fail(f"inconsistent or no loop checked: {report}")
+
+
+# Clusters as they were found before the compatibility graph tested each
+# unordered pair once: Bron-Kerbosch with pivoting on the graph of ordered
+# pairs, then the same split, kept verbatim as the reference.
+def _bron_kerbosch(r, p, x, edges, out):
+    if not p and not x:
+        out.append(set(r))
+        return
+    pivot = max(p | x, key=lambda v: len(edges[v] & p))
+    for v in list(p - edges[pivot]):
+        _bron_kerbosch(r | {v}, p & edges[v], x & edges[v], edges, out)
+        p.remove(v)
+        x.add(v)
+
+
+def _reference_clusters(ap, height_cap):
+    roots = ap.ap_roots(height_cap)
+    edges = {
+        r: {s for s in roots if s != r and ap.compatibility_degree(r, s) == 0}
+        for r in roots
+    }
+    cliques = []
+    _bron_kerbosch(set(), set(roots), set(), edges, cliques)
+    real, imaginary, frontier = [], [], []
+    for cl in cliques:
+        members = tuple(sorted(cl))
+        if ap.delta in cl:
+            assert len(cl) == ap.n - 1, "imaginary clusters have n-1 roots"
+            assert all(
+                r == ap.delta or ap.is_tube_real(r) for r in cl
+            ), "imaginary clusters consist of tube roots and delta"
+            imaginary.append(members)
+        elif len(cl) == ap.n:
+            assert rank([list(r) for r in cl]) == ap.n
+            real.append(members)
+        else:
+            frontier.append(members)
+    return sorted(real), sorted(imaginary), sorted(frontier)
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS, ids=_id)
+def test_compatibility_is_symmetric_and_clusters_are_maximal_compatible_sets(orientation):
+    bmat = ExchangeMatrix.from_rows([list(r) for r in orientation[2]])
+    ap = APContext(coxeter_context(bmat))
+    roots = ap.ap_roots(4)
+    zero = [[ap.compatibility_degree(a, b) == 0 for b in roots] for a in roots]
+    assert zero == [list(col) for col in zip(*zero)]
+    assert ap.clusters(4) == _reference_clusters(ap, 4)
+    fan = ap.fan_cones(4)
+    assert len(fan) == len(ap.compatible_subsets(4))
+    assert len({cone.generators for _, cone in fan}) == len(fan)

@@ -63,6 +63,7 @@ def test_op_imports_resolve():
 def test_fans_layers_are_called(monkeypatch):
     # The fans workload's per-layer metrics come from wrappers around these
     # names; an inlined call would read 0 there without failing anything.
+    from affscat.almost_positive import APContext
     from affscat.cartan import ExchangeMatrix
     from affscat.cones import Cone
     from affscat.mutation import fans_compare
@@ -78,6 +79,9 @@ def test_fans_layers_are_called(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Cone, "contains", counted("Cone.contains", Cone.contains))
+    for attr in ("compatibility_degree", "fan_cones"):
+        original = getattr(APContext, attr)
+        monkeypatch.setattr(APContext, attr, counted(f"APContext.{attr}", original))
     for modname, attr in (
         ("scattering", "rampart_set"),
         ("scattering", "scat_cone_eq"),
@@ -93,5 +97,12 @@ def test_fans_layers_are_called(monkeypatch):
                         monkeypatch.setattr(module, binding, wrapped)
 
     fans_compare(ExchangeMatrix.from_rows([[0, 2], [-2, 0]]), 4, 4, 4, 20, 3)
-    for name in ("Cone.contains", "rampart_set", "scat_cone_eq", "b_class_probe"):
+    for name in (
+        "Cone.contains",
+        "rampart_set",
+        "scat_cone_eq",
+        "b_class_probe",
+        "APContext.compatibility_degree",
+        "APContext.fan_cones",
+    ):
         assert calls.get(name), f"{name} is never called by fans_compare"
