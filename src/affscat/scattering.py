@@ -15,7 +15,9 @@ d, so for a face cut out by walls with normals beta1, beta2:
   and every wall through the face traces a line in it;
 - crossing signs are read off the trace directions (see loop_crossings).
 
-rank2_complete runs the order-by-order completion in rank 2.
+rank2_complete completes the rank-2 diagram in one pass around its loop,
+reading each outgoing ray's scattering term off the product as the loop
+reaches it (the ordered factorization).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property, cmp_to_key
+from math import gcd
 
 from .almost_positive import APContext
 from .cartan import ExchangeMatrix, NotAcyclic, NotAffine, exchange_to_cartan
@@ -43,6 +46,8 @@ from .series import (
     TruncatedSeries,
     f_inf_series,
     path_product,
+    series_root,
+    wall_cross,
 )
 from .shards import ShardContext
 from .sortable import SortableContext
@@ -475,18 +480,31 @@ def _generic_relint_point(face: Cone, other_walls):
 
 
 def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
-    """Order-by-order consistency completion of the rank-2 diagram, exact
-    through total yhat-degree `truncation`.
+    """Consistency completion of the rank-2 diagram, exact through total
+    yhat-degree `truncation`, in one pass around the loop: the ordered
+    factorization of Kontsevich-Soibelman (Gross-Pandharipande, Quivers,
+    curves, and the tropical vertex, 2010).
 
-    At each degree d the loop of the walls so far is applied once, to
-    x_1 + x_2 mod m^(d+1).  Crossings keep each lambda group apart (see
-    check_consistency), so the degree-d terms in the lambda = e_i group are
-    the defect of x_i; every defect must stay on such a unit lambda.  The
-    final check that the completed loop closes uses x_1 + x_2 too.
+    An outgoing ray with normal beta runs along -B beta, and -B maps the
+    open positive quadrant onto one open quadrant between the events of the
+    two lines.  The loop is rotated to start just after that quadrant: the
+    four line crossings, then the ray crossings theta_1, ..., theta_N in loop
+    order.  It closes when it fixes X = x_1 + x_2 (see check_consistency),
+    i.e. when the image Y of X under the line crossings is
+    theta_1^-1 ... theta_N^-1 (X).  -B is linear, so the normals beta_j come
+    in angular order too and beta_1 is extreme among them: theta_2, ...,
+    theta_N only add yhat-exponents in the cone of beta_2, ..., beta_N, which
+    meets the line of beta_1 only at 0.  So the terms of Y on
+    x_i yhat^(m beta_1) come from theta_1 alone; they are x_i f_1^(-s c_i),
+    with c = coroot(beta_1) and s the ray's crossing sign, and their root is
+    f_1.  Crossing theta_1 leaves theta_2^-1 ... theta_N^-1 (X) for the next
+    ray.  Every candidate normal (primitive, off the lines, of height at most
+    the truncation) is read once; those with f = 1 carry no wall.  The final
+    check Y == X is the closing of the whole loop.
     """
     assert bmat.n == 2, "completion is implemented for rank 2 only"
     cartan = exchange_to_cartan(bmat)
-    n, k = 2, truncation
+    k = truncation
     b_rows = bmat.b
     coroot = cache(cartan.primitive_in_coroot_lattice)  # once per normal
 
@@ -499,83 +517,57 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
         cone = Cone.from_constraints(2, eqs=[coroot(beta)], ineqs=[coroot(phi)])
         return cone, (phi,)
 
-    walls: dict = {}
-    for i in range(2):
-        beta = cartan.simple_root(i)
-        walls[("line", beta)] = Wall(
+    lines = [
+        Wall(
             normal=beta,
             cone=Cone.from_constraints(2, eqs=[coroot(beta)]),
             ineq_roots=(),
             f=TruncatedSeries.one_plus_q(beta, k),
             origin=ORIGIN_INITIAL,
         )
-
-    def outgoing_direction(beta):
-        return primitive_vector(
-            tuple(-sum(b_rows[i][j] * beta[j] for j in range(2)) for i in range(2))
-        )
-
-    def loop_seq(current_walls):
-        crossings = loop_crossings(current_walls, (0, 0), (1, 0), (0, 1), coroot)
-        return [(_crossing_data(e.wall, coroot, b_rows), e.sign) for e in crossings]
-
-    units = identity_mat(2)
-    for degree in range(2, k + 1):
-        # walls with normal height > degree act trivially mod m^(degree+1)
-        active = [w for w in walls.values() if sum(w.normal) <= degree]
-        seq = loop_seq(active)
-        defects: dict = {}
-        for (lam, phi), coeff in path_product(_x_sum(2, degree), seq, degree).terms:
-            if sum(phi) == degree:
-                assert lam in units, "defect must stay on an x-monomial"
-                defects.setdefault(phi, {})[units.index(lam)] = coeff
-        for phi, per_gen in sorted(defects.items()):
-            beta = primitive_vector(phi)
-            beta_coroot = coroot(beta)
-            direction = outgoing_direction(beta)
-            # crossing sign of this outgoing ray in the ccw loop
-            # (in rank 2 the wall's cone covector is this same primitive coroot)
-            cw = (direction[1], -direction[0])
-            val = vdot(cw, beta_coroot)
-            assert val != 0
-            ray_sign = 1 if val > 0 else -1
-            m = sum(phi) // sum(beta)
-            candidates = []
-            for i in range(2):
-                if beta_coroot[i] == 0:
-                    continue
-                g = per_gen.get(i, Fraction(0))
-                candidates.append(Fraction(g, ray_sign * beta_coroot[i]))
-            assert candidates and all(c == candidates[0] for c in candidates), (
-                "defect is not a single wall correction"
-            )
-            correction = -candidates[0]
-            if correction == 0:
-                continue
-            key = ("ray", tuple(direction))
-            if key not in walls:
-                qdeg = k // sum(beta)
-                cone, ineq_roots = ray_wall_shape(beta, direction)
-                walls[key] = Wall(
-                    normal=beta,
-                    cone=cone,
-                    ineq_roots=ineq_roots,
-                    f=TruncatedSeries.one(beta, qdeg),
-                    origin=ORIGIN_RANK2,
-                )
-            wall = walls[key]
-            assert wall.normal == beta, "parallel outgoing rays must share a normal"
-            coeffs = list(wall.f.coeffs)
-            coeffs[m] += correction
-            walls[key] = replace(wall, f=TruncatedSeries.make(beta, wall.f.k, coeffs))
-    # final verification
-    seq = loop_seq(list(walls.values()))
+        for beta in (cartan.simple_root(0), cartan.simple_root(1))
+    ]
+    rays = []  # (direction, normal); none when B = 0
+    for b1 in range(1, k):
+        for b2 in range(1, k - b1 + 1):
+            out = tuple(-(row[0] * b1 + row[1] * b2) for row in b_rows)
+            if gcd(b1, b2) == 1 and any(out):
+                rays.append((primitive_vector(out), (b1, b2)))
+    rays.sort(key=cmp_to_key(lambda r1, r2: _angle_cmp(r1[0], r2[0])))
+    events = loop_crossings(lines, (0, 0), (1, 0), (0, 1), coroot)
+    if rays:
+        # the line events before the rays' quadrant move behind the others
+        cut = sum(_angle_cmp(e.direction, rays[0][0]) < 0 for e in events)
+        events = events[cut:] + events[:cut]
     xsum = _x_sum(2, k)
-    assert path_product(xsum, seq, k) == xsum, "completion failed to close"
-    kept = [w for w in walls.values() if w.origin == ORIGIN_INITIAL or not w.f.is_one()]
+    y = path_product(xsum, [(_crossing_data(e.wall, coroot, b_rows), e.sign) for e in events], k)
+    walls = list(lines)
+    units = identity_mat(2)
+    for direction, beta in rays:
+        beta_coroot = coroot(beta)
+        # crossing sign of this outgoing ray in the ccw loop
+        # (in rank 2 the wall's cone covector is this same primitive coroot)
+        cw = (direction[1], -direction[0])
+        val = vdot(cw, beta_coroot)
+        assert val != 0
+        ray_sign = 1 if val > 0 else -1
+        roots = {
+            series_root(y.ray_coeffs(u, beta), -ray_sign * c)
+            for u, c in zip(units, beta_coroot)
+            if c
+        }
+        assert len(roots) == 1, "not a single wall"
+        f = TruncatedSeries.make(beta, k // sum(beta), roots.pop())
+        if f.is_one():
+            continue
+        cone, ineq_roots = ray_wall_shape(beta, direction)
+        wall = Wall(normal=beta, cone=cone, ineq_roots=ineq_roots, f=f, origin=ORIGIN_RANK2)
+        walls.append(wall)
+        y = wall_cross(y, _crossing_data(wall, coroot, b_rows), ray_sign, k)
+    assert y == xsum, "completion failed to close"
     out = ScatDiagram(
         cartan_n=2,
-        walls=tuple(sorted(kept, key=lambda w: (sum(w.normal), w.normal))),
+        walls=tuple(sorted(walls, key=lambda w: (sum(w.normal), w.normal))),
         height_cap=k,
         truncation=k,
         provenance={"construction": "rank2_complete"},

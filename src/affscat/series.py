@@ -12,7 +12,8 @@ TAOCP vol. 2, 4.7): g_0 = 1, m g_m = sum_{j=1..m} ((e+1) j - m) f_j g_{m-j}.
 The sum runs over the nonzero f_j only (most walls carry 1 + q), and the
 division by m is exact, staying in the integers when f is integral.  Powers
 are cached by (coefficient tuple, exponent), so equal terms on different walls
-share their entries.
+share their entries.  series_root runs the same recurrence with exponent 1/e,
+multiplied through by e, to recover f from f^e.
 
 A MonomialExpr holds the table the crossing kernel works on: its terms grouped
 by lambda, and within a group phi stored by its base-(k+1) index
@@ -160,6 +161,12 @@ class MonomialExpr:
     def as_dict(self):
         return dict(self.terms)
 
+    def ray_coeffs(self, lam, beta) -> tuple:
+        """Coefficients of x^lam yhat^(m beta) for m = 0..k // ht(beta)."""
+        row = self._table.get(tuple(lam), {})
+        step = _index(beta, self.k + 1)
+        return tuple(row.get(m * step, 0) for m in range(self.k // sum(beta) + 1))
+
     def add(self, other: "MonomialExpr") -> "MonomialExpr":
         d = dict(self.terms)
         for key, c in other.terms:
@@ -238,11 +245,17 @@ class CrossingData:
 
 
 @lru_cache(maxsize=4096)
-def _series_power(coeffs: tuple, exponent: int) -> tuple:
-    """f^exponent for f = sum_m coeffs[m] q^m with coeffs[0] = 1, truncated at
-    q-degree len(coeffs) - 1, by Miller's recurrence over the nonzero f_j."""
+def _series_power(coeffs: tuple, exponent: int, root: int = 1) -> tuple:
+    """f^(exponent / root) for f = sum_m coeffs[m] q^m with coeffs[0] = 1,
+    truncated at q-degree len(coeffs) - 1, by Miller's recurrence over the
+    nonzero f_j, multiplied through by root:
+    root m g_m = sum_{j=1..m} ((exponent + root) j - root m) f_j g_{m-j}.
+    The division by root m stays in the integers wherever it is exact, which
+    it always is for root = 1 and f integral."""
     if coeffs[0] != 1:
         raise ValueError("powers require constant term 1")
+    if root == 0:
+        raise ValueError("the root exponent must be nonzero")
     support = [(j, c) for j, c in enumerate(coeffs) if j and c]
     g = [1]
     for m in range(1, len(coeffs)):
@@ -250,13 +263,21 @@ def _series_power(coeffs: tuple, exponent: int) -> tuple:
         for j, c in support:
             if j > m:
                 break
-            acc += ((exponent + 1) * j - m) * c * g[m - j]
-        if isinstance(acc, int):
-            assert acc % m == 0, "Miller division must be exact"
-            g.append(acc // m)
+            acc += ((exponent + root) * j - root * m) * c * g[m - j]
+        div = root * m
+        if isinstance(acc, int) and acc % div == 0:
+            g.append(acc // div)
         else:
-            g.append(_num(acc / m))
+            assert root != 1 or not isinstance(acc, int), "Miller division must be exact"
+            g.append(_num(Fraction(acc) / div))
     return tuple(g)
+
+
+def series_root(coeffs: tuple, e: int) -> tuple:
+    """The f with f^e = g for g = sum_m coeffs[m] q^m with coeffs[0] = 1 and
+    e a nonzero integer, truncated like g: Miller's recurrence with exponent
+    1/e, in the integers wherever the division by e m is exact."""
+    return _series_power(tuple(coeffs), 1, e)
 
 
 def wall_cross(expr: MonomialExpr, data: CrossingData, sign: int, k: int) -> MonomialExpr:

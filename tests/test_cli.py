@@ -297,6 +297,7 @@ MATRICES = {
     "G2_1": [[0, 1, 0], [-1, 0, 1], [0, -3, 0]],
     "A3_1": [[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, -1], [-1, 0, 1, 0]],
     "D4_1": [[0, 1, 1, 1, 1]] + [[-1, 0, 0, 0, 0]] * 4,  # the star, vertex 0 a source
+    "Zero2": [[0, 0], [0, 0]],  # no rays: the two lines alone
 }
 HK4 = ["--H", "4", "--k", "4"]
 COMPARE = HK4 + ["--L", "4", "--samples", "20", "--seed", "3"]
@@ -327,6 +328,7 @@ PINNED_OUTPUTS = [
     ("D4_1", "consistency", HK4, "0ee5647af7b0ce0aa2cc965d73cc07c436b39598c46a15920adb1b81a58b788e"),
     ("A3_1", "consistency", ["--H", "6", "--k", "6"], "a45e2f1655614027512427a22d08dbff45b6d3ce429f5f651a0318b92d5761d2"),
     ("A3_1", "walls", ["--H", "8", "--k", "8"], "512f96d2a03242b7d20656d86c26a158903aae0a6047a6443bdc974081fb67f9"),
+    ("Zero2", "rank2", ["--k", "3"], "12550dba19a42053b19bba81c8e820197f9a61ec32a9906e0cae2d61bb58713c"),
 ]
 
 

@@ -2,13 +2,14 @@ import functools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affscat.scattering
-from affscat.cartan import ExchangeMatrix
+from affscat.cartan import ExchangeMatrix, classify, exchange_to_cartan
 from affscat.cones import Cone
 from affscat.coxeter import coxeter_context
 from affscat.linalg import identity_mat, kernel_basis, nonzero_minor, primitive_vector, vdot
@@ -16,6 +17,8 @@ from affscat.scattering import (
     ORIGIN_IMAGINARY,
     ORIGIN_INITIAL,
     ORIGIN_RANK2,
+    ScatDiagram,
+    Wall,
     _angle_cmp,
     _b_rows_from_cox,
     _codim2_faces,
@@ -23,10 +26,12 @@ from affscat.scattering import (
     _generic_relint_point,
     _walls_around,
     _walls_by_plane,
+    _x_sum,
     build_dcscat,
     build_easy_scat,
     check_consistency,
     classify_wall,
+    integrality_audit,
     loop_crossings,
     rampart_set,
     rank2_complete,
@@ -212,7 +217,198 @@ def test_loop_crossings_match_reference_on_every_face(name):
             assert len(got) >= len(containing)
 
 
+def _rank2_complete_reference(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
+    """Order-by-order consistency completion of the rank-2 diagram, exact
+    through total yhat-degree `truncation`.
+
+    At each degree d the loop of the walls so far is applied once, to
+    x_1 + x_2 mod m^(d+1).  Crossings keep each lambda group apart (see
+    check_consistency), so the degree-d terms in the lambda = e_i group are
+    the defect of x_i; every defect must stay on such a unit lambda.  The
+    final check that the completed loop closes uses x_1 + x_2 too.
+    """
+    assert bmat.n == 2, "completion is implemented for rank 2 only"
+    cartan = exchange_to_cartan(bmat)
+    n, k = 2, truncation
+    b_rows = bmat.b
+    coroot = cache(cartan.primitive_in_coroot_lattice)  # once per normal
+
+    def ray_wall_shape(beta, direction):
+        # The ray through `direction` inside beta-perp, cut out by a
+        # root-lattice functional negative on the ray.
+        j = next(i for i in range(2) if direction[i] != 0)
+        sgn = 1 if direction[j] > 0 else -1
+        phi = tuple(-sgn if i == j else 0 for i in range(2))
+        cone = Cone.from_constraints(2, eqs=[coroot(beta)], ineqs=[coroot(phi)])
+        return cone, (phi,)
+
+    walls: dict = {}
+    for i in range(2):
+        beta = cartan.simple_root(i)
+        walls[("line", beta)] = Wall(
+            normal=beta,
+            cone=Cone.from_constraints(2, eqs=[coroot(beta)]),
+            ineq_roots=(),
+            f=TruncatedSeries.one_plus_q(beta, k),
+            origin=ORIGIN_INITIAL,
+        )
+
+    def outgoing_direction(beta):
+        return primitive_vector(
+            tuple(-sum(b_rows[i][j] * beta[j] for j in range(2)) for i in range(2))
+        )
+
+    def loop_seq(current_walls):
+        crossings = loop_crossings(current_walls, (0, 0), (1, 0), (0, 1), coroot)
+        return [(_crossing_data(e.wall, coroot, b_rows), e.sign) for e in crossings]
+
+    units = identity_mat(2)
+    for degree in range(2, k + 1):
+        # walls with normal height > degree act trivially mod m^(degree+1)
+        active = [w for w in walls.values() if sum(w.normal) <= degree]
+        seq = loop_seq(active)
+        defects: dict = {}
+        for (lam, phi), coeff in path_product(_x_sum(2, degree), seq, degree).terms:
+            if sum(phi) == degree:
+                assert lam in units, "defect must stay on an x-monomial"
+                defects.setdefault(phi, {})[units.index(lam)] = coeff
+        for phi, per_gen in sorted(defects.items()):
+            beta = primitive_vector(phi)
+            beta_coroot = coroot(beta)
+            direction = outgoing_direction(beta)
+            # crossing sign of this outgoing ray in the ccw loop
+            # (in rank 2 the wall's cone covector is this same primitive coroot)
+            cw = (direction[1], -direction[0])
+            val = vdot(cw, beta_coroot)
+            assert val != 0
+            ray_sign = 1 if val > 0 else -1
+            m = sum(phi) // sum(beta)
+            candidates = []
+            for i in range(2):
+                if beta_coroot[i] == 0:
+                    continue
+                g = per_gen.get(i, Fraction(0))
+                candidates.append(Fraction(g, ray_sign * beta_coroot[i]))
+            assert candidates and all(c == candidates[0] for c in candidates), (
+                "defect is not a single wall correction"
+            )
+            correction = -candidates[0]
+            if correction == 0:
+                continue
+            key = ("ray", tuple(direction))
+            if key not in walls:
+                qdeg = k // sum(beta)
+                cone, ineq_roots = ray_wall_shape(beta, direction)
+                walls[key] = Wall(
+                    normal=beta,
+                    cone=cone,
+                    ineq_roots=ineq_roots,
+                    f=TruncatedSeries.one(beta, qdeg),
+                    origin=ORIGIN_RANK2,
+                )
+            wall = walls[key]
+            assert wall.normal == beta, "parallel outgoing rays must share a normal"
+            coeffs = list(wall.f.coeffs)
+            coeffs[m] += correction
+            walls[key] = replace(wall, f=TruncatedSeries.make(beta, wall.f.k, coeffs))
+    # final verification
+    seq = loop_seq(list(walls.values()))
+    xsum = _x_sum(2, k)
+    assert path_product(xsum, seq, k) == xsum, "completion failed to close"
+    kept = [w for w in walls.values() if w.origin == ORIGIN_INITIAL or not w.f.is_one()]
+    out = ScatDiagram(
+        cartan_n=2,
+        walls=tuple(sorted(kept, key=lambda w: (sum(w.normal), w.normal))),
+        height_cap=k,
+        truncation=k,
+        provenance={"construction": "rank2_complete"},
+    )
+    out.provenance["non_integer_series"] = [list(b) for b in integrality_audit(out)]
+    return out
+
+
+# B = 0; both labellings of A_2, B_2, G_2 and A_2^(2); A_1^(1) in both
+# orientations; the wild (3, 3), (1, 5) and (2, 3).
+RANK2_ROWS = {
+    "zero": [[0, 0], [0, 0]],
+    "A2": [[0, 1], [-1, 0]],
+    "A2'": [[0, -1], [1, 0]],
+    "B2": [[0, 1], [-2, 0]],
+    "B2'": [[0, -2], [1, 0]],
+    "G2": [[0, 1], [-3, 0]],
+    "G2'": [[0, -3], [1, 0]],
+    "A2_2": [[0, 1], [-4, 0]],
+    "A2_2'": [[0, -4], [1, 0]],
+    "A1_1": [[0, 2], [-2, 0]],
+    "A1_1-": [[0, -2], [2, 0]],
+    "wild33": [[0, 3], [-3, 0]],
+    "wild15": [[0, 1], [-5, 0]],
+    "wild23": [[0, 2], [-3, 0]],
+}
+RANK2_CASES = [(name, k) for name in RANK2_ROWS for k in (1, 2, 3, 5, 8, 12)]
+# the benchmark instances: A_1^(1) --k 16 and A_2^(2) --k 10 run at k |delta|
+RANK2_BENCH = [("A1_1", 32), ("A2_2", 30)]
+
+
+@pytest.mark.parametrize("name, k", RANK2_CASES + RANK2_BENCH)
+def test_rank2_complete_matches_reference(name, k):
+    bmat = ExchangeMatrix.from_rows(RANK2_ROWS[name])
+    got = rank2_complete(bmat, k)
+    ref = _rank2_complete_reference(bmat, k)
+    assert got.walls == ref.walls
+    assert got.provenance == ref.provenance
+
+
+@pytest.mark.parametrize("name", sorted(RANK2_ROWS))
+def test_rank2_completion_closes_independently(name):
+    # The loop of all completed walls fixes x_1 + x_2; in the affine cases,
+    # dropping the limiting wall breaks it.
+    bmat = ExchangeMatrix.from_rows(RANK2_ROWS[name])
+    cartan = exchange_to_cartan(bmat)
+    coroot = cartan.primitive_in_coroot_lattice
+    info = classify(cartan)
+
+    def closes(walls, k):
+        events = loop_crossings(walls, (0, 0), (1, 0), (0, 1), coroot)
+        seq = [(_crossing_data(e.wall, coroot, bmat.b), e.sign) for e in events]
+        return path_product(_x_sum(2, k), seq, k) == _x_sum(2, k)
+
+    dropped = 0
+    for k in (1, 2, 3, 5, 8, 12):
+        walls = rank2_complete(bmat, k).walls
+        assert closes(walls, k), k
+        if info.kind == "affine" and sum(info.delta) <= k:
+            rest = [w for w in walls if w.normal != tuple(info.delta)]
+            assert len(rest) == len(walls) - 1
+            assert not closes(rest, k), k
+            dropped += 1
+    assert (dropped >= 4) == (info.kind == "affine")
+
+
+def _composed_loop(monkeypatch):
+    """Record (normal, sign) of every crossing rank2_complete composes: the
+    line crossings of its path product, then its ray crossings."""
+    seen = []
+    real_product, real_cross = affscat.scattering.path_product, affscat.scattering.wall_cross
+
+    def product(expr, crossings, k):
+        seen.extend((data.f.normal, sign) for data, sign in crossings)
+        return real_product(expr, crossings, k)
+
+    def cross(expr, data, sign, k):
+        seen.append((data.f.normal, sign))
+        return real_cross(expr, data, sign, k)
+
+    monkeypatch.setattr(affscat.scattering, "path_product", product)
+    monkeypatch.setattr(affscat.scattering, "wall_cross", cross)
+    return seen
+
+
 def test_rank2_complete_loops_match_reference(monkeypatch):
+    # The line events come from loop_crossings, checked against the
+    # arc-sample reference; the whole composed loop is a rotation of the
+    # reference loop of the completed walls, so each ray is crossed in its
+    # angular place with its reference sign.
     calls = []
     real = affscat.scattering.loop_crossings
 
@@ -224,18 +420,29 @@ def test_rank2_complete_loops_match_reference(monkeypatch):
         return got
 
     monkeypatch.setattr(affscat.scattering, "loop_crossings", checked)
-    rank2_complete(B_A11, truncation=10)
-    rank2_complete(ExchangeMatrix.from_rows([[0, 1], [-4, 0]]), truncation=10)
-    assert len(calls) == 2 * 9 + 2 and max(calls) >= 12
+    seen = _composed_loop(monkeypatch)
+    for bmat in (B_A11, ExchangeMatrix.from_rows([[0, 1], [-4, 0]])):
+        seen.clear()
+        d = rank2_complete(bmat, truncation=10)
+        coroot = exchange_to_cartan(bmat).primitive_in_coroot_lattice
+        loop = _loop_crossings_reference(d.walls, (0, 0), (1, 0), (0, 1), coroot)
+        ref = [(normal, sign) for normal, _, sign in loop]
+        assert len(ref) >= 12 and len(seen) == len(ref)
+        assert any(seen == ref[r:] + ref[:r] for r in range(len(ref)))
+    # one call per completion, for the four line events
+    assert calls == [4, 4]
 
 
 def test_path_products_match_reference_fold(monkeypatch):
     # Every path product of the rank-2 completion and of a rank-4 consistency
-    # check equals the per-term reference crossing, folded over the path.
+    # check, and every ray crossing of the completion, equals the per-term
+    # reference crossing, folded over the path.
     from test_series import reference_path_product
 
     calls = []
+    rays = []
     real = affscat.scattering.path_product
+    real_cross = affscat.scattering.wall_cross
 
     def checked(expr, crossings, k):
         got = real(expr, crossings, k)
@@ -243,16 +450,29 @@ def test_path_products_match_reference_fold(monkeypatch):
         calls.append(len(crossings))
         return got
 
+    def checked_cross(expr, data, sign, k):
+        got = real_cross(expr, data, sign, k)
+        assert got == reference_path_product(expr, [(data, sign)], k)
+        rays.append(data.f.normal)
+        return got
+
     monkeypatch.setattr(affscat.scattering, "path_product", checked)
-    rank2_complete(B_A11, truncation=6)
-    rank2_complete(ExchangeMatrix.from_rows([[0, 1], [-4, 0]]), truncation=6)
+    monkeypatch.setattr(affscat.scattering, "wall_cross", checked_cross)
+    walls = [
+        w
+        for rows in ([[0, 2], [-2, 0]], [[0, 1], [-4, 0]])
+        for w in rank2_complete(ExchangeMatrix.from_rows(rows), truncation=6).walls
+    ]
     rank2_calls = len(calls)
     bmat = ExchangeMatrix.from_rows(LOOP_ROWS["A3_1"])
     report = check_consistency(build_dcscat(bmat, 4, 4), 4, coxeter_context(bmat))
     assert report["consistent"] and report["checked"] >= 10
-    # each completion: one product of x_1 + x_2 per degree 2..6, one final check
-    assert rank2_calls == 2 * (5 + 1)
-    assert len(calls) == rank2_calls + report["checked"] and max(calls) >= 8
+    # each completion: one product of x_1 + x_2 through the four line
+    # crossings, then one crossing per ray wall (five each at truncation 6)
+    assert rank2_calls == 2 and calls[:2] == [4, 4] and len(rays) == 5 + 5
+    assert sorted(rays) == sorted(w.normal for w in walls if w.origin == ORIGIN_RANK2)
+    # then the consistency loops, the longest of six walls
+    assert len(calls) == rank2_calls + report["checked"] and max(calls) == 6
 
 
 def _check_consistency_reference(diagram, truncation, cox):

@@ -12,7 +12,9 @@ from affscat.series import (
     TruncatedSeries,
     f_inf_series,
     geometric_inverse_square,
+    _series_power,
     path_product,
+    series_root,
     wall_cross,
 )
 
@@ -82,6 +84,44 @@ def test_miller_power_matches_repeated_multiplication(normal, k, coeffs):
             assert f.int_pow(e) == by_mul
         else:
             assert f.int_pow(e).mul(by_mul) == one
+
+
+@pytest.mark.parametrize("normal, k, coeffs", MILLER_CASES)
+def test_series_root_inverts_the_power(normal, k, coeffs):
+    g = TruncatedSeries.make(normal, k, coeffs).coeffs
+    for e in [*range(-12, 0), *range(1, 13)]:
+        f = series_root(g, e)
+        assert _series_power(f, e) == g
+        assert f == _series_power(g, Fraction(1, e))
+
+
+def test_series_root_stays_in_int_when_exact():
+    for e in (-7, -2, 1, 3, 12):
+        for f in ((1, 1, 0, 0, 0, 0), (1, 2, 3, 4, 5, 6), (1, -1, 0, 2, 0, -5)):
+            root = series_root(_series_power(f, e), e)
+            assert root == f and all(type(c) is int for c in root)
+    assert series_root((1, 1, 0, 0), 2) == (1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))
+
+
+def test_series_root_rejects_bad_input():
+    for coeffs, e in (((2, 1), 2), ((0, 1), -1), ((1, 1), 0)):
+        with pytest.raises(ValueError):
+            series_root(coeffs, e)
+
+
+def test_ray_coeffs_reads_the_multiples_of_beta():
+    terms = {
+        ((1, 0), (0, 0)): 1,
+        ((1, 0), (1, 2)): 3,
+        ((1, 0), (2, 4)): -2,
+        ((1, 0), (1, 1)): 5,
+        ((0, 1), (1, 2)): 7,
+    }
+    expr = MonomialExpr.from_dict(2, 6, terms)
+    assert expr.ray_coeffs((1, 0), (1, 2)) == (1, 3, -2)
+    assert expr.ray_coeffs((1, 0), (1, 1)) == (1, 5, 0, 0)
+    assert expr.ray_coeffs((0, 1), (1, 2)) == (0, 7, 0)
+    assert expr.ray_coeffs((1, 1), (1, 0)) == (0,) * 7
 
 
 def test_int_pow_needs_constant_term_one():
