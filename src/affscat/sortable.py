@@ -1,16 +1,29 @@
 """c-sortable elements, pi-down projection, Cambrian cones, and the
 join-irreducible sortable inventory.
 
-All recursions work on (inversion set, index order) pairs; the order is a
-linear extension whose first letter is always initial in the current Coxeter
-element, and parabolic descent drops letters from the order.
+The sortability, pi-down and cone recursions work on (inversion set, index
+order) pairs; the order is a linear extension whose first letter is always
+initial in the current Coxeter element, and parabolic descent drops letters
+from the order.
 
-The same recursion (Reading-Speyer, valid in any Coxeter group) generates the
-c-sortable elements directly: with s initial in c, w is c-sortable iff either
-s <= w and sw is scs-sortable, or w lies in W_<s> and is sc-sortable there.
-So the c-sortables of a given length are the sc-sortables of W_<s> of that
-length plus s v for each scs-sortable v one shorter with s not <= v, and
-no element outside the sortable set is ever built.
+The c-sortable elements themselves are generated breadth first, each exactly
+once, by right multiplication along subwords of c^infinity with nested blocks
+(Reading, "Sortable elements and Cambrian lattices").  A state is an element
+w, whose word is its c-sorting word, the position in c of its last letter,
+and the letter sets of its previous and current blocks (the first block's
+previous set is every letter).  A letter t after the last position stays in
+the current block and must lie in the previous one; a letter at or before it
+opens a new block and must lie in the current one.  w t is built only when
+w(alpha_t) is positive, so the word stays reduced.
+
+Every word so built is the c-sorting word of its element.  Embed it leftmost
+in c^infinity, so a block ends exactly where the positions stop increasing.
+Greedy c-sorting takes each of its letters, because the rest of the word
+starts with that letter.  It skips every letter the word omits: a letter left
+out of one block is absent from every later block, so it is not in the
+support of what remains.  Conversely the c-sorting word of a c-sortable
+element is reduced with nested blocks, and so is each of its prefixes.  Hence
+every c-sortable element is generated, and exactly once.
 """
 
 from __future__ import annotations
@@ -50,8 +63,10 @@ class SortableContext:
         self.cartan = weyl.cartan
         self._sort_cache: dict = {}
         self._cone_cache: dict = {}
-        self._level_cache: dict = {}
-        self._generated = 0  # elements built by the generator, against the cap
+        identity = weyl.identity()
+        self._levels = [[SortableWitness(identity, ())]]  # witnesses by length
+        self._frontier = [(identity, -1, (1 << self.cartan.n) - 1, 0)]
+        self._generated = 0  # non-identity sortables built, against the cap
         self._cap = element_cap()
 
     # -- sortability ----------------------------------------------------------
@@ -139,41 +154,36 @@ class SortableContext:
     def sortables_up_to_length(self, max_len: int):
         """Witnesses for the c-sortable elements of length <= max_len, in
         (length, sorting word) order; each element's word is its c-sorting word."""
-        out = []
-        for length in range(max_len + 1):
-            level = self._sortables_of_length(self.cox.order, length)
-            out.extend(SortableWitness(w, w.word) for w in sorted(level, key=lambda w: w.word))
-        return out
+        while len(self._levels) <= max_len:
+            self._extend()
+        return [wit for level in self._levels[: max_len + 1] for wit in level]
 
-    def _sortables_of_length(self, order, length):
-        """The order-sortable elements of the parabolic on the letters of
-        order, of exactly the given length.  sortables_up_to_length fills
-        lengths in increasing order, so a call recurses only through keys
-        still missing, at most one per order reachable from c."""
-        key = (order, length)
-        if key in self._level_cache:
-            return self._level_cache[key]
-        if length == 0:
-            level = [self.weyl.identity()]
-        elif not order:
-            level = []
-        else:
-            s = order[0]
-            alpha = self.cartan.simple_root(s)
-            up = [
-                self.weyl.left_mul_up(v, s)
-                for v in self._sortables_of_length(_rotate(order, s), length - 1)
-                if alpha not in v.inversions
-            ]
-            self._generated += len(up)
-            if self._generated > self._cap:
-                raise CapExceeded(
-                    f"element cap AFFSCAT_CAP={self._cap} exceeded by sortable "
-                    f"generation at length {length}"
-                )
-            level = self._sortables_of_length(_drop(order, s), length) + up
-        self._level_cache[key] = level
-        return level
+    def _extend(self):
+        """Build the next length from the frontier of (element, position of
+        its last letter, previous block, current block) states, blocks as
+        letter bitmasks.  The frontier is in word order and letters are tried
+        in increasing order, so each new level comes out in word order."""
+        pos = self.cox.position
+        frontier = []
+        for w, last, prev, cur in self._frontier:
+            for t in range(self.cartan.n):
+                bit = 1 << t
+                if cur & bit:
+                    blocks = (cur, bit)  # t opens a new block
+                elif prev & bit and pos[t] > last:
+                    blocks = (prev, cur | bit)
+                else:
+                    continue
+                if min(row[t] for row in w.matrix) >= 0:  # w(alpha_t) > 0
+                    frontier.append((self.weyl.right_mul(w, t), pos[t], *blocks))
+        if self._generated + len(frontier) > self._cap:
+            raise CapExceeded(
+                f"element cap AFFSCAT_CAP={self._cap} exceeded by sortable "
+                f"generation at length {len(self._levels)}"
+            )
+        self._generated += len(frontier)
+        self._frontier = frontier
+        self._levels.append([SortableWitness(w, w.word) for w, *_ in frontier])
 
     def ji_sortables(self, height_cap: int, length_cap: int):
         """Map cover root -> join-irreducible c-sortable element, for cover

@@ -123,14 +123,6 @@ class WeylContext:
         mat = self._left_reflect(s, w.matrix)
         return GroupElement(word_from_inversions(self, inv), inv, mat)
 
-    def left_mul_up(self, w: GroupElement, s: int) -> GroupElement:
-        """s w when s is not <= w (length goes up)."""
-        alpha = self.simple_root(s)
-        assert alpha not in w.inversions, "left_mul_up requires s not <= w"
-        inv = frozenset({self.cartan.reflect_root(s, b) for b in w.inversions} | {alpha})
-        mat = self._left_reflect(s, w.matrix)
-        return GroupElement((s,) + w.word, inv, mat)
-
 
 def word_from_inversions(ctx: WeylContext, inv: frozenset) -> tuple:
     """Canonical reduced word (greedy smallest left-peel) for the element with
@@ -175,8 +167,9 @@ def enumerate_up_to_length(ctx: WeylContext, max_len: int, cap: int | None = Non
     for _ in range(max_len):
         nxt = []
         for w in frontier:
+            descents = ctx.right_descents(w)
             for s in range(ctx.n):
-                if s in ctx.right_descents(w):
+                if s in descents:
                     continue
                 u = ctx.right_mul(w, s)
                 if u not in out:

@@ -246,8 +246,9 @@ def test_element_cap_exit_3_names_affscat_cap(tmp_path, monkeypatch, capsys):
 
 
 def test_probe_cap_exit_3_names_affscat_cap_and_l(b_a2t, monkeypatch, capsys):
-    # A cap of 100 admits every sortable element at H=4 but not the 3 (2^8 - 1)
-    # words that an indistinct pair costs the mutation probe at --L 8.
+    # A cap of 100 admits every sortable element at H=4 (20 of length <= 8
+    # for c, and 20 for c^-1) but not the 3 (2^8 - 1) words that an
+    # indistinct pair costs the mutation probe at --L 8.
     monkeypatch.setenv("AFFSCAT_CAP", "100")
     argv = ["compare", "--input", b_a2t, "--H", "4", "--k", "4",
             "--L", "8", "--samples", "20", "--seed", "3"]

@@ -1,9 +1,16 @@
 import pytest
+from test_orientation_sweep import ORIENTATIONS as SWEEP_ORIENTATIONS
 
 from affscat.cartan import ExchangeMatrix
 from affscat.coxeter import coxeter_context
-from affscat.sortable import SortableContext
-from affscat.weyl import WeylContext, enumerate_up_to_length, weak_leq
+from affscat.sortable import SortableContext, SortableWitness, _drop, _rotate
+from affscat.weyl import (
+    CapExceeded,
+    GroupElement,
+    WeylContext,
+    enumerate_up_to_length,
+    weak_leq,
+)
 
 
 def make(rows):
@@ -253,3 +260,103 @@ def test_generated_sortables_match_filtered_enumeration(rows, max_len):
         assert (root is not None) == (len(cov) == 1)
         if root is not None:
             assert root == cov[0][1]
+
+
+# The Reading-Speyer level recursion that generated the sortables before the
+# nested-block generator, with the left multiplication it used, kept verbatim
+# as the reference for the generator's elements, words and order.
+class ReferenceWeyl(WeylContext):
+    def left_mul_up(self, w: GroupElement, s: int) -> GroupElement:
+        """s w when s is not <= w (length goes up)."""
+        alpha = self.simple_root(s)
+        assert alpha not in w.inversions, "left_mul_up requires s not <= w"
+        inv = frozenset({self.cartan.reflect_root(s, b) for b in w.inversions} | {alpha})
+        mat = self._left_reflect(s, w.matrix)
+        return GroupElement((s,) + w.word, inv, mat)
+
+
+class _LevelRecursion(SortableContext):
+    def __init__(self, weyl: ReferenceWeyl, cox):
+        super().__init__(weyl, cox)
+        self._level_cache: dict = {}
+
+    def sortables_up_to_length(self, max_len: int):
+        """Witnesses for the c-sortable elements of length <= max_len, in
+        (length, sorting word) order; each element's word is its c-sorting word."""
+        out = []
+        for length in range(max_len + 1):
+            level = self._sortables_of_length(self.cox.order, length)
+            out.extend(SortableWitness(w, w.word) for w in sorted(level, key=lambda w: w.word))
+        return out
+
+    def _sortables_of_length(self, order, length):
+        """The order-sortable elements of the parabolic on the letters of
+        order, of exactly the given length.  sortables_up_to_length fills
+        lengths in increasing order, so a call recurses only through keys
+        still missing, at most one per order reachable from c."""
+        key = (order, length)
+        if key in self._level_cache:
+            return self._level_cache[key]
+        if length == 0:
+            level = [self.weyl.identity()]
+        elif not order:
+            level = []
+        else:
+            s = order[0]
+            alpha = self.cartan.simple_root(s)
+            up = [
+                self.weyl.left_mul_up(v, s)
+                for v in self._sortables_of_length(_rotate(order, s), length - 1)
+                if alpha not in v.inversions
+            ]
+            self._generated += len(up)
+            if self._generated > self._cap:
+                raise CapExceeded(
+                    f"element cap AFFSCAT_CAP={self._cap} exceeded by sortable "
+                    f"generation at length {length}"
+                )
+            level = self._sortables_of_length(_drop(order, s), length) + up
+        self._level_cache[key] = level
+        return level
+
+
+def _witness_keys(witnesses):
+    return [(wit.sorting_word, wit.element.inversions, wit.element.matrix) for wit in witnesses]
+
+
+@pytest.mark.parametrize(
+    "rows, max_len",
+    [(o[2], 8) for o in SWEEP_ORIENTATIONS] + list(ORIENTATIONS),
+    ids=[f"{o[0]}-{o[1]}" for o in SWEEP_ORIENTATIONS] + ["A1_1", "A2_2", "A2_1", "G2_1", "A3_1", "D4_1"],
+)
+def test_generator_matches_level_recursion(rows, max_len):
+    # Same elements, same c-sorting words and the same (length, word) order
+    # as the level recursion, for c and c^-1.
+    cox = coxeter_context(ExchangeMatrix.from_rows([list(r) for r in rows]))
+    weyl = WeylContext(cox.cartan)
+    ref_weyl = ReferenceWeyl(cox.cartan)
+    for c in (cox, cox.inverse()):
+        got = SortableContext(weyl, c).sortables_up_to_length(max_len)
+        want = _LevelRecursion(ref_weyl, c).sortables_up_to_length(max_len)
+        assert len(got) > max_len
+        assert _witness_keys(got) == _witness_keys(want)
+
+
+A2T_ROWS = [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]
+
+
+def test_cap_counts_each_sortable_once(monkeypatch):
+    # A_2^(1) has 16 non-identity c-sortables of length <= 6, for c = s_1 s_2 s_3.
+    monkeypatch.setenv("AFFSCAT_CAP", "16")
+    assert len(make(A2T_ROWS).sortables_up_to_length(6)) == 17
+    monkeypatch.setenv("AFFSCAT_CAP", "15")
+    with pytest.raises(CapExceeded, match=r"AFFSCAT_CAP=15 .*at length 6$"):
+        make(A2T_ROWS).sortables_up_to_length(6)
+
+
+def test_generation_resumes_where_it_stopped():
+    sc = make(A2T_ROWS)
+    for max_len in (4, 8, 6):
+        got = sc.sortables_up_to_length(max_len)
+        assert _witness_keys(got) == _witness_keys(make(A2T_ROWS).sortables_up_to_length(max_len))
+    assert sc._generated == len(sc.sortables_up_to_length(8)) - 1 == 20

