@@ -21,7 +21,9 @@ zero-set test calls adjacent), or, if g pierces the lineality
 L = L' + span(w) with <w, g> < 0, gives L' + cone(rays projected along w,
 and w), whose rays stay extreme and distinct; the projection of v is
 -<w, g> v + <v, g> w, a positive multiple of the rational one, so no
-division happens.
+division happens.  `Cone.section(e)` cuts a cone by the hyperplane e = 0 with
+the same step on its cached generators, instead of a new double description
+of its constraints and e (see _section).
 
 `generators` is canonical, and integer too: the lineality basis is the
 reduced row echelon form of the lineality space with each row scaled to a
@@ -97,8 +99,13 @@ class Cone:
         cone = Cone.from_rays(dim, rays)
         # The dual cone's lineality is the annihilator of span(rays).
         assert len(cone.eqs) == dim - len(rays), "simplicial cone needs independent rays"
-        cone.__dict__["generators"] = ((), tuple(sorted(map(primitive_vector, rays))))
-        return cone
+        return cone.with_generators((), rays)
+
+    def with_generators(self, lin, rays) -> "Cone":
+        """This cone, with `generators` canonicalized from a lineality basis
+        and the extreme rays found without a double description."""
+        self.__dict__["generators"] = _canonicalize_generators(lin, rays)
+        return self
 
     # -- generators ----------------------------------------------------------
 
@@ -121,6 +128,13 @@ class Cone:
     def dim(self) -> int:
         lin, rays = self.generators
         return rank([list(v) for v in lin] + [list(r) for r in rays])
+
+    def section(self, e):
+        """(lineality, rays, dim) of self ∩ {<x, e> = 0}, cut from the cached
+        generators in one step (see _section); the vectors are not canonical,
+        with_generators makes them so."""
+        lin, rays = self.generators
+        return _section(lin, rays, self.dim, integral_multiple(e), self._integral_constraints[1])
 
     # -- point queries --------------------------------------------------------
 
@@ -164,7 +178,10 @@ class Cone:
     # -- cone relations --------------------------------------------------------
 
     def contains_cone(self, other: "Cone") -> bool:
-        lin, rays = other.generators
+        return self.contains_generators(*other.generators)
+
+    def contains_generators(self, lin, rays) -> bool:
+        """Whether the cone with lineality basis lin and rays lies in self."""
         for v in lin:
             if not (self.contains(v) and self.contains(tuple(-c for c in v))):
                 return False
@@ -278,16 +295,7 @@ def _add_halfspace(lin, homes, rays, g, processed):
     idx = next((i for i, l in enumerate(lin) if vdot(l, g) != 0), None)
     if idx is not None:
         # Lineality drops by one; keep the in-hyperplane part and one new ray.
-        # With <witness, g> = wval < 0, v - (<v, g> / wval) witness lies on
-        # g = 0; times -wval > 0 it is an integer vector in the same direction.
-        pierced = lin[idx]
-        witness = tuple(-c for c in pierced) if vdot(pierced, g) > 0 else pierced
-        wval = vdot(witness, g)
-
-        def project(v):
-            vval = vdot(v, g)
-            return primitive_vector(tuple(vval * b - wval * a for a, b in zip(v, witness)))
-
+        witness, project = _pierce(lin[idx], g)
         new_lin = [project(l) for i, l in enumerate(lin) if i != idx]
         new_rays = [project(r) for r in rays]
         new_rays.append(primitive_vector(witness))
@@ -298,6 +306,57 @@ def _add_halfspace(lin, homes, rays, g, processed):
     pos = [r for r in rays if vdot(r, g) > 0]
     if not pos:
         return lin, homes, rays
+    return lin, homes, neg + zero + _edge_crossings(pos, neg, g, rays, processed)
+
+
+def _section(lin, rays, dim, g, processed):
+    """(lineality, rays, dim) of the cone C ∩ {<x, g> = 0}, in one cut step.
+
+    C has lineality basis lin, extreme rays rays, dimension dim and
+    inequalities processed, all integer vectors.  If g pierces the lineality,
+    the lineality vector w with <w, g> < 0 is projected out as in
+    _add_halfspace, but dropped instead of kept as a ray.  Otherwise the
+    section keeps the rays on g = 0 plus one ray inside each edge crossing it.
+    In both cases, unless every ray lies on one side, g = 0 meets the relative
+    interior of C and the section has dimension dim - 1; otherwise it is the
+    face spanned by the lineality and the rays on g = 0, and only its rank is
+    computed.  The vectors are not canonical (see _canonicalize_generators).
+    """
+    idx = next((i for i, l in enumerate(lin) if vdot(l, g) != 0), None)
+    if idx is not None:
+        _, project = _pierce(lin[idx], g)
+        new_lin = [project(l) for i, l in enumerate(lin) if i != idx]
+        return new_lin, [project(r) for r in rays], dim - 1
+    vals = [vdot(r, g) for r in rays]
+    zero = [r for r, v in zip(rays, vals) if v == 0]
+    pos = [r for r, v in zip(rays, vals) if v > 0]
+    neg = [r for r, v in zip(rays, vals) if v < 0]
+    if not pos or not neg:
+        face_dim = dim if len(zero) == len(rays) else rank(list(lin) + zero)
+        return list(lin), zero, face_dim
+    return list(lin), zero + _edge_crossings(pos, neg, g, rays, processed), dim - 1
+
+
+def _pierce(pierced, g):
+    """(witness, project) for a lineality vector with <pierced, g> != 0.
+
+    The witness is +-pierced with <witness, g> = wval < 0; project(v) is
+    v - (<v, g> / wval) witness, on g = 0, times -wval > 0 so that it is an
+    integer vector in the same direction, made primitive."""
+    witness = tuple(-c for c in pierced) if vdot(pierced, g) > 0 else pierced
+    wval = vdot(witness, g)
+
+    def project(v):
+        vval = vdot(v, g)
+        return primitive_vector(tuple(vval * b - wval * a for a, b in zip(v, witness)))
+
+    return witness, project
+
+
+def _edge_crossings(pos, neg, g, rays, processed):
+    """One primitive ray on g = 0 inside each edge from a ray in pos (<r, g>
+    > 0) to one in neg (< 0), by the zero-set adjacency test over the
+    constraints processed."""
     combos = []
     for rp in pos:
         vp = vdot(rp, g)
@@ -306,7 +365,7 @@ def _add_halfspace(lin, homes, rays, g, processed):
                 continue
             vn = vdot(rn, g)
             combos.append(primitive_vector(tuple(vp * a - vn * b for a, b in zip(rn, rp))))
-    return lin, homes, neg + zero + combos
+    return combos
 
 
 def _adjacent(r1, r2, rays, processed):

@@ -8,8 +8,12 @@ solve_linear, det and rref read its rows, pivots and common pivot value;
 only kernel_basis, solve_linear, det and rref divide, once per entry, to
 return Fractions.  The cones canonicalize their generators on echelon's
 integer rows; rref is kept for the benchmark's tracing and for the tests,
-which use it as a reference.  wedge_key names the plane spanned by two
-integer vectors without any division, and nonzero_minor picks two
+which use it as a reference.  The kernels take integers as they come:
+vdot pairs with one map(mul), integral_multiple returns a tuple whose
+entries are all ints unchanged, and primitive_vector returns it unchanged
+when its gcd is 1; other entries (bools and Fractions among them) take the
+general path that clears denominators.  wedge_key names the plane spanned
+by two integer vectors without any division, and nonzero_minor picks two
 coordinates on which that plane projects isomorphically.
 """
 
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 Vec = tuple  # tuple of int | Fraction
 Mat = tuple  # tuple of row tuples
@@ -32,7 +37,9 @@ def vscale(c, u: Vec) -> Vec:
 
 def vdot(u: Vec, v: Vec):
     """Plain coordinatewise dot product (no bilinear form)."""
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"vdot of vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(mul, u, v))
 
 
 def identity_mat(n: int) -> Mat:
@@ -44,8 +51,15 @@ def integral_multiple(v: Vec) -> Vec:
 
     The zero vector is allowed.  The factor is positive, so every test that is
     invariant under positive scaling (cone membership, signs of linear
-    functionals) gives the same answer on the result as on v.
+    functionals) gives the same answer on the result as on v.  A tuple of
+    ints is returned as it is.
     """
+    if type(v) is tuple:
+        for a in v:
+            if type(a) is not int:
+                break
+        else:
+            return v
     m = 1
     for a in v:
         m = lcm(m, a.denominator)
@@ -58,6 +72,8 @@ def primitive_vector(v: Vec) -> Vec:
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
+    if g == 1:
+        return ints
     return tuple(a // g for a in ints)
 
 

@@ -15,6 +15,14 @@ d, so for a face cut out by walls with normals beta1, beta2:
   and every wall through the face traces a line in it;
 - crossing signs are read off the trace directions (see loop_crossings).
 
+The faces are the (n-2)-dimensional meets of two walls (see _codim2_faces).
+Each wall is cut once per plane P through its normal, to its piece in the
+common kernel L_P, by one step on its cached generators (Cone.section).  A
+meet lies in both walls' pieces, and is one of them when that piece lies in
+the other wall; only pairs where neither piece nests fall back to a double
+description of the two cones.  The base point of each loop is located
+against one SignTable of the checked walls.
+
 rank2_complete completes the rank-2 diagram in one pass around its loop,
 reading each outgoing ray's scattering term off the product as the loop
 reaches it (the ordered factorization).
@@ -382,13 +390,15 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
     xsum = _x_sum(n, k)
     coroot = cache(cox.cartan.primitive_in_coroot_lattice)  # once per normal
     faces = _codim2_faces(walls, n)
+    table = SignTable([w.cone for w in walls])
     report = {"faces": len(faces), "failures": [], "checked": 0}
     by_plane: dict = {}  # beta1 -> _walls_by_plane(beta1, walls)
     for face, beta1, beta2 in faces:
         if beta1 not in by_plane:
             by_plane[beta1] = _walls_by_plane(beta1, walls)
-        containing, others = _walls_around(face, beta1, beta2, walls, by_plane[beta1])
-        base = _generic_relint_point(face, others)
+        inside = _walls_around(face, beta1, beta2, walls, by_plane[beta1])
+        containing = [walls[i] for i in sorted(inside)]
+        base = _generic_relint_point(face, table, inside)
         i, j = nonzero_minor(beta1, beta2)
         crossings = loop_crossings(containing, base, units[i], units[j], coroot)
         seq = [(_crossing_data(e.wall, coroot, b_rows), e.sign) for e in crossings]
@@ -406,14 +416,41 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
 
 def _codim2_faces(walls, n):
     """The distinct (n-2)-dimensional meets of two walls, each as (face,
-    beta1, beta2) with the normals of the first pair that cut it out."""
+    beta1, beta2) with the normals of the first pair that cut it out.
+
+    Each wall lies in the hyperplane of its cone's one equality, so for
+    normals beta1 != beta2 spanning the plane P, wall 1 meets wall 2's
+    hyperplane in its piece wall 1 ∩ L_P, L_P the common kernel of P: the
+    same piece for every other wall with normal in P.  The piece is cut from
+    the wall's cached generators in one step (Cone.section) and kept per
+    (wall, plane key).  The meet lies in both pieces, so a pair whose pieces
+    are not both (n-2)-dimensional has no face; if one piece lies in the
+    other wall, that piece is the meet.  Only pairs where neither nests run a
+    double description of the two cones' constraints."""
     faces = []
     seen = set()
-    for w1, w2 in itertools.combinations(walls, 2):
+    pieces: dict = {}  # (wall index, plane key) -> wall.cone.section(...)
+
+    def piece(i, j, plane):
+        if (i, plane) not in pieces:
+            (e,) = walls[j].cone.eqs
+            pieces[i, plane] = walls[i].cone.section(e)
+        return pieces[i, plane]
+
+    for (i1, w1), (i2, w2) in itertools.combinations(enumerate(walls), 2):
         if w1.normal == w2.normal:
             continue
+        plane = wedge_key(w1.normal, w2.normal)
+        lin1, rays1, dim1 = piece(i1, i2, plane)
+        lin2, rays2, dim2 = piece(i2, i1, plane)
+        if dim1 != n - 2 or dim2 != n - 2:
+            continue
         meet = w1.cone.intersect(w2.cone)
-        if meet.dim != n - 2:
+        if w2.cone.contains_generators(lin1, rays1):
+            meet.with_generators(lin1, rays1)
+        elif w1.cone.contains_generators(lin2, rays2):
+            meet.with_generators(lin2, rays2)
+        elif meet.dim != n - 2:
             continue
         key = meet.generators
         if key not in seen:
@@ -432,19 +469,18 @@ def _walls_by_plane(beta1, walls) -> dict:
     return buckets
 
 
-def _walls_around(face: Cone, beta1, beta2, walls, by_plane):
-    """(walls containing the face, the other walls), each in the given order;
-    only walls with normal in span(beta1, beta2) are tested.  by_plane is
-    _walls_by_plane(beta1, walls)."""
-    near = sorted(by_plane.get(wedge_key(beta1, beta2), []) + by_plane.get(None, []))
-    inside = [i for i in near if walls[i].cone.contains_cone(face)]
-    taken = set(inside)
-    return [walls[i] for i in inside], [w for i, w in enumerate(walls) if i not in taken]
+def _walls_around(face: Cone, beta1, beta2, walls, by_plane) -> set:
+    """The indices of the walls containing the face; only walls with normal
+    in span(beta1, beta2) are tested.  by_plane is _walls_by_plane(beta1,
+    walls)."""
+    near = by_plane.get(wedge_key(beta1, beta2), []) + by_plane.get(None, [])
+    return {i for i in near if walls[i].cone.contains_cone(face)}
 
 
-def _generic_relint_point(face: Cone, other_walls):
-    """An integer relative-interior point of the face avoiding all walls that
-    do not contain the face (deterministic perturbation search).
+def _generic_relint_point(face: Cone, table: SignTable, inside):
+    """An integer relative-interior point of the face lying in none of the
+    cones of table (a SignTable of the walls) but those with index in inside,
+    the walls containing the face (deterministic perturbation search).
 
     The generators are integer vectors, so every candidate is.  A candidate
     sums (attempt^(i+1) + i + 1) g_i over the rays and then the lineality
@@ -471,7 +507,8 @@ def _generic_relint_point(face: Cone, other_walls):
             for j, c in enumerate(g):
                 point[j] += scale * c
         p = tuple(point)
-        if all(not w.cone.contains(p) for w in other_walls):
+        members = table.members(p)
+        if all(i in inside for i, hit in enumerate(members) if hit):
             return p
     raise AssertionError("could not find a generic relative-interior point")
 

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+from test_orientation_sweep import ORIENTATIONS, _id, _instance
+
 from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix
 from affscat.cones import Cone, SignTable, _canonicalize_generators, _double_description
@@ -516,3 +519,58 @@ def test_sign_table_shares_a_direction_between_g_and_minus_g():
     assert table.directions == ((1, 2), (1, 0))
     assert table.forbid == ((1, 0), (0, 1), (1, 1), (0, 0), (1, 2))
     _check_sign_table(cones, [(a, b) for a in range(-3, 4) for b in range(-3, 4)])
+
+
+def _check_section(cone, e):
+    """Cone.section(e) against the double description of the cut cone."""
+    lin, rays, dim = cone.section(e)
+    cut = Cone(cone.dim_ambient, cone.eqs + (tuple(e),), cone.ineqs)
+    assert _canonicalize_generators(lin, rays) == cut.generators, (cone, e)
+    assert dim == cut.dim, (cone, e)
+
+
+def test_section_matches_double_description_on_random_cones():
+    rng = random.Random(21)
+    for _ in range(300):
+        cone = _random_cone(rng)
+        for _ in range(3):
+            _check_section(cone, tuple(rng.randint(-2, 2) for _ in range(cone.dim_ambient)))
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS, ids=_id)
+def test_section_matches_double_description_on_sweep_walls(orientation):
+    # Every ordered pair of walls with distinct normals: the first wall cut
+    # by the second one's hyperplane, as check_consistency's face
+    # enumeration cuts it.
+    bmat, _, cap, diagram = _instance(orientation[2])
+    n = bmat.n
+    walls = [w for w in diagram.walls if sum(w.normal) <= cap]
+    for w1 in walls:
+        for w2 in walls:
+            if w1.normal != w2.normal:
+                (e,) = w2.cone.eqs
+                _check_section(w1.cone, e)
+                cut = Cone(n, w1.cone.eqs + (e,), w1.cone.ineqs)
+                assert (w1.cone.section(e)[2] == n - 2) == (cut.dim == n - 2)
+
+
+def test_section_of_a_rank_2_ray_is_the_origin():
+    # The ray x_1 = 0, x_2 >= 0 cut by x_2 = 0 is {0}: no generators, and
+    # their rank 0 is n - 2.
+    ray = Cone.from_constraints(2, eqs=[(1, 0)], ineqs=[(0, -1)])
+    assert ray.section((0, 1)) == ([], [], 0)
+    line = Cone.from_constraints(2, eqs=[(1, 0)])
+    assert line.section((0, 1)) == ([], [], 0)
+    _check_section(ray, (0, 1))
+    _check_section(line, (0, 1))
+
+
+def test_section_negates_a_pierced_lineality_vector():
+    # {x_3 = 0, x_1 >= 0} has lineality (0, 1, 0), which pairs to +1 with
+    # e = (1, 1, 0); projecting along it unnegated would send the ray
+    # (1, 0, 0) to (-1, 1, 0), outside the cone.
+    cone = Cone.from_constraints(3, eqs=[(0, 0, 1)], ineqs=[(-1, 0, 0)])
+    assert cone.generators == (((0, 1, 0),), ((1, 0, 0),))
+    lin, rays, dim = cone.section((1, 1, 0))
+    assert (lin, rays, dim) == ([], [(1, -1, 0)], 1)
+    _check_section(cone, (1, 1, 0))

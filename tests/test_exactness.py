@@ -44,6 +44,9 @@ INTEGER_FUNCTIONS = (
     ("linalg.py", "echelon"),
     ("cones.py", "_double_description"),
     ("cones.py", "_add_halfspace"),
+    ("cones.py", "_section"),
+    ("cones.py", "_pierce"),
+    ("cones.py", "_edge_crossings"),
     ("cones.py", "_canonicalize_generators"),
     ("scattering.py", "_generic_relint_point"),
 )

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from affscat.linalg import (
     det,
@@ -15,6 +18,7 @@ from affscat.linalg import (
     rank,
     rref,
     solve_linear,
+    vdot,
     wedge_key,
 )
 
@@ -36,6 +40,64 @@ def test_primitive_vector():
     assert primitive_vector((F(2, 3), F(4, 3))) == (1, 2)
     with pytest.raises(ValueError):
         primitive_vector((F(0), 0))
+
+
+def test_vdot():
+    assert vdot((1, -2, 3), (4, 5, F(1, 3))) == -5
+    assert vdot((), ()) == 0
+    for u, v in (((1, 2), (1, 2, 3)), ((1, 2, 3), (1,)), ((), (0,))):
+        with pytest.raises(ValueError):
+            vdot(u, v)
+
+
+# integral_multiple and primitive_vector as they were before the int fast
+# paths, kept verbatim as the reference.
+def _reference_integral_multiple(v):
+    m = 1
+    for a in v:
+        m = lcm(m, a.denominator)
+    return tuple(a.numerator * (m // a.denominator) for a in v)
+
+
+def _reference_primitive_vector(v):
+    ints = _reference_integral_multiple(v)
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    return tuple(a // g for a in ints)
+
+
+_entries = st.one_of(
+    st.integers(-50, 50),
+    st.booleans(),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+_vectors = st.one_of(
+    st.lists(st.integers(-50, 50), max_size=6),
+    st.lists(st.booleans(), max_size=6),
+    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12), max_size=6),
+    st.lists(_entries, max_size=6),
+    st.lists(st.sampled_from([0, F(0), False]), max_size=6),
+)
+
+
+@given(v=_vectors, as_tuple=st.booleans())
+def test_integral_multiple_and_primitive_vector_match_reference(v, as_tuple):
+    # int, bool, Fraction, mixed and zero vectors, as tuples and as lists.
+    if as_tuple:
+        v = tuple(v)
+    got = integral_multiple(v)
+    assert got == _reference_integral_multiple(v)
+    assert type(got) is tuple and all(type(a) is int for a in got)
+    try:
+        expected = _reference_primitive_vector(v)
+    except ValueError:
+        with pytest.raises(ValueError):
+            primitive_vector(v)
+        return
+    got = primitive_vector(v)
+    assert got == expected
+    assert type(got) is tuple and all(type(a) is int for a in got)
 
 
 def _random_pairs(seed, count, dim, entries):

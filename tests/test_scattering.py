@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -8,11 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import affscat.cones
 import affscat.scattering
 from affscat.cartan import ExchangeMatrix, classify, exchange_to_cartan
-from affscat.cones import Cone
+from affscat.cones import Cone, SignTable
 from affscat.coxeter import coxeter_context
-from affscat.linalg import identity_mat, kernel_basis, nonzero_minor, primitive_vector, vdot
+from affscat.linalg import (
+    identity_mat,
+    kernel_basis,
+    nonzero_minor,
+    primitive_vector,
+    vdot,
+    wedge_key,
+)
 from affscat.scattering import (
     ORIGIN_IMAGINARY,
     ORIGIN_INITIAL,
@@ -38,6 +47,7 @@ from affscat.scattering import (
     scat_cone_eq,
 )
 from affscat.series import MonomialExpr, TruncatedSeries, path_product
+from test_orientation_sweep import ORIENTATIONS, _id, _instance
 
 B_A11 = ExchangeMatrix.from_rows([[0, 2], [-2, 0]])
 B_A2T = ExchangeMatrix.from_rows([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
@@ -180,29 +190,146 @@ LOOP_ROWS = {
 }
 
 
+# Face enumeration and base point search as they were before the walls were
+# cut once per plane and the search read one SignTable: one double
+# description per pair of walls, and a contains test per other wall.  Kept
+# verbatim as the reference.
+def _codim2_faces_reference(walls, n):
+    """The distinct (n-2)-dimensional meets of two walls, each as (face,
+    beta1, beta2) with the normals of the first pair that cut it out."""
+    faces = []
+    seen = set()
+    for w1, w2 in itertools.combinations(walls, 2):
+        if w1.normal == w2.normal:
+            continue
+        meet = w1.cone.intersect(w2.cone)
+        if meet.dim != n - 2:
+            continue
+        key = meet.generators
+        if key not in seen:
+            seen.add(key)
+            faces.append((meet, w1.normal, w2.normal))
+    return faces
+
+
+def _walls_around_reference(face: Cone, beta1, beta2, walls, by_plane):
+    """(walls containing the face, the other walls), each in the given order;
+    only walls with normal in span(beta1, beta2) are tested.  by_plane is
+    _walls_by_plane(beta1, walls)."""
+    near = sorted(by_plane.get(wedge_key(beta1, beta2), []) + by_plane.get(None, []))
+    inside = [i for i in near if walls[i].cone.contains_cone(face)]
+    taken = set(inside)
+    return [walls[i] for i in inside], [w for i, w in enumerate(walls) if i not in taken]
+
+
+def _generic_relint_point_reference(face: Cone, other_walls):
+    """An integer relative-interior point of the face avoiding all walls that
+    do not contain the face (deterministic perturbation search)."""
+    lin, rays = face.generators
+    n = face.dim_ambient
+    if not rays and not lin:
+        return (0,) * n
+    for attempt in range(1, 60):
+        point = [0] * n
+        for i, g in enumerate(rays + lin):
+            scale = attempt ** (i + 1) + i + 1
+            if i >= len(rays) and attempt % 2 == 0:
+                scale = -scale  # lineality directions may need both signs
+            for j, c in enumerate(g):
+                point[j] += scale * c
+        p = tuple(point)
+        if all(not w.cone.contains(p) for w in other_walls):
+            return p
+    raise AssertionError("could not find a generic relative-interior point")
+
+
+def _face_triples(faces):
+    return [(face.generators, beta1, beta2) for face, beta1, beta2 in faces]
+
+
+def _check_faces(walls, n):
+    faces = _codim2_faces(walls, n)
+    assert _face_triples(faces) == _face_triples(_codim2_faces_reference(walls, n))
+    return faces
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS, ids=_id)
+def test_codim2_faces_match_pairwise_reference_on_sweep(orientation):
+    bmat, _, cap, diagram = _instance(orientation[2])
+    _check_faces([w for w in diagram.walls if sum(w.normal) <= cap], bmat.n)
+
+
+@pytest.mark.parametrize("name, cap", [("D4_1", 6), ("A3_1", 8)])
+def test_codim2_faces_match_pairwise_reference_on_verify_instances(name, cap, monkeypatch):
+    # The verify workload's two instances.  Only the pairs where neither
+    # wall's piece lies in the other wall run a double description.
+    bmat = ExchangeMatrix.from_rows(LOOP_ROWS[name])
+    walls = [w for w in build_dcscat(bmat, cap, cap).walls if sum(w.normal) <= cap]
+    for w in walls:
+        w.cone.generators
+    calls = []
+    real = affscat.cones._double_description
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(affscat.cones, "_double_description", counted)
+    faces = _codim2_faces(walls, bmat.n)
+    monkeypatch.undo()
+    assert _face_triples(faces) == _face_triples(_codim2_faces_reference(walls, bmat.n))
+    pairs = len(walls) * (len(walls) - 1) // 2
+    assert (pairs, len(calls)) == {"D4_1": (300, 15), "A3_1": (210, 9)}[name]
+
+
+def test_generic_relint_point_skips_candidates_in_other_walls():
+    # On the face cone((0,1,0), (1,0,0)) the first candidates are (3,2,0) and
+    # (6,3,0).  A wall through (3,2,0) rejects the first unless it counts as
+    # containing the face; a wall over the whole face rejects every candidate.
+    face = Cone.from_constraints(3, eqs=[(0, 0, 1)], ineqs=[(-1, 0, 0), (0, -1, 0)])
+    ray = Cone.from_constraints(3, eqs=[(2, -3, 0), (0, 0, 1)], ineqs=[(-1, 0, 0)])
+    through = Wall((2, -3, 0), ray, (), None, "")
+    over = Wall((0, 0, 1), face, (), None, "")
+    table = SignTable([through.cone, over.cone])
+    assert _generic_relint_point(face, table, {1}) == (6, 3, 0)
+    assert _generic_relint_point_reference(face, [through]) == (6, 3, 0)
+    assert _generic_relint_point(face, table, {0, 1}) == (3, 2, 0)
+    for search in (
+        lambda: _generic_relint_point(face, table, {0}),
+        lambda: _generic_relint_point_reference(face, [over]),
+    ):
+        with pytest.raises(AssertionError, match="generic relative-interior point"):
+            search()
+
+
 @pytest.mark.parametrize("name", sorted(LOOP_ROWS))
 def test_loop_crossings_match_reference_on_every_face(name):
     # Checks, on every codim-2 face at H = k = 4: the plane-key filter keeps
-    # exactly the walls an all-walls contains_cone scan keeps, and the trace
-    # directions and signs equal the arc-sample reference, on the plane of
-    # the first nonzero minor and on a random transverse integer plane.
+    # exactly the walls an all-walls contains_cone scan keeps, the base point
+    # is the reference search's, and the trace directions and signs equal
+    # the arc-sample reference, on the plane of the first nonzero minor and
+    # on a random transverse integer plane.
     bmat = ExchangeMatrix.from_rows(LOOP_ROWS[name])
     cox = coxeter_context(bmat)
     cov = cox.cartan.primitive_in_coroot_lattice
     n = bmat.n
     walls = list(build_dcscat(bmat, 4, 4).walls)
+    table = SignTable([w.cone for w in walls])
     units = identity_mat(n)
     rng = random.Random(n)
-    faces = _codim2_faces(walls, n)
+    faces = _check_faces(walls, n)
     assert len(faces) >= 10
     for face, beta1, beta2 in faces:
-        containing, others = _walls_around(
-            face, beta1, beta2, walls, _walls_by_plane(beta1, walls)
-        )
+        by_plane = _walls_by_plane(beta1, walls)
+        inside = _walls_around(face, beta1, beta2, walls, by_plane)
+        containing = [walls[i] for i in sorted(inside)]
         scan = [w for w in walls if w.cone.contains_cone(face)]
         assert [w.normal for w in containing] == [w.normal for w in scan]
-        assert [w.normal for w in others] == [w.normal for w in walls if w not in scan]
-        base = _generic_relint_point(face, others)
+        ref_containing, ref_others = _walls_around_reference(face, beta1, beta2, walls, by_plane)
+        assert containing == ref_containing
+        assert [w.normal for w in ref_others] == [w.normal for w in walls if w not in scan]
+        base = _generic_relint_point(face, table, inside)
+        assert base == _generic_relint_point_reference(face, ref_others)
         assert all(type(c) is int for c in base)
         i, j = nonzero_minor(beta1, beta2)
         planes = [(units[i], units[j])]
@@ -487,13 +614,13 @@ def _check_consistency_reference(diagram, truncation, cox):
     zero = (0,) * n
     gens = [MonomialExpr.from_dict(n, k, {(u, zero): 1}) for u in units]
     gens += [MonomialExpr.from_dict(n, k, {(zero, u): 1}) for u in units]
-    faces = _codim2_faces(walls, n)
+    faces = _codim2_faces_reference(walls, n)
     report = {"faces": len(faces), "failures": [], "checked": 0}
     for face, beta1, beta2 in faces:
-        containing, others = _walls_around(
+        containing, others = _walls_around_reference(
             face, beta1, beta2, walls, _walls_by_plane(beta1, walls)
         )
-        base = _generic_relint_point(face, others)
+        base = _generic_relint_point_reference(face, others)
         i, j = nonzero_minor(beta1, beta2)
         crossings = loop_crossings(containing, base, units[i], units[j], coroot)
         seq = [(_crossing_data(e.wall, coroot, b_rows), e.sign) for e in crossings]
