@@ -12,6 +12,18 @@ lazily, into a table that also records the first step at which the orbit is
 a negative simple.  A pair is answered at the smaller of its two roots'
 first steps, which is exactly where the joint walk would stop.
 
+An orbit that never reaches a negative simple is not walked to the step
+cap: its walk stops for good at the first entry y_t with an earlier
+nonnegative entry y_s and y_t - y_s = k delta, k >= 0.  Until a walk hits,
+each tau step is a product of plain reflections (sigma_s differs from s only
+on negative simples, and a step that makes alpha_s negative ends on
+-alpha_s, a hit).  Reflections fix delta, so from step s on the orbit
+repeats its block y_s, ..., y_{t-1} shifted by k delta, every entry a
+positive root plus a nonnegative multiple of delta, and never hits (see
+APContext._orbit).  When a pair needs an entry past such a stop, the stored
+orbit is stepped on to it.  Coroot coordinates are integers computed once
+per root, with the symmetrizer cleared of denominators.
+
 Compatibility is symmetric: a degree is zero exactly when its transpose is
 (Reading-Stella, An affine almost positive roots model).  So the
 compatibility graph tests each unordered pair of roots once.  One
@@ -25,10 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cartan import NotAffine
+from .cartan import NotAffine, NotRealRoot
 from .cones import Cone
 from .coxeter import CoxeterContext
-from .linalg import rank, solve_linear
+from .linalg import integral_multiple, rank, solve_linear
 
 
 class ResolutionCapExceeded(RuntimeError):
@@ -55,8 +67,11 @@ class APContext:
         self.delta = cox.type_info.delta
         self._compat_cache: dict = {}
         # per direction (tau, tau^{-1}): root -> (orbit walked so far, the
-        # step of its first negative simple, which ends it, or None)
+        # step of its first negative simple, which ends it, or None, and
+        # whether the walk stopped for good at a repeat modulo delta)
         self._orbits: tuple = ({}, {})
+        self._coroots: dict = {}
+        self._symmetrizer = integral_multiple(self.cartan.d)
 
     # -- tubes -------------------------------------------------------------------
 
@@ -170,17 +185,6 @@ class APContext:
         neg = [tuple(-1 if j == i else 0 for j in range(self.n)) for i in range(self.n)]
         return neg + self.ap_positive_real(height_cap) + [self.delta]
 
-    def in_ap(self, root) -> bool:
-        if root == self.delta:
-            return True
-        if all(c <= 0 for c in root):
-            return sum(root) == -1  # negative simple
-        if any(c < 0 for c in root):
-            return False
-        if not self.cox.in_h_c(root):
-            return True
-        return root in self.tube.apt_real
-
     def is_tube_real(self, root) -> bool:
         return root in self.tube.apt_real
 
@@ -220,16 +224,29 @@ class APContext:
         return None
 
     def _coroot_coords(self, root):
-        """Integer alpha^vee coordinates of root^vee (delta^vee is the primitive
-        coroot-lattice vector on the delta ray)."""
-        if root == self.delta:
-            return self.cartan.primitive_in_coroot_lattice(self.delta)
-        neg = all(c <= 0 for c in root)
-        base = tuple(-c for c in root) if neg else root
-        cv = self.cartan.coroot_coords(self.cartan.coroot(base))
-        assert all(c.denominator == 1 for c in cv), "a real coroot lies in Q^vee"
-        cv = tuple(map(int, cv))
-        return tuple(-c for c in cv) if neg else cv
+        """Integer alpha^vee coordinates of root^vee, once per root:
+        (beta^vee)_i = 2 d'_i beta_i / K'(beta, beta), with d' the symmetrizer
+        cleared to integers and K' its form.  The division is exact because a
+        real coroot lies in Q^vee.  delta^vee is the primitive coroot-lattice
+        vector on the delta ray."""
+        cv = self._coroots.get(root)
+        if cv is None:
+            if root == self.delta:
+                cv = self.cartan.primitive_in_coroot_lattice(self.delta)
+            else:
+                d = self._symmetrizer
+                av = self.cartan.a_times(root)
+                kk = sum(c * di * x for c, di, x in zip(root, d, av))
+                if kk <= 0:
+                    raise NotRealRoot(f"{root} is not a real root (K(b,b) = {kk})")
+                cv = []
+                for di, c in zip(d, root):
+                    q, r = divmod(2 * di * c, kk)
+                    assert r == 0, "a real coroot lies in Q^vee"
+                    cv.append(q)
+                cv = tuple(cv)
+            self._coroots[root] = cv
+        return cv
 
     def tube_degree(self, a, b) -> int:
         """Compatibility degree on tube reals: -1 on the diagonal, 0 on strict
@@ -259,21 +276,64 @@ class APContext:
         """(orbit, t): root's tau-orbit (direction 0) or tau^{-1}-orbit
         (direction 1) and the first step t < limit at which it is a negative
         simple, else t = None.  Each orbit is walked once, lazily: it ends at
-        its first negative simple or at step limit - 1, whichever comes first.
-        A stored entry is never changed, only replaced by a longer one, so a
-        concurrent reader always sees a true prefix of the orbit."""
+        its first negative simple, at step limit - 1, or, for good, at its
+        first repeat modulo delta, whichever comes first.  A stored entry is
+        never changed, only replaced by a longer one, so a concurrent reader
+        always sees a true prefix of the orbit.
+
+        The walk at y_t stops for good when an earlier nonnegative entry y_s
+        has y_t - y_s = k delta with k >= 0.  This is exact.  Until the walk
+        hits, every entry is a positive root: within one tau step each letter
+        acts once, and sigma_s is the plain reflection s on a positive root,
+        whose image is negative only when the root is alpha_s; that gives
+        -alpha_s, which the later letters keep, so the step ends on a hit.  So
+        the steps from s to t are pure reflections, which fix delta, and
+        y_{t+j} = y_{s+j} + k delta.  Each such entry is a positive root plus
+        a nonnegative multiple of delta, so never a negative simple, and by
+        induction over blocks of t - s steps the orbit never hits.  The test
+        keeps the integer key delta_0 y - y_0 delta of each nonnegative entry
+        (delta_0 > 0): y_t - y_s is a multiple of delta exactly when the keys
+        agree, and k >= 0 exactly when y_t[0] >= y_s[0].  A repeat with k < 0
+        does not stop the walk: that orbit still descends towards its hit."""
         orbits = self._orbits[direction]
-        orbit, hit = orbits.get(root, ((), None))
-        if hit is None and len(orbit) < limit:
+        orbit, hit, stopped = orbits.get(root, ((), None, False))
+        if hit is None and not stopped and len(orbit) < limit:
+            step = self.tau_inverse if direction else self.tau
+            delta, d0 = self.delta, self.delta[0]
+            lowest: dict = {}  # key -> least y_0 of the entries with that key
+            walk = list(orbit)  # its entries are replayed to rebuild the keys
+            t = 0
+            while hit is None and not stopped and t < limit:
+                if t == len(walk):
+                    walk.append(step(walk[-1]) if walk else root)
+                y = walk[t]
+                if self._negative_simple_index(y) is not None:
+                    hit = t
+                elif min(y) >= 0:
+                    key = tuple(d0 * c - y[0] * e for c, e in zip(y, delta))
+                    low = lowest.get(key)
+                    if low is not None and y[0] >= low:
+                        stopped = True
+                    else:
+                        lowest[key] = y[0]
+                t += 1
+            orbit = tuple(walk)
+            orbits[root] = (orbit, hit, stopped)
+        return orbit, hit if hit is not None and hit < limit else None
+
+    def _entry(self, root, direction, t):
+        """Step t of root's stored orbit, stepping a walk that stopped at a
+        repeat modulo delta on to step t (it has no hit to find there)."""
+        orbits = self._orbits[direction]
+        orbit, hit, stopped = orbits[root]
+        if t >= len(orbit):
             step = self.tau_inverse if direction else self.tau
             walk = list(orbit)
-            while hit is None and len(walk) < limit:
-                walk.append(step(walk[-1]) if walk else root)
-                if self._negative_simple_index(walk[-1]) is not None:
-                    hit = len(walk) - 1
+            while len(walk) <= t:
+                walk.append(step(walk[-1]))
             orbit = tuple(walk)
-            orbits[root] = (orbit, hit)
-        return orbit, hit if hit is not None and hit < limit else None
+            orbits[root] = (orbit, hit, stopped)
+        return orbit[t]
 
     def _compat(self, a, b, step_cap):
         """Tube formulas on tube pairs; otherwise the base case at the first
@@ -298,11 +358,11 @@ class APContext:
             if tb is not None and (ta is None or tb < ta):
                 # [[beta, -alpha_j]] = <rho_j, beta^vee>.
                 j = self._negative_simple_index(orbit_b[tb])
-                return self._coroot_coords(orbit_a[tb])[j]
+                return self._coroot_coords(self._entry(a, direction, tb))[j]
             if ta is not None:
                 # [[-alpha_i, beta]] = <rho_i^vee, beta>: the alpha_i coordinate.
                 i = self._negative_simple_index(orbit_a[ta])
-                return int(orbit_b[ta][i])
+                return self._entry(b, direction, ta)[i]
         raise ResolutionCapExceeded(f"no base case within {cap} tau steps for {(a, b)}")
 
     # -- clusters and the fan -----------------------------------------------------------
@@ -346,22 +406,17 @@ class APContext:
                 frontier.append(members)
         return sorted(real), sorted(imaginary), sorted(frontier)
 
-    def compatible_subsets(self, height_cap: int):
-        """All pairwise-compatible subsets of the height-capped AP_c."""
-        return _cliques(*self.compatibility_graph(height_cap))
-
-    def fan_cone(self, members) -> Cone:
-        """nu_c image of the cone spanned by a compatible set, whose images
-        are linearly independent."""
-        return Cone.simplicial(self.n, [self.cox.nu(r) for r in members])
-
     def fan_cones(self, height_cap: int):
         """All cones of nu_c(Fan_c) from height-capped compatible sets, with
-        their generating root sets: distinct compatible sets span distinct
-        simplicial cones."""
+        their generating root sets: the nu_c images of a compatible set are
+        linearly independent and span a simplicial cone, and distinct
+        compatible sets span distinct cones.  nu_c is evaluated once per
+        root."""
+        roots, edges = self.compatibility_graph(height_cap)
+        nu = {r: self.cox.nu(r) for r in roots}
         return [
-            (subset, self.fan_cone(subset))
-            for subset in self.compatible_subsets(height_cap)
+            (subset, Cone.simplicial(self.n, [nu[r] for r in subset]))
+            for subset in _cliques(roots, edges)
         ]
 
 

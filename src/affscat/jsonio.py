@@ -17,6 +17,8 @@ class InputError(ValueError):
 
 
 def frac_str(x) -> str:
+    if type(x) is int:
+        return str(x)
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 

@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from .almost_positive import APContext
 from .cartan import ExchangeMatrix
 from .cones import SignTable
 from .coxeter import coxeter_context
-from .linalg import integral_multiple, primitive_vector
+from .linalg import primitive_vector
 from .scattering import build_dcscat, rampart_set, scat_cone_eq
 from .weyl import CapExceeded, element_cap
 
@@ -103,6 +104,18 @@ def _fan_profile(table: SignTable, point):
     return frozenset(i for i, inside in enumerate(table.members(point)) if inside)
 
 
+def _integer_point(draws) -> tuple:
+    """The point (a_1/d_1, ..., a_n/d_n) times the lcm of its reduced
+    denominators d_i / gcd(a_i, d_i): integral_multiple of that point,
+    without building a Fraction."""
+    m = lcm(*(d // gcd(a, d) for a, d in draws))
+    return tuple(a * m // d for a, d in draws)
+
+
+def _point_strs(draws) -> list:
+    return [str(Fraction(a, d)) for a, d in draws]
+
+
 def _separating_heights(ap: APContext, p, q, far_cap: int):
     """Heights of AP roots whose hyperplane separates p from q, counting a
     hyperplane through one point (but not through both) as separating."""
@@ -191,14 +204,13 @@ def fans_compare(
     far_cap = height_cap + 2 * sum(cox.type_info.delta)
 
     def sample_point():
-        """A rational point for the report, its integer multiple, which every
-        test below receives (each is invariant under positive scaling, and
-        mutation maps are positively homogeneous), and its fan profile."""
+        """A rational point for the report, as (numerator, denominator)
+        draws, its integer multiple, which every test below receives (each
+        is invariant under positive scaling, and mutation maps are positively
+        homogeneous), and its fan profile."""
         for _ in range(10**4):
-            x = tuple(
-                Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3])) for _ in range(n)
-            )
-            xi = integral_multiple(x)
+            x = [(rng.randint(-12, 12), rng.choice([1, 2, 3])) for _ in range(n)]
+            xi = _integer_point(x)
             if rampart_set(diagram, xi):
                 continue  # exclude wall loci
             profile = _fan_profile(fan_table, xi)
@@ -218,7 +230,7 @@ def fans_compare(
                 report["pair_frontier_censored"] += 1
                 continue
             report["pair_disagreements"].append(
-                {"p": [str(c) for c in p], "q": [str(c) for c in q]}
+                {"p": _point_strs(p), "q": _point_strs(q)}
             )
             pairs_done += 1
             continue
@@ -227,8 +239,8 @@ def fans_compare(
         if scat_eq and verdict["verdict"] == "distinguished":
             report["probe_contradictions"].append(
                 {
-                    "p": [str(c) for c in p],
-                    "q": [str(c) for c in q],
+                    "p": _point_strs(p),
+                    "q": _point_strs(q),
                     "witness": list(verdict["witness"]),
                 }
             )

@@ -1,5 +1,14 @@
+import functools
+import inspect
+import textwrap
+
+import pytest
+from test_orientation_sweep import ORIENTATIONS, _id
+
+import affscat.almost_positive as almost_positive
 from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix
+from affscat.cones import Cone
 from affscat.coxeter import coxeter_context
 
 
@@ -12,6 +21,26 @@ AP_A2T = make([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
 AP_A22 = make([[0, 1], [-4, 0]])
 
 ALL = [AP_A11, AP_A2T, AP_A22]
+
+
+def in_ap(ap, root) -> bool:
+    """Whether root lies in AP_c: delta, a negative simple, a positive real
+    root off H_c, or a real tube root."""
+    if root == ap.delta:
+        return True
+    if all(c <= 0 for c in root):
+        return sum(root) == -1  # negative simple
+    if any(c < 0 for c in root):
+        return False
+    if not ap.cox.in_h_c(root):
+        return True
+    return root in ap.tube.apt_real
+
+
+def fan_cone(ap, members):
+    """nu_c image of the cone spanned by a compatible set, whose images
+    are linearly independent."""
+    return Cone.simplicial(ap.n, [ap.cox.nu(r) for r in members])
 
 
 def test_tube_empty_in_rank2():
@@ -56,9 +85,9 @@ def test_ap_a11_height3():
 
 def test_delta_always_in_ap():
     for ap in ALL:
-        assert ap.in_ap(ap.delta)
+        assert in_ap(ap, ap.delta)
         for i in range(ap.n):
-            assert ap.in_ap(tuple(-1 if j == i else 0 for j in range(ap.n)))
+            assert in_ap(ap, tuple(-1 if j == i else 0 for j in range(ap.n)))
 
 
 def test_ap_excludes_nontube_hc_roots():
@@ -71,7 +100,7 @@ def test_ap_excludes_nontube_hc_roots():
     ]
     assert excluded, "expected some excluded tube-plane roots"
     for r in excluded:
-        assert not ap.in_ap(r)
+        assert not in_ap(ap, r)
 
 
 def test_sigma_examples():
@@ -116,7 +145,7 @@ def test_tau_preserves_ap():
     for ap in ALL:
         for r in ap.ap_roots(4):
             img = ap.tau(r)
-            assert ap.in_ap(img), (r, img)
+            assert in_ap(ap, img), (r, img)
 
 
 def test_nontube_orbit_reaches_negative_simple():
@@ -244,7 +273,7 @@ def test_ap_equals_ap_of_inverse():
 def test_fan_dominant_chamber():
     for ap in ALL:
         negs = [tuple(-1 if j == i else 0 for j in range(ap.n)) for i in range(ap.n)]
-        cone = ap.fan_cone(negs)
+        cone = fan_cone(ap, negs)
         # nu_c(-alpha_i) = rho_i: the dominant chamber
         assert set(cone.rays) == {
             tuple(1 if j == i else 0 for j in range(ap.n)) for i in range(ap.n)
@@ -291,7 +320,7 @@ def test_real_cluster_cones_are_doubled_cambrian_cones():
         }
         real, _, _ = ap.clusters(H)
         for cluster in real:
-            cone = ap.fan_cone(cluster)
+            cone = fan_cone(ap, cluster)
             assert cone.generators in cambrian, cluster
 
 
@@ -425,3 +454,73 @@ def test_orbit_table_step_cap_boundary():
                     assert got == expect, (rows, cap, a, b)
                     assert _outcome(lambda: warm._compat(a, b, cap)) == expect, (rows, cap, a, b)
         assert {0, 1, "cap exceeded"} <= seen, rows
+
+
+def _walk_reference(rows):
+    """A context for _tau_walk_degree that memoizes its tau steps: the walk
+    still goes step by step, to the cap when no base case comes first."""
+    ref = make(rows)
+    ref.tau, ref.tau_inverse = functools.cache(ref.tau), functools.cache(ref.tau_inverse)
+    ref._negative_simple_index = functools.cache(ref._negative_simple_index)
+    return ref
+
+
+def _walk_outcome(ref, a, b, step_cap=None):
+    walk = _outcome(lambda: _tau_walk_degree(ref, a, b, step_cap))
+    return walk if walk == "cap exceeded" else walk[0]
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS, ids=_id)
+def test_orbit_table_matches_tau_walk_on_the_sweep(orientation):
+    rows = [list(r) for r in orientation[2]]
+    ap, ref = make(rows), _walk_reference(rows)
+    roots = ap.ap_roots(4)
+    for a in roots:
+        for b in roots:
+            got = _outcome(lambda: ap.compatibility_degree(a, b))
+            assert got == _walk_outcome(ref, a, b), (a, b)
+
+
+def test_hit_free_orbits_stop_at_their_first_repeat_modulo_delta():
+    # Every orbit that never reaches a negative simple stops within a few
+    # steps instead of at the default step cap 4n(h + 4), 108 to 200 here.
+    for rows, H in FAN_INSTANCES:
+        ap = make(rows)
+        roots = ap.ap_roots(H)
+        for a in roots:
+            for b in roots:
+                ap.compatibility_degree(a, b)
+        assert sum(len(orbit) for table in ap._orbits for orbit, _, _ in table.values()) <= 100
+
+
+def _stop_on_any_repeat(rows):
+    """A copy of APContext whose orbit walks also stop at a repeat modulo
+    delta with k < 0, where the orbit still descends towards its hit."""
+    source = textwrap.dedent(inspect.getsource(APContext._orbit))
+    rule = "if low is not None and y[0] >= low:"
+    assert source.count(rule) == 1
+    namespace = {}
+    exec(source.replace(rule, "if low is not None:"), vars(almost_positive), namespace)
+    broken = type("StopOnAnyRepeat", (APContext,), {"_orbit": namespace["_orbit"]})
+    return broken(coxeter_context(ExchangeMatrix.from_rows(rows)))
+
+
+def test_orbit_oracle_sees_a_walk_that_stops_while_descending():
+    # On A_1^(1), tau^{-1} climbs from -alpha_0 through (1,2), (3,4), ... by
+    # 2 delta a step, so tau walks (21,22) down to -alpha_0 in 11 steps.
+    # Paired with delta, which never hits, that descent decides the degree;
+    # a walk that stops at its first repeat modulo delta, here after one
+    # step with k = -2, finds no hit.
+    rows = [[0, 2], [-2, 0]]
+    ap, ref, broken = make(rows), _walk_reference(rows), _stop_on_any_repeat(rows)
+    assert ap.tau((21, 22)) == (19, 20)
+    roots = ap.ap_roots(4) + [(21, 22), (22, 21)]
+    wrong = []
+    for a in roots:
+        for b in roots:
+            expect = _walk_outcome(ref, a, b)
+            assert _outcome(lambda: ap.compatibility_degree(a, b)) == expect, (a, b)
+            if _outcome(lambda: broken.compatibility_degree(a, b)) != expect:
+                wrong.append((a, b))
+    assert ((21, 22), ap.delta) in wrong
+

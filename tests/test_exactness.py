@@ -4,10 +4,13 @@ name no Fraction at all: the Weyl, sortable, shard and almost-positive
 modules, and the bodies of linalg.echelon, of the double description and
 the generator canonicalization in cones, and of the relative-interior point
 search in scattering.  Those two bodies read integer generators as they
-are: they call neither rref nor integral_multiple."""
+are: they call neither rref nor integral_multiple.  The almost-positive
+model's coroot coordinates come out as ints."""
 
 import ast
 from pathlib import Path
+
+from test_almost_positive import FAN_INSTANCES, make
 
 import affscat
 
@@ -118,3 +121,15 @@ def test_generator_readers_neither_reduce_nor_clear():
         for module, name in GENERATOR_READERS
     }
     assert not any(found.values()), {name: lines for name, lines in found.items() if lines}
+
+
+def test_coroot_coords_are_ints():
+    # The compatibility degree reads coroots in integers alone; the values
+    # are those of cartan.coroot, which divides in Fractions.
+    for rows, H in FAN_INSTANCES:
+        ap = make(rows)
+        for r in ap.ap_roots(H):
+            cv = ap._coroot_coords(r)
+            assert type(cv) is tuple and all(type(c) is int for c in cv), r
+            if r != ap.delta:
+                assert cv == ap.cartan.coroot_coords(ap.cartan.coroot(r)), r

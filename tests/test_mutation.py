@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix
 from affscat.coxeter import coxeter_context
 from affscat.linalg import integral_multiple
-from affscat.mutation import b_class_probe, eta, mutate
+from affscat.mutation import _integer_point, b_class_probe, eta, mutate
 from affscat.weyl import CapExceeded, element_cap
 
 B_A11 = ExchangeMatrix.from_rows([[0, 2], [-2, 0]])
@@ -402,3 +403,13 @@ def test_fans_compare_reports_a_missing_wall(monkeypatch):
     first = report["pair_disagreements"][0]
     assert first == {"p": ["-5/2", "-3", "-8"], "q": ["5", "-3", "-12"]}
     assert not report["clean"]
+
+
+def test_integer_sample_point_is_the_integral_multiple_of_the_rational_one():
+    # Every draw fans_compare can make in rank 2 and 3: a numerator in
+    # [-12, 12] over a denominator in {1, 2, 3} per coordinate.
+    draws = [(a, d) for a in range(-12, 13) for d in (1, 2, 3)]
+    point = {ad: Fraction(*ad) for ad in draws}
+    for n in (2, 3):
+        for x in product(draws, repeat=n):
+            assert _integer_point(x) == integral_multiple(tuple(point[c] for c in x)), x

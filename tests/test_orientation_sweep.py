@@ -156,6 +156,14 @@ def test_compatibility_is_symmetric_and_clusters_are_maximal_compatible_sets(ori
     zero = [[ap.compatibility_degree(a, b) == 0 for b in roots] for a in roots]
     assert zero == [list(col) for col in zip(*zero)]
     assert ap.clusters(4) == _reference_clusters(ap, 4)
+    # The compatible sets are the subsets of the maximal ones.
     fan = ap.fan_cones(4)
-    assert len(fan) == len(ap.compatible_subsets(4))
+    compatible = {
+        frozenset(s)
+        for cl in itertools.chain(*_reference_clusters(ap, 4))
+        for k in range(len(cl) + 1)
+        for s in itertools.combinations(cl, k)
+    }
+    assert len(fan) == len(compatible) == len({frozenset(m) for m, _ in fan})
+    assert {frozenset(m) for m, _ in fan} == compatible
     assert len({cone.generators for _, cone in fan}) == len(fan)
