@@ -89,43 +89,5 @@ def cone_json(cone):
     }
 
 
-def diagram_from_json(data, cartan):
-    """Rebuild a ScatDiagram from its wall dump.  The Cartan matrix converts
-    the root-coordinate inequality functionals back into cone covectors."""
-    from .cones import Cone
-    from .scattering import ScatDiagram, Wall
-    from .series import TruncatedSeries
-
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    n = int(data["n"])
-    cov = cartan.primitive_in_coroot_lattice
-    walls = []
-    for w in data["walls"]:
-        normal = tuple(int(c) for c in w["normal"])
-        ineqs = [tuple(int(c) for c in g) for g in w["ineqs"]]
-        coeffs = [Fraction(c) for c in w["series"]["coeffs"]]
-        f = TruncatedSeries.make(normal, len(coeffs) - 1, coeffs)
-        cone = Cone.from_constraints(
-            n, eqs=[cov(normal)], ineqs=[cov(g) for g in ineqs]
-        )
-        walls.append(
-            Wall(
-                normal=normal,
-                cone=cone,
-                ineq_roots=tuple(sorted(ineqs)),
-                f=f,
-                origin=w["origin"],
-            )
-        )
-    return ScatDiagram(
-        cartan_n=n,
-        walls=tuple(walls),
-        height_cap=int(data["height_cap"]),
-        truncation=int(data["truncation"]),
-        provenance=dict(data.get("provenance", {})),
-    )
-
-
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

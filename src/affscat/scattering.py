@@ -4,24 +4,27 @@ build_dcscat assembles walls from shards of join-irreducible c- and
 c^{-1}-sortable elements plus the imaginary wall; build_easy_scat assembles
 the same diagram from the almost-positive roots and the cutting relation.
 Consistency is checked by composing wall crossings around codimension-2
-faces, ordered angularly in an exact transverse plane, in integers, and
+cells, ordered angularly in an exact transverse plane, in integers, and
 applying each loop to x_1 + ... + x_n (see check_consistency).  Wall
 covectors are the normals scaled coordinatewise by the positive symmetrizer
-d, so for a face cut out by walls with normals beta1, beta2:
-- a wall's hyperplane contains the face's span only if its normal lies in
+d, so for a cell in the meet of walls with normals beta1, beta2:
+- a wall's hyperplane contains the cell's span only if its normal lies in
   span(beta1, beta2): it is beta1 or has the plane key wedge_key(beta1, beta2);
 - for (i, j) = nonzero_minor(beta1, beta2), that minor of the two covectors
-  is d_i d_j > 0 times it, so span(e_i, e_j) meets the face's span only at 0
-  and every wall through the face traces a line in it;
+  is d_i d_j > 0 times it, so span(e_i, e_j) meets the cell's span only at 0
+  and every wall through the cell traces a line in it;
 - crossing signs are read off the trace directions (see loop_crossings).
 
-The faces are the (n-2)-dimensional meets of two walls (see _codim2_faces).
-Each wall is cut once per plane P through its normal, to its piece in the
-common kernel L_P, by one step on its cached generators (Cone.section).  A
-meet lies in both walls' pieces, and is one of them when that piece lies in
-the other wall; only pairs where neither piece nests fall back to a double
-description of the two cones.  The base point of each loop is located
-against one SignTable of the checked walls.
+The cells refine the (n-2)-dimensional meets of two walls, plane by plane
+(see _codim2_faces).  Each wall is cut once per plane P through its normal,
+to its piece in the common kernel L_P, by one step on its cached generators
+(Cone.section).  A meet lies in both walls' pieces, and is one of them when
+that piece lies in the other wall; only pairs where neither piece nests fall
+back to a double description of the two cones.  A third wall of P can
+cover part of a meet without containing it, so each meet is split by the
+walls of P until each of them contains a cell or misses its relative
+interior (see _cells), and every cell gets its own loop.  The base point of
+each loop is located against one SignTable of the checked walls.
 
 rank2_complete completes the rank-2 diagram in one pass around its loop,
 reading each outgoing ray's scattering term off the product as the loop
@@ -355,9 +358,10 @@ def _b_rows_from_cox(cox: CoxeterContext):
 
 
 def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext) -> dict:
-    """Compose wall crossings around every codimension-2 face of the diagram
+    """Compose wall crossings around every codimension-2 cell of the diagram
     and report which loops fail to be the identity mod m^(truncation+1).
-    Each face's walls and loop plane come from its two normals (see the
+    The faces are the cells of _codim2_faces: each comes with the walls
+    containing it, and its loop plane comes from its two normals (see the
     module docstring).
 
     A loop is the identity exactly when its path product fixes the single
@@ -392,12 +396,8 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
     faces = _codim2_faces(walls, n)
     table = SignTable([w.cone for w in walls])
     report = {"faces": len(faces), "failures": [], "checked": 0}
-    by_plane: dict = {}  # beta1 -> _walls_by_plane(beta1, walls)
-    for face, beta1, beta2 in faces:
-        if beta1 not in by_plane:
-            by_plane[beta1] = _walls_by_plane(beta1, walls)
-        inside = _walls_around(face, beta1, beta2, walls, by_plane[beta1])
-        containing = [walls[i] for i in sorted(inside)]
+    for face, beta1, beta2, inside in faces:
+        containing = [walls[i] for i in inside]
         base = _generic_relint_point(face, table, inside)
         i, j = nonzero_minor(beta1, beta2)
         crossings = loop_crossings(containing, base, units[i], units[j], coroot)
@@ -415,8 +415,9 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
 
 
 def _codim2_faces(walls, n):
-    """The distinct (n-2)-dimensional meets of two walls, each as (face,
-    beta1, beta2) with the normals of the first pair that cut it out.
+    """The cells of codimension 2, each as (cell, beta1, beta2, inside): the
+    normals of the first pair of walls whose meet holds the cell, and the
+    indices of the walls containing it.
 
     Each wall lies in the hyperplane of its cone's one equality, so for
     normals beta1 != beta2 spanning the plane P, wall 1 meets wall 2's
@@ -426,10 +427,15 @@ def _codim2_faces(walls, n):
     (wall, plane key).  The meet lies in both pieces, so a pair whose pieces
     are not both (n-2)-dimensional has no face; if one piece lies in the
     other wall, that piece is the meet.  Only pairs where neither nests run a
-    double description of the two cones' constraints."""
-    faces = []
-    seen = set()
+    double description of the two cones' constraints.  Each pair's plane
+    key is computed once, and records both walls as members of the plane:
+    the walls whose hyperplanes contain L_P.  Each distinct (n-2)-dimensional
+    meet is then split by the members of its plane into cells (see _cells);
+    the cells are distinct by generators.  No wall outside the plane can
+    contain a cell, as its hyperplane does not contain L_P."""
     pieces: dict = {}  # (wall index, plane key) -> wall.cone.section(...)
+    members: dict = {}  # plane key -> indices of the walls with normal in it
+    meets: dict = {}  # generators -> (meet, plane key, beta1, beta2)
 
     def piece(i, j, plane):
         if (i, plane) not in pieces:
@@ -441,6 +447,7 @@ def _codim2_faces(walls, n):
         if w1.normal == w2.normal:
             continue
         plane = wedge_key(w1.normal, w2.normal)
+        members.setdefault(plane, set()).update((i1, i2))
         lin1, rays1, dim1 = piece(i1, i2, plane)
         lin2, rays2, dim2 = piece(i2, i1, plane)
         if dim1 != n - 2 or dim2 != n - 2:
@@ -452,29 +459,47 @@ def _codim2_faces(walls, n):
             meet.with_generators(lin2, rays2)
         elif meet.dim != n - 2:
             continue
-        key = meet.generators
-        if key not in seen:
-            seen.add(key)
-            faces.append((meet, w1.normal, w2.normal))
-    return faces
+        meets.setdefault(meet.generators, (meet, plane, w1.normal, w2.normal))
+    faces: dict = {}
+    for meet, plane, beta1, beta2 in meets.values():
+        for cell, inside in _cells(meet, [(i, walls[i].cone) for i in sorted(members[plane])]):
+            faces.setdefault(cell.generators, (cell, beta1, beta2, inside))
+    return list(faces.values())
 
 
-def _walls_by_plane(beta1, walls) -> dict:
-    """Indices of the walls, in the given order, bucketed by
-    wedge_key(beta1, normal); the walls with normal beta1 lie in every plane
-    through beta1 and are bucketed under None."""
-    buckets: dict = {}
-    for i, w in enumerate(walls):
-        buckets.setdefault(wedge_key(beta1, w.normal), []).append(i)
-    return buckets
+def _cells(cell: Cone, members) -> list:
+    """The cells the member cones (index, cone) cut the cone cell into, each
+    as (cell, indices of the members containing it), in integers.
 
-
-def _walls_around(face: Cone, beta1, beta2, walls, by_plane) -> set:
-    """The indices of the walls containing the face; only walls with normal
-    in span(beta1, beta2) are tested.  by_plane is _walls_by_plane(beta1,
-    walls)."""
-    near = by_plane.get(wedge_key(beta1, beta2), []) + by_plane.get(None, [])
-    return {i for i in near if walls[i].cone.contains_cone(face)}
+    Every member's hyperplane contains the span of cell.  A member meets the
+    relative interior of a cell exactly when the sum of the rays of their
+    meet, a point of the meet's relative interior, lies in the cell's.  One
+    that does without containing the cell has an inequality g that takes
+    both signs there (one that is positive somewhere and >= 0 throughout
+    would keep the meet on the cell's proper face g = 0); it splits the cell
+    into cell ∩ {g <= 0} and cell ∩ {g >= 0}, both of the cell's dimension.
+    So every cell returned lies in each member or misses its relative
+    interior."""
+    lin, rays = cell.generators
+    gens = rays + lin + tuple(tuple(-c for c in v) for v in lin)
+    inside = []
+    for i, cone in members:
+        if cone.contains_generators(lin, rays):
+            inside.append(i)
+            continue
+        meet = cell.intersect(cone)
+        if cell.relint_contains([sum(c) for c in zip(*meet.rays)] or [0] * cell.dim_ambient):
+            # (pos, neg) masks of g on the generators: both nonzero
+            g = next(
+                g for g in cone._integral_constraints[1]
+                if all(SignTable.mask([vdot(v, g) for v in gens]))
+            )
+            return [
+                c
+                for h in (g, tuple(-c for c in g))
+                for c in _cells(Cone(cell.dim_ambient, cell.eqs, cell.ineqs + (h,)), members)
+            ]
+    return [(cell, tuple(inside))]
 
 
 def _generic_relint_point(face: Cone, table: SignTable, inside):
@@ -493,6 +518,15 @@ def _generic_relint_point(face: Cone, table: SignTable, inside):
     those are exactly the inequalities that vanish on the whole face (each
     is <= 0 on the face, and a face of the face that meets its relative
     interior is the whole face).
+
+    On a cell of _codim2_faces only walls outside its plane can reject a
+    candidate: each wall of the plane contains the cell or misses its
+    relative interior.  A wall outside the plane meets the cell's span in a
+    proper subspace, on which a linear form l vanishes while it does not on
+    the span; there the candidate sum_i (a^(i+1) + i + 1) l(g_i) is a
+    nonzero polynomial in the attempt a of degree at most the number of
+    generators, so each such wall rejects at most that many attempts of
+    each parity.
     """
     lin, rays = face.generators
     n = face.dim_ambient

@@ -53,11 +53,6 @@ def test_consistency_exit_zero(b_a11, tmp_path):
     assert json.loads(out.read_text())["consistent"]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: wall (1,1,0,1) splits the codim-2 face of d_inf and "
-    "d_(0,0,1,0), so no generic base point exists and consistency exits 3",
-)
 def test_consistency_codim2_repro(tmp_path, capsys):
     path = tmp_path / "a31.json"
     path.write_text(
@@ -264,19 +259,6 @@ def test_malformed_element_cap_exit_2_names_affscat_cap(b_a11, monkeypatch, caps
     err = json.loads(capsys.readouterr().err)
     assert "AFFSCAT_CAP" in err["error"] and repr(value) in err["error"]
     assert "internal" not in err
-
-
-def test_walls_json_round_trip(b_a2t, tmp_path):
-    from affscat.cartan import exchange_to_cartan
-    from affscat.jsonio import diagram_from_json, diagram_json, read_exchange_matrix
-    from affscat.scattering import build_dcscat
-
-    bmat = read_exchange_matrix(open(b_a2t).read())
-    d = build_dcscat(bmat, 4, 4)
-    payload = diagram_json(d)
-    rebuilt = diagram_from_json(payload, exchange_to_cartan(bmat))
-    assert rebuilt.same_walls(d)
-    assert rebuilt.height_cap == d.height_cap
 
 
 def test_classify_reports_cartan_data(b_a22, tmp_path):

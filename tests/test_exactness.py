@@ -2,10 +2,11 @@
 with floats) holds a float literal or calls float().  The integer layers
 name no Fraction at all: the Weyl, sortable, shard and almost-positive
 modules, and the bodies of linalg.echelon, of the double description and
-the generator canonicalization in cones, and of the relative-interior point
-search in scattering.  Those two bodies read integer generators as they
-are: they call neither rref nor integral_multiple.  The almost-positive
-model's coroot coordinates come out as ints."""
+the generator canonicalization in cones, and of the cell split and the
+relative-interior point search in scattering.  The canonicalization and the
+point search read integer generators as they are: they call neither rref
+nor integral_multiple.  The almost-positive model's coroot coordinates come
+out as ints."""
 
 import ast
 from pathlib import Path
@@ -51,6 +52,7 @@ INTEGER_FUNCTIONS = (
     ("cones.py", "_pierce"),
     ("cones.py", "_edge_crossings"),
     ("cones.py", "_canonicalize_generators"),
+    ("scattering.py", "_cells"),
     ("scattering.py", "_generic_relint_point"),
 )
 # Bodies that take integer generators as they come, with no rational

@@ -30,11 +30,10 @@ from affscat.scattering import (
     Wall,
     _angle_cmp,
     _b_rows_from_cox,
+    _cells,
     _codim2_faces,
     _crossing_data,
     _generic_relint_point,
-    _walls_around,
-    _walls_by_plane,
     _x_sum,
     build_dcscat,
     build_easy_scat,
@@ -212,6 +211,28 @@ def _codim2_faces_reference(walls, n):
     return faces
 
 
+# The walls around a face as they were found before each plane recorded its
+# members along with the pairwise meets: a plane-key bucketing of every wall
+# per distinct beta1, then a containment test per wall of the face's bucket.
+# Kept verbatim as the reference.
+def _walls_by_plane(beta1, walls) -> dict:
+    """Indices of the walls, in the given order, bucketed by
+    wedge_key(beta1, normal); the walls with normal beta1 lie in every plane
+    through beta1 and are bucketed under None."""
+    buckets: dict = {}
+    for i, w in enumerate(walls):
+        buckets.setdefault(wedge_key(beta1, w.normal), []).append(i)
+    return buckets
+
+
+def _walls_around(face: Cone, beta1, beta2, walls, by_plane) -> set:
+    """The indices of the walls containing the face; only walls with normal
+    in span(beta1, beta2) are tested.  by_plane is _walls_by_plane(beta1,
+    walls)."""
+    near = by_plane.get(wedge_key(beta1, beta2), []) + by_plane.get(None, [])
+    return {i for i in near if walls[i].cone.contains_cone(face)}
+
+
 def _walls_around_reference(face: Cone, beta1, beta2, walls, by_plane):
     """(walls containing the face, the other walls), each in the given order;
     only walls with normal in span(beta1, beta2) are tested.  by_plane is
@@ -244,19 +265,130 @@ def _generic_relint_point_reference(face: Cone, other_walls):
 
 
 def _face_triples(faces):
-    return [(face.generators, beta1, beta2) for face, beta1, beta2 in faces]
+    return [(face.generators, beta1, beta2) for face, beta1, beta2, *_ in faces]
+
+
+def _partly_covers(wall, face: Cone) -> bool:
+    """Whether the wall meets the relative interior of the face without
+    containing it: their meet lies on no facet of the face (a convex subset
+    of the relative boundary lies on one facet)."""
+    if wall.cone.contains_cone(face):
+        return False
+    lin, rays = face.intersect(wall.cone).generators
+    facets = [g for k, g in enumerate(face.ineqs) if k not in face._implicit_ineqs]
+    return not any(all(vdot(v, g) == 0 for v in lin + rays) for g in facets)
 
 
 def _check_faces(walls, n):
+    """(faces, split): _codim2_faces(walls, n), checked against the pairwise
+    reference, and whether a wall of its plane partly covers some reference
+    face.  Each cell lies in a reference face with the same normals, lies in
+    exactly the walls it lists, and is partly covered by no wall of its
+    plane; the cells cover the reference faces (tested at points weighting
+    each ray by 1 or 3); without a partly covered reference face, the cells
+    are the reference faces with the walls _walls_around finds."""
     faces = _codim2_faces(walls, n)
-    assert _face_triples(faces) == _face_triples(_codim2_faces_reference(walls, n))
-    return faces
+    reference = _codim2_faces_reference(walls, n)
+
+    def plane_walls(beta1, beta2):
+        by_plane = _walls_by_plane(beta1, walls)
+        return by_plane.get(wedge_key(beta1, beta2), []) + by_plane.get(None, [])
+
+    assert len({face.generators for face, *_ in faces}) == len(faces)
+    for cell, beta1, beta2, inside in faces:
+        assert cell.dim == n - 2
+        assert any(b == [beta1, beta2] and f.contains_cone(cell) for f, *b in reference)
+        assert list(inside) == [i for i, w in enumerate(walls) if w.cone.contains_cone(cell)]
+        assert not any(_partly_covers(walls[i], cell) for i in plane_walls(beta1, beta2))
+    for face, *_ in reference:
+        lin, rays = face.generators
+        for ws in itertools.product((1, 3), repeat=len(rays)):
+            for signs in itertools.product((1, -1), repeat=len(lin)):
+                point = [0] * n
+                for c, g in zip(ws + signs, rays + lin):
+                    point = [x + c * y for x, y in zip(point, g)]
+                assert any(cell.contains(point) for cell, *_ in faces), (face.generators, point)
+    split = any(
+        _partly_covers(walls[i], face)
+        for face, beta1, beta2 in reference
+        for i in plane_walls(beta1, beta2)
+    )
+    if not split:
+        assert _face_triples(faces) == _face_triples(reference)
+        for face, beta1, beta2, inside in faces:
+            by_plane = _walls_by_plane(beta1, walls)
+            assert set(inside) == _walls_around(face, beta1, beta2, walls, by_plane)
+    return faces, split
 
 
 @pytest.mark.parametrize("orientation", ORIENTATIONS, ids=_id)
 def test_codim2_faces_match_pairwise_reference_on_sweep(orientation):
     bmat, _, cap, diagram = _instance(orientation[2])
     _check_faces([w for w in diagram.walls if sum(w.normal) <= cap], bmat.n)
+
+
+# A_3^(1) orientation 0, the CLI repro (tests/test_cli.py).
+REPRO_ROWS = [[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, 1], [-1, 0, -1, 0]]
+
+
+def test_a_wall_of_the_plane_cuts_a_face_into_two_cells():
+    # The face d_(0,1,0,0) ∩ d_inf has rays (-1,0,1,0) and (0,0,-1,1); wall
+    # (1,0,1,1), whose normal lies in its plane, covers the half next to the
+    # second ray.  Every candidate of the pairwise search lies in that half,
+    # so that search found no base point.
+    walls = list(build_dcscat(ExchangeMatrix.from_rows(REPRO_ROWS), 4, 4).walls)
+    index = {w.normal: i for i, w in enumerate(walls)}
+    face = walls[index[0, 1, 0, 0]].cone.intersect(walls[index[1, 1, 1, 1]].cone)
+    assert face.generators == ((), ((-1, 0, 1, 0), (0, 0, -1, 1)))
+    with pytest.raises(AssertionError, match="generic relative-interior point"):
+        _generic_relint_point_reference(
+            face, [w for w in walls if not w.cone.contains_cone(face)]
+        )
+    faces, split = _check_faces(walls, 4)
+    assert split
+    cells = [(cell, inside) for cell, _, _, inside in faces if face.contains_cone(cell)]
+    assert [cell.rays for cell, _ in cells] == [
+        ((-1, 0, 0, 1), (0, 0, -1, 1)),
+        ((-1, 0, 0, 1), (-1, 0, 1, 0)),
+    ]
+    (_, covered), (_, bare) = cells
+    assert set(covered) - set(bare) == {index[1, 0, 1, 1]} and set(bare) < set(covered)
+    table = SignTable([w.cone for w in walls])
+    for cell, inside in cells:
+        base = _generic_relint_point(cell, table, inside)
+        assert cell.relint_contains(base)
+        assert [i for i, hit in enumerate(table.members(base)) if hit] == list(inside)
+
+
+def test_a_wall_over_a_middle_strip_gives_three_cells():
+    # In Z^4 the plane of e_3 and e_4 has common kernel L = span(e_1, e_2).
+    # Walls d_e3 and d_e4 meet in the quadrant x_1, x_2 >= 0 of L, and wall
+    # d_(e3+e4) covers its middle strip between (2,1) and (1,2).  The pairwise
+    # search loops once, in one outer cell; the refinement gives each of the
+    # three cells a loop.
+    quadrant = Cone.from_constraints(4, eqs=[(0, 0, 1, 0)], ineqs=[(-1, 0, 0, 0), (0, -1, 0, 0)])
+    strip = Cone.from_constraints(4, eqs=[(0, 0, 1, 1)], ineqs=[(-2, 1, 0, 0), (1, -2, 0, 0)])
+    walls = [
+        Wall((0, 0, 1, 0), quadrant, (), None, ""),
+        Wall((0, 0, 0, 1), Cone.from_constraints(4, eqs=[(0, 0, 0, 1)]), (), None, ""),
+        Wall((0, 0, 1, 1), strip, (), None, ""),
+    ]
+    face = walls[0].cone.intersect(walls[1].cone)
+    assert _generic_relint_point_reference(face, walls[2:]) == (11, 4, 0, 0)
+    faces, split = _check_faces(walls, 4)
+    assert split
+    assert [(cell.rays, beta1, beta2, inside) for cell, beta1, beta2, inside in faces] == [
+        (((1, 2, 0, 0), (2, 1, 0, 0)), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 2)),
+        (((1, 0, 0, 0), (2, 1, 0, 0)), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1)),
+        (((0, 1, 0, 0), (1, 2, 0, 0)), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1)),
+    ]
+    assert _cells(face, list(enumerate(w.cone for w in walls))) == [
+        (cell, inside) for cell, _, _, inside in faces
+    ]
+    table = SignTable([w.cone for w in walls])
+    for cell, _, _, inside in faces:
+        base = _generic_relint_point(cell, table, inside)
+        assert [i for i, hit in enumerate(table.members(base)) if hit] == list(inside)
 
 
 @pytest.mark.parametrize("name, cap", [("D4_1", 6), ("A3_1", 8)])
@@ -304,11 +436,11 @@ def test_generic_relint_point_skips_candidates_in_other_walls():
 
 @pytest.mark.parametrize("name", sorted(LOOP_ROWS))
 def test_loop_crossings_match_reference_on_every_face(name):
-    # Checks, on every codim-2 face at H = k = 4: the plane-key filter keeps
-    # exactly the walls an all-walls contains_cone scan keeps, the base point
-    # is the reference search's, and the trace directions and signs equal
-    # the arc-sample reference, on the plane of the first nonzero minor and
-    # on a random transverse integer plane.
+    # Checks, on every codim-2 face at H = k = 4: the face's walls are those
+    # the plane-key filter and an all-walls contains_cone scan keep, the base
+    # point is the reference search's, and the trace directions and signs
+    # equal the arc-sample reference, on the plane of the first nonzero minor
+    # and on a random transverse integer plane.
     bmat = ExchangeMatrix.from_rows(LOOP_ROWS[name])
     cox = coxeter_context(bmat)
     cov = cox.cartan.primitive_in_coroot_lattice
@@ -317,14 +449,12 @@ def test_loop_crossings_match_reference_on_every_face(name):
     table = SignTable([w.cone for w in walls])
     units = identity_mat(n)
     rng = random.Random(n)
-    faces = _check_faces(walls, n)
-    assert len(faces) >= 10
-    for face, beta1, beta2 in faces:
+    faces, split = _check_faces(walls, n)
+    assert len(faces) >= 10 and not split
+    for face, beta1, beta2, inside in faces:
         by_plane = _walls_by_plane(beta1, walls)
-        inside = _walls_around(face, beta1, beta2, walls, by_plane)
-        containing = [walls[i] for i in sorted(inside)]
+        containing = [walls[i] for i in inside]
         scan = [w for w in walls if w.cone.contains_cone(face)]
-        assert [w.normal for w in containing] == [w.normal for w in scan]
         ref_containing, ref_others = _walls_around_reference(face, beta1, beta2, walls, by_plane)
         assert containing == ref_containing
         assert [w.normal for w in ref_others] == [w.normal for w in walls if w not in scan]
