@@ -21,15 +21,16 @@ on negative simples, and a step that makes alpha_s negative ends on
 repeats its block y_s, ..., y_{t-1} shifted by k delta, every entry a
 positive root plus a nonnegative multiple of delta, and never hits (see
 APContext._orbit).  When a pair needs an entry past such a stop, the stored
-orbit is stepped on to it.  Coroot coordinates are integers computed once
-per root, with the symmetrizer cleared of denominators.
+orbit is stepped on to it.  The base cases read coroots, which the Cartan
+matrix computes once per root, in integers.
 
 Compatibility is symmetric: a degree is zero exactly when its transpose is
 (Reading-Stella, An affine almost positive roots model).  So the
-compatibility graph tests each unordered pair of roots once.  One
-enumeration of its cliques, the compatible sets, serves both the fan, one
-simplicial cone per compatible set, and the clusters, which are the maximal
-compatible sets: those whose members have no common partner.
+compatibility graph tests each unordered pair of roots once.  The graph
+and one enumeration of its cliques, the compatible sets, are kept per
+height cap and serve both the fan, one simplicial cone per compatible set,
+and the clusters, which are the maximal compatible sets: those whose
+members have no common partner.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cartan import NotAffine, NotRealRoot
+from .cartan import NotAffine
 from .cones import Cone
 from .coxeter import CoxeterContext
-from .linalg import integral_multiple, rank, solve_linear
+from .linalg import rank, solve_linear
 
 
 class ResolutionCapExceeded(RuntimeError):
@@ -70,8 +71,7 @@ class APContext:
         # step of its first negative simple, which ends it, or None, and
         # whether the walk stopped for good at a repeat modulo delta)
         self._orbits: tuple = ({}, {})
-        self._coroots: dict = {}
-        self._symmetrizer = integral_multiple(self.cartan.d)
+        self._graphs: dict = {}  # height cap -> compatibility_graph(height cap)
 
     # -- tubes -------------------------------------------------------------------
 
@@ -202,17 +202,15 @@ class APContext:
             return root
         return self.cartan.reflect_root(s, root)
 
-    def tau(self, root, order=None):
+    def tau(self, root):
         """tau_c = sigma_{s_1} ... sigma_{s_n} (rightmost acts first; each
         letter is final in the Coxeter element current at its step)."""
-        order = self.cox.order if order is None else order
-        for s in reversed(order):
+        for s in reversed(self.cox.order):
             root = self._sigma(s, root)
         return root
 
-    def tau_inverse(self, root, order=None):
-        order = self.cox.order if order is None else order
-        for s in order:
+    def tau_inverse(self, root):
+        for s in self.cox.order:
             root = self._sigma(s, root)
         return root
 
@@ -224,29 +222,11 @@ class APContext:
         return None
 
     def _coroot_coords(self, root):
-        """Integer alpha^vee coordinates of root^vee, once per root:
-        (beta^vee)_i = 2 d'_i beta_i / K'(beta, beta), with d' the symmetrizer
-        cleared to integers and K' its form.  The division is exact because a
-        real coroot lies in Q^vee.  delta^vee is the primitive coroot-lattice
-        vector on the delta ray."""
-        cv = self._coroots.get(root)
-        if cv is None:
-            if root == self.delta:
-                cv = self.cartan.primitive_in_coroot_lattice(self.delta)
-            else:
-                d = self._symmetrizer
-                av = self.cartan.a_times(root)
-                kk = sum(c * di * x for c, di, x in zip(root, d, av))
-                if kk <= 0:
-                    raise NotRealRoot(f"{root} is not a real root (K(b,b) = {kk})")
-                cv = []
-                for di, c in zip(d, root):
-                    q, r = divmod(2 * di * c, kk)
-                    assert r == 0, "a real coroot lies in Q^vee"
-                    cv.append(q)
-                cv = tuple(cv)
-            self._coroots[root] = cv
-        return cv
+        """Integer alpha^vee coordinates of root^vee: the real coroot, or for
+        delta the primitive coroot-lattice vector on its ray."""
+        if root == self.delta:
+            return self.cartan.primitive_in_coroot_lattice(root)
+        return self.cartan.coroot(root)
 
     def tube_degree(self, a, b) -> int:
         """Compatibility degree on tube reals: -1 on the diagonal, 0 on strict
@@ -263,14 +243,14 @@ class APContext:
         adjacent = (ca | ca_inv) - sa
         return len(sb & adjacent)
 
-    def compatibility_degree(self, a, b, step_cap=None) -> int:
-        """The c-compatibility degree on AP_c x AP_c."""
+    def compatibility_degree(self, a, b) -> int:
+        """The c-compatibility degree on AP_c x AP_c, once per pair, with
+        at most 4n(h + 4) tau steps, h the larger of the two heights."""
         key = (a, b)
-        if key in self._compat_cache:
-            return self._compat_cache[key]
-        val = self._compat(a, b, step_cap)
-        self._compat_cache[key] = val
-        return val
+        if key not in self._compat_cache:
+            cap = 4 * self.n * (max(sum(map(abs, a)), sum(map(abs, b))) + 4)
+            self._compat_cache[key] = self._compat(a, b, cap)
+        return self._compat_cache[key]
 
     def _orbit(self, root, direction, limit):
         """(orbit, t): root's tau-orbit (direction 0) or tau^{-1}-orbit
@@ -335,7 +315,7 @@ class APContext:
             orbits[root] = (orbit, hit, stopped)
         return orbit[t]
 
-    def _compat(self, a, b, step_cap):
+    def _compat(self, a, b, cap):
         """Tube formulas on tube pairs; otherwise the base case at the first
         step t below the cap at which tau^t a or tau^t b is a negative simple,
         trying tau^{-1} when tau finds none.  The degree is tau-invariant, so
@@ -343,8 +323,6 @@ class APContext:
         two roots' first hits, read off their orbit tables, and a hit by
         tau^t a wins a tie: the answer of walking both roots together step
         by step, with each root's orbit walked once for all its pairs."""
-        n = self.n
-        cap = step_cap if step_cap is not None else 4 * n * (max(sum(map(abs, a)), sum(map(abs, b))) + 4)
         in_tube_a = a == self.delta or self.is_tube_real(a)
         in_tube_b = b == self.delta or self.is_tube_real(b)
         if in_tube_a and in_tube_b:
@@ -368,16 +346,20 @@ class APContext:
     # -- clusters and the fan -----------------------------------------------------------
 
     def compatibility_graph(self, height_cap: int):
-        """The height-capped AP_c and its compatible pairs, root -> partners.
-        Compatibility is symmetric, so each unordered pair is tested once."""
-        roots = self.ap_roots(height_cap)
-        edges = {r: set() for r in roots}
-        for i, r in enumerate(roots):
-            for s in roots[i + 1 :]:
-                if self.compatibility_degree(r, s) == 0:
-                    edges[r].add(s)
-                    edges[s].add(r)
-        return roots, edges
+        """(roots, edges, cliques): the height-capped AP_c, its compatible
+        pairs (root -> partners) and its cliques, the compatible sets (see
+        _cliques), once per height cap.  Compatibility is symmetric, so each
+        unordered pair is tested once."""
+        if height_cap not in self._graphs:
+            roots = self.ap_roots(height_cap)
+            edges = {r: set() for r in roots}
+            for i, r in enumerate(roots):
+                for s in roots[i + 1 :]:
+                    if self.compatibility_degree(r, s) == 0:
+                        edges[r].add(s)
+                        edges[s].add(r)
+            self._graphs[height_cap] = roots, edges, _cliques(roots, edges)
+        return self._graphs[height_cap]
 
     def clusters(self, height_cap: int):
         """Maximal pairwise-compatible sets, split into real clusters (n
@@ -386,9 +368,9 @@ class APContext:
         Imaginary clusters are exact; real clusters are maximal relative to
         the height cap.
         """
-        roots, edges = self.compatibility_graph(height_cap)
+        _, edges, cliques = self.compatibility_graph(height_cap)
         real, imaginary, frontier = [], [], []
-        for cl in _cliques(roots, edges):
+        for cl in cliques:
             if not cl or set.intersection(*(edges[r] for r in cl)):
                 continue  # empty, or not maximal: its members have a common partner
             members = tuple(sorted(cl))
@@ -412,12 +394,9 @@ class APContext:
         linearly independent and span a simplicial cone, and distinct
         compatible sets span distinct cones.  nu_c is evaluated once per
         root."""
-        roots, edges = self.compatibility_graph(height_cap)
+        roots, _, cliques = self.compatibility_graph(height_cap)
         nu = {r: self.cox.nu(r) for r in roots}
-        return [
-            (subset, Cone.simplicial(self.n, [nu[r] for r in subset]))
-            for subset in _cliques(roots, edges)
-        ]
+        return [(subset, Cone.simplicial(self.n, [nu[r] for r in subset])) for subset in cliques]
 
 
 def _cliques(roots, edges):

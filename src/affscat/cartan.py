@@ -1,19 +1,30 @@
-"""Exchange matrices, symmetrizable Cartan matrices, and real root enumeration.
+"""Exchange matrices, symmetrizable Cartan matrices, and their root data.
 
 Conventions: roots live in V with coordinates on the simple-root basis
 alpha_1..alpha_n; weights live in V* with coordinates on the fundamental
 weights rho_1..rho_n, where <rho_i, alpha_j^vee> = delta_ij.  All arithmetic
 is exact rational; no floats anywhere.
+
+A CartanMatrix keeps the root data both constructions read, in integers,
+computed once per matrix: the positive real roots up to the largest height
+cap asked so far (a smaller cap reads a prefix of them), the primitive
+coroot-lattice covector of each vector and the coroot of each real root.
+Both of the latter are read on the simple coroot basis alpha_i^vee =
+d_i^{-1} alpha_i, where v has coordinates d_i v_i; with the symmetrizer
+cleared to the positive integers d'_i, a positive multiple of d_i, they
+are (d'_i v_i) made primitive and 2 d'_i beta_i / K'(beta, beta), K' the
+form of d'.  The division is exact because a real coroot lies in Q^vee.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .linalg import Vec, det, kernel_basis, primitive_vector, vscale, vsub
+from .linalg import Vec, det, integral_multiple, kernel_basis, primitive_vector
 
 
 class NotSkewSymmetrizable(ValueError):
@@ -192,20 +203,49 @@ class CartanMatrix:
         """<x, v> for x in V* (rho coordinates) and v in V (alpha coordinates)."""
         return sum(x[i] * self.d[i] * v[i] for i in range(self.n))
 
-    def coroot(self, beta: Vec) -> Vec:
-        """beta^vee = 2 beta / K(beta, beta), in alpha coordinates."""
-        kk = self.k_form(beta, beta)
-        if kk <= 0:
-            raise NotRealRoot(f"{beta} is not a real root (K(b,b) = {kk})")
-        return vscale(Fraction(2, 1) / kk, beta)
+    # -- integer root data, computed once per matrix -------------------------
 
-    def coroot_coords(self, v: Vec) -> Vec:
-        """Coordinates of v on the simple coroot basis alpha_i^vee = d_i^{-1} alpha_i."""
-        return tuple(Fraction(v[i]) * self.d[i] for i in range(self.n))
+    @cached_property
+    def d_int(self) -> Vec:
+        """The symmetrizer cleared to integers: a positive multiple of d."""
+        return integral_multiple(self.d)
+
+    @cached_property
+    def _covectors(self) -> dict:
+        return {}
+
+    @cached_property
+    def _coroots(self) -> dict:
+        return {}
+
+    @cached_property
+    def _roots(self) -> list:
+        return [0, []]  # the largest height cap enumerated, and its roots
 
     def primitive_in_coroot_lattice(self, v: Vec) -> Vec:
-        """The primitive vector of Q^vee on the ray through v, in alpha^vee coordinates."""
-        return primitive_vector(self.coroot_coords(v))
+        """The primitive vector of Q^vee on the ray through v, in alpha^vee
+        coordinates: (d'_i v_i) made primitive."""
+        v = tuple(v)
+        cov = self._covectors.get(v)
+        if cov is None:
+            cov = self._covectors[v] = primitive_vector(tuple(map(mul, self.d_int, v)))
+        return cov
+
+    def coroot(self, beta: Vec) -> Vec:
+        """beta^vee = 2 beta / K(beta, beta) for a real root beta, in integer
+        alpha^vee coordinates 2 d'_i beta_i / K'(beta, beta)."""
+        cv = self._coroots.get(beta)
+        if cv is None:
+            kk = sum(map(mul, map(mul, beta, self.d_int), self.a_times(beta)))
+            if kk <= 0:
+                raise NotRealRoot(f"{beta} is not a real root (K(b,b) = {kk})")
+            cv = []
+            for di, c in zip(self.d_int, beta):
+                q, r = divmod(2 * di * c, kk)
+                assert r == 0, "a real coroot lies in Q^vee"
+                cv.append(q)
+            cv = self._coroots[beta] = tuple(cv)
+        return cv
 
     def reflect_root(self, i: int, v: Vec) -> Vec:
         """s_i(v) = v - K(alpha_i^vee, v) alpha_i on V; only coordinate i changes."""
@@ -223,9 +263,10 @@ class CartanMatrix:
         return tuple(x[i] - self.a[i][k] * xk for i in range(self.n))
 
     def reflect_by_root(self, beta: Vec, v: Vec) -> Vec:
-        """t_beta(v) = v - K(beta^vee, v) beta for a real root beta."""
-        bv = self.coroot(beta)
-        return vsub(v, vscale(self.k_form(bv, v), beta))
+        """t_beta(v) = v - K(beta^vee, v) beta for a real root beta, with
+        K(beta^vee, v) = sum_i c_i (A v)_i for c = coroot(beta)."""
+        kv = sum(map(mul, self.coroot(beta), self.a_times(v)))
+        return tuple(x - kv * b for x, b in zip(v, beta))
 
     def act_word_on_root(self, word, v: Vec) -> Vec:
         """Apply s_{word[0]} ... s_{word[-1]} to v (rightmost letter acts first)."""
@@ -249,27 +290,32 @@ class CartanMatrix:
     # -- real roots ----------------------------------------------------------
 
     def real_roots_up_to_height(self, height_cap: int) -> list:
-        """All positive real roots of coordinate sum <= height_cap.
+        """All positive real roots of coordinate sum <= height_cap, sorted by
+        (height, root), as a fresh list.
 
         Orbit closure of the simple roots under simple reflections, pruned at
         the height cap; complete because every positive nonsimple real root has
-        a height-decreasing simple reflection.
+        a height-decreasing simple reflection.  It runs only when the cap
+        exceeds every cap asked before; a smaller cap reads the prefix of
+        the roots up to its height, which is exactly its own closure.
         """
-        frontier = [
-            self.simple_root(i) for i in range(self.n) if height_cap >= 1
-        ]
-        seen = set(frontier)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(self.n):
-                    w = self.reflect_root(i, v)
-                    if w in seen or any(c < 0 for c in w) or sum(w) > height_cap:
-                        continue
-                    seen.add(w)
-                    nxt.append(w)
-            frontier = nxt
-        return sorted(seen, key=lambda v: (sum(v), v))
+        memo = self._roots
+        if height_cap > memo[0]:
+            frontier = [self.simple_root(i) for i in range(self.n)]
+            seen = set(frontier)
+            while frontier:
+                nxt = []
+                for v in frontier:
+                    for i in range(self.n):
+                        w = self.reflect_root(i, v)
+                        if w in seen or any(c < 0 for c in w) or sum(w) > height_cap:
+                            continue
+                        seen.add(w)
+                        nxt.append(w)
+                frontier = nxt
+            memo[:] = height_cap, sorted(seen, key=lambda v: (sum(v), v))
+        roots = memo[1]
+        return roots[: bisect_right(roots, height_cap, key=sum)]
 
 
 def _solve_symmetrizer(a) -> tuple:

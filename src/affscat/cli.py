@@ -155,7 +155,7 @@ def _dispatch(args, bmat) -> int:
     if args.command == "clusters":
         ap = APContext(coxeter_context(bmat))
         real, imaginary, frontier = ap.clusters(args.H)
-        roots = ap.ap_roots(args.H)
+        roots = ap.compatibility_graph(args.H)[0]
         table = [
             [ap.compatibility_degree(a, b) for b in roots] for a in roots
         ]

@@ -3,8 +3,9 @@
 A Cone is stored by linear constraints: equalities <x, e> = 0 and
 inequalities <x, g> <= 0, where e, g are covectors paired with points by the
 plain coordinatewise dot product.  Covectors are stored as given, so the
-primitive integer covectors of root-lattice functionals (see
-CartanMatrix.primitive_in_coroot_lattice) stay ints.  Point membership
+primitive integer covectors of root-lattice functionals, which
+CartanMatrix.primitive_in_coroot_lattice computes once per vector in
+integers, stay ints.  Point membership
 (`contains`) pairs with a cached integer multiple of each covector, so a
 point with integer coordinates (see linalg.integral_multiple) is tested in
 integer arithmetic alone, whatever the covectors the cone was built from.

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .cartan import CartanMatrix, NotAffine, TypeInfo, classify
-from .linalg import Vec, solve_linear, vsub
+from .linalg import Vec, integral_multiple, solve_linear, vdot, vsub
 
 
 @dataclass(frozen=True)
@@ -162,20 +162,21 @@ class CoxeterContext:
         assert vsub(c_gamma, gamma_c) == tuple(map(Fraction, info.delta))
         x_c = tuple(-v for v in self.omega_covector(info.delta))
         assert self.cartan.pairing(x_c, info.delta) == 0
-        h_functional = tuple(self.cartan.k_form(gamma_c, self.cartan.simple_root(j)) for j in range(n))
+        h_functional = integral_multiple(
+            tuple(self.cartan.k_form(gamma_c, self.cartan.simple_root(j)) for j in range(n))
+        )
         return AffineVectors(gamma_c=gamma_c, x_c=x_c, h_functional=h_functional)
 
     def in_h_c(self, v: Vec) -> bool:
         """Whether K(gamma_c, v) = 0."""
-        h = self.affine.h_functional
-        return sum(h[j] * v[j] for j in range(self.n) if v[j] != 0) == 0
+        return vdot(self.affine.h_functional, v) == 0
 
 
 @dataclass(frozen=True)
 class AffineVectors:
     gamma_c: Vec  # in V, zero coordinate at the affine index, c gamma = delta + gamma
     x_c: Vec  # -omega_c(. , delta) in rho coordinates
-    h_functional: Vec  # j-th entry K(gamma_c, alpha_j); kernel is the hyperplane H_c
+    h_functional: Vec  # integers, a positive multiple of (K(gamma_c, alpha_j))_j; kernel is H_c
 
 
 def coxeter_context(bmat) -> CoxeterContext:

@@ -31,10 +31,6 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vscale(c, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
-
-
 def vdot(u: Vec, v: Vec):
     """Plain coordinatewise dot product (no bilinear form)."""
     if len(u) != len(v):

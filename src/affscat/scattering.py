@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import gcd
 
 from .almost_positive import APContext
@@ -167,8 +167,9 @@ class _Builder:
         )
 
     def _finite_height_bound(self) -> int:
-        # Every root of the finite parabolic has height < n * max mark of the
-        # highest root; twice the delta height is a comfortable exact bound.
+        # Every root of the finite parabolic has height below 2 ht(delta)
+        # (ht(delta) - 1 untwisted, up to 2 ht(delta) - 3 twisted, on every
+        # affine diagram of rank <= 9), so the added n is only slack.
         return 2 * sum(self.cox.type_info.delta) + self.n
 
     def expected_normals(self):
@@ -233,15 +234,9 @@ def build_dcscat(bmat: ExchangeMatrix, height_cap: int, truncation: int) -> Scat
     walls = list(merged.values()) + [builder.imaginary_wall()]
     hyperplanes = [w.normal for w in walls]
     assert len(set(hyperplanes)) == len(hyperplanes), "one wall per hyperplane"
-    out = ScatDiagram(
-        cartan_n=builder.n,
-        walls=tuple(sorted(walls, key=lambda w: (sum(w.normal), w.normal))),
-        height_cap=height_cap,
-        truncation=truncation,
-        provenance={"construction": "dcscat", "overlap_walls": overlap},
+    return _diagram(
+        builder.n, walls, height_cap, truncation, construction="dcscat", overlap_walls=overlap
     )
-    out.provenance["non_integer_series"] = [list(b) for b in integrality_audit(out)]
-    return out
 
 
 def build_easy_scat(bmat: ExchangeMatrix, height_cap: int, truncation: int) -> ScatDiagram:
@@ -265,12 +260,18 @@ def build_easy_scat(bmat: ExchangeMatrix, height_cap: int, truncation: int) -> S
             )
         )
     walls.append(builder.imaginary_wall())
+    return _diagram(builder.n, walls, height_cap, truncation, construction="easy_scat")
+
+
+def _diagram(n, walls, height_cap, truncation, **provenance) -> ScatDiagram:
+    """The diagram of the walls sorted by (height, normal), with its
+    provenance and the normals that integrality_audit reports."""
     out = ScatDiagram(
-        cartan_n=builder.n,
+        cartan_n=n,
         walls=tuple(sorted(walls, key=lambda w: (sum(w.normal), w.normal))),
         height_cap=height_cap,
         truncation=truncation,
-        provenance={"construction": "easy_scat"},
+        provenance=provenance,
     )
     out.provenance["non_integer_series"] = [list(b) for b in integrality_audit(out)]
     return out
@@ -392,7 +393,7 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
     b_rows = _b_rows_from_cox(cox)
     units = identity_mat(n)
     xsum = _x_sum(n, k)
-    coroot = cache(cox.cartan.primitive_in_coroot_lattice)  # once per normal
+    coroot = cox.cartan.primitive_in_coroot_lattice
     faces = _codim2_faces(walls, n)
     table = SignTable([w.cone for w in walls])
     report = {"faces": len(faces), "failures": [], "checked": 0}
@@ -577,7 +578,7 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
     cartan = exchange_to_cartan(bmat)
     k = truncation
     b_rows = bmat.b
-    coroot = cache(cartan.primitive_in_coroot_lattice)  # once per normal
+    coroot = cartan.primitive_in_coroot_lattice
 
     def ray_wall_shape(beta, direction):
         # The ray through `direction` inside beta-perp, cut out by a
@@ -636,15 +637,7 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
         walls.append(wall)
         y = wall_cross(y, _crossing_data(wall, coroot, b_rows), ray_sign, k)
     assert y == xsum, "completion failed to close"
-    out = ScatDiagram(
-        cartan_n=2,
-        walls=tuple(sorted(walls, key=lambda w: (sum(w.normal), w.normal))),
-        height_cap=k,
-        truncation=k,
-        provenance={"construction": "rank2_complete"},
-    )
-    out.provenance["non_integer_series"] = [list(b) for b in integrality_audit(out)]
-    return out
+    return _diagram(2, walls, k, k, construction="rank2_complete")
 
 
 # -- ramparts and the scattering fan ------------------------------------------------

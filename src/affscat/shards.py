@@ -9,8 +9,9 @@ not merely empirically stabilized.
 
 A plane is named by linalg.wedge_key, the primitive integer vector of the
 2x2 minors of any two vectors spanning it.  cut(beta) buckets the positive
-real roots by wedge_key(beta, r) once, with the roots parallel to beta in
-every bucket, and reads the canonical pair of each plane through beta off
+real roots (CartanMatrix.real_roots_up_to_height, a prefix of the matrix's
+one enumeration) by wedge_key(beta, r) once, with the roots parallel to
+beta in every bucket, and reads the canonical pair of each plane through beta off
 its bucket as the bucket's two extreme roots.  Two facts make that exact:
 
 1. By the theorem above, once the height reaches max(ht beta, ht gamma),
@@ -24,6 +25,9 @@ its bucket as the bucket's two extreme roots.  Two facts make that exact:
 2. The imaginary roots in the plane (multiples of delta) are nonnegative
    combinations of the two real canonical roots and are never parallel to
    one of them, so they never change the extreme pair and are not listed.
+
+Shard cones are cut out by the integer covectors of
+CartanMatrix.primitive_in_coroot_lattice, computed once per root.
 """
 
 from __future__ import annotations
@@ -57,18 +61,7 @@ class ShardContext:
     def __init__(self, weyl: WeylContext):
         self.weyl = weyl
         self.cartan = weyl.cartan
-        self._roots_cache: tuple = (0, set())
         self._cut_cache: dict = {}
-
-    # -- root inventory ---------------------------------------------------------
-
-    def positive_real_roots(self, height_cap: int):
-        cached_h, cached = self._roots_cache
-        if height_cap > cached_h:
-            cached = set(self.cartan.real_roots_up_to_height(height_cap))
-            self._roots_cache = (height_cap, cached)
-            cached_h = height_cap
-        return {r for r in cached if sum(r) <= height_cap}
 
     # -- rank-2 subsystems --------------------------------------------------------
 
@@ -77,7 +70,7 @@ class ShardContext:
         with beta; the roots parallel to beta are in every bucket."""
         buckets = {}
         parallel = []
-        for r in self.positive_real_roots(height_cap):
+        for r in self.cartan.real_roots_up_to_height(height_cap):
             key = wedge_key(beta, r)
             if key is None:
                 parallel.append(r)

@@ -1,6 +1,7 @@
 import functools
 import inspect
 import textwrap
+from fractions import Fraction
 
 import pytest
 from test_orientation_sweep import ORIENTATIONS, _id
@@ -9,7 +10,7 @@ import affscat.almost_positive as almost_positive
 from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix
 from affscat.cones import Cone
-from affscat.coxeter import coxeter_context
+from affscat.coxeter import CoxeterContext, coxeter_context
 
 
 def make(rows):
@@ -132,9 +133,9 @@ def test_tau_word_independent():
     order = ap.cox.order
     assert order == (0, 1, 3, 2)
     assert ap.cartan.a[1][3] == 0  # the two middle letters commute
-    swapped = (0, 3, 1, 2)
+    swapped = APContext(CoxeterContext(ap.cartan, (0, 3, 1, 2)))
     for r in ap.ap_roots(3):
-        assert ap.tau(r, order) == ap.tau(r, swapped)
+        assert ap.tau(r) == swapped.tau(r)
     for ctx in ALL:
         for r in ctx.ap_roots(3):
             assert ctx.tau_inverse(ctx.tau(r)) == r
@@ -260,7 +261,8 @@ def test_compute_in_tubes():
         for b in ap.tube.apt_real:
             sa, sb = ap.supp_xi(a), ap.supp_xi(b)
             shift = sum(1 for i in sa if ap.tube.c_action[i] in sb)
-            avee = ap.cartan.coroot(a)
+            # coroot gives alpha^vee coordinates; alpha_i^vee = d_i^{-1} alpha_i
+            avee = tuple(Fraction(c) / d for c, d in zip(ap.cartan.coroot(a), ap.cartan.d))
             assert ap.cox.e_form(avee, b) == len(sa & sb) - shift
 
 
@@ -366,7 +368,7 @@ def test_resolution_cap_error():
 
     fresh = make([[0, 2], [-2, 0]])  # bypass the degree memo
     with pytest.raises(ResolutionCapExceeded):
-        fresh.compatibility_degree((2, 1), (1, 2), step_cap=0)
+        fresh._compat((2, 1), (1, 2), 0)
 
 
 # The perfbench orientations of the fans and clusters instances, with their
@@ -383,8 +385,6 @@ def _tau_walk_degree(ap, a, b, step_cap=None):
     """The compatibility degree by walking both roots together, one tau step
     at a time, then tau^{-1}: the reference for the orbit table.  Returns
     (degree, direction), direction 0 for tau, 1 for tau^{-1}, None for tubes."""
-    from fractions import Fraction
-
     from affscat.almost_positive import ResolutionCapExceeded
 
     cap = step_cap if step_cap is not None else 4 * ap.n * (max(sum(map(abs, a)), sum(map(abs, b))) + 4)
@@ -450,7 +450,7 @@ def test_orbit_table_step_cap_boundary():
                     walk = _outcome(lambda: _tau_walk_degree(fresh, a, b, cap))
                     seen.add(walk if walk == "cap exceeded" else walk[1])
                     expect = walk if walk == "cap exceeded" else walk[0]
-                    got = _outcome(lambda: fresh.compatibility_degree(a, b, cap))
+                    got = _outcome(lambda: fresh._compat(a, b, cap))
                     assert got == expect, (rows, cap, a, b)
                     assert _outcome(lambda: warm._compat(a, b, cap)) == expect, (rows, cap, a, b)
         assert {0, 1, "cap exceeded"} <= seen, rows
@@ -479,6 +479,29 @@ def test_orbit_table_matches_tau_walk_on_the_sweep(orientation):
         for b in roots:
             got = _outcome(lambda: ap.compatibility_degree(a, b))
             assert got == _walk_outcome(ref, a, b), (a, b)
+
+
+def test_clusters_and_fan_cones_share_one_graph_per_height(monkeypatch):
+    # One compatibility graph and one clique enumeration per height cap
+    # serve both layers, with the answers of contexts that ask for one only.
+    found = []
+    cliques = almost_positive._cliques
+
+    def counted(roots, edges):
+        found.append(len(roots))
+        return cliques(roots, edges)
+
+    monkeypatch.setattr(almost_positive, "_cliques", counted)
+    for rows, H in FAN_INSTANCES[:3]:
+        ap = make(rows)
+        heights = (H - 2, H, H - 2)
+        got = [(ap.clusters(h), ap.fan_cones(h), ap.compatibility_graph(h)[0]) for h in heights]
+        assert len(found) == 2, rows
+        for h, (clusters, fan, roots) in zip(heights, got):
+            assert roots == ap.ap_roots(h)
+            assert clusters == make(rows).clusters(h)
+            assert fan == make(rows).fan_cones(h)
+        found.clear()
 
 
 def test_hit_free_orbits_stop_at_their_first_repeat_modulo_delta():

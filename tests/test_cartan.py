@@ -180,10 +180,39 @@ def test_k_form_conventions():
             assert cm.d[i] * cm.a[i][j] == cm.d[j] * cm.a[j][i]
 
 
+def test_real_roots_after_a_larger_cap_match_a_fresh_enumeration():
+    # A warm matrix answers a smaller cap from its last, larger enumeration;
+    # a fresh one enumerates at exactly that cap.
+    g21 = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, -3, 0]])
+    a31 = ExchangeMatrix.from_rows([[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, -1], [-1, 0, 1, 0]])
+    for bmat in (B_A11, B_A22, B_A2TILDE, g21, a31):
+        warm = exchange_to_cartan(bmat)
+        warm.real_roots_up_to_height(12)
+        for h in (-1, 0, 1, 2, 3, 5, 8, 11, 12, 7, 14, 13):
+            fresh = exchange_to_cartan(bmat).real_roots_up_to_height(h)
+            assert warm.real_roots_up_to_height(h) == fresh, (bmat.b, h)
+            assert fresh == sorted(fresh, key=lambda v: (sum(v), v))
+
+
+def test_real_roots_are_a_fresh_list_each_time():
+    cm = exchange_to_cartan(B_A2TILDE)
+    for h in (6, 3, 6):  # the full enumeration, then a prefix of it
+        first = cm.real_roots_up_to_height(h)
+        expect = list(first)
+        first.append((9, 9, 9))
+        first[0] = (0, 0, 0)
+        assert cm.real_roots_up_to_height(h) == expect
+        first.clear()
+        assert cm.real_roots_up_to_height(h) == expect
+    fresh = exchange_to_cartan(B_A2TILDE)
+    assert cm.real_roots_up_to_height(6) == fresh.real_roots_up_to_height(6)
+
+
 def test_coroot_normalization():
     cm = exchange_to_cartan(B_A22)
     for beta in cm.real_roots_up_to_height(6):
-        bv = cm.coroot(beta)
+        # coroot gives alpha^vee coordinates; alpha_i^vee = d_i^{-1} alpha_i
+        bv = tuple(Fraction(c) / d for c, d in zip(cm.coroot(beta), cm.d))
         assert cm.k_form(bv, beta) == 2
 
 

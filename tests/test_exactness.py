@@ -5,15 +5,20 @@ modules, and the bodies of linalg.echelon, of the double description and
 the generator canonicalization in cones, and of the cell split and the
 relative-interior point search in scattering.  The canonicalization and the
 point search read integer generators as they are: they call neither rref
-nor integral_multiple.  The almost-positive model's coroot coordinates come
-out as ints."""
+nor integral_multiple.  The Cartan matrix's coroots and coroot-lattice
+covectors, and with them the almost-positive model's coroot coordinates,
+come out as ints equal to the Fraction computation they replace."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 from test_almost_positive import FAN_INSTANCES, make
+from test_orientation_sweep import ORIENTATIONS
 
 import affscat
+from affscat.cartan import ExchangeMatrix, NotRealRoot, exchange_to_cartan
+from affscat.linalg import primitive_vector
 
 CORE = sorted(p for p in Path(affscat.__file__).parent.glob("*.py") if p.name != "svg.py")
 
@@ -125,13 +130,81 @@ def test_generator_readers_neither_reduce_nor_clear():
     assert not any(found.values()), {name: lines for name, lines in found.items() if lines}
 
 
+# CartanMatrix.coroot and CartanMatrix.coroot_coords as they were before the
+# root data moved to integers (self is the Cartan matrix): the oracle.
+def coroot(self, beta):
+    """beta^vee = 2 beta / K(beta, beta), in alpha coordinates."""
+    kk = self.k_form(beta, beta)
+    if kk <= 0:
+        raise NotRealRoot(f"{beta} is not a real root (K(b,b) = {kk})")
+    return tuple(Fraction(2, 1) / kk * a for a in beta)
+
+
+def coroot_coords(self, v):
+    """Coordinates of v on the simple coroot basis alpha_i^vee = d_i^{-1} alpha_i."""
+    return tuple(Fraction(v[i]) * self.d[i] for i in range(self.n))
+
+
+def _is_int_tuple(v):
+    return type(v) is tuple and all(type(c) is int for c in v)
+
+
 def test_coroot_coords_are_ints():
     # The compatibility degree reads coroots in integers alone; the values
-    # are those of cartan.coroot, which divides in Fractions.
+    # are those of the Fraction oracle.
     for rows, H in FAN_INSTANCES:
         ap = make(rows)
         for r in ap.ap_roots(H):
             cv = ap._coroot_coords(r)
-            assert type(cv) is tuple and all(type(c) is int for c in cv), r
+            assert _is_int_tuple(cv), r
             if r != ap.delta:
-                assert cv == ap.cartan.coroot_coords(ap.cartan.coroot(r)), r
+                assert cv == coroot_coords(ap.cartan, coroot(ap.cartan, r)), r
+
+
+def _check_root_data(cartan, roots, delta):
+    for v in roots:
+        cov = cartan.primitive_in_coroot_lattice(v)
+        assert _is_int_tuple(cov) and cov == primitive_vector(coroot_coords(cartan, v)), v
+        assert cartan.primitive_in_coroot_lattice(list(v)) == cov, v
+        if v != delta:
+            cv = cartan.coroot(v)
+            assert _is_int_tuple(cv) and cv == coroot_coords(cartan, coroot(cartan, v)), v
+
+
+def test_coroots_and_covectors_match_the_fraction_oracle():
+    for rows, H in FAN_INSTANCES:
+        ap = make(rows)
+        _check_root_data(ap.cartan, ap.ap_roots(H), ap.delta)
+    for _, _, rows in ORIENTATIONS:
+        ap = make([list(r) for r in rows])
+        cap = max(4, sum(ap.delta))
+        real = ap.cartan.real_roots_up_to_height(cap)
+        negatives = [tuple(-c for c in r) for r in real]
+        _check_root_data(ap.cartan, real + negatives + [ap.delta], ap.delta)
+
+
+def test_reflect_by_root_matches_the_fraction_oracle():
+    # t_beta(v) = v - K(beta^vee, v) beta, with the Fraction coroot.
+    for rows, H in FAN_INSTANCES:
+        cartan = exchange_to_cartan(ExchangeMatrix.from_rows(rows))
+        roots = cartan.real_roots_up_to_height(H)
+        for beta in roots:
+            bv = coroot(cartan, beta)
+            for v in roots[:12]:
+                kv = cartan.k_form(bv, v)
+                expect = tuple(x - kv * b for x, b in zip(v, beta))
+                got = cartan.reflect_by_root(beta, v)
+                assert _is_int_tuple(got) and got == expect, (beta, v)
+
+
+def test_h_c_is_tested_in_integers():
+    for rows, H in FAN_INSTANCES:
+        ap = make(rows)
+        h = ap.cox.affine.h_functional
+        assert _is_int_tuple(h) and any(h)
+        gamma = ap.cox.affine.gamma_c
+        k = [ap.cartan.k_form(gamma, ap.cartan.simple_root(j)) for j in range(ap.n)]
+        t = next(Fraction(y) / x for x, y in zip(k, h) if x)
+        assert t > 0 and h == tuple(t * x for x in k)  # a positive multiple
+        for r in ap.cartan.real_roots_up_to_height(H):
+            assert ap.cox.in_h_c(r) == (ap.cartan.k_form(gamma, r) == 0), r

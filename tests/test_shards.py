@@ -65,7 +65,9 @@ def test_canonical_roots_need_the_pairs_height():
 
 def test_cut_stabilizes_with_bigger_cap():
     cases = [(SH_A11, beta) for beta in [(2, 1), (1, 2), (3, 2)]]
-    cases += [(sh, beta) for sh in (SH_G21, SH_A31) for beta in sorted(sh.positive_real_roots(8))]
+    cases += [
+        (sh, beta) for sh in (SH_G21, SH_A31) for beta in sorted(sh.cartan.real_roots_up_to_height(8))
+    ]
     for sh, beta in cases:
         assert sh.cut_set(beta) == sh.cut_set(beta, height_cap=sum(beta) + 6), beta
 
@@ -145,7 +147,7 @@ def test_cut_set_matches_fraction_reference():
     for rows, height in BENCHMARK_INSTANCES:
         sh, _ = make(rows)
         delta = sh.cartan.classify().delta
-        roots = sorted(sh.positive_real_roots(height))
+        roots = sorted(sh.cartan.real_roots_up_to_height(height))
         planes = _reference_planes(roots, delta, height)
         canonical = {}
         for beta in roots:
@@ -197,7 +199,7 @@ def test_shard_modes_agree_on_sortable_ji():
 def test_d_beta_antipodal_for_inverse_coxeter():
     for sh, cox in ((SH_A11, COX_A11), (SH_A2T, COX_A2T)):
         inv = cox.inverse()
-        for beta in sh.positive_real_roots(4):
+        for beta in sh.cartan.real_roots_up_to_height(4):
             a = sh.shard_from_root(beta, cox)
             b = sh.shard_from_root(beta, inv)
             assert a.cone.same_cone(b.cone.negate()) or a.cone.same_cone(b.cone)

@@ -185,7 +185,7 @@ def test_sortable_iff_aligned():
                 v = tuple(w.matrix[r][j] for r in range(n))
                 plane_keys.add(tuple(tuple(r) for r in rref([list(u), list(v)])))
         subsystems = {}
-        for b1, b2 in combinations(sorted(sh.positive_real_roots(8)), 2):
+        for b1, b2 in combinations(sorted(sh.cartan.real_roots_up_to_height(8)), 2):
             if rank([list(b1), list(b2)]) != 2:
                 continue
             key = tuple(tuple(r) for r in rref([list(b1), list(b2)]))

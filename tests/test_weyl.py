@@ -134,7 +134,7 @@ def test_biconvexity_of_inversion_sets():
     ctx = WeylContext(exchange_to_cartan(ExchangeMatrix.from_rows([[0, 2], [-2, 0]])))
     sh = ShardContext(ctx)
     elements = enumerate_up_to_length(ctx, 6)
-    roots = sorted(sh.positive_real_roots(5))
+    roots = sorted(sh.cartan.real_roots_up_to_height(5))
     for i, b1 in enumerate(roots):
         for b2 in roots[i + 1 :]:
             sub = sh.rank2_subsystem(b1, b2, height_cap=max(sum(b1), sum(b2)) + 4)
