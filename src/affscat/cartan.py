@@ -82,7 +82,9 @@ class ExchangeMatrix:
     @cached_property
     def mutation_tree(self) -> dict:
         """Word -> the rows of B mutated along it, grown lazily by
-        mutation.b_class_probe and kept as long as this matrix."""
+        mutation.b_class_probe and kept as long as this matrix.  The probe
+        reads row k of a word's matrix for the step at k: its entries of one
+        sign are the coordinates that step changes."""
         return {(): self.b}
 
     def transpose(self) -> "ExchangeMatrix":

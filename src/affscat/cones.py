@@ -33,27 +33,39 @@ each ray is cleared at the pivot columns against those rows and made
 primitive.  The reduced row echelon form of a subspace is unique, so two
 cones are equal exactly when their generators are.  Every point test
 (`contains`, `relint_contains`, `contains_cone`) therefore runs in integers.
-Fractions appear only in the constraints `from_rays` returns, where each
-dual lineality vector is divided by its entry at its home coordinate (see
-_double_description), which gives the vectors the rational method gives.
+Fractions appear only in the equalities `from_rays` and `simplicial` return,
+where each dual lineality vector is divided by its entry at its home
+coordinate (see _double_description), which gives the vectors the rational
+method gives.
 
 `SignTable(cones)` locates points against many cones at once.  It keeps the
 distinct primitive directions d_j of the cones' integer constraints, with g
 and -g sharing one direction (first nonzero entry positive) and zero
-covectors skipped, and turns each cone into two bitmasks: the directions on
-which it forbids a positive pairing and those on which it forbids a negative
-one (an inequality forbids one sign, an equality both).  A point is paired
-with each direction once, giving the masks of the directions it pairs with
-positively and negatively, and lies in a cone exactly when neither mask
-meets the cone's forbidden mask of the same sign.  Membership is invariant
-under positive scaling of a constraint, so the answers are those of
-`contains`.
+covectors skipped, and records for each cone two bitmasks over the
+directions: those on which it forbids a positive pairing and those on which
+it forbids a negative one (an inequality forbids one sign, an equality both).
+Turned around, each direction keeps two bitmasks over the cones: the cones
+that allow a positive pairing with it and those that allow a negative one.
+A point is paired with each direction once, and the cones containing it are
+the AND of the masks of the signs it takes (a zero pairing forbids nothing),
+so one pass over the directions answers for every cone: `locate` returns
+that bitmask, bit i set when cones[i] contains the point.  Membership is
+invariant under positive scaling of a constraint, so the answers are those
+of `contains`.
 
-A cone on linearly independent rays (`Cone.simplicial`) skips the second
-conversion: it is pointed, since a line in it would be a nonzero combination
-of the rays equal to zero, and no ray is a nonnegative combination of the
-others, so its extreme rays are exactly the given rays.  Only the dual
-description for its constraints runs.
+A cone on linearly independent rays r_1, ..., r_k (`Cone.simplicial`) runs
+no double description.  It is pointed, since a line in it would be a nonzero
+combination of the rays equal to zero, and no ray is a nonnegative
+combination of the others, so its extreme rays are exactly the given rays
+and its dimension is k.  Its constraints come from one echelon of
+[R | I_k], R the k x n matrix with rows r_i: the left block is d rref(R),
+and the right block M satisfies R_P M = d I_k for R_P the columns of R at
+the pivot columns P.  The equalities are the kernel of R, one vector per
+free column h, 1 there and 0 at the other free columns (integer_kernel's
+vectors divided by d).  Inequality i is minus column i of M placed at P and
+made primitive: it pairs with r_i to a negative number and with every other
+ray to 0, and is 0 at the free columns.  These are, entry for entry and in
+the same order, the constraints `from_rays` reads off the dual description.
 """
 
 from __future__ import annotations
@@ -94,13 +106,32 @@ class Cone:
 
     @staticmethod
     def simplicial(dim, rays) -> "Cone":
-        """Cone on linearly independent rays.  They are its extreme rays, so
-        `generators` is set from them; only the constraints come from the
-        dual description."""
-        cone = Cone.from_rays(dim, rays)
-        # The dual cone's lineality is the annihilator of span(rays).
-        assert len(cone.eqs) == dim - len(rays), "simplicial cone needs independent rays"
-        return cone.with_generators((), rays)
+        """Cone on linearly independent rays, with the constraints from_rays
+        gives, read off one echelon of [R | I_k] (R the k x n matrix of the
+        rays; see the module docstring).  The rays are its extreme rays, so
+        `generators` is set from them and `dim` is k."""
+        k = len(rays)
+        rows = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(rays)]
+        red, pivots, d, _ = echelon(rows)
+        # R has rank k exactly when every pivot lies in its block.
+        assert not pivots or pivots[-1] < dim, "simplicial cone needs independent rays"
+        eqs = []
+        for h in range(dim):
+            if h not in pivots:
+                v = [0] * dim
+                v[h] = d
+                for row, p in zip(red, pivots):
+                    v[p] = -row[h]
+                eqs.append(tuple(Fraction(x, d) for x in v))
+        ineqs = []
+        for i in range(dim, dim + k):
+            g = [0] * dim
+            for row, p in zip(red, pivots):
+                g[p] = -row[i]
+            ineqs.append(primitive_vector(g))
+        cone = Cone(dim, tuple(eqs), tuple(ineqs)).with_generators((), rays)
+        cone.__dict__["dim"] = k
+        return cone
 
     def with_generators(self, lin, rays) -> "Cone":
         """This cone, with `generators` canonicalized from a lineality basis
@@ -203,8 +234,9 @@ class Cone:
 
 
 class SignTable:
-    """Point location against a fixed list of cones by sign masks over their
-    distinct constraint directions (see the module docstring)."""
+    """Point location against a fixed list of cones: one bitmask of the cones
+    containing a point, from per-direction masks over their distinct
+    constraint directions (see the module docstring)."""
 
     def __init__(self, cones):
         slots: dict = {}
@@ -226,31 +258,40 @@ class SignTable:
             forbid.append((pos, neg))
         self.directions = tuple(slots)
         self.forbid = tuple(forbid)
+        # keep[j]: the cones that allow a positive and those that allow a
+        # negative pairing with direction j, as bitmasks over the cones.
+        self.full = (1 << len(forbid)) - 1
+        keep = [[self.full, self.full] for _ in slots]
+        for c, masks in enumerate(forbid):
+            for side, m in enumerate(masks):
+                for j in bits(m):
+                    keep[j][side] &= ~(1 << c)
+        self.keep = tuple(map(tuple, keep))
 
-    @staticmethod
-    def mask(values):
-        """(pos, neg): the bits j with values[j] > 0, and those with values[j] < 0."""
-        pos = neg = 0
-        bit = 1
-        for v in values:
+    def cones_of(self, values) -> int:
+        """The bitmask of the cones that hold a point whose pairings with the
+        directions are values."""
+        out = self.full
+        for v, (keep_pos, keep_neg) in zip(values, self.keep):
             if v > 0:
-                pos |= bit
+                out &= keep_pos
             elif v < 0:
-                neg |= bit
-            bit <<= 1
-        return pos, neg
+                out &= keep_neg
+        return out
 
-    def signs(self, x):
-        """The masks of x paired with each direction."""
-        return self.mask([sum(map(mul, x, d)) for d in self.directions])
+    def locate(self, x) -> int:
+        """The bitmask of the cones that contain x: bit i is cones[i].contains(x)."""
+        return self.cones_of([sum(map(mul, x, d)) for d in self.directions])
 
-    def holds(self, pos, neg) -> list:
-        """For each cone, whether a point with these masks lies in it."""
-        return [not (pos & fp or neg & fn) for fp, fn in self.forbid]
 
-    def members(self, x) -> list:
-        """[cone.contains(x) for cone in cones]."""
-        return self.holds(*self.signs(x))
+def bits(mask: int) -> list:
+    """The indices of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _canonicalize_generators(lin, rays):

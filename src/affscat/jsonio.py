@@ -7,7 +7,6 @@ vectors as coordinate lists; series as {"normal": ..., "coeffs": [...]}.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .cartan import ExchangeMatrix, is_int
 
@@ -17,10 +16,12 @@ class InputError(ValueError):
 
 
 def frac_str(x) -> str:
+    """str(Fraction(x)) of an int or a Fraction, from x's own numerator and
+    denominator (a Fraction is kept in lowest terms)."""
     if type(x) is int:
         return str(x)
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    num, den = x.numerator, x.denominator
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def vec_json(v):

@@ -63,8 +63,14 @@ def b_class_probe(bmat: ExchangeMatrix, x, y, length_cap: int) -> dict:
     B mutated along a word does not depend on x and y, so it comes from
     bmat.mutation_tree, which keeps it for every word expanded so far and is
     shared by all pairs probed on bmat.  Each word then moves only the two
-    extra rows, with row k of the mutated B: mutating the extended matrix
-    leaves the rows of B as they would be without x and y.
+    extra rows u, v, with row k of the mutated B: mutating the extended
+    matrix leaves the rows of B as they would be without x and y.  Every
+    pair on the frontier has equal sign vectors, so u_k and v_k have one
+    sign.  If it is 0 the step leaves both rows as they are.  Otherwise
+    coordinate k flips in both, which keeps their signs equal, and the only
+    other coordinates that move are the j with u_k b_kj > 0, to
+    u_j + |b_kj| u_k and v_j + |b_kj| v_k; only those can tell the pair
+    apart.
     """
     n = bmat.n
     cap = element_cap()
@@ -89,19 +95,25 @@ def b_class_probe(bmat: ExchangeMatrix, x, y, length_cap: int) -> dict:
                         f"element cap AFFSCAT_CAP={cap} exceeded by the mutation probe "
                         f"at word length {len(word) + 1} of --L {length_cap}"
                     )
-                mu, mv = _mutate_row(u, b[k], k), _mutate_row(v, b[k], k)
-                if not _same_signs(mu, mv):
-                    return {"verdict": "distinguished", "witness": word + (k,)}
-                nxt.append((word + (k,), mu, mv))
+                s, t = u[k], v[k]
+                if not s:
+                    nxt.append((word + (k,), u, v))
+                    continue
+                mu, mv = list(u), list(v)
+                mu[k], mv[k] = -s, -t
+                for j, e in enumerate(b[k]):
+                    if s * e > 0:
+                        e = abs(e)
+                        a, z = u[j] + e * s, v[j] + e * t
+                        if not (a * z > 0 or a == z == 0):
+                            return {"verdict": "distinguished", "witness": word + (k,)}
+                        mu[j], mv[j] = a, z
+                nxt.append((word + (k,), tuple(mu), tuple(mv)))
         frontier = nxt
     return {"verdict": "indistinct_up_to_cap", "witness": None}
 
 
 # -- fan comparison ----------------------------------------------------------------
-
-
-def _fan_profile(table: SignTable, point):
-    return frozenset(i for i, inside in enumerate(table.members(point)) if inside)
 
 
 def _integer_point(draws) -> tuple:
@@ -200,21 +212,22 @@ def fans_compare(
     rng = random.Random(seed)
     bt = bmat.transpose()
     fan_table = SignTable([c for _, c in fan])
-    maximal = frozenset(i for i, (_, c) in enumerate(fan) if c.dim == n)
+    maximal = sum(1 << i for i, (_, c) in enumerate(fan) if c.dim == n)
     far_cap = height_cap + 2 * sum(cox.type_info.delta)
 
     def sample_point():
         """A rational point for the report, as (numerator, denominator)
         draws, its integer multiple, which every test below receives (each
         is invariant under positive scaling, and mutation maps are positively
-        homogeneous), and its fan profile."""
+        homogeneous), and its fan profile: the bitmask of the fan cones
+        containing it."""
         for _ in range(10**4):
             x = [(rng.randint(-12, 12), rng.choice([1, 2, 3])) for _ in range(n)]
             xi = _integer_point(x)
             if rampart_set(diagram, xi):
                 continue  # exclude wall loci
-            profile = _fan_profile(fan_table, xi)
-            if profile.isdisjoint(maximal):
+            profile = fan_table.locate(xi)
+            if not profile & maximal:
                 continue  # outside the height-capped fan
             return x, xi, profile
         raise AssertionError("sampler starved")

@@ -41,7 +41,7 @@ from math import gcd
 
 from .almost_positive import APContext
 from .cartan import ExchangeMatrix, NotAcyclic, NotAffine, exchange_to_cartan
-from .cones import Cone, SignTable
+from .cones import Cone, SignTable, bits
 from .coxeter import CoxeterContext, coxeter_context
 from .linalg import (
     identity_mat,
@@ -490,10 +490,10 @@ def _cells(cell: Cone, members) -> list:
             continue
         meet = cell.intersect(cone)
         if cell.relint_contains([sum(c) for c in zip(*meet.rays)] or [0] * cell.dim_ambient):
-            # (pos, neg) masks of g on the generators: both nonzero
+            # an inequality that takes both strict signs on the generators
             g = next(
                 g for g in cone._integral_constraints[1]
-                if all(SignTable.mask([vdot(v, g) for v in gens]))
+                if min(vals := [vdot(v, g) for v in gens]) < 0 < max(vals)
             )
             return [
                 c
@@ -533,6 +533,7 @@ def _generic_relint_point(face: Cone, table: SignTable, inside):
     n = face.dim_ambient
     if not rays and not lin:
         return (0,) * n
+    allowed = sum(1 << i for i in inside)
     for attempt in range(1, 60):
         point = [0] * n
         for i, g in enumerate(rays + lin):
@@ -542,8 +543,7 @@ def _generic_relint_point(face: Cone, table: SignTable, inside):
             for j, c in enumerate(g):
                 point[j] += scale * c
         p = tuple(point)
-        members = table.members(p)
-        if all(i in inside for i, hit in enumerate(members) if hit):
+        if not table.locate(p) & ~allowed:
             return p
     raise AssertionError("could not find a generic relative-interior point")
 
@@ -659,8 +659,7 @@ def integrality_audit(diagram: ScatDiagram) -> list:
 
 def rampart_set(diagram: ScatDiagram, point) -> frozenset:
     """Indices of walls containing the point (each rampart is a single wall)."""
-    members = diagram.wall_table.members(integral_multiple(point))
-    return frozenset(i for i, inside in enumerate(members) if inside)
+    return frozenset(bits(diagram.wall_table.locate(integral_multiple(point))))
 
 
 def scat_cone_eq(diagram: ScatDiagram, p, q) -> bool:
@@ -685,7 +684,7 @@ def scat_cone_eq(diagram: ScatDiagram, p, q) -> bool:
 
     def ramparts(t):
         u, v = t.numerator, t.denominator
-        return table.holds(*table.mask([(v - u) * a + u * b for a, b in ends]))
+        return table.cones_of([(v - u) * a + u * b for a, b in ends])
 
     base = ramparts(Fraction(0))
     if ramparts(Fraction(1)) != base:

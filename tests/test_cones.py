@@ -1,15 +1,16 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 from test_orientation_sweep import ORIENTATIONS, _id, _instance
 
 from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix
-from affscat.cones import Cone, SignTable, _canonicalize_generators, _double_description
+from affscat.cones import Cone, SignTable, _canonicalize_generators, _double_description, bits
 from affscat.coxeter import coxeter_context
-from affscat.jsonio import cone_json, dumps
+from affscat.jsonio import cone_json, dumps, frac_str
 from affscat.linalg import kernel_basis, primitive_vector, rank, rref, solve_linear, vdot
 from affscat.scattering import build_dcscat
 
@@ -212,6 +213,71 @@ def test_simplicial_generators_match_double_description():
             assert (cone.eqs, cone.ineqs) == (by_rays.eqs, by_rays.ineqs), members
             by_dd = Cone.from_constraints(ap.n, cone.eqs, cone.ineqs)
             assert cone.generators == by_dd.generators, members
+
+
+# Cone.simplicial as it was before it read its constraints off one echelon,
+# kept verbatim as the reference: the dual description of from_rays.
+def _reference_simplicial(dim, rays) -> "Cone":
+    """Cone on linearly independent rays.  They are its extreme rays, so
+    `generators` is set from them; only the constraints come from the
+    dual description."""
+    cone = Cone.from_rays(dim, rays)
+    # The dual cone's lineality is the annihilator of span(rays).
+    assert len(cone.eqs) == dim - len(rays), "simplicial cone needs independent rays"
+    return cone.with_generators((), rays)
+
+
+def _check_simplicial(dim, rays):
+    got, ref = Cone.simplicial(dim, rays), _reference_simplicial(dim, rays)
+    assert (got.eqs, got.ineqs) == (ref.eqs, ref.ineqs), rays
+    assert [type(x) for e in got.eqs for x in e] == [type(x) for e in ref.eqs for x in e]
+    by_dd = Cone.from_constraints(dim, ref.eqs, ref.ineqs)
+    assert got.generators == ref.generators == by_dd.generators, rays
+    assert got.dim == ref.dim == len(rays), rays
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS, ids=_id)
+def test_simplicial_matches_the_dual_description_on_sweep_fan_cones(orientation):
+    # Every fan cone at H = max(4, |delta|), the empty clique included.
+    bmat, cox, cap, _ = _instance(orientation[2])
+    ap = APContext(cox)
+    fan = ap.fan_cones(cap)
+    assert () in [members for members, _ in fan]
+    for members, _ in fan:
+        _check_simplicial(ap.n, [ap.cox.nu(r) for r in members])
+
+
+def test_simplicial_matches_the_dual_description_on_random_rays():
+    rng = random.Random(12)
+    checked = 0
+    for _ in range(1500):
+        dim = rng.randint(1, 5)
+        rays = [
+            tuple(F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) for _ in range(dim))
+            for _ in range(rng.randint(0, dim))
+        ]
+        if rays and rank([list(r) for r in rays]) < len(rays):
+            for simplicial in (Cone.simplicial, _reference_simplicial):
+                with pytest.raises(AssertionError):
+                    simplicial(dim, rays)
+            continue
+        _check_simplicial(dim, rays)
+        checked += 1
+    assert checked > 1000
+
+
+def test_frac_str_is_str_of_the_fraction():
+    # On ints, Fractions (integral ones among them) and every entry that
+    # cone_json formats on the fans and clusters instances' fans.
+    values = [0, 1, -1, 7, -12, 2**70, F(0), F(3), F(-4, 2), F(1, 2), F(-7, 3), F(2**70, 3)]
+    for rows, H in FAN_INSTANCES:
+        ap = APContext(coxeter_context(ExchangeMatrix.from_rows(rows)))
+        for _, cone in ap.fan_cones(H):
+            lin, rays = cone.generators
+            values.extend(x for v in rays + lin + cone.ineqs + cone.eqs for x in v)
+    assert any(type(x) is F and x.denominator != 1 for x in values)
+    for x in values:
+        assert frac_str(x) == str(F(x)), x
 
 
 def _wall_normal(covector, d):
@@ -469,10 +535,41 @@ def test_relint_candidates_lie_in_the_relative_interior():
     assert checked == 900
 
 
+# The SignTable queries as they were before each direction kept the bitmask
+# of the cones allowing each sign, kept verbatim as the reference: a point
+# was turned into sign masks over the directions, then tested cone by cone.
+class _ReferenceSignTable(SignTable):
+    @staticmethod
+    def mask(values):
+        """(pos, neg): the bits j with values[j] > 0, and those with values[j] < 0."""
+        pos = neg = 0
+        bit = 1
+        for v in values:
+            if v > 0:
+                pos |= bit
+            elif v < 0:
+                neg |= bit
+            bit <<= 1
+        return pos, neg
+
+    def signs(self, x):
+        """The masks of x paired with each direction."""
+        return self.mask([sum(map(mul, x, d)) for d in self.directions])
+
+    def holds(self, pos, neg) -> list:
+        """For each cone, whether a point with these masks lies in it."""
+        return [not (pos & fp or neg & fn) for fp, fn in self.forbid]
+
+    def members(self, x) -> list:
+        """[cone.contains(x) for cone in cones]."""
+        return self.holds(*self.signs(x))
+
+
 def _sign_table_points(cones, rng, count=150):
     """The origin, seeded integer points, every ray and lineality vector (both
     signs) of every cone, and on the boundaries: the sum of two rays of one
-    cone and a ray plus a lineality vector."""
+    cone and a ray plus a lineality vector; in the relative interiors: a
+    seeded positive combination of every generator of each cone."""
     n = cones[0].dim_ambient
     points = {(0,) * n}
     points.update(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(count))
@@ -481,13 +578,20 @@ def _sign_table_points(cones, rng, count=150):
         lin = lin + tuple(tuple(-c for c in v) for v in lin)
         points.update(rays + lin)
         points.update(tuple(a + b for a, b in zip(u, v)) for u, v in combinations(rays + lin, 2))
+        weights = [rng.randint(1, 5) for _ in rays + lin]
+        points.add(tuple(sum(w * g[i] for w, g in zip(weights, rays + lin)) for i in range(n)))
     return sorted(points)
 
 
 def _check_sign_table(cones, points):
     table = SignTable(cones)
+    reference = _ReferenceSignTable(cones)
     for x in points:
-        assert table.members(x) == [c.contains(x) for c in cones], x
+        inside = [c.contains(x) for c in cones]
+        assert table.locate(x) == sum(1 << i for i, hit in enumerate(inside) if hit), x
+        assert bits(table.locate(x)) == [i for i, hit in enumerate(inside) if hit], x
+        assert reference.members(x) == inside, x
+    return table
 
 
 def test_sign_table_matches_contains_on_fan_cones():
@@ -499,14 +603,19 @@ def test_sign_table_matches_contains_on_fan_cones():
 
 
 def test_sign_table_matches_contains_on_walls():
-    # A_2^(1) and G_2^(1) at H=k=6, the fans workload's diagrams; the points
-    # include the fan cones' generators too.
+    # The fans and clusters instances at their caps (the fans workload's
+    # diagrams are the first two); the points include the fan cones'
+    # generators too, and a point in the relative interior of every wall.
     rng = random.Random(32)
-    for rows, H in FAN_INSTANCES[:2]:
+    on_a_wall = 0
+    for rows, H in FAN_INSTANCES:
         bmat = ExchangeMatrix.from_rows(rows)
         walls = [w.cone for w in build_dcscat(bmat, H, H).walls]
         fan = [cone for _, cone in APContext(coxeter_context(bmat)).fan_cones(H)]
-        _check_sign_table(walls, _sign_table_points(walls + fan, rng))
+        points = _sign_table_points(walls + fan, rng)
+        table = _check_sign_table(walls, points)
+        on_a_wall += sum(table.locate(x) != 0 for x in points)
+    assert on_a_wall > 1000
 
 
 def test_sign_table_shares_a_direction_between_g_and_minus_g():
@@ -520,6 +629,8 @@ def test_sign_table_shares_a_direction_between_g_and_minus_g():
     table = SignTable(cones)
     assert table.directions == ((1, 2), (1, 0))
     assert table.forbid == ((1, 0), (0, 1), (1, 1), (0, 0), (1, 2))
+    # per direction, the cones allowing a positive and a negative pairing
+    assert table.keep == ((0b01010, 0b11001), (0b11111, 0b01111))
     _check_sign_table(cones, [(a, b) for a in range(-3, 4) for b in range(-3, 4)])
 
 

@@ -11,7 +11,7 @@ from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix
 from affscat.coxeter import coxeter_context
 from affscat.linalg import integral_multiple
-from affscat.mutation import _integer_point, b_class_probe, eta, mutate
+from affscat.mutation import _integer_point, _mutate_row, _same_signs, b_class_probe, eta, mutate
 from affscat.weyl import CapExceeded, element_cap
 
 B_A11 = ExchangeMatrix.from_rows([[0, 2], [-2, 0]])
@@ -190,6 +190,54 @@ def _reference_b_class_probe(bmat: ExchangeMatrix, x, y, length_cap: int) -> dic
     return {"verdict": "indistinct_up_to_cap", "witness": None}
 
 
+# The probe as it was before each step touched only the coordinates it
+# changes, kept verbatim as the reference: the shared mutation tree, and both
+# extra rows mutated whole at every step and compared in full.
+def _two_row_b_class_probe_reference(bmat: ExchangeMatrix, x, y, length_cap: int) -> dict:
+    """Compare sign vectors of eta over all words of length <= length_cap
+    (immediate repeats pruned: mutation is an involution), breadth first.
+
+    "distinguished" proves different B-classes; "indistinct" is only evidence
+    relative to the cap.  An indistinct pair builds n (n-1)^(l-1) words of
+    each length l, so more than AFFSCAT_CAP words raise CapExceeded.
+
+    B mutated along a word does not depend on x and y, so it comes from
+    bmat.mutation_tree, which keeps it for every word expanded so far and is
+    shared by all pairs probed on bmat.  Each word then moves only the two
+    extra rows, with row k of the mutated B: mutating the extended matrix
+    leaves the rows of B as they would be without x and y.
+    """
+    n = bmat.n
+    cap = element_cap()
+    built = 0
+    tree = bmat.mutation_tree
+    x, y = tuple(x), tuple(y)
+    if not _same_signs(x, y):
+        return {"verdict": "distinguished", "witness": ()}
+    frontier = [((), x, y)]
+    for _ in range(length_cap):
+        nxt = []
+        for word, u, v in frontier:
+            b = tree.get(word)
+            if b is None:
+                b = tree[word] = mutate(tree[word[:-1]], word[-1])
+            for k in range(n):
+                if word and word[-1] == k:
+                    continue
+                built += 1
+                if built > cap:
+                    raise CapExceeded(
+                        f"element cap AFFSCAT_CAP={cap} exceeded by the mutation probe "
+                        f"at word length {len(word) + 1} of --L {length_cap}"
+                    )
+                mu, mv = _mutate_row(u, b[k], k), _mutate_row(v, b[k], k)
+                if not _same_signs(mu, mv):
+                    return {"verdict": "distinguished", "witness": word + (k,)}
+                nxt.append((word + (k,), mu, mv))
+        frontier = nxt
+    return {"verdict": "indistinct_up_to_cap", "witness": None}
+
+
 def test_mutate_matches_reference():
     rng = random.Random(2025)
     for _ in range(500):
@@ -231,10 +279,15 @@ PROBE_INSTANCES = (
 )
 
 
-def _probe_pairs(rng, n, count):
-    """Seeded (p, q, L): unrelated points, points with equal sign vectors
-    (which only a mutation can tell apart), nearby directions (told apart,
-    if at all, by long words) and points on one ray."""
+def _probe_pairs(rng, bmat, count):
+    """Seeded (p, q, L) for probes on bmat: unrelated points, points with
+    equal sign vectors (which only a mutation can tell apart), nearby
+    directions (told apart, if at all, by long words) and points on one ray.
+    Each pair with equal sign vectors also gives two more, without further
+    draws: one with a zero coordinate in both points (a step there changes
+    neither), and one whose points differ at one coordinate j alone, which
+    the step at some k with b_kj != 0 moves to opposite signs."""
+    n = bmat.n
 
     def coord():
         return Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3]))
@@ -251,7 +304,22 @@ def _probe_pairs(rng, n, count):
             q = tuple(m * c + Fraction(rng.randint(-2, 2), 3) for c in p)
         else:
             q = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 4)) * c for c in p)
-        yield p, q, rng.randint(0, 6)
+        cap = rng.randint(0, 6)
+        yield p, q, cap
+        if kind == 1:
+            z = (i // 4) % n
+            yield p[:z] + (0,) + p[z + 1 :], q[:z] + (0,) + q[z + 1 :], cap
+            # u_k = s m with s the sign of b_kj, so the step at k adds
+            # c = |b_kj| m to both j-th coordinates: -c s / 2 goes to c s / 2
+            # and -2 c s to -c s.
+            k = z
+            row = bmat.b[k]
+            j = [j for j in range(n) if row[j]][i % 3 % sum(map(bool, row))]
+            s, m = sgn(row[j]), abs(p[k]) or 1
+            c = abs(row[j]) * m
+            u = p[:k] + (s * m,) + p[k + 1 :]
+            near, far = -c * s * Fraction(1, 2), -2 * c * s
+            yield u[:j] + (near,) + u[j + 1 :], u[:j] + (far,) + u[j + 1 :], cap
 
 
 def _outcome(probe, *args):
@@ -266,10 +334,11 @@ def test_b_class_probe_matches_whole_matrix_reference(monkeypatch):
     seen = set()
     for b in PROBE_INSTANCES:
         bt = b.transpose()
-        for p, q, cap in _probe_pairs(rng, b.n, 60):
+        for p, q, cap in _probe_pairs(rng, bt, 60):
             for x, y in ((p, q), (integral_multiple(p), integral_multiple(q))):
                 got = b_class_probe(bt, x, y, cap)
                 assert got == _reference_b_class_probe(bt, x, y, cap), (b, x, y, cap)
+                assert got == _two_row_b_class_probe_reference(bt, x, y, cap), (b, x, y, cap)
                 seen.add((got["verdict"], len(got["witness"] or ())))
     assert ("indistinct_up_to_cap", 0) in seen
     assert {0, 1, 2, 3} <= {depth for verdict, depth in seen if verdict == "distinguished"}
@@ -278,10 +347,11 @@ def test_b_class_probe_matches_whole_matrix_reference(monkeypatch):
     capped = 0
     for b in PROBE_INSTANCES:
         bt = b.transpose()
-        for p, q, cap in _probe_pairs(rng, b.n, 12):
+        for p, q, cap in _probe_pairs(rng, bt, 12):
             args = (bt, integral_multiple(p), integral_multiple(q), cap)
             got = _outcome(b_class_probe, *args)
             assert got == _outcome(_reference_b_class_probe, *args), args
+            assert got == _outcome(_two_row_b_class_probe_reference, *args), args
             capped += isinstance(got, str)
     assert capped > 0
 

@@ -10,18 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affscat.cones
+import affscat.mutation
 import affscat.scattering
 from affscat.cartan import ExchangeMatrix, classify, exchange_to_cartan
-from affscat.cones import Cone, SignTable
+from affscat.cones import Cone, SignTable, bits
 from affscat.coxeter import coxeter_context
 from affscat.linalg import (
     identity_mat,
+    integral_multiple,
     kernel_basis,
     nonzero_minor,
     primitive_vector,
     vdot,
     wedge_key,
 )
+from affscat.mutation import fans_compare
 from affscat.scattering import (
     ORIGIN_IMAGINARY,
     ORIGIN_INITIAL,
@@ -46,6 +49,7 @@ from affscat.scattering import (
     scat_cone_eq,
 )
 from affscat.series import MonomialExpr, TruncatedSeries, path_product
+from test_cones import _ReferenceSignTable
 from test_orientation_sweep import ORIENTATIONS, _id, _instance
 
 B_A11 = ExchangeMatrix.from_rows([[0, 2], [-2, 0]])
@@ -357,7 +361,7 @@ def test_a_wall_of_the_plane_cuts_a_face_into_two_cells():
     for cell, inside in cells:
         base = _generic_relint_point(cell, table, inside)
         assert cell.relint_contains(base)
-        assert [i for i, hit in enumerate(table.members(base)) if hit] == list(inside)
+        assert bits(table.locate(base)) == list(inside)
 
 
 def test_a_wall_over_a_middle_strip_gives_three_cells():
@@ -388,7 +392,7 @@ def test_a_wall_over_a_middle_strip_gives_three_cells():
     table = SignTable([w.cone for w in walls])
     for cell, _, _, inside in faces:
         base = _generic_relint_point(cell, table, inside)
-        assert [i for i, hit in enumerate(table.members(base)) if hit] == list(inside)
+        assert bits(table.locate(base)) == list(inside)
 
 
 @pytest.mark.parametrize("name, cap", [("D4_1", 6), ("A3_1", 8)])
@@ -921,6 +925,89 @@ def _scat_cone_eq_fraction_reference(diagram, p, q):
     return all(ramparts(tuple(a + t * d for a, d in zip(p, direction))) == base for t in points)
 
 
+# rampart_set and scat_cone_eq as they were before SignTable answered with
+# one bitmask of member cones, kept verbatim as the reference but for the
+# table they read: the old per-cone queries live on in
+# test_cones._ReferenceSignTable, built here from the walls.
+def _reference_wall_table(diagram):
+    return _ReferenceSignTable([w.cone for w in diagram.walls])
+
+
+def _rampart_set_reference(diagram: ScatDiagram, point) -> frozenset:
+    """Indices of walls containing the point (each rampart is a single wall)."""
+    members = _reference_wall_table(diagram).members(integral_multiple(point))
+    return frozenset(i for i, inside in enumerate(members) if inside)
+
+
+def _scat_cone_eq_reference(diagram: ScatDiagram, p, q) -> bool:
+    """Whether p and q are D-equivalent, decided along the straight segment by
+    exact subdivision at all wall-constraint crossings.
+
+    Walls are cones, so p and q may each be scaled by a positive factor; both
+    are cleared of denominators.  With a = <p, d> and b = <q, d> for each
+    distinct direction d of the wall constraints (diagram.wall_table), the
+    point at t = u/v (v > 0) pairs with d to ((v - u) a + u b) / v, so each
+    sample is located by the signs of those integers.  A crossing t =
+    a / (a - b) does not change when d is scaled by a nonzero factor, so these
+    are the crossings of every wall constraint.  Only the ends and the
+    crossings strictly inside the segment (a b < 0) are sampled: between two
+    consecutive crossings no constraint changes sign, so as walls are closed
+    and convex, a point there lies in exactly the walls that contain both
+    crossings around it.
+    """
+    table = _reference_wall_table(diagram)
+    p, q = integral_multiple(p), integral_multiple(q)
+    ends = [(vdot(p, d), vdot(q, d)) for d in table.directions]
+
+    def ramparts(t):
+        u, v = t.numerator, t.denominator
+        return table.holds(*table.mask([(v - u) * a + u * b for a, b in ends]))
+
+    base = ramparts(Fraction(0))
+    if ramparts(Fraction(1)) != base:
+        return False
+    ts = {Fraction(a, a - b) for a, b in ends if a * b < 0}
+    return all(ramparts(t) == base for t in ts)
+
+
+def _wall_point(rng, wall, boundary):
+    """A seeded combination of the wall's generators: in its relative
+    interior, or with some weights 0 (often on its boundary) when boundary."""
+    lin, rays = wall.cone.generators
+    gens = rays + lin + tuple(tuple(-c for c in v) for v in lin)
+    pool = [0, 0, 1, 2, Fraction(1, 3)] if boundary else [1, 2, 5, Fraction(1, 3)]
+    weights = [rng.choice(pool) for _ in gens]
+    return tuple(sum(c * g[j] for c, g in zip(weights, gens)) for j in range(wall.cone.dim_ambient))
+
+
+def test_scat_cone_eq_and_rampart_set_match_the_reference_on_sampled_pairs(monkeypatch):
+    # The pairs fans_compare samples on the fans workload's diagrams (A_2^(1)
+    # and G_2^(1) at H=k=6), then the same pairs with one end moved onto a
+    # wall, in its relative interior or on its boundary.
+    seen = []
+    real = affscat.mutation.scat_cone_eq
+
+    def recorded(diagram, p, q):
+        seen.append((diagram, p, q))
+        return real(diagram, p, q)
+
+    monkeypatch.setattr(affscat.mutation, "scat_cone_eq", recorded)
+    for rows in RANK3_ROWS:
+        fans_compare(ExchangeMatrix.from_rows([list(r) for r in rows]), 6, 6, 2, 200, 9)
+    monkeypatch.undo()
+    rng = random.Random(9)
+    verdicts = set()
+    for diagram, p, q in seen[:: 2]:
+        w = _wall_point(rng, rng.choice(diagram.walls), rng.random() < 0.5)
+        for a, b in ((p, q), (w, q), (p, w)):
+            got = scat_cone_eq(diagram, a, b)
+            assert got == _scat_cone_eq_reference(diagram, a, b), (a, b)
+            verdicts.add(got)
+        for x in (p, q, w):
+            assert rampart_set(diagram, x) == _rampart_set_reference(diagram, x), x
+    assert len(seen) >= 400 and verdicts == {True, False}
+
+
 @functools.cache
 def _rank3_diagram(rows, cap=4):
     return build_dcscat(ExchangeMatrix.from_rows([list(r) for r in rows]), cap, cap)
@@ -961,7 +1048,8 @@ def test_scat_cone_eq_matches_fraction_reference(rows, p, q, where, wall, lone_w
         p, q = (tuple(x[0] * u + x[1] * v for u, v in zip(b1, b2)) for x in (p, q))
         if where == "from_a_wall_ray" and cone.rays:
             p = cone.rays[wall % len(cone.rays)]
-    assert scat_cone_eq(d, p, q) == _scat_cone_eq_fraction_reference(d, p, q)
+    got = scat_cone_eq(d, p, q)
+    assert got == _scat_cone_eq_fraction_reference(d, p, q) == _scat_cone_eq_reference(d, p, q)
 
 
 def test_scat_cone_eq_matches_fraction_reference_from_a_wall():
@@ -973,11 +1061,7 @@ def test_scat_cone_eq_matches_fraction_reference_from_a_wall():
     rng = random.Random(6)
 
     def in_wall(wall, boundary):
-        lin, rays = wall.cone.generators
-        gens = rays + lin + tuple(tuple(-c for c in v) for v in lin)
-        pool = [0, 0, 1, 2, Fraction(1, 3)] if boundary else [1, 2, 5, Fraction(1, 3)]
-        weights = [rng.choice(pool) for _ in gens]
-        return tuple(sum(c * g[j] for c, g in zip(weights, gens)) for j in range(3))
+        return _wall_point(rng, wall, boundary)
 
     verdicts = set()
     for rows in RANK3_ROWS:
@@ -994,6 +1078,7 @@ def test_scat_cone_eq_matches_fraction_reference_from_a_wall():
                 for a, b in ((p, q), (q, p)):
                     got = scat_cone_eq(d, a, b)
                     assert got == _scat_cone_eq_fraction_reference(d, a, b), (rows, a, b)
+                    assert got == _scat_cone_eq_reference(d, a, b), (rows, a, b)
                     verdicts.add(got)
     assert verdicts == {True, False}
 
