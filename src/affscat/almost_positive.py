@@ -41,7 +41,7 @@ from functools import cached_property
 from .cartan import NotAffine
 from .cones import Cone
 from .coxeter import CoxeterContext
-from .linalg import rank, solve_linear
+from .linalg import rank, solve_linear, vdot
 
 
 class ResolutionCapExceeded(RuntimeError):
@@ -125,11 +125,14 @@ class APContext:
     def _xi_cycles(self, xi):
         if not xi:
             return ()
+        # K(u, v) = sum_i u_i d_i (A v)_i, and cov(u) is a positive multiple
+        # of (u_i d_i): K(xi_i, xi_j) != 0 is tested in ints.
+        cov = self.cartan.primitive_in_coroot_lattice
         adj = {
             i: {
                 j
                 for j in range(len(xi))
-                if j != i and self.cartan.k_form(xi[i], xi[j]) != 0
+                if j != i and vdot(cov(xi[i]), self.cartan.a_times(xi[j])) != 0
             }
             for i in range(len(xi))
         }

@@ -1,52 +1,54 @@
 """Rational polyhedral cones in V* with exact double-description conversion.
 
-A Cone is stored by linear constraints: equalities <x, e> = 0 and
+A Cone is stored by integer linear constraints: equalities <x, e> = 0 and
 inequalities <x, g> <= 0, where e, g are covectors paired with points by the
-plain coordinatewise dot product.  Covectors are stored as given, so the
-primitive integer covectors of root-lattice functionals, which
-CartanMatrix.primitive_in_coroot_lattice computes once per vector in
-integers, stay ints.  Point membership
-(`contains`) pairs with a cached integer multiple of each covector, so a
-point with integer coordinates (see linalg.integral_multiple) is tested in
-integer arithmetic alone, whatever the covectors the cone was built from.
+plain coordinatewise dot product.  `Cone.from_constraints` clears each
+covector of denominators once (linalg.integral_multiple), a positive factor
+that changes neither the cone nor any sign, and a tuple of ints, such as the
+primitive covectors of root-lattice functionals that
+CartanMatrix.primitive_in_coroot_lattice computes, is kept as it is.  So a
+point with integer coordinates is tested in integer arithmetic alone
+(`contains`, `relint_contains`, SignTable).
 
 Generators (lineality basis + extreme rays) are computed by the standard
 double description method with the zero-set adjacency test, in integers
-throughout (Fukuda-Prodon 1996).  Each inequality is cleared of denominators
-first, the lineality starts as the integer kernel of the equalities
-(linalg.integer_kernel, the identity when there are none), and every vector
-stays primitive.  Each step keeps the rays exactly the extreme rays, so
-nothing filters them afterwards: cutting by {g <= 0} keeps the rays with
-<r, g> <= 0 plus one ray inside each edge crossing g = 0 (the pairs the
-zero-set test calls adjacent), or, if g pierces the lineality
-L = L' + span(w) with <w, g> < 0, gives L' + cone(rays projected along w,
-and w), whose rays stay extreme and distinct; the projection of v is
+throughout (Fukuda-Prodon 1996): the lineality starts as the integer kernel
+of the equalities (linalg.integer_kernel, the identity when there are none)
+and the inequalities are cut in one at a time by _cut, the one cutting step
+of this module.  `Cone.cut` runs the same step on a cone's cached generators
+to cut it by more equalities and inequalities, instead of a new double
+description of all the constraints.  Every vector stays primitive, and each
+step keeps the rays exactly the extreme rays, so nothing filters them
+afterwards.  Cutting by {g <= 0} keeps the rays with <r, g> <= 0 plus one
+ray inside each edge crossing g = 0 (the pairs the zero-set test calls
+adjacent); cutting by {g = 0} keeps only the rays on g = 0 and the edge
+crossings.  If g pierces the lineality L = L' + span(w), with <w, g> < 0,
+the cut gives L' and the rays projected along w, plus the ray w for an
+inequality; the rays stay extreme and distinct, and the projection of v is
 -<w, g> v + <v, g> w, a positive multiple of the rational one, so no
-division happens.  `Cone.section(e)` cuts a cone by the hyperplane e = 0 with
-the same step on its cached generators, instead of a new double description
-of its constraints and e (see _section).
+division happens.  The step also tracks the dimension: an inequality keeps
+it unless every ray it does not cut off lies on g = 0, an equality lowers
+it by one when g takes both signs on the cone, and otherwise the cut is the
+face spanned by the lineality and the rays on g = 0, whose rank is computed.
 
 `generators` is canonical, and integer too: the lineality basis is the
 reduced row echelon form of the lineality space with each row scaled to a
 primitive integer vector (linalg.echelon's rows, divided by their gcd), and
 each ray is cleared at the pivot columns against those rows and made
 primitive.  The reduced row echelon form of a subspace is unique, so two
-cones are equal exactly when their generators are.  Every point test
-(`contains`, `relint_contains`, `contains_cone`) therefore runs in integers.
-Fractions appear only in the equalities `from_rays` and `simplicial` return,
-where each dual lineality vector is divided by its entry at its home
-coordinate (see _double_description), which gives the vectors the rational
-method gives.
+cones are equal exactly when their generators are.  `from_rays` takes the
+equalities of a cone straight from the integer lineality of the double
+description of its dual.
 
 `SignTable(cones)` locates points against many cones at once.  It keeps the
-distinct primitive directions d_j of the cones' integer constraints, with g
-and -g sharing one direction (first nonzero entry positive) and zero
-covectors skipped, and records for each cone two bitmasks over the
-directions: those on which it forbids a positive pairing and those on which
-it forbids a negative one (an inequality forbids one sign, an equality both).
-Turned around, each direction keeps two bitmasks over the cones: the cones
-that allow a positive pairing with it and those that allow a negative one.
-A point is paired with each direction once, and the cones containing it are
+distinct primitive directions d_j of the cones' constraints, with g and -g
+sharing one direction (first nonzero entry positive) and zero covectors
+skipped, and records for each cone two bitmasks over the directions: those
+on which it forbids a positive pairing and those on which it forbids a
+negative one (an inequality forbids one sign, an equality both).  Turned
+around, each direction keeps two bitmasks over the cones: the cones that
+allow a positive pairing with it and those that allow a negative one.  A
+point is paired with each direction once, and the cones containing it are
 the AND of the masks of the signs it takes (a zero pairing forbids nothing),
 so one pass over the directions answers for every cone: `locate` returns
 that bitmask, bit i set when cones[i] contains the point.  Membership is
@@ -60,18 +62,19 @@ combination of the others, so its extreme rays are exactly the given rays
 and its dimension is k.  Its constraints come from one echelon of
 [R | I_k], R the k x n matrix with rows r_i: the left block is d rref(R),
 and the right block M satisfies R_P M = d I_k for R_P the columns of R at
-the pivot columns P.  The equalities are the kernel of R, one vector per
-free column h, 1 there and 0 at the other free columns (integer_kernel's
-vectors divided by d).  Inequality i is minus column i of M placed at P and
-made primitive: it pairs with r_i to a negative number and with every other
-ray to 0, and is 0 at the free columns.  These are, entry for entry and in
-the same order, the constraints `from_rays` reads off the dual description.
+the pivot columns P.  The equalities are the kernel of R, one primitive
+vector per free column h, positive there and 0 at the other free columns
+(integer_kernel's vectors, made primitive); echelon rows are zero left of
+their pivot, so each is 0 after h too.  Inequality i is minus column i of M
+placed at P and made primitive: it pairs with r_i to a negative number and
+with every other ray to 0, and is 0 at the free columns.  These are, entry
+for entry and in the same order, the constraints `from_rays` reads off the
+dual description.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
@@ -89,20 +92,19 @@ from .linalg import (
 @dataclass(frozen=True)
 class Cone:
     dim_ambient: int
-    eqs: tuple  # covectors e with <x, e> = 0
-    ineqs: tuple  # covectors g with <x, g> <= 0
+    eqs: tuple  # integer covectors e with <x, e> = 0
+    ineqs: tuple  # integer covectors g with <x, g> <= 0
 
     @staticmethod
     def from_constraints(dim, eqs=(), ineqs=()) -> "Cone":
-        return Cone(dim, tuple(map(tuple, eqs)), tuple(map(tuple, ineqs)))
+        return Cone(dim, tuple(map(integral_multiple, eqs)), tuple(map(integral_multiple, ineqs)))
 
     @staticmethod
     def from_rays(dim, rays, lineality=()) -> "Cone":
         """Cone generated by rays plus a lineality space, via dual description."""
         # Dual cone {g : <l,g> = 0, <r,g> <= 0}; its generators give our constraints.
-        lin, homes, drays = _double_description(dim, list(lineality), list(rays))
-        eqs = [tuple(Fraction(x, v[h]) for x in v) for v, h in zip(lin, homes)]
-        return Cone.from_constraints(dim, eqs=eqs, ineqs=drays)
+        lin, drays, _ = _double_description(dim, lineality, list(map(integral_multiple, rays)))
+        return Cone(dim, tuple(lin), tuple(drays))
 
     @staticmethod
     def simplicial(dim, rays) -> "Cone":
@@ -122,21 +124,22 @@ class Cone:
                 v[h] = d
                 for row, p in zip(red, pivots):
                     v[p] = -row[h]
-                eqs.append(tuple(Fraction(x, d) for x in v))
+                eqs.append(primitive_vector(v))
         ineqs = []
         for i in range(dim, dim + k):
             g = [0] * dim
             for row, p in zip(red, pivots):
                 g[p] = -row[i]
             ineqs.append(primitive_vector(g))
-        cone = Cone(dim, tuple(eqs), tuple(ineqs)).with_generators((), rays)
-        cone.__dict__["dim"] = k
-        return cone
+        return Cone(dim, tuple(eqs), tuple(ineqs)).with_generators((), rays, k)
 
-    def with_generators(self, lin, rays) -> "Cone":
+    def with_generators(self, lin, rays, dim=None) -> "Cone":
         """This cone, with `generators` canonicalized from a lineality basis
-        and the extreme rays found without a double description."""
+        and the extreme rays found without a double description, and with
+        `dim` when it is given."""
         self.__dict__["generators"] = _canonicalize_generators(lin, rays)
+        if dim is not None:
+            self.__dict__["dim"] = dim
         return self
 
     # -- generators ----------------------------------------------------------
@@ -144,13 +147,11 @@ class Cone:
     @cached_property
     def generators(self):
         """(lineality basis, extreme rays) in the canonical integer form of
-        _canonicalize_generators."""
-        lin, _, rays = _double_description(self.dim_ambient, self.eqs, self.ineqs)
+        _canonicalize_generators; the double description sets `dim` too."""
+        lin, rays, self.__dict__["dim"] = _double_description(
+            self.dim_ambient, self.eqs, self.ineqs
+        )
         return _canonicalize_generators(lin, rays)
-
-    @property
-    def lineality(self):
-        return self.generators[0]
 
     @property
     def rays(self):
@@ -161,27 +162,20 @@ class Cone:
         lin, rays = self.generators
         return rank([list(v) for v in lin] + [list(r) for r in rays])
 
-    def section(self, e):
-        """(lineality, rays, dim) of self ∩ {<x, e> = 0}, cut from the cached
-        generators in one step (see _section); the vectors are not canonical,
-        with_generators makes them so."""
-        lin, rays = self.generators
-        return _section(lin, rays, self.dim, integral_multiple(e), self._integral_constraints[1])
+    def cut(self, eqs=(), ineqs=(), start=None):
+        """(lineality, rays, dim) of self ∩ {<x, e> = 0 for e in eqs} ∩
+        {<x, g> <= 0 for g in ineqs}, for integer covectors, by _cut steps
+        from start: the (lineality, rays, dim) of self, or of a cut of self
+        by equalities alone; by default the cached generators.  The vectors
+        are not canonical, with_generators makes them so."""
+        if start is None:
+            start = (*self.generators, self.dim)
+        return _cut(*start, eqs, ineqs, self.ineqs)
 
     # -- point queries --------------------------------------------------------
 
-    @cached_property
-    def _integral_constraints(self):
-        """(eqs, ineqs) with each covector scaled by a positive integer to an
-        integer covector: the same cone, with integer dot products."""
-        return (
-            tuple(map(integral_multiple, self.eqs)),
-            tuple(map(integral_multiple, self.ineqs)),
-        )
-
     def contains(self, x: Vec) -> bool:
-        eqs, ineqs = self._integral_constraints
-        return all(vdot(x, e) == 0 for e in eqs) and all(vdot(x, g) <= 0 for g in ineqs)
+        return all(vdot(x, e) == 0 for e in self.eqs) and all(vdot(x, g) <= 0 for g in self.ineqs)
 
     @cached_property
     def _implicit_ineqs(self):
@@ -189,16 +183,15 @@ class Cone:
         lin, rays = self.generators
         gens = list(lin) + [tuple(-c for c in v) for v in lin] + list(rays)
         out = set()
-        for idx, g in enumerate(self._integral_constraints[1]):
+        for idx, g in enumerate(self.ineqs):
             if all(vdot(v, g) == 0 for v in gens):
                 out.add(idx)
         return out
 
     def relint_contains(self, x: Vec) -> bool:
-        eqs, ineqs = self._integral_constraints
-        if not all(vdot(x, e) == 0 for e in eqs):
+        if not all(vdot(x, e) == 0 for e in self.eqs):
             return False
-        for idx, g in enumerate(ineqs):
+        for idx, g in enumerate(self.ineqs):
             val = vdot(x, g)
             if idx in self._implicit_ineqs:
                 if val != 0:
@@ -229,9 +222,6 @@ class Cone:
             tuple(tuple(-c for c in g) for g in self.ineqs),
         )
 
-    def same_cone(self, other: "Cone") -> bool:
-        return self.generators == other.generators
-
 
 class SignTable:
     """Point location against a fixed list of cones: one bitmask of the cones
@@ -242,9 +232,8 @@ class SignTable:
         slots: dict = {}
         forbid = []
         for cone in cones:
-            eqs, ineqs = cone._integral_constraints
             pos = neg = 0
-            for g, is_eq in [(e, True) for e in eqs] + [(g, False) for g in ineqs]:
+            for g, is_eq in [(e, True) for e in cone.eqs] + [(g, False) for g in cone.ineqs]:
                 if not any(g):
                     continue
                 d = primitive_vector(g)
@@ -315,68 +304,58 @@ def _canonicalize_generators(lin, rays):
 
 
 def _double_description(dim, eqs, ineqs):
-    """Generators of {x : <x,e>=0, <x,g><=0}: (lineality, homes, rays).
-
-    Everything is an integer vector.  Each lineality vector has a home
-    coordinate, where it is positive and every other lineality vector is 0,
-    so dividing it by that entry gives the vector of the rational method.
-    The lineality starts as integer_kernel(eqs), whose homes are the free
-    columns.
-    """
+    """Generators of {x : <x,e>=0, <x,g><=0}: (lineality, rays, dim), for
+    integer inequalities g: the integer kernel of the equalities, cut by each
+    inequality in turn."""
     # Without equalities this is the kernel of a zero row: the identity.
-    homes, lin = integer_kernel(eqs or [(0,) * dim])
-    rays: list = []
-    processed: list = []
-    for g in map(integral_multiple, ineqs):
-        lin, homes, rays = _add_halfspace(lin, homes, rays, g, processed)
-        processed.append(g)
-    return lin, homes, rays
+    _, lin = integer_kernel(eqs or [(0,) * dim])
+    return _cut(lin, [], len(lin), (), ineqs, ())
 
 
-def _add_halfspace(lin, homes, rays, g, processed):
-    idx = next((i for i, l in enumerate(lin) if vdot(l, g) != 0), None)
-    if idx is not None:
-        # Lineality drops by one; keep the in-hyperplane part and one new ray.
-        witness, project = _pierce(lin[idx], g)
-        new_lin = [project(l) for i, l in enumerate(lin) if i != idx]
-        new_rays = [project(r) for r in rays]
-        new_rays.append(primitive_vector(witness))
-        return new_lin, homes[:idx] + homes[idx + 1 :], new_rays
-
-    neg = [r for r in rays if vdot(r, g) < 0]
-    zero = [r for r in rays if vdot(r, g) == 0]
-    pos = [r for r in rays if vdot(r, g) > 0]
-    if not pos:
-        return lin, homes, rays
-    return lin, homes, neg + zero + _edge_crossings(pos, neg, g, rays, processed)
-
-
-def _section(lin, rays, dim, g, processed):
-    """(lineality, rays, dim) of the cone C ∩ {<x, g> = 0}, in one cut step.
+def _cut(lin, rays, dim, eqs, ineqs, processed):
+    """(lineality, rays, dim) of the cone C cut by <x, e> = 0 for each e in
+    eqs, then by <x, g> <= 0 for each g in ineqs, one step per covector (see
+    the module docstring).
 
     C has lineality basis lin, extreme rays rays, dimension dim and
-    inequalities processed, all integer vectors.  If g pierces the lineality,
-    the lineality vector w with <w, g> < 0 is projected out as in
-    _add_halfspace, but dropped instead of kept as a ray.  Otherwise the
-    section keeps the rays on g = 0 plus one ray inside each edge crossing it.
-    In both cases, unless every ray lies on one side, g = 0 meets the relative
-    interior of C and the section has dimension dim - 1; otherwise it is the
-    face spanned by the lineality and the rays on g = 0, and only its rank is
-    computed.  The vectors are not canonical (see _canonicalize_generators).
+    inequalities processed, all integer vectors; each inequality cut joins
+    them for the adjacency tests of the later steps.  An equality does not,
+    as it holds on every ray after its step.  If g pierces the lineality,
+    the lineality vector w with <w, g> < 0 is projected out, and kept as a
+    ray for an inequality.  Otherwise the cut keeps the rays on the kept side
+    of g (for an inequality, the rays with <r, g> < 0 first), then those on
+    g = 0, then one ray inside each edge crossing g = 0.  The vectors are
+    not canonical (see _canonicalize_generators).
     """
-    idx = next((i for i, l in enumerate(lin) if vdot(l, g) != 0), None)
-    if idx is not None:
-        _, project = _pierce(lin[idx], g)
-        new_lin = [project(l) for i, l in enumerate(lin) if i != idx]
-        return new_lin, [project(r) for r in rays], dim - 1
-    vals = [vdot(r, g) for r in rays]
-    zero = [r for r, v in zip(rays, vals) if v == 0]
-    pos = [r for r, v in zip(rays, vals) if v > 0]
-    neg = [r for r, v in zip(rays, vals) if v < 0]
-    if not pos or not neg:
-        face_dim = dim if len(zero) == len(rays) else rank(list(lin) + zero)
-        return list(lin), zero, face_dim
-    return list(lin), zero + _edge_crossings(pos, neg, g, rays, processed), dim - 1
+    processed = list(processed)
+    for g, is_eq in [(e, True) for e in eqs] + [(g, False) for g in ineqs]:
+        idx = next((i for i, l in enumerate(lin) if vdot(l, g) != 0), None)
+        if idx is not None:
+            witness, project = _pierce(lin[idx], g)
+            lin = [project(l) for i, l in enumerate(lin) if i != idx]
+            rays = [project(r) for r in rays]
+            if is_eq:
+                dim -= 1
+            else:
+                rays.append(primitive_vector(witness))
+        else:
+            vals = [vdot(r, g) for r in rays]
+            pos = [r for r, v in zip(rays, vals) if v > 0]
+            neg = [r for r, v in zip(rays, vals) if v < 0]
+            if pos or (is_eq and neg):
+                zero = [r for r, v in zip(rays, vals) if v == 0]
+                crossings = _edge_crossings(pos, neg, g, rays, processed)
+                # Where g takes both signs on C, g = 0 meets its relative
+                # interior: an inequality keeps the dimension and an equality
+                # lowers it by one.  Otherwise the cut is the face on g = 0.
+                if not (pos and neg):
+                    dim = rank(list(lin) + zero)
+                elif is_eq:
+                    dim -= 1
+                rays = ([] if is_eq else neg) + zero + crossings
+        if not is_eq:
+            processed.append(g)
+    return list(lin), list(rays), dim
 
 
 def _pierce(pierced, g):

@@ -7,6 +7,7 @@ vectors as coordinate lists; series as {"normal": ..., "coeffs": [...]}.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .cartan import ExchangeMatrix, is_int
 
@@ -81,13 +82,20 @@ def diagram_json(d):
 
 
 def cone_json(cone):
+    """A cone's generators and constraints, each equality divided by its last
+    nonzero entry."""
     lin, rays = cone.generators
     return {
         "rays": [vec_json(r) for r in rays],
         "lineality": [vec_json(v) for v in lin],
         "ineqs": [vec_json(g) for g in cone.ineqs],
-        "eqs": [vec_json(e) for e in cone.eqs],
+        "eqs": [vec_json(_last_entry_one(e)) for e in cone.eqs],
     }
+
+
+def _last_entry_one(e):
+    last = next((x for x in reversed(e) if x), 1)
+    return [Fraction(x, last) for x in e]
 
 
 def dumps(obj) -> str:

@@ -12,7 +12,7 @@ from .almost_positive import APContext
 from .cartan import ExchangeMatrix
 from .cones import SignTable
 from .coxeter import coxeter_context
-from .linalg import primitive_vector
+from .linalg import primitive_vector, vdot
 from .scattering import build_dcscat, rampart_set, scat_cone_eq
 from .weyl import CapExceeded, element_cap
 
@@ -130,10 +130,13 @@ def _point_strs(draws) -> list:
 
 def _separating_heights(ap: APContext, p, q, far_cap: int):
     """Heights of AP roots whose hyperplane separates p from q, counting a
-    hyperplane through one point (but not through both) as separating."""
+    hyperplane through one point (but not through both) as separating.  The
+    pairing <x, beta> = sum_i x_i d_i beta_i is a positive multiple of
+    <x, cov(beta)>, so the signs are read off the integer covector."""
+    cov = ap.cartan.primitive_in_coroot_lattice
     out = []
     for beta in ap.ap_positive_real(far_cap):
-        a, b = ap.cartan.pairing(p, beta), ap.cartan.pairing(q, beta)
+        a, b = vdot(p, cov(beta)), vdot(q, cov(beta))
         if a * b <= 0 and (a, b) != (0, 0):
             out.append(sum(beta))
     return out

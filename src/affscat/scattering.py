@@ -18,13 +18,15 @@ d, so for a cell in the meet of walls with normals beta1, beta2:
 The cells refine the (n-2)-dimensional meets of two walls, plane by plane
 (see _codim2_faces).  Each wall is cut once per plane P through its normal,
 to its piece in the common kernel L_P, by one step on its cached generators
-(Cone.section).  A meet lies in both walls' pieces, and is one of them when
-that piece lies in the other wall; only pairs where neither piece nests fall
-back to a double description of the two cones.  A third wall of P can
-cover part of a meet without containing it, so each meet is split by the
-walls of P until each of them contains a cell or misses its relative
-interior (see _cells), and every cell gets its own loop.  The base point of
-each loop is located against one SignTable of the checked walls.
+(Cone.cut).  A meet lies in both walls' pieces, and is one of them when
+that piece lies in the other wall; where neither piece nests, the meet is
+cut from the first wall's piece by the second wall's inequalities.  A third
+wall of P can cover part of a meet without containing it, so each meet is
+split by the walls of P until each of them contains a cell or misses its
+relative interior (see _cells), and every cell gets its own loop.  No face
+or cell runs a double description: each is cut from cached generators.  The
+base point of each loop is located against one SignTable of the checked
+walls.
 
 rank2_complete completes the rank-2 diagram in one pass around its loop,
 reading each outgoing ray's scattering term off the product as the loop
@@ -146,14 +148,18 @@ class _Builder:
             for r in self.cartan.real_roots_up_to_height(self._finite_height_bound())
             if r[aff] == 0
         ]
+        # omega_c(r, delta) = sum_i r_i d_i omega_c(alpha_i^vee, delta), and
+        # cov(r) is a positive multiple of (r_i d_i): the sign is read in ints,
+        # as in ShardContext.shard_from_root.
+        cov = self.cartan.primitive_in_coroot_lattice
+        omega_delta = self.cox.omega_covector(delta)
         ineq_roots = []
         for r in fin_pos:
-            val = self.cox.omega(r, delta)
+            val = vdot(cov(r), omega_delta)
             if val > 0:
                 ineq_roots.append(r)
             elif val < 0:
                 ineq_roots.append(tuple(-c for c in r))
-        cov = self.cartan.primitive_in_coroot_lattice
         cone = Cone.from_constraints(
             self.n, eqs=[cov(delta)], ineqs=[cov(g) for g in ineq_roots]
         )
@@ -424,24 +430,25 @@ def _codim2_faces(walls, n):
     normals beta1 != beta2 spanning the plane P, wall 1 meets wall 2's
     hyperplane in its piece wall 1 ∩ L_P, L_P the common kernel of P: the
     same piece for every other wall with normal in P.  The piece is cut from
-    the wall's cached generators in one step (Cone.section) and kept per
+    the wall's cached generators in one step (Cone.cut) and kept per
     (wall, plane key).  The meet lies in both pieces, so a pair whose pieces
     are not both (n-2)-dimensional has no face; if one piece lies in the
-    other wall, that piece is the meet.  Only pairs where neither nests run a
-    double description of the two cones' constraints.  Each pair's plane
+    other wall, that piece is the meet.  Where neither nests, the meet is
+    wall 1's piece cut by wall 2's inequalities (Cone.cut from the piece),
+    which also gives its dimension.  The two nesting tests are kept because
+    they are cheaper than that cut where they hold.  Each pair's plane
     key is computed once, and records both walls as members of the plane:
     the walls whose hyperplanes contain L_P.  Each distinct (n-2)-dimensional
     meet is then split by the members of its plane into cells (see _cells);
     the cells are distinct by generators.  No wall outside the plane can
     contain a cell, as its hyperplane does not contain L_P."""
-    pieces: dict = {}  # (wall index, plane key) -> wall.cone.section(...)
+    pieces: dict = {}  # (wall index, plane key) -> wall.cone.cut(eqs=...)
     members: dict = {}  # plane key -> indices of the walls with normal in it
     meets: dict = {}  # generators -> (meet, plane key, beta1, beta2)
 
     def piece(i, j, plane):
         if (i, plane) not in pieces:
-            (e,) = walls[j].cone.eqs
-            pieces[i, plane] = walls[i].cone.section(e)
+            pieces[i, plane] = walls[i].cone.cut(eqs=walls[j].cone.eqs)
         return pieces[i, plane]
 
     for (i1, w1), (i2, w2) in itertools.combinations(enumerate(walls), 2):
@@ -449,16 +456,15 @@ def _codim2_faces(walls, n):
             continue
         plane = wedge_key(w1.normal, w2.normal)
         members.setdefault(plane, set()).update((i1, i2))
-        lin1, rays1, dim1 = piece(i1, i2, plane)
-        lin2, rays2, dim2 = piece(i2, i1, plane)
-        if dim1 != n - 2 or dim2 != n - 2:
+        piece1, piece2 = piece(i1, i2, plane), piece(i2, i1, plane)
+        if piece1[2] != n - 2 or piece2[2] != n - 2:
             continue
         meet = w1.cone.intersect(w2.cone)
-        if w2.cone.contains_generators(lin1, rays1):
-            meet.with_generators(lin1, rays1)
-        elif w1.cone.contains_generators(lin2, rays2):
-            meet.with_generators(lin2, rays2)
-        elif meet.dim != n - 2:
+        if w2.cone.contains_generators(*piece1[:2]):
+            meet.with_generators(*piece1)
+        elif w1.cone.contains_generators(*piece2[:2]):
+            meet.with_generators(*piece2)
+        elif meet.with_generators(*w1.cone.cut(ineqs=w2.cone.ineqs, start=piece1)).dim != n - 2:
             continue
         meets.setdefault(meet.generators, (meet, plane, w1.normal, w2.normal))
     faces: dict = {}
@@ -480,7 +486,8 @@ def _cells(cell: Cone, members) -> list:
     would keep the meet on the cell's proper face g = 0); it splits the cell
     into cell ∩ {g <= 0} and cell ∩ {g >= 0}, both of the cell's dimension.
     So every cell returned lies in each member or misses its relative
-    interior."""
+    interior.  The meet and both halves are cut from the cell's generators
+    (Cone.cut)."""
     lin, rays = cell.generators
     gens = rays + lin + tuple(tuple(-c for c in v) for v in lin)
     inside = []
@@ -488,18 +495,19 @@ def _cells(cell: Cone, members) -> list:
         if cone.contains_generators(lin, rays):
             inside.append(i)
             continue
-        meet = cell.intersect(cone)
-        if cell.relint_contains([sum(c) for c in zip(*meet.rays)] or [0] * cell.dim_ambient):
+        _, meet_rays, _ = cell.cut(cone.eqs, cone.ineqs)
+        if cell.relint_contains([sum(c) for c in zip(*meet_rays)] or [0] * cell.dim_ambient):
             # an inequality that takes both strict signs on the generators
             g = next(
-                g for g in cone._integral_constraints[1]
-                if min(vals := [vdot(v, g) for v in gens]) < 0 < max(vals)
+                g for g in cone.ineqs if min(vals := [vdot(v, g) for v in gens]) < 0 < max(vals)
             )
-            return [
-                c
+            halves = [
+                Cone(cell.dim_ambient, cell.eqs, cell.ineqs + (h,)).with_generators(
+                    *cell.cut(ineqs=[h])
+                )
                 for h in (g, tuple(-c for c in g))
-                for c in _cells(Cone(cell.dim_ambient, cell.eqs, cell.ineqs + (h,)), members)
             ]
+            return [c for half in halves for c in _cells(half, members)]
     return [(cell, tuple(inside))]
 
 
@@ -676,18 +684,23 @@ def scat_cone_eq(diagram: ScatDiagram, p, q) -> bool:
     crossings strictly inside the segment (a b < 0) are sampled: between two
     consecutive crossings no constraint changes sign, so as walls are closed
     and convex, a point there lies in exactly the walls that contain both
-    crossings around it.
+    crossings around it.  Inside the segment a and a - b have one sign, so
+    a crossing is the reduced pair (|a|, |a - b|) / g, g = gcd(a, a - b) =
+    gcd(a, b), and equal crossings give equal pairs.
     """
     table = diagram.wall_table
     p, q = integral_multiple(p), integral_multiple(q)
     ends = [(vdot(p, d), vdot(q, d)) for d in table.directions]
 
-    def ramparts(t):
-        u, v = t.numerator, t.denominator
+    def ramparts(u, v):
         return table.cones_of([(v - u) * a + u * b for a, b in ends])
 
-    base = ramparts(Fraction(0))
-    if ramparts(Fraction(1)) != base:
+    base = ramparts(0, 1)
+    if ramparts(1, 1) != base:
         return False
-    ts = {Fraction(a, a - b) for a, b in ends if a * b < 0}
-    return all(ramparts(t) == base for t in ts)
+    ts = set()
+    for a, b in ends:
+        if a * b < 0:
+            g = gcd(a, b)
+            ts.add((abs(a) // g, abs(a - b) // g))
+    return all(ramparts(u, v) == base for u, v in ts)

@@ -205,7 +205,7 @@ def test_criterion_9_sortable_shard_round_trips():
         for root in shared:
             a = shards.shard_from_ji(ji[root])
             bb = shards.shard_from_ji(ji_inv[root])
-            assert bb.cone.same_cone(a.cone.negate()), (name, root)
+            assert bb.cone.generators == a.cone.negate().generators, (name, root)
     _report(9, "ji -> Sh -> ji round trips and antipodal shard identity", t0, 300)
 
 

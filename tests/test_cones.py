@@ -10,8 +10,16 @@ from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix
 from affscat.cones import Cone, SignTable, _canonicalize_generators, _double_description, bits
 from affscat.coxeter import coxeter_context
-from affscat.jsonio import cone_json, dumps, frac_str
-from affscat.linalg import kernel_basis, primitive_vector, rank, rref, solve_linear, vdot
+from affscat.jsonio import _last_entry_one, cone_json, dumps, frac_str, vec_json
+from affscat.linalg import (
+    echelon,
+    kernel_basis,
+    primitive_vector,
+    rank,
+    rref,
+    solve_linear,
+    vdot,
+)
 from affscat.scattering import build_dcscat
 
 F = Fraction
@@ -58,7 +66,7 @@ def test_simplicial_cone_3d():
 def test_redundant_inequality_same_cone():
     a = Cone.from_constraints(2, ineqs=[(-1, 0), (0, -1)])
     b = Cone.from_constraints(2, ineqs=[(-1, 0), (0, -1), (-1, -1)])
-    assert a.same_cone(b)
+    assert a.generators == b.generators
 
 
 def test_from_rays_roundtrip():
@@ -107,12 +115,10 @@ def test_extreme_filter_drops_interior_ray():
 
 
 def test_contains_is_invariant_under_positive_scaling():
-    # The nu_c fan cones of G_2^(1) carry Fraction covectors from double
-    # description, some of them not integral; contains pairs points with an
-    # integer multiple of each covector.
+    # On the nu_c fan cones of G_2^(1), contains answers alike on every
+    # positive multiple of a point, Fraction multiples included.
     b = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, -3, 0]])
     cones = [cone for _, cone in APContext(coxeter_context(b)).fan_cones(6)]
-    assert any(F(x).denominator != 1 for c in cones for g in c.ineqs + c.eqs for x in g)
     rng = random.Random(5)
     points = {tuple(F(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(3)) for _ in range(30)}
     points |= {r for c in cones for r in c.rays}  # on the boundaries of the neighbours
@@ -266,6 +272,72 @@ def test_simplicial_matches_the_dual_description_on_random_rays():
     assert checked > 1000
 
 
+# Cone.from_rays, Cone.simplicial and jsonio.cone_json as they were when the
+# equalities of from_rays and simplicial cones were Fraction vectors, kept
+# verbatim as the reference but for two calls.  from_rays read the integer
+# double description, which also returned each lineality vector's home
+# coordinate, and divided each vector by its home entry: that is the
+# rational double description's lineality, so it calls that instead.  And
+# Cone.from_constraints kept covectors as given, so the Cone constructor
+# stands for it.
+def _fraction_from_rays(dim, rays, lineality=()) -> "Cone":
+    """Cone generated by rays plus a lineality space, via dual description."""
+    # Dual cone {g : <l,g> = 0, <r,g> <= 0}; its generators give our constraints.
+    eqs, drays = _reference_double_description(dim, list(lineality), list(rays))
+    return Cone(dim, tuple(map(tuple, eqs)), tuple(map(tuple, drays)))
+
+
+def _fraction_simplicial(dim, rays) -> "Cone":
+    """Cone on linearly independent rays, with the constraints from_rays
+    gives, read off one echelon of [R | I_k] (R the k x n matrix of the
+    rays; see the module docstring).  The rays are its extreme rays, so
+    `generators` is set from them and `dim` is k."""
+    k = len(rays)
+    rows = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(rays)]
+    red, pivots, d, _ = echelon(rows)
+    # R has rank k exactly when every pivot lies in its block.
+    assert not pivots or pivots[-1] < dim, "simplicial cone needs independent rays"
+    eqs = []
+    for h in range(dim):
+        if h not in pivots:
+            v = [0] * dim
+            v[h] = d
+            for row, p in zip(red, pivots):
+                v[p] = -row[h]
+            eqs.append(tuple(Fraction(x, d) for x in v))
+    ineqs = []
+    for i in range(dim, dim + k):
+        g = [0] * dim
+        for row, p in zip(red, pivots):
+            g[p] = -row[i]
+        ineqs.append(primitive_vector(g))
+    cone = Cone(dim, tuple(eqs), tuple(ineqs)).with_generators((), rays)
+    cone.__dict__["dim"] = k
+    return cone
+
+
+def _fraction_cone_json(cone):
+    lin, rays = cone.generators
+    return {
+        "rays": [vec_json(r) for r in rays],
+        "lineality": [vec_json(v) for v in lin],
+        "ineqs": [vec_json(g) for g in cone.ineqs],
+        "eqs": [vec_json(e) for e in cone.eqs],
+    }
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS, ids=_id)
+def test_fan_cone_json_is_that_of_the_fraction_equalities(orientation):
+    # clusters prints every fan cone at its --H; here H = 4.  The integer
+    # equalities print as the Fraction ones did.  (_check_against_reference
+    # compares from_rays with the Fraction one.)
+    ap = APContext(coxeter_context(ExchangeMatrix.from_rows([list(r) for r in orientation[2]])))
+    for members, cone in ap.fan_cones(4):
+        old = _fraction_simplicial(ap.n, [ap.cox.nu(r) for r in members])
+        assert dumps(cone_json(cone)) == dumps(_fraction_cone_json(old)), members
+        assert all(type(x) is int for e in cone.eqs for x in e), members
+
+
 def test_frac_str_is_str_of_the_fraction():
     # On ints, Fractions (integral ones among them) and every entry that
     # cone_json formats on the fans and clusters instances' fans.
@@ -274,8 +346,9 @@ def test_frac_str_is_str_of_the_fraction():
         ap = APContext(coxeter_context(ExchangeMatrix.from_rows(rows)))
         for _, cone in ap.fan_cones(H):
             lin, rays = cone.generators
-            values.extend(x for v in rays + lin + cone.ineqs + cone.eqs for x in v)
-    assert any(type(x) is F and x.denominator != 1 for x in values)
+            values.extend(x for v in rays + lin + cone.ineqs for x in v)
+            values.extend(x for e in cone.eqs for x in _last_entry_one(e))
+    assert sum(type(x) is F and x.denominator != 1 for x in values) > 3
     for x in values:
         assert frac_str(x) == str(F(x)), x
 
@@ -391,13 +464,13 @@ def _check_against_reference(dim, ineqs, eqs):
     assert cone.generators == _canonicalize_generators(lin, rays), (dim, eqs, ineqs)
     assert cone.dim == len(rref([list(v) for v in lin] + [list(r) for r in rays]))
 
-    dual_lin, dual_rays = _reference_double_description(dim, list(eqs), list(ineqs))
-    by_rays = Cone.from_rays(dim, ineqs, eqs)
-    assert by_rays.eqs == tuple(dual_lin) and by_rays.ineqs == tuple(dual_rays), (dim, eqs, ineqs)
-    assert all(type(x) is Fraction for e in by_rays.eqs for x in e)
-    ref = Cone.from_constraints(dim, dual_lin, dual_rays)
+    by_rays, ref = Cone.from_rays(dim, ineqs, eqs), _fraction_from_rays(dim, ineqs, eqs)
+    assert by_rays.ineqs == ref.ineqs, (dim, eqs, ineqs)
+    # each equality is a positive multiple of the rational one
+    assert list(map(primitive_vector, by_rays.eqs)) == list(map(primitive_vector, ref.eqs))
+    assert all(type(x) is int for e in by_rays.eqs for x in e)
     ref.__dict__["generators"] = _canonicalize_generators(
-        *_reference_double_description(dim, dual_lin, dual_rays)
+        *_reference_double_description(dim, ref.eqs, ref.ineqs)
     )
     assert dumps(cone_json(by_rays)) == dumps(cone_json(ref))
 
@@ -464,12 +537,13 @@ def _generator_cases():
     cases = []
     for _, dim, first, second in _reference_inputs():
         for eqs, ineqs in ((second, first), (first, second)):
-            lin, _, rays = _double_description(dim, eqs, ineqs)
+            cone = Cone.from_constraints(dim, eqs, ineqs)
+            lin, rays, _ = _double_description(dim, cone.eqs, cone.ineqs)
             cases.append((lin, rays))
     rng = random.Random(8)
     for _ in range(300):
         cone = _random_cone(rng)
-        lin, _, rays = _double_description(cone.dim_ambient, cone.eqs, cone.ineqs)
+        lin, rays, _ = _double_description(cone.dim_ambient, cone.eqs, cone.ineqs)
         cases.append((lin, rays))
     return cases
 
@@ -634,56 +708,98 @@ def test_sign_table_shares_a_direction_between_g_and_minus_g():
     _check_sign_table(cones, [(a, b) for a in range(-3, 4) for b in range(-3, 4)])
 
 
-def _check_section(cone, e):
-    """Cone.section(e) against the double description of the cut cone."""
-    lin, rays, dim = cone.section(e)
-    cut = Cone(cone.dim_ambient, cone.eqs + (tuple(e),), cone.ineqs)
-    assert _canonicalize_generators(lin, rays) == cut.generators, (cone, e)
-    assert dim == cut.dim, (cone, e)
+def _reference_cut(cone, eqs, ineqs):
+    """(canonical generators, dim) of the cone cut by eqs and ineqs, by the
+    rational double description of all the constraints."""
+    lin, rays = _reference_double_description(
+        cone.dim_ambient, list(cone.eqs) + list(eqs), list(cone.ineqs) + list(ineqs)
+    )
+    return _canonicalize_generators(lin, rays), rank([list(v) for v in lin + rays])
 
 
-def test_section_matches_double_description_on_random_cones():
+def _check_cut(cone, eqs=(), ineqs=()):
+    """Cone.cut by eqs and ineqs, from the cached generators and, with the
+    equalities cut first, from that cut, against the rational double
+    description; returns the dimension."""
+    gens, dim = _reference_cut(cone, eqs, ineqs)
+    lin, rays, got = cone.cut(eqs, ineqs)
+    assert (_canonicalize_generators(lin, rays), got) == (gens, dim), (cone, eqs, ineqs)
+    lin, rays, got = cone.cut(ineqs=ineqs, start=cone.cut(eqs))
+    assert (_canonicalize_generators(lin, rays), got) == (gens, dim), (cone, eqs, ineqs)
+    return dim
+
+
+def _random_covectors(rng, dim, count):
+    return [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(count)]
+
+
+def test_cut_matches_double_description_on_random_cones():
+    # One equality at a time, as the per-plane pieces cut a wall; then
+    # inequalities alone, and equalities and inequalities together.
     rng = random.Random(21)
+    more = random.Random(22)
+    kinds = set()
     for _ in range(300):
         cone = _random_cone(rng)
+        n = cone.dim_ambient
         for _ in range(3):
-            _check_section(cone, tuple(rng.randint(-2, 2) for _ in range(cone.dim_ambient)))
+            _check_cut(cone, eqs=[tuple(rng.randint(-2, 2) for _ in range(n))])
+        for eqs, ineqs in (
+            ([], _random_covectors(more, n, more.randint(1, 3))),
+            (_random_covectors(more, n, more.randint(1, 2)), _random_covectors(more, n, more.randint(1, 3))),
+        ):
+            dim = _check_cut(cone, eqs, ineqs)
+            kinds.add((bool(eqs), "same" if dim == cone.dim else "origin" if dim == 0 else "lower"))
+    # each kind of cut keeps the dimension and lowers it, some to the origin
+    assert kinds == {(e, k) for e in (False, True) for k in ("same", "lower", "origin")}
 
 
 @pytest.mark.parametrize("orientation", ORIENTATIONS, ids=_id)
-def test_section_matches_double_description_on_sweep_walls(orientation):
+def test_cut_matches_double_description_on_sweep_walls(orientation):
     # Every ordered pair of walls with distinct normals: the first wall cut
-    # by the second one's hyperplane, as check_consistency's face
-    # enumeration cuts it.
+    # by the second one's hyperplane, and then by its inequalities, as
+    # check_consistency's face enumeration cuts them; and the first wall cut
+    # by the second one's inequalities alone.
     bmat, _, cap, diagram = _instance(orientation[2])
     n = bmat.n
     walls = [w for w in diagram.walls if sum(w.normal) <= cap]
     for w1 in walls:
         for w2 in walls:
             if w1.normal != w2.normal:
-                (e,) = w2.cone.eqs
-                _check_section(w1.cone, e)
-                cut = Cone(n, w1.cone.eqs + (e,), w1.cone.ineqs)
-                assert (w1.cone.section(e)[2] == n - 2) == (cut.dim == n - 2)
+                piece = w1.cone.cut(w2.cone.eqs)
+                gens, dim = _reference_cut(w1.cone, w2.cone.eqs, ())
+                assert (_canonicalize_generators(*piece[:2]), piece[2]) == (gens, dim)
+                if dim == n - 2:
+                    meet = w1.cone.cut(ineqs=w2.cone.ineqs, start=piece)
+                    gens, dim = _reference_cut(w1.cone, w2.cone.eqs, w2.cone.ineqs)
+                    assert (_canonicalize_generators(*meet[:2]), meet[2]) == (gens, dim)
+                    assert meet[2] == w1.cone.intersect(w2.cone).dim
+                half = w1.cone.cut(ineqs=w2.cone.ineqs)
+                gens, dim = _reference_cut(w1.cone, (), w2.cone.ineqs)
+                assert (_canonicalize_generators(*half[:2]), half[2]) == (gens, dim)
 
 
-def test_section_of_a_rank_2_ray_is_the_origin():
+def test_cut_of_a_rank_2_ray_is_the_origin():
     # The ray x_1 = 0, x_2 >= 0 cut by x_2 = 0 is {0}: no generators, and
-    # their rank 0 is n - 2.
+    # their rank 0 is n - 2.  Cut by x_2 <= 0 instead, it is {0} too.
     ray = Cone.from_constraints(2, eqs=[(1, 0)], ineqs=[(0, -1)])
-    assert ray.section((0, 1)) == ([], [], 0)
+    assert ray.cut(eqs=[(0, 1)]) == ([], [], 0)
+    assert ray.cut(ineqs=[(0, 1)]) == ([], [], 0)
     line = Cone.from_constraints(2, eqs=[(1, 0)])
-    assert line.section((0, 1)) == ([], [], 0)
-    _check_section(ray, (0, 1))
-    _check_section(line, (0, 1))
+    assert line.cut(eqs=[(0, 1)]) == ([], [], 0)
+    for cone in (ray, line):
+        _check_cut(cone, eqs=[(0, 1)])
+        _check_cut(cone, ineqs=[(0, 1)])
 
 
-def test_section_negates_a_pierced_lineality_vector():
+def test_cut_negates_a_pierced_lineality_vector():
     # {x_3 = 0, x_1 >= 0} has lineality (0, 1, 0), which pairs to +1 with
     # e = (1, 1, 0); projecting along it unnegated would send the ray
-    # (1, 0, 0) to (-1, 1, 0), outside the cone.
+    # (1, 0, 0) to (-1, 1, 0), outside the cone.  Cut by e <= 0, the
+    # negated vector stays as a ray.
     cone = Cone.from_constraints(3, eqs=[(0, 0, 1)], ineqs=[(-1, 0, 0)])
     assert cone.generators == (((0, 1, 0),), ((1, 0, 0),))
-    lin, rays, dim = cone.section((1, 1, 0))
-    assert (lin, rays, dim) == ([], [(1, -1, 0)], 1)
-    _check_section(cone, (1, 1, 0))
+    assert cone.cut(eqs=[(1, 1, 0)]) == ([], [(1, -1, 0)], 1)
+    assert cone.cut(ineqs=[(1, 1, 0)]) == ([], [(1, -1, 0), (0, -1, 0)], 2)
+    _check_cut(cone, eqs=[(1, 1, 0)])
+    _check_cut(cone, ineqs=[(1, 1, 0)])

@@ -1,9 +1,10 @@
 """The core computes exactly: no module of affscat but svg.py (which draws
 with floats) holds a float literal or calls float().  The integer layers
-name no Fraction at all: the Weyl, sortable, shard and almost-positive
-modules, and the bodies of linalg.echelon, of the double description and
-the generator canonicalization in cones, and of the cell split and the
-relative-interior point search in scattering.  The canonicalization and the
+name no Fraction at all: the Weyl, sortable, shard, almost-positive and
+cone modules, and the bodies of linalg.echelon, of the double description,
+its cutting step and the generator canonicalization in cones, of the cell
+split, the relative-interior point search and the segment test scat_cone_eq
+in scattering, and of the separating-hyperplane count in mutation.  The canonicalization and the
 point search read integer generators as they are: they call neither rref
 nor integral_multiple.  The Cartan matrix's coroots and coroot-lattice
 covectors, and with them the almost-positive model's coroot coordinates,
@@ -18,7 +19,7 @@ from test_orientation_sweep import ORIENTATIONS
 
 import affscat
 from affscat.cartan import ExchangeMatrix, NotRealRoot, exchange_to_cartan
-from affscat.linalg import primitive_vector
+from affscat.linalg import primitive_vector, vdot
 
 CORE = sorted(p for p in Path(affscat.__file__).parent.glob("*.py") if p.name != "svg.py")
 
@@ -48,17 +49,18 @@ def test_no_floating_point_in_the_core():
 
 
 # Modules, and (module, function) bodies, that compute in integers alone.
-INTEGER_MODULES = ("weyl.py", "sortable.py", "shards.py", "almost_positive.py")
+INTEGER_MODULES = ("weyl.py", "sortable.py", "shards.py", "almost_positive.py", "cones.py")
 INTEGER_FUNCTIONS = (
     ("linalg.py", "echelon"),
     ("cones.py", "_double_description"),
-    ("cones.py", "_add_halfspace"),
-    ("cones.py", "_section"),
+    ("cones.py", "_cut"),
     ("cones.py", "_pierce"),
     ("cones.py", "_edge_crossings"),
     ("cones.py", "_canonicalize_generators"),
     ("scattering.py", "_cells"),
     ("scattering.py", "_generic_relint_point"),
+    ("scattering.py", "scat_cone_eq"),
+    ("mutation.py", "_separating_heights"),
 )
 # Bodies that take integer generators as they come, with no rational
 # reduction or clearing of denominators.
@@ -208,3 +210,37 @@ def test_h_c_is_tested_in_integers():
         assert t > 0 and h == tuple(t * x for x in k)  # a positive multiple
         for r in ap.cartan.real_roots_up_to_height(H):
             assert ap.cox.in_h_c(r) == (ap.cartan.k_form(gamma, r) == 0), r
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _sign_instances():
+    """(APContext, roots) on the fans instances at their caps and the rank <= 4
+    sweep orientations at max(4, |delta|): the real roots, their negatives
+    and delta."""
+    for rows, cap in list(FAN_INSTANCES) + [(o[2], None) for o in ORIENTATIONS]:
+        ap = make([list(r) for r in rows])
+        real = ap.cartan.real_roots_up_to_height(cap or max(4, sum(ap.delta)))
+        yield ap, real + [tuple(-c for c in r) for r in real] + [ap.delta]
+
+
+def test_sign_reads_match_the_fraction_forms():
+    # The sign of omega_c(r, delta) (scattering._Builder.imaginary_wall), the
+    # sign of the pairing <x, beta> (mutation._separating_heights) and
+    # whether K(u, v) vanishes (APContext._xi_cycles) are read off integer
+    # covectors: cov(u) is a positive multiple of (u_i d_i).
+    checked = 0
+    for ap, roots in _sign_instances():
+        cartan, cox = ap.cartan, ap.cox
+        cov = cartan.primitive_in_coroot_lattice
+        omega_delta = cox.omega_covector(ap.delta)
+        points = roots[::3]
+        for u in roots:
+            assert _sign(cox.omega(u, ap.delta)) == _sign(vdot(cov(u), omega_delta)), u
+            for x in points:
+                assert _sign(cartan.pairing(x, u)) == _sign(vdot(x, cov(u))), (x, u)
+                assert (cartan.k_form(x, u) != 0) == (vdot(cov(x), cartan.a_times(u)) != 0)
+                checked += 1
+    assert checked > 20_000
