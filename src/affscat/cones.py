@@ -326,9 +326,21 @@ def _cut(lin, rays, dim, eqs, ineqs, processed):
     of g (for an inequality, the rays with <r, g> < 0 first), then those on
     g = 0, then one ray inside each edge crossing g = 0.  The vectors are
     not canonical (see _canonicalize_generators).
+
+    The adjacency tests read each ray's zero set: the bitmask of the
+    processed inequalities it lies on, bit i for processed[i].  The masks
+    are computed at the first step with rays on both sides of g, and then
+    kept: each inequality cut adds its bit to the rays on g = 0, and a ray
+    inside the edge from r to r' lies on exactly the processed hyperplanes
+    that hold both (all of them are <= 0 on both), so its mask is
+    z(r) & z(r') plus the new bit.  A projection along a lineality vector w
+    puts every ray on g = 0 and keeps the rest of its mask, as w lies on
+    every processed hyperplane; w kept as a ray lies on all of them.
     """
     processed = list(processed)
+    zeros = None
     for g, is_eq in [(e, True) for e in eqs] + [(g, False) for g in ineqs]:
+        bit = 0 if is_eq else 1 << len(processed)
         idx = next((i for i, l in enumerate(lin) if vdot(l, g) != 0), None)
         if idx is not None:
             witness, project = _pierce(lin[idx], g)
@@ -338,21 +350,34 @@ def _cut(lin, rays, dim, eqs, ineqs, processed):
                 dim -= 1
             else:
                 rays.append(primitive_vector(witness))
+            if zeros is not None:
+                zeros = [z | bit for z in zeros] + ([] if is_eq else [bit - 1])
         else:
             vals = [vdot(r, g) for r in rays]
-            pos = [r for r, v in zip(rays, vals) if v > 0]
-            neg = [r for r, v in zip(rays, vals) if v < 0]
+            pos = [i for i, v in enumerate(vals) if v > 0]
+            neg = [i for i, v in enumerate(vals) if v < 0]
             if pos or (is_eq and neg):
-                zero = [r for r, v in zip(rays, vals) if v == 0]
-                crossings = _edge_crossings(pos, neg, g, rays, processed)
+                zero = [i for i, v in enumerate(vals) if v == 0]
+                if pos and neg and zeros is None:
+                    zeros = [
+                        sum(1 << i for i, h in enumerate(processed) if vdot(r, h) == 0)
+                        for r in rays
+                    ]
+                crossings = _edge_crossings(pos, neg, vals, rays, zeros)
                 # Where g takes both signs on C, g = 0 meets its relative
                 # interior: an inequality keeps the dimension and an equality
                 # lowers it by one.  Otherwise the cut is the face on g = 0.
                 if not (pos and neg):
-                    dim = rank(list(lin) + zero)
+                    dim = rank(list(lin) + [rays[i] for i in zero])
                 elif is_eq:
                     dim -= 1
-                rays = ([] if is_eq else neg) + zero + crossings
+                kept = ([] if is_eq else neg) + zero
+                if zeros is not None:
+                    zeros = [zeros[i] | (bit if vals[i] == 0 else 0) for i in kept]
+                    zeros += [z | bit for _, z in crossings]
+                rays = [rays[i] for i in kept] + [c for c, _ in crossings]
+            elif zeros is not None:
+                zeros = [z | bit if v == 0 else z for z, v in zip(zeros, vals)]
         if not is_eq:
             processed.append(g)
     return list(lin), list(rays), dim
@@ -374,27 +399,19 @@ def _pierce(pierced, g):
     return witness, project
 
 
-def _edge_crossings(pos, neg, g, rays, processed):
-    """One primitive ray on g = 0 inside each edge from a ray in pos (<r, g>
-    > 0) to one in neg (< 0), by the zero-set adjacency test over the
-    constraints processed."""
+def _edge_crossings(pos, neg, vals, rays, zeros):
+    """(ray, zero set) for one primitive ray on g = 0 inside each edge from
+    rays[p], p in pos (vals[p] = <rays[p], g> > 0), to rays[q], q in neg
+    (< 0), with z(p) & z(q) as its zero set over the processed inequalities.
+    Zero-set adjacency: p and q span an edge when they are the only rays
+    lying on every processed hyperplane that holds both."""
     combos = []
-    for rp in pos:
-        vp = vdot(rp, g)
-        for rn in neg:
-            if not _adjacent(rp, rn, rays, processed):
+    for p in pos:
+        rp, vp = rays[p], vals[p]
+        for q in neg:
+            common = zeros[p] & zeros[q]
+            if sum((z & common) == common for z in zeros) > 2:
                 continue
-            vn = vdot(rn, g)
-            combos.append(primitive_vector(tuple(vp * a - vn * b for a, b in zip(rn, rp))))
+            rn, vn = rays[q], vals[q]
+            combos.append((primitive_vector(tuple(vp * a - vn * b for a, b in zip(rn, rp))), common))
     return combos
-
-
-def _adjacent(r1, r2, rays, processed):
-    """Zero-set adjacency: no third ray is tight on every constraint tight at both."""
-    tight = [g for g in processed if vdot(r1, g) == 0 and vdot(r2, g) == 0]
-    for r3 in rays:
-        if r3 is r1 or r3 is r2:
-            continue
-        if all(vdot(r3, g) == 0 for g in tight):
-            return False
-    return True

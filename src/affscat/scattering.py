@@ -5,7 +5,9 @@ c^{-1}-sortable elements plus the imaginary wall; build_easy_scat assembles
 the same diagram from the almost-positive roots and the cutting relation.
 Consistency is checked by composing wall crossings around codimension-2
 cells, ordered angularly in an exact transverse plane, in integers, and
-applying each loop to x_1 + ... + x_n (see check_consistency).  Wall
+applying each loop to x_i + x_j for two coordinates i, j of the cell's loop
+plane (see check_consistency), with each wall's crossing kernel prepared once
+per check.  Wall
 covectors are the normals scaled coordinatewise by the positive symmetrizer
 d, so for a cell in the meet of walls with normals beta1, beta2:
 - a wall's hyperplane contains the cell's span only if its normal lies in
@@ -352,10 +354,11 @@ def loop_crossings(walls, base_point, u1, u2, covector):
     return sorted(events, key=cmp_to_key(lambda e1, e2: _angle_cmp(e1.direction, e2.direction)))
 
 
-def _x_sum(n, k) -> MonomialExpr:
-    """x_1 + ... + x_n, truncated at yhat-degree k."""
+def _x_sum(n, k, indices) -> MonomialExpr:
+    """The sum of x_i over i in indices, truncated at yhat-degree k."""
     zero = (0,) * n
-    return MonomialExpr.from_dict(n, k, {(u, zero): 1 for u in identity_mat(n)})
+    units = identity_mat(n)
+    return MonomialExpr.from_dict(n, k, {(units[i], zero): 1 for i in indices})
 
 
 def _b_rows_from_cox(cox: CoxeterContext):
@@ -371,8 +374,9 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
     containing it, and its loop plane comes from its two normals (see the
     module docstring).
 
-    A loop is the identity exactly when its path product fixes the single
-    element X = x_1 + ... + x_n, for two reasons.
+    A loop is the identity exactly when its path product fixes x_i + x_j
+    for (i, j) = nonzero_minor(beta1, beta2), the two coordinates of the loop
+    plane, for three reasons.
 
     1. Fixing every x_i fixes every yhat_j.  A crossing multiplies
        x^lambda yhat^phi by f^(<lambda, s beta^vee> + omega(s beta^vee, phi)),
@@ -387,19 +391,35 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
        cluster algebras, JAMS 2018).  The omega entries and the coroots are
        integers, so no crossing exponent is ever non-integral and checking
        the yhat_j as well could not raise NonIntegerExponent either.
-    2. Fixing X fixes every x_i.  wall_cross is linear and keeps each lambda
-       group apart (it multiplies x^lambda yhat^phi by a series in yhat), so
-       the image of X is the sum of the images of the x_i, the image of x_i
-       lies in the lambda = e_i group, and the image of X equals X exactly
-       when the image of each x_i equals x_i.
+    2. Fixing x_i + x_j fixes x_i and x_j.  wall_cross is linear and keeps
+       each lambda group apart (it multiplies x^lambda yhat^phi by a series
+       in yhat), so the image of x_i + x_j is the sum of the images of x_i
+       and x_j, which lie in the lambda = e_i and e_j groups.
+    3. Fixing x_i and x_j fixes every x_l.  The composite is a ring
+       automorphism multiplying each x^lambda by a series R_lambda with
+       constant term 1, so R_(lambda+mu) = R_lambda R_mu.  Every wall of the
+       loop contains the cell, so its normal lies in span(beta1, beta2) and
+       its coroot in the span of the covectors c1, c2 of beta1, beta2 (the
+       normals scaled coordinatewise by d); if lambda pairs to zero with c1
+       and c2, no crossing moves x^lambda and R_lambda = 1.  The (i, j) minor
+       M of c1, c2 is a positive multiple of that of beta1, beta2, so nonzero,
+       and by Cramer's rule M e_l = a e_i + b e_j + kappa with integers a, b
+       and an integer vector kappa pairing to zero with c1 and c2.  So
+       R_(e_l)^M = R_(e_i)^a R_(e_j)^b = 1, and a series with constant term 1
+       whose M-th power is 1 mod m^(k+1) is itself 1: its lowest nonconstant
+       term t would give R^M = 1 + M t + ... .
+
+    One CrossingData is built per wall, so each wall's crossing kernel is
+    prepared once per sign for the whole check (CrossingData.kernel).
     """
     n = diagram.cartan_n
     k = truncation
     walls = [w for w in diagram.walls if sum(w.normal) <= k]
     b_rows = _b_rows_from_cox(cox)
     units = identity_mat(n)
-    xsum = _x_sum(n, k)
     coroot = cox.cartan.primitive_in_coroot_lattice
+    crossing = {id(w): _crossing_data(w, coroot, b_rows) for w in walls}
+    gens: dict = {}  # (i, j) -> x_i + x_j
     faces = _codim2_faces(walls, n)
     table = SignTable([w.cone for w in walls])
     report = {"faces": len(faces), "failures": [], "checked": 0}
@@ -408,9 +428,11 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
         base = _generic_relint_point(face, table, inside)
         i, j = nonzero_minor(beta1, beta2)
         crossings = loop_crossings(containing, base, units[i], units[j], coroot)
-        seq = [(_crossing_data(e.wall, coroot, b_rows), e.sign) for e in crossings]
+        seq = [(crossing[id(e.wall)], e.sign) for e in crossings]
+        if (i, j) not in gens:
+            gens[i, j] = _x_sum(n, k, (i, j))
         report["checked"] += 1
-        if path_product(xsum, seq, k) != xsum:
+        if path_product(gens[i, j], seq, k) != gens[i, j]:
             report["failures"].append(
                 {
                     "face_rays": [list(r) for r in face.rays],
@@ -619,7 +641,7 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
         # the line events before the rays' quadrant move behind the others
         cut = sum(_angle_cmp(e.direction, rays[0][0]) < 0 for e in events)
         events = events[cut:] + events[:cut]
-    xsum = _x_sum(2, k)
+    xsum = _x_sum(2, k, (0, 1))
     y = path_product(xsum, [(_crossing_data(e.wall, coroot, b_rows), e.sign) for e in events], k)
     walls = list(lines)
     units = identity_mat(2)

@@ -25,11 +25,18 @@ omega(beta^vee, phi))); the lambda part and its integrality are settled once
 per lambda group, and the omega part is checked per term only when omega is
 not integral.  A path product hands the table from crossing to crossing, and
 the sorted `terms` tuple is built only when read.
+
+What a crossing needs of its wall alone, at a given sign s and truncation k,
+is its kernel: s beta^vee, the omega row, f truncated at q-degree
+k // ht(beta), and for each degree the index offsets of the q^m that stay
+within the truncation.  CrossingData.kernel prepares it on first use and keeps
+it, so a loop check that builds one CrossingData per wall prepares each
+wall's kernel once per sign, however many loops cross the wall.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -66,10 +73,6 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(normal), k, tuple(cs))
 
     @staticmethod
-    def one(normal, k) -> "TruncatedSeries":
-        return TruncatedSeries.make(normal, k, [1])
-
-    @staticmethod
     def one_plus_q(normal, k) -> "TruncatedSeries":
         return TruncatedSeries.make(normal, k, [1, 1])
 
@@ -79,12 +82,6 @@ class TruncatedSeries:
     def _check(self, other: "TruncatedSeries"):
         if self.normal != other.normal or self.k != other.k:
             raise MixedNormals("series must share normal and truncation")
-
-    def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries.make(
-            self.normal, self.k, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
@@ -97,10 +94,6 @@ class TruncatedSeries:
                 if b != 0:
                     out[i + j] += a * b
         return TruncatedSeries.make(self.normal, self.k, out)
-
-    def int_pow(self, e: int) -> "TruncatedSeries":
-        """f^e by Miller's recurrence; requires constant term 1."""
-        return TruncatedSeries(self.normal, self.k, _series_power(self.coeffs, e))
 
 
 def geometric_inverse_square(normal, k) -> TruncatedSeries:
@@ -167,24 +160,6 @@ class MonomialExpr:
         step = _index(beta, self.k + 1)
         return tuple(row.get(m * step, 0) for m in range(self.k // sum(beta) + 1))
 
-    def add(self, other: "MonomialExpr") -> "MonomialExpr":
-        d = dict(self.terms)
-        for key, c in other.terms:
-            d[key] = d.get(key, 0) + c
-        return MonomialExpr.from_dict(self.n, self.k, d)
-
-    def mul(self, other: "MonomialExpr") -> "MonomialExpr":
-        d: dict = {}
-        for (l1, p1), c1 in self.terms:
-            for (l2, p2), c2 in other.terms:
-                phi = tuple(a + b for a, b in zip(p1, p2))
-                if sum(phi) > self.k:
-                    continue
-                lam = tuple(a + b for a, b in zip(l1, l2))
-                key = (lam, phi)
-                d[key] = d.get(key, 0) + c1 * c2
-        return MonomialExpr.from_dict(self.n, self.k, d)
-
     def __eq__(self, other):
         return (
             isinstance(other, MonomialExpr)
@@ -237,11 +212,41 @@ def _phis(n: int, radix: int) -> _Phis:
 @dataclass(frozen=True)
 class CrossingData:
     """Everything wall_cross needs about one wall: the scattering term, the
-    primitive-normal data, and the exchange matrix pairing."""
+    primitive-normal data, and the exchange matrix pairing.  Its crossing
+    kernel at each (sign, truncation) is prepared on first use and kept."""
 
     f: TruncatedSeries
     coroot: tuple  # crossing normal, alpha^vee coordinates, primitive in Q^vee
     b_rows: tuple  # exchange matrix, for omega(alpha_i^vee, alpha_j) = b_ij
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def kernel(self, sign: int, k: int) -> tuple:
+        """(s beta^vee, omega row, whether it is integral, f truncated at
+        q-degree k // ht(beta), the index offsets of the q^m that stay within
+        degree k from each degree 0..k, phi by index): the parts of
+        wall_cross that depend only on this wall, s = sign and k."""
+        kernel = self._kernels.get((sign, k))
+        if kernel is not None:
+            return kernel
+        assert sign in (1, -1)
+        beta = self.f.normal
+        if min(beta) < 0:
+            raise ValueError(f"wall normal {beta} has a negative coordinate")
+        n = len(beta)
+        ht = sum(beta)
+        qdeg = k // ht
+        fkey = self.f.coeffs[: qdeg + 1]
+        fkey += (0,) * (qdeg + 1 - len(fkey))
+        coroot = tuple(sign * c for c in self.coroot)
+        # omega(s beta^vee, phi) = sum_j omega_j phi_j with omega_j = s sum_i beta^vee_i b_ij
+        omega = tuple(sum(c * row[j] for c, row in zip(coroot, self.b_rows)) for j in range(n))
+        integral = all(isinstance(w, int) for w in omega)
+        step = sum(b * (k + 1) ** (n - 1 - j) for j, b in enumerate(beta))  # index of beta
+        # q^m with m ht > k - deg falls past the truncation
+        shifts = tuple(tuple(m * step for m in range((k - deg) // ht + 1)) for deg in range(k + 1))
+        kernel = coroot, omega, integral, fkey, shifts, _phis(n, k + 1)
+        self._kernels[sign, k] = kernel
+        return kernel
 
 
 @lru_cache(maxsize=4096)
@@ -286,31 +291,15 @@ def wall_cross(expr: MonomialExpr, data: CrossingData, sign: int, k: int) -> Mon
     x^lambda yhat^phi maps to itself times f^(<lambda, s beta^vee> +
     omega(s beta^vee, phi)) with s = +1 against the normal, -1 with it.
     """
-    assert sign in (1, -1)
-    beta = data.f.normal
-    if min(beta) < 0:
-        raise ValueError(f"wall normal {beta} has a negative coordinate")
+    coroot, omega, integral, fkey, shifts, phis = data.kernel(sign, k)
     n = expr.n
-    ht = sum(beta)
-    qdeg = k // ht
-    fkey = data.f.coeffs[: qdeg + 1]
-    fkey += (0,) * (qdeg + 1 - len(fkey))
-    coroot = data.coroot
-    # omega(s beta^vee, phi) = sum_j omega_j phi_j with omega_j = s sum_i beta^vee_i b_ij
-    omega = tuple(
-        sign * sum(c * row[j] for c, row in zip(coroot, data.b_rows)) for j in range(n)
-    )
-    integral = all(isinstance(w, int) for w in omega)
-    step = sum(b * (k + 1) ** (n - 1 - j) for j, b in enumerate(beta))  # index of beta
-    shifts = [m * step for m in range(qdeg + 1)]  # index offsets of q^m
     table = expr._table if expr.k == k else MonomialExpr.from_dict(n, k, expr.as_dict())._table
-    phis = _phis(n, k + 1)
     out = {}
     for lam, row in table.items():
         e_x = sum(map(mul, lam, coroot))
         if _nonint(e_x):
             raise NonIntegerExponent(f"non-integer crossing exponent at lambda = {lam}")
-        e_x = sign * int(e_x)
+        e_x = int(e_x)
         new: dict = {}
         for idx, c in row.items():
             deg, phi = phis[idx]
@@ -319,8 +308,7 @@ def wall_cross(expr: MonomialExpr, data: CrossingData, sign: int, k: int) -> Mon
                 if _nonint(e_y):
                     raise NonIntegerExponent(f"non-integer crossing exponent at {(lam, phi)}")
                 e_y = int(e_y)
-            # q^m with m ht > k - deg falls past the truncation
-            for a, shift in zip(_series_power(fkey, e_x + e_y), shifts[: (k - deg) // ht + 1]):
+            for a, shift in zip(_series_power(fkey, e_x + e_y), shifts[deg]):
                 if a:
                     i = idx + shift
                     new[i] = new.get(i, 0) + c * a

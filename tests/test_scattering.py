@@ -51,6 +51,7 @@ from affscat.scattering import (
 from affscat.series import MonomialExpr, TruncatedSeries, path_product
 from test_cones import FAN_INSTANCES, _ReferenceSignTable
 from test_orientation_sweep import ORIENTATIONS, _id, _instance
+from test_series import one
 
 B_A11 = ExchangeMatrix.from_rows([[0, 2], [-2, 0]])
 B_A2T = ExchangeMatrix.from_rows([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
@@ -529,7 +530,7 @@ def _rank2_complete_reference(bmat: ExchangeMatrix, truncation: int) -> ScatDiag
         active = [w for w in walls.values() if sum(w.normal) <= degree]
         seq = loop_seq(active)
         defects: dict = {}
-        for (lam, phi), coeff in path_product(_x_sum(2, degree), seq, degree).terms:
+        for (lam, phi), coeff in path_product(_x_sum(2, degree, (0, 1)), seq, degree).terms:
             if sum(phi) == degree:
                 assert lam in units, "defect must stay on an x-monomial"
                 defects.setdefault(phi, {})[units.index(lam)] = coeff
@@ -564,7 +565,7 @@ def _rank2_complete_reference(bmat: ExchangeMatrix, truncation: int) -> ScatDiag
                     normal=beta,
                     cone=cone,
                     ineq_roots=ineq_roots,
-                    f=TruncatedSeries.one(beta, qdeg),
+                    f=one(beta, qdeg),
                     origin=ORIGIN_RANK2,
                 )
             wall = walls[key]
@@ -574,7 +575,7 @@ def _rank2_complete_reference(bmat: ExchangeMatrix, truncation: int) -> ScatDiag
             walls[key] = replace(wall, f=TruncatedSeries.make(beta, wall.f.k, coeffs))
     # final verification
     seq = loop_seq(list(walls.values()))
-    xsum = _x_sum(2, k)
+    xsum = _x_sum(2, k, (0, 1))
     assert path_product(xsum, seq, k) == xsum, "completion failed to close"
     kept = [w for w in walls.values() if w.origin == ORIGIN_INITIAL or not w.f.is_one()]
     out = ScatDiagram(
@@ -632,7 +633,7 @@ def test_rank2_completion_closes_independently(name):
     def closes(walls, k):
         events = loop_crossings(walls, (0, 0), (1, 0), (0, 1), coroot)
         seq = [(_crossing_data(e.wall, coroot, bmat.b), e.sign) for e in events]
-        return path_product(_x_sum(2, k), seq, k) == _x_sum(2, k)
+        return path_product(_x_sum(2, k, (0, 1)), seq, k) == _x_sum(2, k, (0, 1))
 
     dropped = 0
     for k in (1, 2, 3, 5, 8, 12):
@@ -770,6 +771,37 @@ def _check_consistency_reference(diagram, truncation, cox):
     return report
 
 
+def _check_consistency_xsum_reference(diagram, truncation, cox):
+    """check_consistency with each loop applied to x_1 + ... + x_n, and one
+    CrossingData per crossing."""
+    n = diagram.cartan_n
+    k = truncation
+    walls = [w for w in diagram.walls if sum(w.normal) <= k]
+    b_rows = _b_rows_from_cox(cox)
+    units = identity_mat(n)
+    xsum = _x_sum(n, k, range(n))
+    coroot = cox.cartan.primitive_in_coroot_lattice
+    faces = _codim2_faces(walls, n)
+    table = SignTable([w.cone for w in walls])
+    report = {"faces": len(faces), "failures": [], "checked": 0}
+    for face, beta1, beta2, inside in faces:
+        containing = [walls[i] for i in inside]
+        base = _generic_relint_point(face, table, inside)
+        i, j = nonzero_minor(beta1, beta2)
+        crossings = loop_crossings(containing, base, units[i], units[j], coroot)
+        seq = [(_crossing_data(e.wall, coroot, b_rows), e.sign) for e in crossings]
+        report["checked"] += 1
+        if path_product(xsum, seq, k) != xsum:
+            report["failures"].append(
+                {
+                    "face_rays": [list(r) for r in face.rays],
+                    "walls": [list(w.normal) for w in containing],
+                }
+            )
+    report["consistent"] = not report["failures"]
+    return report
+
+
 def _perturbed(diagram, index, delta):
     """The diagram with coefficient 1 of wall `index`'s scattering term
     moved by delta."""
@@ -819,6 +851,19 @@ def test_consistency_matches_reference_on_perturbed_walls(rows, cap):
         assert got == _check_consistency_reference(diagram, cap, cox), w.normal
         verdicts.append(got["consistent"])
     assert len(verdicts) >= 5 and verdicts.count(False) > len(verdicts) // 2
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS, ids=_id)
+def test_two_monomial_loops_match_the_x_sum_oracle(orientation):
+    # Per-face verdicts on x_i + x_j equal those on x_1 + ... + x_n: on the
+    # diagram, without d_inf, and with one wall's q coefficient moved by 1.
+    _, cox, cap, diagram = _instance(orientation[2])
+    index = next(i for i, w in enumerate(diagram.walls) if w.origin != ORIGIN_INITIAL)
+    variants = (diagram, diagram.drop_imaginary(), _perturbed(diagram, index, 1))
+    for variant, consistent in zip(variants, (True, False, False)):
+        got = check_consistency(variant, cap, cox)
+        assert got == _check_consistency_xsum_reference(variant, cap, cox)
+        assert got["consistent"] == consistent
 
 
 @pytest.mark.parametrize("rows", [B_A11.b, LOOP_ROWS["A2_1"]], ids=["A1_1", "A2_1"])
