@@ -12,17 +12,15 @@ lazily, into a table that also records the first step at which the orbit is
 a negative simple.  A pair is answered at the smaller of its two roots'
 first steps, which is exactly where the joint walk would stop.
 
-An orbit that never reaches a negative simple is not walked to the step
-cap: its walk stops for good at the first entry y_t with an earlier
-nonnegative entry y_s and y_t - y_s = k delta, k >= 0.  Until a walk hits,
-each tau step is a product of plain reflections (sigma_s differs from s only
-on negative simples, and a step that makes alpha_s negative ends on
--alpha_s, a hit).  Reflections fix delta, so from step s on the orbit
-repeats its block y_s, ..., y_{t-1} shifted by k delta, every entry a
-positive root plus a nonnegative multiple of delta, and never hits (see
-APContext._orbit).  When a pair needs an entry past such a stop, the stored
-orbit is stepped on to it.  The base cases read coroots, which the Cartan
-matrix computes once per root, in integers.
+The defect (CoxeterContext.defect), a positive multiple of omega_c(beta,
+delta), tells in advance which orbit can hit: a positive real root reaches a
+negative simple under tau_c only if its defect is negative, under
+tau_c^{-1} only if it is positive, and a root of defect 0 (a tube root, or
+delta) never does (see APContext._orbit).  So each root is walked in one
+direction only, to its hit or the step cap, and an orbit that cannot hit is
+not walked at all: when a pair needs one of its entries, the stored prefix
+is stepped on to it.  The base cases read coroots, which the Cartan matrix
+computes once per root, in integers.
 
 Compatibility is symmetric: a degree is zero exactly when its transpose is
 (Reading-Stella, An affine almost positive roots model).  So the
@@ -53,7 +51,6 @@ class TubeStructure:
     xi: tuple  # minimal positive generators of the tube roots, grouped meaning lost
     cycles: tuple  # xi indices grouped into Dynkin cycles of the tube system
     apt_real: tuple  # finite set of real tube roots (c-orbits of Phi^T_fin positives)
-    c_action: dict  # xi index -> xi index under c
 
 
 class APContext:
@@ -68,8 +65,7 @@ class APContext:
         self.delta = cox.type_info.delta
         self._compat_cache: dict = {}
         # per direction (tau, tau^{-1}): root -> (orbit walked so far, the
-        # step of its first negative simple, which ends it, or None, and
-        # whether the walk stopped for good at a repeat modulo delta)
+        # step of its first negative simple, which ends it, or None)
         self._orbits: tuple = ({}, {})
         self._graphs: dict = {}  # height cap -> compatibility_graph(height cap)
 
@@ -87,7 +83,7 @@ class APContext:
         # Minimal positive generators: extreme rays of the cone on the tube
         # roots (delta is interior whenever any real tube roots exist).
         if not tube_roots:
-            return TubeStructure(xi=(), cycles=(), apt_real=(), c_action={})
+            return TubeStructure(xi=(), cycles=(), apt_real=())
         gens = Cone.from_rays(n, tube_roots + [delta]).rays
         xi = tuple(sorted(g for g in gens if tuple(g) != tuple(delta)))
         for g in xi:
@@ -102,15 +98,9 @@ class APContext:
         for r in apt:
             assert all(c >= 0 for c in r), "tube orbits must stay positive"
             assert cox.in_h_c(r)
-        cycles = self._xi_cycles(xi)
-        c_action = {}
-        for idx, g in enumerate(xi):
-            img = cartan.act_word_on_root(cox.order, g)
-            assert img in xi, "c must permute the tube generators"
-            c_action[idx] = xi.index(img)
-        return TubeStructure(
-            xi=xi, cycles=cycles, apt_real=tuple(sorted(apt)), c_action=c_action
-        )
+        for g in xi:
+            assert cartan.act_word_on_root(cox.order, g) in xi, "c must permute the tube generators"
+        return TubeStructure(xi=xi, cycles=self._xi_cycles(xi), apt_real=tuple(sorted(apt)))
 
     def _c_orbit(self, root):
         seen = [root]
@@ -258,64 +248,70 @@ class APContext:
     def _orbit(self, root, direction, limit):
         """(orbit, t): root's tau-orbit (direction 0) or tau^{-1}-orbit
         (direction 1) and the first step t < limit at which it is a negative
-        simple, else t = None.  Each orbit is walked once, lazily: it ends at
-        its first negative simple, at step limit - 1, or, for good, at its
-        first repeat modulo delta, whichever comes first.  A stored entry is
-        never changed, only replaced by a longer one, so a concurrent reader
-        always sees a true prefix of the orbit.
+        simple, else t = None.  A negative simple hits at step 0.  Any other
+        root is walked only in the direction its defect picks, tau when it is
+        negative and tau^{-1} when it is positive, once, lazily: the walk
+        ends at its first negative simple or at step limit - 1.  In the other
+        direction, and for a defect of 0, the orbit has no hit and is stored
+        as its first entry.  A stored entry is never changed, only replaced
+        by a longer one, so a concurrent reader always sees a true prefix of
+        the orbit.
 
-        The walk at y_t stops for good when an earlier nonnegative entry y_s
-        has y_t - y_s = k delta with k >= 0.  This is exact.  Until the walk
-        hits, every entry is a positive root: within one tau step each letter
+        Why only that direction can hit.  Let c = s_1 ... s_n in the order of
+        c.  Until a walk hits, every entry is a positive root and each tau
+        step is c (each tau^{-1} step c^{-1}): within one step each letter
         acts once, and sigma_s is the plain reflection s on a positive root,
         whose image is negative only when the root is alpha_s; that gives
-        -alpha_s, which the later letters keep, so the step ends on a hit.  So
-        the steps from s to t are pure reflections, which fix delta, and
-        y_{t+j} = y_{s+j} + k delta.  Each such entry is a positive root plus
-        a nonnegative multiple of delta, so never a negative simple, and by
-        induction over blocks of t - s steps the orbit never hits.  The test
-        keeps the integer key delta_0 y - y_0 delta of each nonnegative entry
-        (delta_0 > 0): y_t - y_s is a multiple of delta exactly when the keys
-        agree, and k >= 0 exactly when y_t[0] >= y_s[0].  A repeat with k < 0
-        does not stop the walk: that orbit still descends towards its hit."""
+        -alpha_s, which the later letters keep, so the step ends on a hit.
+        The defect is c-invariant, so it is the same at every entry before
+        the hit.  A tau-walk that hits -alpha_p at step t >= 1 is at
+        tau^{-1}(-alpha_p) = s_n ... s_{p+1} alpha_p = -c^{-1} beta_p one step
+        before, with beta_p = s_1 ... s_{p-1} alpha_p; a tau^{-1}-walk is at
+        tau(-alpha_p) = beta_p.  The beta_p are the columns of U^{-1} (see
+        CoxeterContext.defect), so E_c(beta_p, alpha_q) = d_p [p = q] (checked
+        in tests/test_coxeter.py) and omega_c(beta_p, delta) =
+        2 E_c(beta_p, delta) = 2 d_p delta_p > 0.  So beta_p has a positive
+        defect and -c^{-1} beta_p a negative one: a tau-walk hits only from a
+        negative defect, a tau^{-1}-walk only from a positive one, and a root
+        of defect 0 never hits.  Conversely,
+        c acts on V / R delta through the finite Weyl group, so some power
+        c^m is v -> v + f(v) delta with f linear and c-invariant, hence a
+        multiple of the defect (the fixed space of c is R delta).  c^m
+        gamma_c = gamma_c + m delta and the defect of gamma_c is a positive
+        multiple of K(gamma_c, gamma_c) > 0, so f is a positive multiple of
+        the defect: in the direction the defect picks, every m steps take a
+        positive multiple of delta off the entry, and the walk must leave the
+        positive roots, which only a hit does."""
         orbits = self._orbits[direction]
-        orbit, hit, stopped = orbits.get(root, ((), None, False))
-        if hit is None and not stopped and len(orbit) < limit:
-            step = self.tau_inverse if direction else self.tau
-            delta, d0 = self.delta, self.delta[0]
-            lowest: dict = {}  # key -> least y_0 of the entries with that key
-            walk = list(orbit)  # its entries are replayed to rebuild the keys
-            t = 0
-            while hit is None and not stopped and t < limit:
-                if t == len(walk):
-                    walk.append(step(walk[-1]) if walk else root)
-                y = walk[t]
-                if self._negative_simple_index(y) is not None:
-                    hit = t
-                elif min(y) >= 0:
-                    key = tuple(d0 * c - y[0] * e for c, e in zip(y, delta))
-                    low = lowest.get(key)
-                    if low is not None and y[0] >= low:
-                        stopped = True
-                    else:
-                        lowest[key] = y[0]
-                t += 1
-            orbit = tuple(walk)
-            orbits[root] = (orbit, hit, stopped)
+        if root not in orbits:
+            orbits[root] = ((root,), 0 if self._negative_simple_index(root) is not None else None)
+        orbit, hit = orbits[root]
+        if hit is None and len(orbit) < limit:
+            defect = self.cox.defect(root)
+            if defect > 0 if direction else defect < 0:
+                step = self.tau_inverse if direction else self.tau
+                walk = list(orbit)
+                while hit is None and len(walk) < limit:
+                    walk.append(step(walk[-1]))
+                    if self._negative_simple_index(walk[-1]) is not None:
+                        hit = len(walk) - 1
+                orbit = tuple(walk)
+                orbits[root] = (orbit, hit)
         return orbit, hit if hit is not None and hit < limit else None
 
     def _entry(self, root, direction, t):
-        """Step t of root's stored orbit, stepping a walk that stopped at a
-        repeat modulo delta on to step t (it has no hit to find there)."""
+        """Step t of root's stored orbit, stepping the stored prefix on to step
+        t.  _compat reads past a stored prefix only on an orbit that the
+        defect leaves unwalked, which has no hit to find."""
         orbits = self._orbits[direction]
-        orbit, hit, stopped = orbits[root]
+        orbit, hit = orbits[root]
         if t >= len(orbit):
             step = self.tau_inverse if direction else self.tau
             walk = list(orbit)
             while len(walk) <= t:
                 walk.append(step(walk[-1]))
             orbit = tuple(walk)
-            orbits[root] = (orbit, hit, stopped)
+            orbits[root] = (orbit, hit)
         return orbit[t]
 
     def _compat(self, a, b, cap):

@@ -1,5 +1,13 @@
 """Coxeter element data: the forms omega_c and E_c, the piecewise-linear map
-nu_c, and the affine vectors gamma_c and x_c.
+nu_c, the affine vector x_c and the defect.
+
+The defect of v is <h, v> for one primitive integer covector h, a positive
+multiple of omega_c(v, delta) and of K(gamma_c, v), where c gamma_c -
+gamma_c = delta (see CoxeterContext.defect).  Its kernel is the hyperplane
+H_c of the tube roots, and its sign splits the other real roots: the sides
+of the imaginary wall, and the direction, tau_c or tau_c^{-1}, in which a
+root's orbit reaches a negative simple (APContext._orbit).  gamma_c itself
+is never computed.
 
 A Coxeter element is carried as an index order (a linear extension of the
 sign digraph of B), so that "initial" and "final" letters are decided by
@@ -9,11 +17,10 @@ commutation rather than by one fixed word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .cartan import CartanMatrix, NotAffine, TypeInfo, classify
-from .linalg import Vec, integral_multiple, solve_linear, vdot, vsub
+from .linalg import Vec, vdot
 
 
 @dataclass(frozen=True)
@@ -131,52 +138,45 @@ class CoxeterContext:
         return classify(self.cartan)
 
     @cached_property
-    def coxeter_matrix(self) -> tuple:
-        """Matrix of c acting on V (alpha coordinates)."""
-        cols = [
-            self.cartan.act_word_on_root(self.order, self.cartan.simple_root(j))
-            for j in range(self.n)
-        ]
-        return tuple(zip(*cols))
-
-    @cached_property
     def affine(self) -> "AffineVectors":
         info = self.type_info
         if info.kind != "affine":
             raise NotAffine("affine vectors require an affine Cartan matrix")
-        n = self.n
-        aff = info.aff_index
-        c_mat = self.coxeter_matrix
-        # Solve (c - 1) gamma = delta with gamma supported off the affine index.
-        cols = [j for j in range(n) if j != aff]
-        rows = [[c_mat[i][j] - (1 if i == j else 0) for j in cols] for i in range(n)]
-        sol = solve_linear(rows, list(info.delta))
-        assert sol is not None, "affine gamma_c system must be solvable"
-        gamma = [Fraction(0)] * n
-        for j, val in zip(cols, sol):
-            gamma[j] = val
-        gamma_c = tuple(gamma)
-        c_gamma = tuple(
-            sum(c_mat[i][j] * gamma_c[j] for j in range(n)) for i in range(n)
-        )
-        assert vsub(c_gamma, gamma_c) == tuple(map(Fraction, info.delta))
-        x_c = tuple(-v for v in self.omega_covector(info.delta))
+        omega_delta = self.omega_covector(info.delta)
+        x_c = tuple(-v for v in omega_delta)
         assert self.cartan.pairing(x_c, info.delta) == 0
-        h_functional = integral_multiple(
-            tuple(self.cartan.k_form(gamma_c, self.cartan.simple_root(j)) for j in range(n))
-        )
-        return AffineVectors(gamma_c=gamma_c, x_c=x_c, h_functional=h_functional)
+        h = self.cartan.primitive_in_coroot_lattice(omega_delta)
+        return AffineVectors(x_c=x_c, h=h)
+
+    def defect(self, v: Vec) -> int:
+        """<h, v>: a positive multiple of omega_c(v, delta) = 2 K(gamma_c, v).
+
+        cov(u) is a positive multiple of (u_i d_i), so <h, v> is one of
+        sum_i v_i d_i omega_c(alpha_i^vee, delta) = omega_c(v, delta).
+
+        The identity: K(delta, .) = 0, so E_c(v, delta) = -E_c(delta, v) and
+        omega_c(v, delta) = E_c(v, delta) - E_c(delta, v) = -2 E_c(delta, v).
+        Write E_c(u, w) = u^T D L w, where L is the lower unitriangular part
+        of the Cartan matrix in the order of c (e_entry) and U the upper one,
+        so that U^T D = D L.  Then c = -U^{-1} L, and E_c(c u, w) =
+        -u^T L^T U^{-T} D L w = -u^T L^T D w = -E_c(w, u) (checked against
+        e_entry in tests/test_coxeter.py).  With delta = c gamma_c -
+        gamma_c, E_c(delta, v) = -E_c(v, gamma_c) - E_c(gamma_c, v) =
+        -K(gamma_c, v).  So the kernel of h is H_c, and no gamma_c is solved
+        for.  The defect is c-invariant: K(gamma_c, c v) = K(c^{-1} gamma_c,
+        v) = K(gamma_c - delta, v) = K(gamma_c, v).
+        """
+        return vdot(self.affine.h, v)
 
     def in_h_c(self, v: Vec) -> bool:
-        """Whether K(gamma_c, v) = 0."""
-        return vdot(self.affine.h_functional, v) == 0
+        """Whether K(gamma_c, v) = 0, i.e. the defect of v is 0."""
+        return self.defect(v) == 0
 
 
 @dataclass(frozen=True)
 class AffineVectors:
-    gamma_c: Vec  # in V, zero coordinate at the affine index, c gamma = delta + gamma
     x_c: Vec  # -omega_c(. , delta) in rho coordinates
-    h_functional: Vec  # integers, a positive multiple of (K(gamma_c, alpha_j))_j; kernel is H_c
+    h: Vec  # primitive integers, a positive multiple of omega_c(., delta); kernel is H_c
 
 
 def coxeter_context(bmat) -> CoxeterContext:

@@ -27,10 +27,6 @@ Vec = tuple  # tuple of int | Fraction
 Mat = tuple  # tuple of row tuples
 
 
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vdot(u: Vec, v: Vec):
     """Plain coordinatewise dot product (no bilinear form)."""
     if len(u) != len(v):

@@ -188,9 +188,11 @@ def fans_compare(
             continue
         report["skeleton_faces"] += 1
         # Cone.simplicial stores dim - len(rays) equalities, so a codimension-1
-        # fan cone has exactly one: the covector that cuts out its span.
+        # fan cone has exactly one: the covector that cuts out its span.  Its
+        # normal has coordinates eq_i / d_i, and each d_i^{-1} is a positive
+        # integer (ExchangeMatrix.symmetrizer), the denominator of d_i.
         (eq,) = cone.eqs
-        beta = primitive_vector(tuple(Fraction(eq[i]) / cox.cartan.d[i] for i in range(n)))
+        beta = primitive_vector(tuple(e * d.denominator for e, d in zip(eq, cox.cartan.d)))
         if any(c < 0 for c in beta):
             beta = tuple(-c for c in beta)
         if beta not in wall_by_normal:

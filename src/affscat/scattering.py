@@ -150,14 +150,11 @@ class _Builder:
             for r in self.cartan.real_roots_up_to_height(self._finite_height_bound())
             if r[aff] == 0
         ]
-        # omega_c(r, delta) = sum_i r_i d_i omega_c(alpha_i^vee, delta), and
-        # cov(r) is a positive multiple of (r_i d_i): the sign is read in ints,
-        # as in ShardContext.shard_from_root.
+        # The defect of r is a positive multiple of omega_c(r, delta).
         cov = self.cartan.primitive_in_coroot_lattice
-        omega_delta = self.cox.omega_covector(delta)
         ineq_roots = []
         for r in fin_pos:
-            val = vdot(cov(r), omega_delta)
+            val = self.cox.defect(r)
             if val > 0:
                 ineq_roots.append(r)
             elif val < 0:

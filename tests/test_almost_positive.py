@@ -4,7 +4,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
-from test_orientation_sweep import ORIENTATIONS, _id
+from test_orientation_sweep import ORIENTATIONS, RANK5, _id
 
 import affscat.almost_positive as almost_positive
 from affscat.almost_positive import APContext
@@ -38,6 +38,12 @@ def in_ap(ap, root) -> bool:
     return root in ap.tube.apt_real
 
 
+def c_action(ap):
+    """xi index -> xi index under c: c permutes the tube generators."""
+    xi = ap.tube.xi
+    return {i: xi.index(ap.cartan.act_word_on_root(ap.cox.order, g)) for i, g in enumerate(xi)}
+
+
 def fan_cone(ap, members):
     """nu_c image of the cone spanned by a compatible set, whose images
     are linearly independent."""
@@ -57,8 +63,9 @@ def test_tube_a2_tilde():
     # the two generators sum to delta and c swaps them
     s = tuple(a + b for a, b in zip(*tube.xi))
     assert s == AP_A2T.delta
-    assert sorted(tube.c_action.values()) == [0, 1]
-    assert tube.c_action[0] != 0
+    c_xi = c_action(AP_A2T)
+    assert sorted(c_xi.values()) == [0, 1]
+    assert c_xi[0] != 0
     # APT^re is the c-orbit of the finite tube roots: here exactly xi
     assert set(tube.apt_real) == set(tube.xi)
     for r in tube.apt_real:
@@ -257,10 +264,11 @@ def test_nested_or_spaced_iff_compatible():
 def test_compute_in_tubes():
     # E_c(alpha^vee, beta) = |supp(a) & supp(b)| - #{i in supp(a): c xi_i in supp(b)}
     ap = AP_A2T
+    c_xi = c_action(ap)
     for a in ap.tube.apt_real:
         for b in ap.tube.apt_real:
             sa, sb = ap.supp_xi(a), ap.supp_xi(b)
-            shift = sum(1 for i in sa if ap.tube.c_action[i] in sb)
+            shift = sum(1 for i in sa if c_xi[i] in sb)
             # coroot gives alpha^vee coordinates; alpha_i^vee = d_i^{-1} alpha_i
             avee = tuple(Fraction(c) / d for c, d in zip(ap.cartan.coroot(a), ap.cartan.d))
             assert ap.cox.e_form(avee, b) == len(sa & sb) - shift
@@ -504,39 +512,74 @@ def test_clusters_and_fan_cones_share_one_graph_per_height(monkeypatch):
         found.clear()
 
 
-def test_hit_free_orbits_stop_at_their_first_repeat_modulo_delta():
-    # Every orbit that never reaches a negative simple stops within a few
-    # steps instead of at the default step cap 4n(h + 4), 108 to 200 here.
+def _stored_orbits(ap):
+    """Every orbit in ap's orbit table, in both directions."""
+    return [orbit for table in ap._orbits for orbit, _ in table.values()]
+
+
+def test_hit_free_orbits_are_not_walked_to_the_step_cap():
+    # Every orbit that never reaches a negative simple stays within a few
+    # steps instead of being walked to the default step cap 4n(h + 4), 108
+    # to 200 here.
     for rows, H in FAN_INSTANCES:
         ap = make(rows)
         roots = ap.ap_roots(H)
         for a in roots:
             for b in roots:
                 ap.compatibility_degree(a, b)
-        assert sum(len(orbit) for table in ap._orbits for orbit, _, _ in table.values()) <= 100
+        assert sum(map(len, _stored_orbits(ap))) <= 100
 
 
-def _stop_on_any_repeat(rows):
-    """A copy of APContext whose orbit walks also stop at a repeat modulo
-    delta with k < 0, where the orbit still descends towards its hit."""
+def _hits(ap, root, step, step_cap):
+    """Whether root's orbit under step is a negative simple at some step
+    t < step_cap, walked one step at a time as _tau_walk_degree does."""
+    for _ in range(step_cap):
+        if ap._negative_simple_index(root) is not None:
+            return True
+        root = step(root)
+    return False
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS + RANK5, ids=_id)
+def test_only_the_direction_the_defect_picks_hits(orientation):
+    # Each non-tube positive real root of AP_c reaches a negative simple
+    # within the default step cap under tau when its defect is negative and
+    # under tau^{-1} when it is positive, never both; tube roots and delta
+    # reach none in either direction.
+    rows = [list(r) for r in orientation[2]]
+    ref = _walk_reference(rows)
+    for r in ref.ap_positive_real(max(4, sum(ref.delta))) + [ref.delta]:
+        cap = 4 * ref.n * (sum(r) + 4)
+        hits = tuple(_hits(ref, r, step, cap) for step in (ref.tau, ref.tau_inverse))
+        defect = ref.cox.defect(r)
+        if r == ref.delta or ref.is_tube_real(r):
+            assert defect == 0 and hits == (False, False), r
+        else:
+            assert hits == (defect < 0, defect > 0), r
+
+
+def _walk_against_the_defect(rows):
+    """A copy of APContext whose orbit walks go in the direction opposite to
+    the one the defect picks."""
     source = textwrap.dedent(inspect.getsource(APContext._orbit))
-    rule = "if low is not None and y[0] >= low:"
+    rule = "if defect > 0 if direction else defect < 0:"
     assert source.count(rule) == 1
     namespace = {}
-    exec(source.replace(rule, "if low is not None:"), vars(almost_positive), namespace)
-    broken = type("StopOnAnyRepeat", (APContext,), {"_orbit": namespace["_orbit"]})
+    flipped = source.replace(rule, "if defect < 0 if direction else defect > 0:")
+    exec(flipped, vars(almost_positive), namespace)
+    broken = type("AgainstTheDefect", (APContext,), {"_orbit": namespace["_orbit"]})
     return broken(coxeter_context(ExchangeMatrix.from_rows(rows)))
 
 
 def test_orbit_oracle_sees_a_walk_that_stops_while_descending():
     # On A_1^(1), tau^{-1} climbs from -alpha_0 through (1,2), (3,4), ... by
-    # 2 delta a step, so tau walks (21,22) down to -alpha_0 in 11 steps.
-    # Paired with delta, which never hits, that descent decides the degree;
-    # a walk that stops at its first repeat modulo delta, here after one
-    # step with k = -2, finds no hit.
+    # 2 delta a step, so tau walks (21,22) down to -alpha_0 in 11 steps; its
+    # defect is negative.  Paired with delta, which never hits, that descent
+    # decides the degree; a walk in the direction opposite to the defect's
+    # leaves the descent unwalked and finds no hit.
     rows = [[0, 2], [-2, 0]]
-    ap, ref, broken = make(rows), _walk_reference(rows), _stop_on_any_repeat(rows)
-    assert ap.tau((21, 22)) == (19, 20)
+    ap, ref, broken = make(rows), _walk_reference(rows), _walk_against_the_defect(rows)
+    assert ap.tau((21, 22)) == (19, 20) and ap.cox.defect((21, 22)) < 0
     roots = ap.ap_roots(4) + [(21, 22), (22, 21)]
     wrong = []
     for a in roots:
@@ -545,5 +588,5 @@ def test_orbit_oracle_sees_a_walk_that_stops_while_descending():
             assert _outcome(lambda: ap.compatibility_degree(a, b)) == expect, (a, b)
             if _outcome(lambda: broken.compatibility_degree(a, b)) != expect:
                 wrong.append((a, b))
+    assert _walk_outcome(ref, (21, 22), ap.delta) != "cap exceeded"
     assert ((21, 22), ap.delta) in wrong
-

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
+from test_orientation_sweep import acyclic_orientations
+
 from affscat.cartan import ExchangeMatrix
 from affscat.coxeter import coxeter_context
+from affscat.linalg import solve_linear
 
 CTX_A11 = coxeter_context(ExchangeMatrix.from_rows([[0, 2], [-2, 0]]))
 CTX_A22 = coxeter_context(ExchangeMatrix.from_rows([[0, 1], [-4, 0]]))
@@ -15,6 +18,35 @@ def coroot(ctx, i):
     return tuple(
         Fraction(1, 1) / ctx.cartan.d[i] if j == i else Fraction(0) for j in range(ctx.n)
     )
+
+
+def gamma_c(ctx):
+    """The Fraction solution of (c - 1) gamma = delta with a zero coordinate at
+    the affine index: the reference for CoxeterContext.defect."""
+    info = ctx.type_info
+    n = ctx.n
+    aff = info.aff_index
+    c_mat = tuple(
+        zip(*(ctx.cartan.act_word_on_root(ctx.order, ctx.cartan.simple_root(j)) for j in range(n)))
+    )
+    # Solve (c - 1) gamma = delta with gamma supported off the affine index.
+    cols = [j for j in range(n) if j != aff]
+    rows = [[c_mat[i][j] - (1 if i == j else 0) for j in cols] for i in range(n)]
+    sol = solve_linear(rows, list(info.delta))
+    assert sol is not None, "affine gamma_c system must be solvable"
+    gamma = [Fraction(0)] * n
+    for j, val in zip(cols, sol):
+        gamma[j] = val
+    return tuple(gamma)
+
+
+# Every acyclic orientation of every affine diagram of rank 2 to 6.
+ORIENTATIONS_TO_RANK6 = [o for n in range(2, 7) for o in acyclic_orientations(n)]
+
+
+def _contexts_to_rank6():
+    for _, _, rows in ORIENTATIONS_TO_RANK6:
+        yield coxeter_context(ExchangeMatrix.from_rows([list(r) for r in rows]))
 
 
 def test_omega_matches_b():
@@ -81,21 +113,54 @@ def test_affine_vectors_a11():
     # With the smallest-index affine-node convention (aff = 0), gamma_c lives
     # on alpha_2; it differs from the alpha_1-supported representative by a
     # multiple of delta, so H_c is the same either way.
-    assert aff.gamma_c == (0, Fraction(-1, 2))
+    assert gamma_c(CTX_A11) == (0, Fraction(-1, 2))
     assert aff.x_c == (-2, 2)
+    assert aff.h == (1, -1)
     assert CTX_A11.in_h_c(CTX_A11.type_info.delta)
     assert not CTX_A11.in_h_c((1, 0))
 
 
 def test_gamma_c_defining_property():
     for ctx in ALL:
-        aff = ctx.affine
+        gamma = gamma_c(ctx)
         delta = ctx.type_info.delta
-        c_gamma = ctx.cartan.act_word_on_root(ctx.order, aff.gamma_c)
-        assert tuple(c_gamma[i] - aff.gamma_c[i] for i in range(ctx.n)) == tuple(
+        c_gamma = ctx.cartan.act_word_on_root(ctx.order, gamma)
+        assert tuple(c_gamma[i] - gamma[i] for i in range(ctx.n)) == tuple(
             map(Fraction, delta)
         )
-        assert aff.gamma_c[ctx.type_info.aff_index] == 0
+        assert gamma[ctx.type_info.aff_index] == 0
+
+
+def test_defect_is_a_positive_multiple_of_k_gamma_c():
+    # K(gamma_c, .) = t h with t > 0, h the primitive integer covector of the
+    # defect: the identity omega_c(., delta) = 2 K(gamma_c, .).
+    assert len(ORIENTATIONS_TO_RANK6) == 496
+    for ctx in _contexts_to_rank6():
+        h = ctx.affine.h
+        assert all(type(x) is int for x in h) and any(h)
+        gamma = gamma_c(ctx)
+        k = [ctx.cartan.k_form(gamma, ctx.cartan.simple_root(j)) for j in range(ctx.n)]
+        t = next(Fraction(x) / y for x, y in zip(k, h) if y)
+        assert t > 0 and tuple(k) == tuple(t * y for y in h), ctx.order
+        assert ctx.defect(gamma) > 0  # a positive multiple of K(gamma_c, gamma_c)
+
+
+def test_e_form_conventions_of_the_defect():
+    # E_c(c u, v) = -E_c(v, u), and beta_p = s_1 ... s_{p-1} alpha_p has
+    # E_c(beta_p, alpha_q) = d_p [p = q] and a positive defect: the two facts
+    # CoxeterContext.defect and APContext._orbit rest on.
+    rng = random.Random(13)
+    for ctx in _contexts_to_rank6():
+        cartan = ctx.cartan
+        for _ in range(3):
+            u = tuple(rng.randint(-3, 3) for _ in range(ctx.n))
+            v = tuple(rng.randint(-3, 3) for _ in range(ctx.n))
+            assert ctx.e_form(cartan.act_word_on_root(ctx.order, u), v) == -ctx.e_form(v, u)
+        for p, i in enumerate(ctx.order):
+            beta = cartan.act_word_on_root(ctx.order[:p], cartan.simple_root(i))
+            for j in range(ctx.n):
+                assert ctx.e_form(beta, cartan.simple_root(j)) == (cartan.d[i] if j == i else 0)
+            assert ctx.defect(beta) > 0
 
 
 def test_omega_invariance_under_conjugation():

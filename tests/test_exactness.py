@@ -1,7 +1,7 @@
 """The core computes exactly: no module of affscat but svg.py (which draws
 with floats) holds a float literal or calls float().  The integer layers
-name no Fraction at all: the Weyl, sortable, shard, almost-positive and
-cone modules, and the bodies of linalg.echelon, of the double description,
+name no Fraction at all: the Weyl, sortable, shard, almost-positive,
+cone and Coxeter modules, and the bodies of linalg.echelon, of the double description,
 its cutting step and the generator canonicalization in cones, of the cell
 split, the relative-interior point search and the segment test scat_cone_eq
 in scattering, and of the separating-hyperplane count in mutation.  The canonicalization and the
@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from test_almost_positive import FAN_INSTANCES, make
+from test_coxeter import gamma_c
 from test_orientation_sweep import ORIENTATIONS
 
 import affscat
@@ -49,7 +50,14 @@ def test_no_floating_point_in_the_core():
 
 
 # Modules, and (module, function) bodies, that compute in integers alone.
-INTEGER_MODULES = ("weyl.py", "sortable.py", "shards.py", "almost_positive.py", "cones.py")
+INTEGER_MODULES = (
+    "weyl.py",
+    "sortable.py",
+    "shards.py",
+    "almost_positive.py",
+    "cones.py",
+    "coxeter.py",
+)
 INTEGER_FUNCTIONS = (
     ("linalg.py", "echelon"),
     ("cones.py", "_double_description"),
@@ -202,9 +210,9 @@ def test_reflect_by_root_matches_the_fraction_oracle():
 def test_h_c_is_tested_in_integers():
     for rows, H in FAN_INSTANCES:
         ap = make(rows)
-        h = ap.cox.affine.h_functional
+        h = ap.cox.affine.h
         assert _is_int_tuple(h) and any(h)
-        gamma = ap.cox.affine.gamma_c
+        gamma = gamma_c(ap.cox)
         k = [ap.cartan.k_form(gamma, ap.cartan.simple_root(j)) for j in range(ap.n)]
         t = next(Fraction(y) / x for x, y in zip(k, h) if x)
         assert t > 0 and h == tuple(t * x for x in k)  # a positive multiple
@@ -227,10 +235,11 @@ def _sign_instances():
 
 
 def test_sign_reads_match_the_fraction_forms():
-    # The sign of omega_c(r, delta) (scattering._Builder.imaginary_wall), the
-    # sign of the pairing <x, beta> (mutation._separating_heights) and
-    # whether K(u, v) vanishes (APContext._xi_cycles) are read off integer
-    # covectors: cov(u) is a positive multiple of (u_i d_i).
+    # The sign of omega_c(r, delta) (the defect, read by
+    # scattering._Builder.imaginary_wall), the sign of the pairing <x, beta>
+    # (mutation._separating_heights) and whether K(u, v) vanishes
+    # (APContext._xi_cycles) are read off integer covectors: cov(u) is a
+    # positive multiple of (u_i d_i).
     checked = 0
     for ap, roots in _sign_instances():
         cartan, cox = ap.cartan, ap.cox
@@ -239,6 +248,7 @@ def test_sign_reads_match_the_fraction_forms():
         points = roots[::3]
         for u in roots:
             assert _sign(cox.omega(u, ap.delta)) == _sign(vdot(cov(u), omega_delta)), u
+            assert _sign(cox.omega(u, ap.delta)) == _sign(cox.defect(u)), u
             for x in points:
                 assert _sign(cartan.pairing(x, u)) == _sign(vdot(x, cov(u))), (x, u)
                 assert (cartan.k_form(x, u) != 0) == (vdot(cov(x), cartan.a_times(u)) != 0)
