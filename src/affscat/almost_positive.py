@@ -5,6 +5,12 @@ finite tube set APT_c, and the imaginary root delta.  The compatibility
 degree is evaluated by the tube formulas on tube pairs and otherwise by
 tau_c-iteration down to the negative-simple base cases.
 
+The tubes are one integer table, built once (APContext.tube): c permutes
+the tube generators xi in cycles, APT_c is the set of proper arcs of those
+cycles (sums of consecutive generators short of a whole cycle, whose sum
+is a multiple of delta), and each arc is stored with its xi-support, which
+the tube formulas look up.
+
 The degree is tau_c-invariant, so a pair (a, b) may be read at any common
 step (tau_c^t a, tau_c^t b).  Rather than walk both roots step by step for
 every pair, each root's tau_c-orbit (and tau_c^{-1}-orbit) is walked once,
@@ -39,7 +45,7 @@ from functools import cached_property
 from .cartan import NotAffine
 from .cones import Cone
 from .coxeter import CoxeterContext
-from .linalg import rank, solve_linear, vdot
+from .linalg import rank
 
 
 class ResolutionCapExceeded(RuntimeError):
@@ -48,9 +54,10 @@ class ResolutionCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class TubeStructure:
-    xi: tuple  # minimal positive generators of the tube roots, grouped meaning lost
-    cycles: tuple  # xi indices grouped into Dynkin cycles of the tube system
-    apt_real: tuple  # finite set of real tube roots (c-orbits of Phi^T_fin positives)
+    xi: tuple  # the tube generators: extreme rays of the cone on the tube roots
+    cycles: tuple  # the c-orbits of xi, as xi indices in the order c moves them
+    supp: dict  # each proper arc -> its xi-support, a frozenset of xi indices
+    apt_real: tuple  # APT_c, the real tube roots: the proper arcs, sorted
 
 
 class APContext:
@@ -73,92 +80,72 @@ class APContext:
 
     @cached_property
     def tube(self) -> TubeStructure:
-        cartan, cox = self.cartan, self.cox
-        n, delta = self.n, self.delta
+        """The tube generators xi, their c-cycles and APT_c with each root's
+        xi-support, in integers.
+
+        The generators xi are the extreme rays of the cone on the tube roots
+        (delta is interior whenever any real tube roots exist), and c permutes
+        them; a cycle lists one c-orbit as xi_i, c xi_i, c^2 xi_i, ...  A
+        proper arc of a cycle of m generators is the sum of 1 to m - 1
+        consecutive ones, and its xi-support is the set of generators it
+        sums.  The paper's APT_c is the union of the c-orbits of the finite
+        tube roots, those with affine coordinate 0.  It is the set of proper
+        arcs, by two checks made here:
+
+        (A) the arcs with affine coordinate 0 are exactly the tube roots with
+            affine coordinate 0;
+        (B) exactly one generator of each cycle has a nonzero affine
+            coordinate.
+
+        c maps the arc of length l that starts at xi_i to the one that starts
+        at c xi_i, so the m arcs of each length l form one c-orbit.  By (A)
+        every finite tube root is an arc, so APT_c holds only proper arcs.
+        By (B), for each l <= m - 1 the arc of length l that starts just after
+        the one generator with a nonzero affine coordinate ends before it: its
+        generators all have affine coordinate 0, so it is a finite tube root
+        by (A), and its c-orbit, all m arcs of length l, lies in APT_c.  Hence
+        APT_c is the set of proper arcs, each a real root in H_c."""
+        cartan, cox, delta = self.cartan, self.cox, self.delta
         aff = cox.type_info.aff_index
-        height_cap = 2 * sum(delta)
         tube_roots = [
-            r for r in cartan.real_roots_up_to_height(height_cap) if cox.in_h_c(r)
+            r for r in cartan.real_roots_up_to_height(2 * sum(delta)) if cox.in_h_c(r)
         ]
-        # Minimal positive generators: extreme rays of the cone on the tube
-        # roots (delta is interior whenever any real tube roots exist).
         if not tube_roots:
-            return TubeStructure(xi=(), cycles=(), apt_real=())
-        gens = Cone.from_rays(n, tube_roots + [delta]).rays
+            return TubeStructure(xi=(), cycles=(), supp={}, apt_real=())
+        gens = Cone.from_rays(self.n, tube_roots + [delta]).rays
         xi = tuple(sorted(g for g in gens if tuple(g) != tuple(delta)))
+        index = {g: i for i, g in enumerate(xi)}
+        c_next = []
         for g in xi:
             assert g in tube_roots, "tube generator must be a real root"
-        # Phi^T_fin: tube roots supported off the affine index; APT^re is the
-        # union of their c-orbits.
-        fin_pos = [r for r in tube_roots if r[aff] == 0]
-        apt = set()
-        for r in fin_pos:
-            orbit = self._c_orbit(r)
-            apt.update(orbit)
-        for r in apt:
-            assert all(c >= 0 for c in r), "tube orbits must stay positive"
-            assert cox.in_h_c(r)
-        for g in xi:
-            assert cartan.act_word_on_root(cox.order, g) in xi, "c must permute the tube generators"
-        return TubeStructure(xi=xi, cycles=self._xi_cycles(xi), apt_real=tuple(sorted(apt)))
-
-    def _c_orbit(self, root):
-        seen = [root]
-        current = root
-        while True:
-            current = self.cartan.act_word_on_root(self.cox.order, current)
-            if current == root:
-                return seen
-            seen.append(current)
-            assert len(seen) < 10**4, "tube orbit failed to close"
-
-    def _xi_cycles(self, xi):
-        if not xi:
-            return ()
-        # K(u, v) = sum_i u_i d_i (A v)_i, and cov(u) is a positive multiple
-        # of (u_i d_i): K(xi_i, xi_j) != 0 is tested in ints.
-        cov = self.cartan.primitive_in_coroot_lattice
-        adj = {
-            i: {
-                j
-                for j in range(len(xi))
-                if j != i and vdot(cov(xi[i]), self.cartan.a_times(xi[j])) != 0
-            }
-            for i in range(len(xi))
-        }
-        unseen = set(range(len(xi)))
+            image = cartan.act_word_on_root(cox.order, g)
+            assert image in index, "c must permute the tube generators"
+            c_next.append(index[image])
         cycles = []
-        while unseen:
-            start = min(unseen)
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in adj[v]:
-                    if u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            unseen -= comp
-            cycles.append(tuple(sorted(comp)))
-        return tuple(cycles)
-
-    def supp_xi(self, root) -> frozenset:
-        """Support of a real tube root on the xi generators.
-
-        A real tube root lies in a single Dynkin cycle of the tube system and
-        is the sum of an arc of that cycle (all coefficients 0 or 1; within a
-        cycle the generators are independent since only the full-cycle sum is
-        isotropic).
-        """
-        xi = self.tube.xi
-        for cycle in self.tube.cycles:
-            rows = [[xi[i][j] for i in cycle] for j in range(self.n)]
-            sol = solve_linear(rows, list(root))
-            if sol is None:
-                continue
-            assert all(c in (0, 1) for c in sol), f"tube root {root} is not an arc"
-            return frozenset(cycle[t] for t, c in enumerate(sol) if c == 1)
-        raise AssertionError(f"{root} is not supported on one tube cycle")
+        for i in range(len(xi)):
+            if not any(i in cycle for cycle in cycles):
+                cycle = [i]
+                while c_next[cycle[-1]] != i:
+                    cycle.append(c_next[cycle[-1]])
+                cycles.append(tuple(cycle))
+        assert all(
+            sum(xi[i][aff] != 0 for i in cycle) == 1 for cycle in cycles
+        ), "(B): one generator per tube cycle must have a nonzero affine coordinate"
+        supp = {}
+        for cycle in cycles:
+            m = len(cycle)
+            for start in range(m):
+                members = [cycle[(start + k) % m] for k in range(m - 1)]
+                arc = (0,) * self.n
+                for length, i in enumerate(members, 1):
+                    arc = tuple(a + b for a, b in zip(arc, xi[i]))
+                    supp[arc] = frozenset(members[:length])
+        assert {a for a in supp if a[aff] == 0} == {
+            r for r in tube_roots if r[aff] == 0
+        }, "(A): the arcs with affine coordinate 0 must be the finite tube roots"
+        return TubeStructure(
+            xi=xi, cycles=tuple(cycles), supp=supp, apt_real=tuple(sorted(supp))
+        )
 
     # -- the AP set ----------------------------------------------------------------
 
@@ -179,7 +166,7 @@ class APContext:
         return neg + self.ap_positive_real(height_cap) + [self.delta]
 
     def is_tube_real(self, root) -> bool:
-        return root in self.tube.apt_real
+        return root in self.tube.supp
 
     # -- sigma and tau ----------------------------------------------------------------
 
@@ -226,13 +213,12 @@ class APContext:
         nesting, else the adjacency count."""
         if a == b:
             return -1
-        sa, sb = self.supp_xi(a), self.supp_xi(b)
+        supp = self.tube.supp
+        sa, sb = supp[a], supp[b]
         if sa < sb or sb < sa:
             return 0
-        ca = self.supp_xi(self.cartan.act_word_on_root(self.cox.order, a))
-        ca_inv = self.supp_xi(
-            self.cartan.act_word_on_root(tuple(reversed(self.cox.order)), a)
-        )
+        ca = supp[self.cartan.act_word_on_root(self.cox.order, a)]
+        ca_inv = supp[self.cartan.act_word_on_root(tuple(reversed(self.cox.order)), a)]
         adjacent = (ca | ca_inv) - sa
         return len(sb & adjacent)
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .linalg import Vec, det, integral_multiple, kernel_basis, primitive_vector
+from .linalg import Vec, det, integer_kernel, integral_multiple, primitive_vector
 
 
 class NotSkewSymmetrizable(ValueError):
@@ -397,7 +397,7 @@ def classify(cm: CartanMatrix) -> TypeInfo:
     )
     if not (proper_pd and det(sym) == 0):
         return TypeInfo(kind="indefinite")
-    ker = kernel_basis([list(row) for row in cm.a])
+    _, ker = integer_kernel([list(row) for row in cm.a])
     assert len(ker) == 1, "affine Cartan matrix must have 1-dimensional kernel"
     delta = primitive_vector(ker[0])
     if any(c < 0 for c in delta):

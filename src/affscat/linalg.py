@@ -3,11 +3,11 @@
 Vectors are plain tuples whose entries are ints or Fractions; all results
 are exact.  Nothing here knows about root systems.  One elimination does all
 the row reduction: echelon runs fraction-free Gauss-Jordan on rows cleared
-of denominators, in integers alone, and rank, integer_kernel, kernel_basis,
-solve_linear, det and rref read its rows, pivots and common pivot value;
-only kernel_basis, solve_linear, det and rref divide, once per entry, to
-return Fractions.  The cones canonicalize their generators on echelon's
-integer rows; rref is kept for the benchmark's tracing and for the tests,
+of denominators, in integers alone, and rank, integer_kernel, det and rref
+read its rows, pivots and common pivot value; only det and rref divide, once
+per entry, to return Fractions.  The cones canonicalize their generators on
+echelon's integer rows, and the Cartan matrix reads delta off one integer
+kernel vector; rref is kept for the benchmark's tracing and for the tests,
 which use it as a reference.  The kernels take integers as they come:
 vdot pairs with one map(mul), integral_multiple returns a tuple whose
 entries are all ints unchanged, and primitive_vector returns it unchanged
@@ -162,8 +162,7 @@ def integer_kernel(rows: list[list]) -> tuple:
 
     For each free column j of echelon(rows) the vector is
     d e_j - sum over pivots p of row_p[j] e_p: it is d > 0 at j and 0 at
-    every other free column, and divided by d it is the vector kernel_basis
-    returns.
+    every other free column.
     """
     red, pivots, d, _ = echelon(rows)
     ncols = len(rows[0])
@@ -176,32 +175,6 @@ def integer_kernel(rows: list[list]) -> tuple:
             v[p] = -row[j]
         basis.append(tuple(v))
     return free, basis
-
-
-def kernel_basis(rows: list[list]) -> list[Vec]:
-    """Basis of the right kernel {v : M v = 0}: one vector per free column,
-    1 there and 0 at the other free columns."""
-    if not rows:
-        return []
-    free, basis = integer_kernel(rows)
-    return [tuple(Fraction(x, v[j]) for x in v) for j, v in zip(free, basis)]
-
-
-def solve_linear(rows: list[list], rhs: list) -> Vec | None:
-    """One solution of M x = b, or None if inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [[*row, b] for row, b in zip(rows, rhs, strict=True)]
-    red, pivots, d, _ = echelon(aug)
-    if pivots and pivots[-1] == ncols:
-        return None
-    # Each pivot column is cleared elsewhere, so free variables = 0 and pivot
-    # variables read off the last column directly.
-    sol = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        sol[p] = Fraction(row[ncols], d)
-    return tuple(sol)
 
 
 def det(m: list[list]) -> Fraction:

@@ -1,16 +1,20 @@
+import dataclasses
 import functools
 import inspect
 import textwrap
 from fractions import Fraction
 
 import pytest
+from test_coxeter import ORIENTATIONS_TO_RANK6
+from test_linalg import _reference_solve_linear
 from test_orientation_sweep import ORIENTATIONS, RANK5, _id
 
 import affscat.almost_positive as almost_positive
 from affscat.almost_positive import APContext
-from affscat.cartan import ExchangeMatrix
+from affscat.cartan import ExchangeMatrix, _affine_table
 from affscat.cones import Cone
 from affscat.coxeter import CoxeterContext, coxeter_context
+from affscat.linalg import vdot
 
 
 def make(rows):
@@ -75,7 +79,138 @@ def test_tube_a2_tilde():
 def test_supp_xi_arcs():
     tube = AP_A2T.tube
     for i, g in enumerate(tube.xi):
-        assert AP_A2T.supp_xi(g) == {i}
+        assert tube.supp[g] == {i}
+
+
+# The tube construction that the arc table replaced, kept verbatim as the
+# oracle: APT_c as the union of the c-orbits of the finite tube roots, the
+# cycles as the components of K-adjacency on the generators, and each
+# support by a Fraction solve on one cycle.
+def _reference_apt(ap, xi):
+    cartan, cox = ap.cartan, ap.cox
+    aff = cox.type_info.aff_index
+    tube_roots = [
+        r for r in cartan.real_roots_up_to_height(2 * sum(ap.delta)) if cox.in_h_c(r)
+    ]
+    fin_pos = [r for r in tube_roots if r[aff] == 0]
+    apt = set()
+    for r in fin_pos:
+        orbit = _c_orbit(ap, r)
+        apt.update(orbit)
+    for r in apt:
+        assert all(c >= 0 for c in r), "tube orbits must stay positive"
+        assert cox.in_h_c(r)
+    for g in xi:
+        assert cartan.act_word_on_root(cox.order, g) in xi, "c must permute the tube generators"
+    return tuple(sorted(apt))
+
+
+def _c_orbit(ap, root):
+    seen = [root]
+    current = root
+    while True:
+        current = ap.cartan.act_word_on_root(ap.cox.order, current)
+        if current == root:
+            return seen
+        seen.append(current)
+        assert len(seen) < 10**4, "tube orbit failed to close"
+
+
+def _xi_cycles(ap, xi):
+    if not xi:
+        return ()
+    # K(u, v) = sum_i u_i d_i (A v)_i, and cov(u) is a positive multiple
+    # of (u_i d_i): K(xi_i, xi_j) != 0 is tested in ints.
+    cov = ap.cartan.primitive_in_coroot_lattice
+    adj = {
+        i: {
+            j
+            for j in range(len(xi))
+            if j != i and vdot(cov(xi[i]), ap.cartan.a_times(xi[j])) != 0
+        }
+        for i in range(len(xi))
+    }
+    unseen = set(range(len(xi)))
+    cycles = []
+    while unseen:
+        start = min(unseen)
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        unseen -= comp
+        cycles.append(tuple(sorted(comp)))
+    return tuple(cycles)
+
+
+def _supp_xi(ap, xi, cycles, root) -> frozenset:
+    """Support of a real tube root on the xi generators.
+
+    A real tube root lies in a single Dynkin cycle of the tube system and
+    is the sum of an arc of that cycle (all coefficients 0 or 1; within a
+    cycle the generators are independent since only the full-cycle sum is
+    isotropic).
+    """
+    for cycle in cycles:
+        rows = [[xi[i][j] for i in cycle] for j in range(ap.n)]
+        sol = _reference_solve_linear(rows, list(root))
+        if sol is None:
+            continue
+        assert all(c in (0, 1) for c in sol), f"tube root {root} is not an arc"
+        return frozenset(cycle[t] for t, c in enumerate(sol) if c == 1)
+    raise AssertionError(f"{root} is not supported on one tube cycle")
+
+
+def _linear_orientations(label, n):
+    """The two orientations of a tree diagram with every edge i - j, i < j,
+    pointing the same way."""
+    (a,) = [a for name, a in _affine_table(n) if name == label]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if a[i][j]]
+    out = []
+    for s in (1, -1):
+        rows = [[0] * n for _ in range(n)]
+        for i, j in edges:
+            rows[i][j], rows[j][i] = s * abs(a[i][j]), -s * abs(a[j][i])
+        out.append(rows)
+    return out
+
+
+def test_arc_table_matches_the_orbit_construction():
+    # On every acyclic orientation of rank 2 to 6 and on the linear ones of
+    # E_7^(1) and E_8^(1): the same APT_c, the same cycles as sets and the
+    # same supports as the orbit, adjacency and solve construction.
+    instances = [rows for _, _, rows in ORIENTATIONS_TO_RANK6]
+    instances += _linear_orientations("E_7^(1)", 8) + _linear_orientations("E_8^(1)", 9)
+    assert len(instances) == 500
+    tubes = 0
+    for rows in instances:
+        ap = make([list(r) for r in rows])
+        tube = ap.tube
+        assert tube.apt_real == _reference_apt(ap, tube.xi), rows
+        cycles = _xi_cycles(ap, tube.xi)
+        assert {frozenset(c) for c in tube.cycles} == {frozenset(c) for c in cycles}, rows
+        for r in tube.apt_real:
+            assert tube.supp[r] == _supp_xi(ap, tube.xi, cycles, r), (rows, r)
+        tubes += len(tube.cycles)
+    assert tubes > 500
+
+
+def test_a_moved_affine_node_fails_check_b():
+    # C_2^(1) orientation 0 with the affine node moved to node 1, whose
+    # delta coordinate is 2: two generators of a tube cycle are then off the
+    # node, and the tube build refuses it.
+    rows = [[0, 1, 0], [-2, 0, 2], [0, -1, 0]]
+    assert make(rows).tube.apt_real
+    cox = coxeter_context(ExchangeMatrix.from_rows(rows))
+    info = cox.type_info
+    assert info.label == "C_2^(1)" and info.aff_index != 1 and info.delta[1] == 2
+    vars(cox)["type_info"] = dataclasses.replace(info, aff_index=1)  # the cached value
+    with pytest.raises(AssertionError, match=r"\(B\)"):
+        APContext(cox).tube
 
 
 def test_ap_a11_height3():
@@ -251,12 +386,11 @@ def test_nested_or_spaced_iff_compatible():
         for b in ap.tube.apt_real:
             if a == b:
                 continue
-            sa, sb = ap.supp_xi(a), ap.supp_xi(b)
+            supp = ap.tube.supp
+            sa, sb = supp[a], supp[b]
             nested = sa <= sb or sb <= sa
-            ca = ap.supp_xi(ap.cartan.act_word_on_root(ap.cox.order, a))
-            ca_inv = ap.supp_xi(
-                ap.cartan.act_word_on_root(tuple(reversed(ap.cox.order)), a)
-            )
+            ca = supp[ap.cartan.act_word_on_root(ap.cox.order, a)]
+            ca_inv = supp[ap.cartan.act_word_on_root(tuple(reversed(ap.cox.order)), a)]
             spaced = not ((sa | ca | ca_inv) & sb)
             assert (ap.compatibility_degree(a, b) == 0) == (nested or spaced)
 
@@ -267,7 +401,7 @@ def test_compute_in_tubes():
     c_xi = c_action(ap)
     for a in ap.tube.apt_real:
         for b in ap.tube.apt_real:
-            sa, sb = ap.supp_xi(a), ap.supp_xi(b)
+            sa, sb = ap.tube.supp[a], ap.tube.supp[b]
             shift = sum(1 for i in sa if c_xi[i] in sb)
             # coroot gives alpha^vee coordinates; alpha_i^vee = d_i^{-1} alpha_i
             avee = tuple(Fraction(c) / d for c, d in zip(ap.cartan.coroot(a), ap.cartan.d))

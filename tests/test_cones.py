@@ -4,6 +4,7 @@ from itertools import combinations
 from operator import mul
 
 import pytest
+from test_linalg import _reference_kernel_basis, _reference_solve_linear
 from test_orientation_sweep import ORIENTATIONS, _id, _instance
 
 from affscat.almost_positive import APContext
@@ -13,11 +14,9 @@ from affscat.coxeter import coxeter_context
 from affscat.jsonio import _last_entry_one, cone_json, dumps, frac_str, vec_json
 from affscat.linalg import (
     echelon,
-    kernel_basis,
     primitive_vector,
     rank,
     rref,
-    solve_linear,
     vdot,
 )
 from affscat.scattering import build_dcscat
@@ -139,7 +138,7 @@ def _is_nonneg_combo(r, others):
         for subset in combinations(others, size):
             if rank([list(s) for s in subset]) < size:
                 continue
-            sol = solve_linear([list(col) for col in zip(*subset)], list(r))
+            sol = _reference_solve_linear([list(col) for col in zip(*subset)], list(r))
             if sol is not None and all(t >= 0 for t in sol):
                 return True
     return False
@@ -372,7 +371,7 @@ def test_codim1_fan_cone_equality_is_its_span_covector():
                 continue
             (eq,) = cone.eqs
             assert all(vdot(r, eq) == 0 for r in cone.rays), members
-            (ker,) = kernel_basis([list(r) for r in cone.rays])
+            (ker,) = _reference_kernel_basis([list(r) for r in cone.rays])
             assert _wall_normal(eq, d) == _wall_normal(ker, d), members
             checked += 1
     assert checked > 0
@@ -398,7 +397,7 @@ def test_simplicial_zero_cone():
 # branch divides by <witness, g>.
 def _reference_double_description(dim, eqs, ineqs):
     """Generators (lineality, rays) of {x : <x,e>=0, <x,g><=0}."""
-    lin = [tuple(v) for v in kernel_basis([list(e) for e in eqs])] if eqs else [
+    lin = [tuple(v) for v in _reference_kernel_basis([list(e) for e in eqs])] if eqs else [
         tuple(Fraction(1) if i == j else Fraction(0) for i in range(dim)) for j in range(dim)
     ]
     rays: list = []

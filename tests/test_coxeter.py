@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
 
+from test_linalg import _reference_solve_linear
 from test_orientation_sweep import acyclic_orientations
 
 from affscat.cartan import ExchangeMatrix
 from affscat.coxeter import coxeter_context
-from affscat.linalg import solve_linear
 
 CTX_A11 = coxeter_context(ExchangeMatrix.from_rows([[0, 2], [-2, 0]]))
 CTX_A22 = coxeter_context(ExchangeMatrix.from_rows([[0, 1], [-4, 0]]))
@@ -32,7 +32,7 @@ def gamma_c(ctx):
     # Solve (c - 1) gamma = delta with gamma supported off the affine index.
     cols = [j for j in range(n) if j != aff]
     rows = [[c_mat[i][j] - (1 if i == j else 0) for j in cols] for i in range(n)]
-    sol = solve_linear(rows, list(info.delta))
+    sol = _reference_solve_linear(rows, list(info.delta))
     assert sol is not None, "affine gamma_c system must be solvable"
     gamma = [Fraction(0)] * n
     for j, val in zip(cols, sol):

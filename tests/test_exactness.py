@@ -1,7 +1,8 @@
 """The core computes exactly: no module of affscat but svg.py (which draws
 with floats) holds a float literal or calls float().  The integer layers
 name no Fraction at all: the Weyl, sortable, shard, almost-positive,
-cone and Coxeter modules, and the bodies of linalg.echelon, of the double description,
+cone and Coxeter modules, which import no linalg function that does, and
+the bodies of linalg.echelon, of the double description,
 its cutting step and the generator canonicalization in cones, of the cell
 split, the relative-interior point search and the segment test scat_cone_eq
 in scattering, and of the separating-hyperplane count in mutation.  The canonicalization and the
@@ -109,6 +110,45 @@ def test_integer_layers_name_no_fraction():
     for module, name in INTEGER_FUNCTIONS:
         found[f"{module}:{name}"] = _fraction_uses(_function(root / module, name))
     assert not any(found.values()), {name: lines for name, lines in found.items() if lines}
+
+
+def _fraction_functions(tree):
+    """The names of the module's top-level functions whose bodies name Fraction."""
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and _fraction_uses(node)
+    }
+
+
+def _imports_from_linalg(tree):
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("linalg", "affscat.linalg")
+        for alias in node.names
+    }
+
+
+def test_fraction_functions_and_linalg_imports_are_found():
+    tree = ast.parse(
+        "from fractions import Fraction\ndef f(x):\n    return Fraction(x)\n"
+        "def g(x):\n    return x\n"
+    )
+    assert _fraction_functions(tree) == {"f"}
+    tree = ast.parse("from .linalg import a, b\nfrom affscat.linalg import c\nfrom .cones import d\n")
+    assert _imports_from_linalg(tree) == {"a", "b", "c"}
+
+
+def test_integer_layers_import_no_fraction_function_from_linalg():
+    root = Path(affscat.__file__).parent
+    dividing = _fraction_functions(ast.parse((root / "linalg.py").read_text()))
+    assert {"rref", "det"} <= dividing and "echelon" not in dividing
+    found = {
+        name: sorted(_imports_from_linalg(ast.parse((root / name).read_text())) & dividing)
+        for name in INTEGER_MODULES
+    }
+    assert not any(found.values()), {name: names for name, names in found.items() if names}
 
 
 def _calls_to(tree, names):
@@ -237,9 +277,9 @@ def _sign_instances():
 def test_sign_reads_match_the_fraction_forms():
     # The sign of omega_c(r, delta) (the defect, read by
     # scattering._Builder.imaginary_wall), the sign of the pairing <x, beta>
-    # (mutation._separating_heights) and whether K(u, v) vanishes
-    # (APContext._xi_cycles) are read off integer covectors: cov(u) is a
-    # positive multiple of (u_i d_i).
+    # (mutation._separating_heights) and whether K(u, v) vanishes (the tube
+    # cycle oracle _xi_cycles in test_almost_positive.py) are read off
+    # integer covectors: cov(u) is a positive multiple of (u_i d_i).
     checked = 0
     for ap, roots in _sign_instances():
         cartan, cox = ap.cartan, ap.cox

@@ -12,12 +12,10 @@ from affscat.linalg import (
     echelon,
     integer_kernel,
     integral_multiple,
-    kernel_basis,
     nonzero_minor,
     primitive_vector,
     rank,
     rref,
-    solve_linear,
     vdot,
     wedge_key,
 )
@@ -184,8 +182,10 @@ def test_nonzero_minor_rejects_parallel_vectors():
 
 
 # The Fraction eliminations that echelon replaced, kept verbatim as the
-# reference: rref divides each pivot row by its pivot, kernel_basis and
-# solve_linear read that rref, and det eliminates on its own.
+# reference: rref divides each pivot row by its pivot, the kernel basis and
+# the linear solve read that rref, and det eliminates on its own.  The
+# kernel basis and the solve are also the Fraction references of the cone,
+# Coxeter, scattering, shard and tube tests.
 def _reference_rref(rows: list[list]) -> list[list[Fraction]]:
     """Reduced row echelon form; returns only the nonzero rows."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -306,8 +306,6 @@ def test_reduction_matches_fraction_reference():
     for m in _matrices(32, 600):
         assert rref(m) == _reference_rref(m), m
         assert rank(m) == len(_reference_rref(m)), m
-        assert kernel_basis(m) == _reference_kernel_basis(m), m
-        assert all(type(x) is Fraction for v in kernel_basis(m) for x in v)
         if m and len(m) == len(m[0]):
             assert det(m) == _reference_det(m), m
 
@@ -331,11 +329,9 @@ def test_negative_last_pivot_is_normalized():
     assert echelon([[1, 2], [3, 4]]) == ([(2, 0), (0, 2)], [0, 1], 2, -1)
     for m in ([[-1, 3, 3, 1]], [[0, -2], [0, 0]], [[1, 0], [0, -1]], [[1, 2], [3, 4]]):
         assert rref(m) == _reference_rref(m)
-        assert kernel_basis(m) == _reference_kernel_basis(m)
         assert integer_kernel(m)[1] == [
             tuple(echelon(m)[2] * x for x in v) for v in _reference_kernel_basis(m)
         ]
-        assert solve_linear(m, [1] * len(m)) == _reference_solve_linear(m, [1] * len(m))
     assert det([[1, 0], [0, -1]]) == -1 and det([[1, 2], [3, 4]]) == -2
     assert det([[0, 1], [1, 0]]) == -1
 
@@ -354,10 +350,11 @@ def test_integer_kernel_is_d_times_the_reference():
             assert v == tuple(d * x for x in r), m
 
 
-def test_solve_linear_matches_fraction_reference():
+def test_reference_solve_linear_solves_or_finds_none():
+    # None exactly when b raises the rank; otherwise a solution of M x = b.
     rng = random.Random(35)
     consistent = inconsistent = 0
-    assert solve_linear([], []) is None
+    assert _reference_solve_linear([], []) is None
     for _ in range(800):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = _random_matrix(rng, rows, cols)
@@ -367,8 +364,8 @@ def test_solve_linear_matches_fraction_reference():
             b = [sum(a * c for a, c in zip(row, x)) for row in m]
         else:
             b = [rng.choice(ENTRIES) for _ in range(rows)]
-        got = solve_linear(m, b)
-        assert got == _reference_solve_linear(m, b), (m, b)
+        got = _reference_solve_linear(m, b)
+        assert (got is None) == (rank([[*row, y] for row, y in zip(m, b)]) > rank(m)), (m, b)
         if got is None:
             inconsistent += 1
         else:

@@ -8,6 +8,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_linalg import _reference_kernel_basis
 
 import affscat.cones
 import affscat.mutation
@@ -18,7 +19,6 @@ from affscat.coxeter import coxeter_context
 from affscat.linalg import (
     identity_mat,
     integral_multiple,
-    kernel_basis,
     nonzero_minor,
     primitive_vector,
     vdot,
@@ -160,7 +160,7 @@ def _loop_crossings_reference(walls, base_point, u1, u2, covector):
     events = []
     for w in walls:
         rows = [[vdot(u1, e), vdot(u2, e)] for e in w.cone.eqs]
-        (ker,) = kernel_basis(rows)
+        (ker,) = _reference_kernel_basis(rows)
         line = primitive_vector(ker)
         tight = [g for g in w.cone.ineqs if vdot(base_point, g) == 0]
         for d in (line, tuple(-c for c in line)):
@@ -1089,7 +1089,7 @@ def test_scat_cone_eq_matches_fraction_reference(rows, p, q, where, wall, lone_w
     elif where != "anywhere":
         cone = chosen.cone
         (normal,) = cone.eqs
-        b1, b2 = kernel_basis([list(normal)])
+        b1, b2 = _reference_kernel_basis([list(normal)])
         p, q = (tuple(x[0] * u + x[1] * v for u, v in zip(b1, b2)) for x in (p, q))
         if where == "from_a_wall_ray" and cone.rays:
             p = cone.rays[wall % len(cone.rays)]

@@ -1,11 +1,12 @@
 from itertools import combinations, permutations
 
 import pytest
+from test_linalg import _reference_solve_linear
 
 from affscat.cartan import CartanMatrix, ExchangeMatrix
 from affscat.cones import Cone
 from affscat.coxeter import coxeter_context
-from affscat.linalg import primitive_vector, rank, solve_linear
+from affscat.linalg import primitive_vector, rank
 from affscat.shards import ShardContext
 from affscat.weyl import WeylContext, enumerate_up_to_length, is_join_irreducible
 
@@ -119,7 +120,7 @@ def _reference_canonical(members, height):
     cols = [list(col) for col in zip(*basis)]
     lowest = {}
     for r in members:
-        lowest.setdefault(primitive_vector(solve_linear(cols, list(r))), r)
+        lowest.setdefault(primitive_vector(_reference_solve_linear(cols, list(r))), r)
     dirs = list(lowest)
     lo = [d for d in dirs if all(d[0] * o[1] - d[1] * o[0] >= 0 for o in dirs)]
     hi = [d for d in dirs if all(o[0] * d[1] - o[1] * d[0] >= 0 for o in dirs)]
