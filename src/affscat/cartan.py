@@ -264,22 +264,11 @@ class CartanMatrix:
         xk = x[k]
         return tuple(x[i] - self.a[i][k] * xk for i in range(self.n))
 
-    def reflect_by_root(self, beta: Vec, v: Vec) -> Vec:
-        """t_beta(v) = v - K(beta^vee, v) beta for a real root beta, with
-        K(beta^vee, v) = sum_i c_i (A v)_i for c = coroot(beta)."""
-        kv = sum(map(mul, self.coroot(beta), self.a_times(v)))
-        return tuple(x - kv * b for x, b in zip(v, beta))
-
     def act_word_on_root(self, word, v: Vec) -> Vec:
         """Apply s_{word[0]} ... s_{word[-1]} to v (rightmost letter acts first)."""
         for i in reversed(word):
             v = self.reflect_root(i, v)
         return v
-
-    def act_word_on_weight(self, word, x: Vec) -> Vec:
-        for i in reversed(word):
-            x = self.reflect_weight(i, x)
-        return x
 
     # -- symmetrized form and classification --------------------------------
 

@@ -216,6 +216,10 @@ class Cone:
         return Cone(self.dim_ambient, self.eqs + other.eqs, self.ineqs + other.ineqs)
 
     def negate(self) -> "Cone":
+        """-C.  A cone without inequalities is a linear subspace, its own
+        negation, so it is returned as it is, with any generators it has."""
+        if not self.ineqs:
+            return self
         return Cone(
             self.dim_ambient,
             self.eqs,

@@ -58,15 +58,6 @@ class CoxeterContext:
             if i != s and pos[i] > pos[s]
         )
 
-    def conjugate(self, s: int) -> "CoxeterContext":
-        """scs: rotate an initial s to the end, or a final s to the front."""
-        rest = tuple(i for i in self.order if i != s)
-        if self.is_initial(s):
-            return CoxeterContext(self.cartan, rest + (s,))
-        if self.is_final(s):
-            return CoxeterContext(self.cartan, (s,) + rest)
-        raise ValueError(f"{s} is neither initial nor final in {self.order}")
-
     def inverse(self) -> "CoxeterContext":
         return CoxeterContext(self.cartan, tuple(reversed(self.order)))
 
@@ -180,7 +171,19 @@ class AffineVectors:
 
 
 def coxeter_context(bmat) -> CoxeterContext:
-    """Coxeter element attached to an acyclic exchange matrix."""
+    """Coxeter element attached to an acyclic exchange matrix.
+
+    One context per ExchangeMatrix instance: it is built on the first call
+    and kept on the matrix, as functools.cached_property keeps a value (and
+    as ExchangeMatrix.mutation_tree is kept), so every stage run on one
+    matrix shares it, with the root data its CartanMatrix computes and the
+    build contexts that scattering keeps on it.  An equal matrix built
+    separately, say from a second read of the same JSON, gets a context of
+    its own: nothing is cached by value."""
     from .cartan import exchange_to_cartan
 
-    return CoxeterContext(exchange_to_cartan(bmat), bmat.coxeter_order())
+    cox = vars(bmat).get("coxeter_context")
+    if cox is None:
+        cox = CoxeterContext(exchange_to_cartan(bmat), bmat.coxeter_order())
+        vars(bmat)["coxeter_context"] = cox
+    return cox

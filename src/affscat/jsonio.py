@@ -7,7 +7,7 @@ vectors as coordinate lists; series as {"normal": ..., "coeffs": [...]}.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from math import gcd
 
 from .cartan import ExchangeMatrix, is_int
 
@@ -89,13 +89,21 @@ def cone_json(cone):
         "rays": [vec_json(r) for r in rays],
         "lineality": [vec_json(v) for v in lin],
         "ineqs": [vec_json(g) for g in cone.ineqs],
-        "eqs": [vec_json(_last_entry_one(e)) for e in cone.eqs],
+        "eqs": [_last_entry_one(e) for e in cone.eqs],
     }
 
 
 def _last_entry_one(e):
+    """The integer vector e divided by its last nonzero entry, as the strings
+    vec_json gives: each x / last in lowest terms, from g = gcd(x, last),
+    with the denominator made positive; no Fraction is built."""
     last = next((x for x in reversed(e) if x), 1)
-    return [Fraction(x, last) for x in e]
+    out = []
+    for x in e:
+        g = gcd(x, last) if last > 0 else -gcd(x, last)
+        num, den = x // g, last // g
+        out.append(str(num) if den == 1 else f"{num}/{den}")
+    return out
 
 
 def dumps(obj) -> str:

@@ -117,7 +117,27 @@ class ScatDiagram:
         )
 
 
+def _shared_contexts(cox: CoxeterContext) -> tuple:
+    """The WeylContext, ShardContext and APContext of cox, built on first use
+    and kept on cox, as functools.cached_property keeps a value.
+    coxeter_context gives every stage run on one ExchangeMatrix the same
+    CoxeterContext, so build_easy_scat reuses what build_dcscat computed on
+    that matrix: the root data, the cut sets, the shard cones and AP_c."""
+    shared = vars(cox).get("_shared_contexts")
+    if shared is None:
+        weyl = WeylContext(cox.cartan)
+        shared = vars(cox)["_shared_contexts"] = (weyl, ShardContext(weyl), APContext(cox))
+    return shared
+
+
 class _Builder:
+    """One construction at one height cap and truncation.
+
+    Its Weyl, shard and almost-positive contexts are those of its
+    CoxeterContext (_shared_contexts), shared with every other build on the
+    same matrix.  Its two SortableContexts are its own, because each reads
+    AFFSCAT_CAP when it is made."""
+
     def __init__(self, cox: CoxeterContext, height_cap: int, truncation: int):
         if cox.type_info.kind != "affine":
             raise NotAffine("scattering construction requires affine type")
@@ -126,9 +146,7 @@ class _Builder:
         self.n = cox.n
         self.H = height_cap
         self.k = truncation
-        self.weyl = WeylContext(self.cartan)
-        self.shards = ShardContext(self.weyl)
-        self.ap = APContext(cox)
+        self.weyl, self.shards, self.ap = _shared_contexts(cox)
         # One per Coxeter element, so generated sortables survive length-cap
         # doublings.
         self.sortables = {

@@ -27,7 +27,12 @@ its bucket as the bucket's two extreme roots.  Two facts make that exact:
    one of them, so they never change the extreme pair and are not listed.
 
 Shard cones are cut out by the integer covectors of
-CartanMatrix.primitive_in_coroot_lattice, computed once per root.
+CartanMatrix.primitive_in_coroot_lattice, computed once per root.  A
+ShardContext keeps its cut sets and its shard cones, each cone by its
+normal and cut list: when shard_from_ji and shard_from_root cut a wall out
+with the same constraints, they return one ShardCone, whose Cone runs one
+double description.  The key holds the cut list, so each construction
+still reports its own constraints.
 """
 
 from __future__ import annotations
@@ -58,10 +63,16 @@ class ShardCone:
 
 
 class ShardContext:
+    """Cut sets and shard cones of one Weyl context, each kept once computed.
+    The scattering builders share one per CoxeterContext, so build_dcscat
+    and build_easy_scat on one matrix cut each root and convert each
+    constraint list once between them."""
+
     def __init__(self, weyl: WeylContext):
         self.weyl = weyl
         self.cartan = weyl.cartan
         self._cut_cache: dict = {}
+        self._shard_cache: dict = {}  # (beta, sorted cut list) -> ShardCone
 
     # -- rank-2 subsystems --------------------------------------------------------
 
@@ -132,11 +143,15 @@ class ShardContext:
         return self._assemble(beta, cut_list)
 
     def _assemble(self, beta, cut_list) -> ShardCone:
-        cov = self.cartan.primitive_in_coroot_lattice
-        cone = Cone.from_constraints(
-            self.cartan.n, eqs=[cov(beta)], ineqs=[cov(g) for g in cut_list]
-        )
-        return ShardCone(normal=beta, cut_list=tuple(sorted(cut_list)), cone=cone)
+        key = (beta, tuple(sorted(cut_list)))
+        shard = self._shard_cache.get(key)
+        if shard is None:
+            cov = self.cartan.primitive_in_coroot_lattice
+            cone = Cone.from_constraints(
+                self.cartan.n, eqs=[cov(beta)], ineqs=[cov(g) for g in key[1]]
+            )
+            shard = self._shard_cache[key] = ShardCone(normal=beta, cut_list=key[1], cone=cone)
+        return shard
 
     # -- shards to join-irreducibles ----------------------------------------------
 

@@ -104,10 +104,6 @@ class WeylContext:
     def inverse(self, w: GroupElement) -> GroupElement:
         return self.from_word(tuple(reversed(w.word)))
 
-    def left_descents(self, w: GroupElement):
-        """Letters s with s <= w, i.e. alpha_s in inv(w)."""
-        return [s for s in range(self.n) if self.simple_root(s) in w.inversions]
-
     def right_descents(self, w: GroupElement):
         """Letters s with ws <. w, i.e. w(alpha_s) negative."""
         out = []

@@ -340,3 +340,37 @@ def test_pinned_output_digest(name, command, flags, digest, tmp_path):
     out = tmp_path / "out.json"
     assert run([command, "--input", str(inp), *flags, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_walls_runs_one_double_description_per_shard_constraint_list(b_a2t, tmp_path, monkeypatch):
+    # Both constructions of one walls run share the matrix's ShardContext,
+    # which keeps one shard cone per (normal, cut list): a constraint list
+    # that both cut a wall out with is converted once, not once per build.
+    from collections import Counter
+
+    import affscat.cones
+    from affscat.shards import ShardContext
+
+    converted = Counter()
+    double_description = affscat.cones._double_description
+
+    def counted(dim, eqs, ineqs):
+        converted[(dim, tuple(eqs), tuple(ineqs))] += 1
+        return double_description(dim, eqs, ineqs)
+
+    shard_keys = set()
+    assemble = ShardContext._assemble
+
+    def recorded(self, beta, cut_list):
+        shard = assemble(self, beta, cut_list)
+        shard_keys.add((shard.cone.dim_ambient, shard.cone.eqs, shard.cone.ineqs))
+        return shard
+
+    monkeypatch.setattr(affscat.cones, "_double_description", counted)
+    monkeypatch.setattr(ShardContext, "_assemble", recorded)
+    out = tmp_path / "walls.json"
+    assert run(["walls", "--input", b_a2t, "--H", "8", "--k", "8", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["equal"] is True
+    assert len(shard_keys) > 10
+    assert {converted[key] for key in shard_keys} <= {0, 1}
+    assert sum(converted[key] for key in shard_keys) > 10

@@ -325,6 +325,26 @@ def _fraction_cone_json(cone):
     }
 
 
+# jsonio.cone_json as it was when it divided each equality by its last
+# nonzero entry in Fractions, kept verbatim as the reference for the
+# integer formatting, on Fraction equalities too.
+def _fraction_last_entry_cone_json(cone):
+    """A cone's generators and constraints, each equality divided by its last
+    nonzero entry."""
+    lin, rays = cone.generators
+    return {
+        "rays": [vec_json(r) for r in rays],
+        "lineality": [vec_json(v) for v in lin],
+        "ineqs": [vec_json(g) for g in cone.ineqs],
+        "eqs": [vec_json(_fraction_last_entry_one(e)) for e in cone.eqs],
+    }
+
+
+def _fraction_last_entry_one(e):
+    last = next((x for x in reversed(e) if x), 1)
+    return [Fraction(x, last) for x in e]
+
+
 @pytest.mark.parametrize("orientation", ORIENTATIONS, ids=_id)
 def test_fan_cone_json_is_that_of_the_fraction_equalities(orientation):
     # clusters prints every fan cone at its --H; here H = 4.  The integer
@@ -339,17 +359,35 @@ def test_fan_cone_json_is_that_of_the_fraction_equalities(orientation):
 
 def test_frac_str_is_str_of_the_fraction():
     # On ints, Fractions (integral ones among them) and every entry that
-    # cone_json formats on the fans and clusters instances' fans.
+    # cone_json formats with it on the fans and clusters instances' fans.
     values = [0, 1, -1, 7, -12, 2**70, F(0), F(3), F(-4, 2), F(1, 2), F(-7, 3), F(2**70, 3)]
     for rows, H in FAN_INSTANCES:
         ap = APContext(coxeter_context(ExchangeMatrix.from_rows(rows)))
         for _, cone in ap.fan_cones(H):
             lin, rays = cone.generators
             values.extend(x for v in rays + lin + cone.ineqs for x in v)
-            values.extend(x for e in cone.eqs for x in _last_entry_one(e))
-    assert sum(type(x) is F and x.denominator != 1 for x in values) > 3
     for x in values:
         assert frac_str(x) == str(F(x)), x
+
+
+def test_last_entry_one_is_str_of_the_fraction():
+    # cone_json prints each equality divided by its last nonzero entry.  On
+    # random integer vectors, negative last entries among them, and on every
+    # equality of the fans and clusters instances' fans.
+    rng = random.Random(11)
+    vectors = [[rng.randint(-40, 40) for _ in range(rng.randint(1, 7))] for _ in range(3000)]
+    vectors += [[0, 0], [2**70, 0, -3], [-6, 4, -2, 0]]
+    for rows, H in FAN_INSTANCES:
+        ap = APContext(coxeter_context(ExchangeMatrix.from_rows(rows)))
+        vectors.extend(e for _, cone in ap.fan_cones(H) for e in cone.eqs)
+    negative_last = fractional = 0
+    for e in vectors:
+        last = next((x for x in reversed(e) if x), 1)
+        want = [str(F(x, last)) for x in e]
+        assert _last_entry_one(e) == want, e
+        negative_last += last < 0
+        fractional += any("/" in x for x in want)
+    assert negative_last > 1000 and fractional > 1000
 
 
 def _wall_normal(covector, d):
@@ -471,7 +509,7 @@ def _check_against_reference(dim, ineqs, eqs):
     ref.__dict__["generators"] = _canonicalize_generators(
         *_reference_double_description(dim, ref.eqs, ref.ineqs)
     )
-    assert dumps(cone_json(by_rays)) == dumps(cone_json(ref))
+    assert dumps(cone_json(by_rays)) == dumps(_fraction_last_entry_cone_json(ref))
 
 
 def _reference_inputs():

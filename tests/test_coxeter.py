@@ -5,13 +5,24 @@ from test_linalg import _reference_solve_linear
 from test_orientation_sweep import acyclic_orientations
 
 from affscat.cartan import ExchangeMatrix
-from affscat.coxeter import coxeter_context
+from affscat.coxeter import CoxeterContext, coxeter_context
 
 CTX_A11 = coxeter_context(ExchangeMatrix.from_rows([[0, 2], [-2, 0]]))
 CTX_A22 = coxeter_context(ExchangeMatrix.from_rows([[0, 1], [-4, 0]]))
 CTX_A2T = coxeter_context(ExchangeMatrix.from_rows([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]))
 
 ALL = [CTX_A11, CTX_A22, CTX_A2T]
+
+
+# Used by the tests alone, so kept here (with self as ctx).
+def conjugate(ctx, s):
+    """scs: rotate an initial s to the end, or a final s to the front."""
+    rest = tuple(i for i in ctx.order if i != s)
+    if ctx.is_initial(s):
+        return CoxeterContext(ctx.cartan, rest + (s,))
+    if ctx.is_final(s):
+        return CoxeterContext(ctx.cartan, (s,) + rest)
+    raise ValueError(f"{s} is neither initial nor final in {ctx.order}")
 
 
 def coroot(ctx, i):
@@ -170,7 +181,7 @@ def test_omega_invariance_under_conjugation():
         for s in range(ctx.n):
             if not (ctx.is_initial(s) or ctx.is_final(s)):
                 continue
-            moved = ctx.conjugate(s)
+            moved = conjugate(ctx, s)
             for b1 in roots:
                 for b2 in roots:
                     sb1 = ctx.cartan.reflect_root(s, b1)
@@ -184,7 +195,7 @@ def test_nu_scs_relation():
         for s in range(ctx.n):
             if not ctx.is_initial(s):
                 continue
-            moved = ctx.conjugate(s)
+            moved = conjugate(ctx, s)
             for beta in ctx.cartan.real_roots_up_to_height(4):
                 if beta == ctx.cartan.simple_root(s):
                     continue
@@ -221,7 +232,7 @@ def test_initial_final_detection():
     assert CTX_A2T.is_initial(0)
     assert not CTX_A2T.is_initial(1)
     assert CTX_A2T.is_final(2)
-    two_moves = CTX_A2T.conjugate(0)
+    two_moves = conjugate(CTX_A2T, 0)
     assert two_moves.order == (1, 2, 0)
 
 
@@ -235,3 +246,19 @@ def test_x_c_for_a4_2_path_orientation():
     assert ctx.type_info.is_a2k2
     assert ctx.type_info.delta == (1, 2, 2)
     assert ctx.affine.x_c == (-2, 0, 4)
+
+
+def test_one_context_per_matrix_instance():
+    # coxeter_context keeps its context on the ExchangeMatrix instance, so
+    # every stage run on one matrix shares the root data; an equal matrix read
+    # separately gets its own, because nothing is cached by value.
+    from affscat.jsonio import read_exchange_matrix
+
+    data = '{"n": 3, "b": [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]}'
+    b, again = read_exchange_matrix(data), read_exchange_matrix(data)
+    assert b == again and b is not again
+    cox = coxeter_context(b)
+    assert coxeter_context(b) is cox
+    assert coxeter_context(again) is not cox
+    assert coxeter_context(again) == cox
+    assert coxeter_context(again).cartan is not cox.cartan

@@ -106,3 +106,26 @@ def test_fans_layers_are_called(monkeypatch):
         "APContext.fan_cones",
     ):
         assert calls.get(name), f"{name} is never called by fans_compare"
+
+
+def test_sortables_layer_is_called(monkeypatch):
+    # sortable.sortables counts what a wrapper around
+    # SortableContext.sortables_up_to_length returns; a ji_sortables that
+    # scanned its witnesses another way would read 0 there without failing
+    # anything.
+    from affscat.cartan import ExchangeMatrix
+    from affscat.scattering import build_dcscat
+    from affscat.sortable import SortableContext
+
+    scanned = []
+    original = SortableContext.sortables_up_to_length
+
+    @functools.wraps(original)
+    def counted(self, max_len):
+        result = original(self, max_len)
+        scanned.append(len(result))
+        return result
+
+    monkeypatch.setattr(SortableContext, "sortables_up_to_length", counted)
+    build_dcscat(ExchangeMatrix.from_rows([[0, 2], [-2, 0]]), 4, 4)
+    assert len(scanned) >= 2 and all(scanned), scanned

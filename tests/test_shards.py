@@ -2,6 +2,7 @@ from itertools import combinations, permutations
 
 import pytest
 from test_linalg import _reference_solve_linear
+from test_weyl import left_descents
 
 from affscat.cartan import CartanMatrix, ExchangeMatrix
 from affscat.cones import Cone
@@ -235,7 +236,7 @@ def test_sigma_sj_gluing():
         for j in enumerate_up_to_length(sh.weyl, 5):
             if is_join_irreducible(sh.weyl, j) is None:
                 continue
-            for s in sh.weyl.left_descents(j):
+            for s in left_descents(sh.weyl, j):
                 sj = sh.weyl.left_div(j, s)
                 if sj.is_identity() or is_join_irreducible(sh.weyl, sj) is None:
                     continue

@@ -1,14 +1,18 @@
+from dataclasses import dataclass
+
 import pytest
 from test_orientation_sweep import ORIENTATIONS as SWEEP_ORIENTATIONS
+from test_orientation_sweep import RANK5
 
 from affscat.cartan import ExchangeMatrix
 from affscat.coxeter import coxeter_context
-from affscat.sortable import SortableContext, SortableWitness, _drop, _rotate
+from affscat.sortable import SortableContext, _drop, _rotate
 from affscat.weyl import (
     CapExceeded,
     GroupElement,
     WeylContext,
     enumerate_up_to_length,
+    is_join_irreducible,
     weak_leq,
 )
 
@@ -17,6 +21,13 @@ def make(rows):
     b = ExchangeMatrix.from_rows(rows)
     cox = coxeter_context(b)
     return SortableContext(WeylContext(cox.cartan), cox)
+
+
+# Used by the tests alone, so kept here (with self as cartan).
+def act_word_on_weight(cartan, word, x):
+    for i in reversed(word):
+        x = cartan.reflect_weight(i, x)
+    return x
 
 
 SC_A11 = make([[0, 2], [-2, 0]])
@@ -97,7 +108,7 @@ def test_pidown_cone_theorem():
         n = sc.cartan.n
         interior = tuple(1 for _ in range(n))
         for w in enumerate_up_to_length(sc.weyl, 5):
-            p = sc.cartan.act_word_on_weight(w.word, interior)
+            p = act_word_on_weight(sc.cartan, w.word, interior)
             cone = sc.cambrian_cone(sc.pi_down(w))
             assert cone.contains(p)
 
@@ -262,6 +273,14 @@ def test_generated_sortables_match_filtered_enumeration(rows, max_len):
             assert root == cov[0][1]
 
 
+# The witness of the reference generators below: an element and its
+# c-sorting word, both built eagerly.
+@dataclass(frozen=True)
+class SortableWitness:
+    element: GroupElement
+    sorting_word: tuple
+
+
 # The Reading-Speyer level recursion that generated the sortables before the
 # nested-block generator, with the left multiplication it used, kept verbatim
 # as the reference for the generator's elements, words and order.
@@ -360,3 +379,120 @@ def test_generation_resumes_where_it_stopped():
         got = sc.sortables_up_to_length(max_len)
         assert _witness_keys(got) == _witness_keys(make(A2T_ROWS).sortables_up_to_length(max_len))
     assert sc._generated == len(sc.sortables_up_to_length(8)) - 1 == 20
+
+
+# The nested-block generator as it was before its witnesses were stored lean:
+# GroupElement levels built by right_mul, each with its word and inversion
+# set, and join-irreducibles found by is_join_irreducible's descent scan of
+# every sortable.  Kept verbatim as the reference for ji_sortables.
+class _GroupElementGenerator(SortableContext):
+    def __init__(self, weyl: WeylContext, cox):
+        super().__init__(weyl, cox)
+        identity = weyl.identity()
+        self._levels = [[SortableWitness(identity, ())]]  # witnesses by length
+        self._frontier = [(identity, -1, (1 << self.cartan.n) - 1, 0)]
+
+    def _extend(self):
+        """Build the next length from the frontier of (element, position of
+        its last letter, previous block, current block) states, blocks as
+        letter bitmasks.  The frontier is in word order and letters are tried
+        in increasing order, so each new level comes out in word order."""
+        pos = self.cox.position
+        frontier = []
+        for w, last, prev, cur in self._frontier:
+            for t in range(self.cartan.n):
+                bit = 1 << t
+                if cur & bit:
+                    blocks = (cur, bit)  # t opens a new block
+                elif prev & bit and pos[t] > last:
+                    blocks = (prev, cur | bit)
+                else:
+                    continue
+                if min(row[t] for row in w.matrix) >= 0:  # w(alpha_t) > 0
+                    frontier.append((self.weyl.right_mul(w, t), pos[t], *blocks))
+        if self._generated + len(frontier) > self._cap:
+            raise CapExceeded(
+                f"element cap AFFSCAT_CAP={self._cap} exceeded by sortable "
+                f"generation at length {len(self._levels)}"
+            )
+        self._generated += len(frontier)
+        self._frontier = frontier
+        self._levels.append([SortableWitness(w, w.word) for w, *_ in frontier])
+
+    def ji_sortables(self, height_cap: int, length_cap: int):
+        """Map cover root -> join-irreducible c-sortable element, for cover
+        roots of height at most height_cap, among elements of length at most
+        length_cap.  Uniqueness per root is enforced.
+        """
+        found: dict = {}
+        for wit in self.sortables_up_to_length(length_cap):
+            w = wit.element
+            if w.is_identity():
+                continue
+            root = is_join_irreducible(self.weyl, w)
+            if root is None or sum(root) > height_cap:
+                continue
+            if root in found:
+                raise AssertionError(
+                    f"two join-irreducible sortables share cover root {root}"
+                )
+            found[root] = w
+        return found
+
+
+def _ji_keys(found):
+    return {root: (w.word, w.inversions, w.matrix) for root, w in found.items()}
+
+
+def _assert_ji_maps_agree(rows, height_cap):
+    cox = coxeter_context(ExchangeMatrix.from_rows([list(r) for r in rows]))
+    weyl = WeylContext(cox.cartan)
+    length_cap = 2 * height_cap
+    for c in (cox, cox.inverse()):
+        sc, ref = SortableContext(weyl, c), _GroupElementGenerator(weyl, c)
+        got = sc.ji_sortables(height_cap, length_cap)
+        assert got and _ji_keys(got) == _ji_keys(ref.ji_sortables(height_cap, length_cap))
+        for root, w in got.items():
+            assert is_join_irreducible(weyl, w) == root
+        # the witnesses scanned are the reference's, element for element
+        assert _witness_keys(sc.sortables_up_to_length(length_cap)) == _witness_keys(
+            ref.sortables_up_to_length(length_cap)
+        )
+
+
+@pytest.mark.parametrize(
+    "rows", [o[2] for o in SWEEP_ORIENTATIONS + RANK5],
+    ids=[f"{o[0]}-{o[1]}" for o in SWEEP_ORIENTATIONS + RANK5],
+)
+def test_ji_map_matches_descent_scan(rows):
+    # At the sweep's caps H = max(4, |delta|), for c and c^-1.
+    cox = coxeter_context(ExchangeMatrix.from_rows([list(r) for r in rows]))
+    _assert_ji_maps_agree(rows, max(4, sum(cox.type_info.delta)))
+
+
+E61_ROWS = [
+    [0, 0, 0, 0, 0, 0, 1],
+    [0, 0, 1, 0, 0, 0, 0],
+    [0, -1, 0, 1, 0, 0, 0],
+    [0, 0, -1, 0, 1, 0, 1],
+    [0, 0, 0, -1, 0, 1, 0],
+    [0, 0, 0, 0, -1, 0, 0],
+    [-1, 0, 0, -1, 0, 0, 0],
+]
+E71_ROWS = [
+    [0, 1, 0, 0, 0, 0, 0, 0],
+    [-1, 0, 1, 0, 0, 0, 0, 0],
+    [0, -1, 0, 1, 0, 0, 0, 0],
+    [0, 0, -1, 0, 1, 0, 0, 1],
+    [0, 0, 0, -1, 0, 1, 0, 0],
+    [0, 0, 0, 0, -1, 0, 1, 0],
+    [0, 0, 0, 0, 0, -1, 0, 0],
+    [0, 0, 0, -1, 0, 0, 0, 0],
+]
+
+
+@pytest.mark.parametrize(
+    "rows, height_cap", [(E61_ROWS, 12), (E71_ROWS, 18)], ids=["E6_1", "E7_1"]
+)
+def test_ji_map_matches_descent_scan_exceptional(rows, height_cap):
+    _assert_ji_maps_agree(rows, height_cap)
