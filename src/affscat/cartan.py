@@ -196,11 +196,6 @@ class CartanMatrix:
         """(A v)_i = sum_j a_ij v_j, i.e. K(alpha_i^vee, v) coordinatewise."""
         return tuple(sum(self.a[i][j] * v[j] for j in range(self.n)) for i in range(self.n))
 
-    def k_form(self, u: Vec, v: Vec):
-        """K(u, v) with K(alpha_i, alpha_j) = d_i a_ij."""
-        av = self.a_times(v)
-        return sum(u[i] * self.d[i] * av[i] for i in range(self.n))
-
     def pairing(self, x: Vec, v: Vec):
         """<x, v> for x in V* (rho coordinates) and v in V (alpha coordinates)."""
         return sum(x[i] * self.d[i] * v[i] for i in range(self.n))
@@ -258,11 +253,6 @@ class CartanMatrix:
         """s.(inversions \\ {alpha_s}): the inversion set of s w from that of w, for s <= w."""
         alpha = self.simple_root(s)
         return frozenset(self.reflect_root(s, b) for b in inversions if b != alpha)
-
-    def reflect_weight(self, k: int, x: Vec) -> Vec:
-        """Dual action on V*: s_k(x)_i = x_i - a_ik x_k on rho coordinates."""
-        xk = x[k]
-        return tuple(x[i] - self.a[i][k] * xk for i in range(self.n))
 
     def act_word_on_root(self, word, v: Vec) -> Vec:
         """Apply s_{word[0]} ... s_{word[-1]} to v (rightmost letter acts first)."""

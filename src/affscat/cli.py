@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 
-from .almost_positive import APContext
 from .cartan import NotAcyclic, NotAffine, NotSkewSymmetrizable, classify, exchange_to_cartan
 from .coxeter import coxeter_context
 from .jsonio import (
@@ -27,6 +26,7 @@ from .jsonio import (
 )
 from .mutation import fans_compare
 from .scattering import (
+    _shared_contexts,
     build_dcscat,
     build_easy_scat,
     check_consistency,
@@ -153,7 +153,7 @@ def _dispatch(args, bmat) -> int:
         return 0
 
     if args.command == "clusters":
-        ap = APContext(coxeter_context(bmat))
+        _, ap = _shared_contexts(coxeter_context(bmat))
         real, imaginary, frontier = ap.clusters(args.H)
         roots = ap.compatibility_graph(args.H)[0]
         table = [

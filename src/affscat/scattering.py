@@ -66,7 +66,7 @@ from .series import (
 )
 from .shards import ShardContext
 from .sortable import SortableContext
-from .weyl import CapExceeded, WeylContext
+from .weyl import CapExceeded
 
 
 ORIGIN_INITIAL = "initial"
@@ -118,25 +118,24 @@ class ScatDiagram:
 
 
 def _shared_contexts(cox: CoxeterContext) -> tuple:
-    """The WeylContext, ShardContext and APContext of cox, built on first use
-    and kept on cox, as functools.cached_property keeps a value.
-    coxeter_context gives every stage run on one ExchangeMatrix the same
-    CoxeterContext, so build_easy_scat reuses what build_dcscat computed on
-    that matrix: the root data, the cut sets, the shard cones and AP_c."""
+    """The ShardContext and APContext of cox, built on first use and kept on
+    cox, as functools.cached_property keeps a value.  coxeter_context gives
+    every stage run on one ExchangeMatrix the same CoxeterContext, so
+    build_easy_scat and fans_compare reuse what build_dcscat computed on that
+    matrix: the root data, the cut sets, the shard cones and AP_c."""
     shared = vars(cox).get("_shared_contexts")
     if shared is None:
-        weyl = WeylContext(cox.cartan)
-        shared = vars(cox)["_shared_contexts"] = (weyl, ShardContext(weyl), APContext(cox))
+        shared = vars(cox)["_shared_contexts"] = (ShardContext(cox.cartan), APContext(cox))
     return shared
 
 
 class _Builder:
     """One construction at one height cap and truncation.
 
-    Its Weyl, shard and almost-positive contexts are those of its
-    CoxeterContext (_shared_contexts), shared with every other build on the
-    same matrix.  Its two SortableContexts are its own, because each reads
-    AFFSCAT_CAP when it is made."""
+    Its shard and almost-positive contexts are those of its CoxeterContext
+    (_shared_contexts), shared with every other build on the same matrix.
+    Its two SortableContexts are its own, because each reads AFFSCAT_CAP
+    when it is made."""
 
     def __init__(self, cox: CoxeterContext, height_cap: int, truncation: int):
         if cox.type_info.kind != "affine":
@@ -146,12 +145,12 @@ class _Builder:
         self.n = cox.n
         self.H = height_cap
         self.k = truncation
-        self.weyl, self.shards, self.ap = _shared_contexts(cox)
+        self.shards, self.ap = _shared_contexts(cox)
         # One per Coxeter element, so generated sortables survive length-cap
         # doublings.
         self.sortables = {
-            ORIGIN_SORTABLE: SortableContext(self.weyl, cox),
-            ORIGIN_INV_SORTABLE: SortableContext(self.weyl, cox.inverse()),
+            ORIGIN_SORTABLE: SortableContext(cox),
+            ORIGIN_INV_SORTABLE: SortableContext(cox.inverse()),
         }
 
     def series_for(self, beta) -> TruncatedSeries:
@@ -201,8 +200,8 @@ class _Builder:
     def ji_walls(self, origin: str, length_cap: int):
         found = self.sortables[origin].ji_sortables(self.H, length_cap)
         walls = []
-        for root, j in sorted(found.items()):
-            shard = self.shards.shard_from_ji(j)
+        for root, wit in sorted(found.items()):
+            shard = self.shards.shard_from_ji(root, wit.inversions)
             cone, ineqs = shard.cone, shard.cut_list
             if origin == ORIGIN_INV_SORTABLE:
                 cone = cone.negate()

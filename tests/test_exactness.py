@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from test_almost_positive import FAN_INSTANCES, make
-from test_cartan import reflect_by_root
+from test_cartan import k_form, reflect_by_root
 from test_coxeter import gamma_c
 from test_orientation_sweep import ORIENTATIONS
 
@@ -185,7 +185,7 @@ def test_generator_readers_neither_reduce_nor_clear():
 # root data moved to integers (self is the Cartan matrix): the oracle.
 def coroot(self, beta):
     """beta^vee = 2 beta / K(beta, beta), in alpha coordinates."""
-    kk = self.k_form(beta, beta)
+    kk = k_form(self, beta, beta)
     if kk <= 0:
         raise NotRealRoot(f"{beta} is not a real root (K(b,b) = {kk})")
     return tuple(Fraction(2, 1) / kk * a for a in beta)
@@ -242,7 +242,7 @@ def test_reflect_by_root_matches_the_fraction_oracle():
         for beta in roots:
             bv = coroot(cartan, beta)
             for v in roots[:12]:
-                kv = cartan.k_form(bv, v)
+                kv = k_form(cartan, bv, v)
                 expect = tuple(x - kv * b for x, b in zip(v, beta))
                 got = reflect_by_root(cartan, beta, v)
                 assert _is_int_tuple(got) and got == expect, (beta, v)
@@ -254,11 +254,11 @@ def test_h_c_is_tested_in_integers():
         h = ap.cox.affine.h
         assert _is_int_tuple(h) and any(h)
         gamma = gamma_c(ap.cox)
-        k = [ap.cartan.k_form(gamma, ap.cartan.simple_root(j)) for j in range(ap.n)]
+        k = [k_form(ap.cartan, gamma, ap.cartan.simple_root(j)) for j in range(ap.n)]
         t = next(Fraction(y) / x for x, y in zip(k, h) if x)
         assert t > 0 and h == tuple(t * x for x in k)  # a positive multiple
         for r in ap.cartan.real_roots_up_to_height(H):
-            assert ap.cox.in_h_c(r) == (ap.cartan.k_form(gamma, r) == 0), r
+            assert ap.cox.in_h_c(r) == (k_form(ap.cartan, gamma, r) == 0), r
 
 
 def _sign(x):
@@ -292,6 +292,6 @@ def test_sign_reads_match_the_fraction_forms():
             assert _sign(cox.omega(u, ap.delta)) == _sign(cox.defect(u)), u
             for x in points:
                 assert _sign(cartan.pairing(x, u)) == _sign(vdot(x, cov(u))), (x, u)
-                assert (cartan.k_form(x, u) != 0) == (vdot(cov(x), cartan.a_times(u)) != 0)
+                assert (k_form(cartan, x, u) != 0) == (vdot(cov(x), cartan.a_times(u)) != 0)
                 checked += 1
     assert checked > 20_000

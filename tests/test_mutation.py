@@ -370,34 +370,35 @@ def test_b_class_probe_inside_d_inf():
 def test_eta_transports_cambrian_cones():
     # eta_k^{B^T} carries enumerated Cambrian cones of B onto Cambrian cones
     # of mu_k(B), injectively (normal-set transport at desk scale).
+    from test_sortable import ReferenceSortable, witness_element
+    from test_weyl import ReferenceWeyl
+
     from affscat.cones import Cone
-    from affscat.sortable import SortableContext
-    from affscat.weyl import WeylContext
 
     b = B_A2T
     k = 0
     b2 = ExchangeMatrix.from_rows([list(r) for r in mutate(b.b, k)])
     assert b2.is_acyclic()
     cox1, cox2 = coxeter_context(b), coxeter_context(b2)
-    sc1 = SortableContext(WeylContext(cox1.cartan), cox1)
-    sc2 = SortableContext(WeylContext(cox2.cartan), cox2)
-    sc2_inv = SortableContext(WeylContext(cox2.cartan), cox2.inverse())
+    sc1 = ReferenceSortable(ReferenceWeyl(cox1.cartan), cox1)
+    sc2 = ReferenceSortable(ReferenceWeyl(cox2.cartan), cox2)
+    sc2_inv = ReferenceSortable(ReferenceWeyl(cox2.cartan), cox2.inverse())
     # the g-vector fan is the doubled Cambrian fan: include the antipodal half
     target_keys = {
-        sc2.cambrian_cone(w.element).generators
+        sc2.cambrian_cone(witness_element(w)).generators
         for w in sc2.sortables_up_to_length(7)
     } | {
-        sc2_inv.cambrian_cone(w.element).negate().generators
+        sc2_inv.cambrian_cone(witness_element(w)).negate().generators
         for w in sc2_inv.sortables_up_to_length(7)
     }
     bt = b.transpose()
     images = set()
     for wit in sc1.sortables_up_to_length(4):
-        cone = sc1.cambrian_cone(wit.element)
+        cone = sc1.cambrian_cone(witness_element(wit))
         lin, rays = cone.generators
         assert lin == ()
         image = Cone.from_rays(3, [eta(bt, [k], r) for r in rays])
-        assert image.generators in target_keys, wit.element.word
+        assert image.generators in target_keys, witness_element(wit).word
         assert image.generators not in images
         images.add(image.generators)
 

@@ -6,10 +6,20 @@ and |a_ji|); the acyclic ones are the 84 orientations of rank at most 4 and
 the 158 of rank 5 checked here, at H = k = max(4, |delta|).  Below |delta|
 the imaginary wall d_inf lies in no loop, so neither the consistency check
 nor its negative control would say anything about it.
+
+At that cap a loop sees only the q^1 coefficient of f_inf, q = yhat^delta:
+q^m enters a loop only once the caps reach m |delta|.  So the rank <= 4
+orientations are also checked at H = k = m |delta| for m = 2 and 3, where
+f_inf's q^2 and q^3 coefficients (which differ from those of (1 - q)^-2 in
+type A_2k^(2)) are checked: the two constructions agree, the diagram is
+consistent, and it turns inconsistent once the q^m coefficient moves by 1.
+tests/sweep_deep.py, which tier-1 does not collect, runs the same three
+checks on rank 5 at m = 2 and on all rank-6 orientations at m = 1.
 """
 
 import functools
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +28,13 @@ from affscat.cartan import ExchangeMatrix, _affine_table
 from affscat.coxeter import coxeter_context
 from affscat.linalg import rank
 from affscat.mutation import fans_compare
-from affscat.scattering import build_dcscat, build_easy_scat, check_consistency
+from affscat.scattering import (
+    ORIGIN_IMAGINARY,
+    build_dcscat,
+    build_easy_scat,
+    check_consistency,
+)
+from affscat.series import TruncatedSeries
 
 
 def acyclic_orientations(n):
@@ -55,6 +71,37 @@ def _instance(rows):
     return bmat, cox, cap, build_dcscat(bmat, cap, cap)
 
 
+@functools.cache
+def _deep_instance(rows, m):
+    """_instance at H = k = m |delta|, cached per (matrix, cap)."""
+    bmat = ExchangeMatrix.from_rows([list(r) for r in rows])
+    cox = coxeter_context(bmat)
+    cap = m * sum(cox.type_info.delta)
+    return bmat, cox, cap, build_dcscat(bmat, cap, cap)
+
+
+def _moved_f_inf(diagram, m):
+    """The diagram with the q^m coefficient of f_inf moved by 1."""
+    walls = []
+    for w in diagram.walls:
+        if w.origin == ORIGIN_IMAGINARY:
+            coeffs = list(w.f.coeffs)
+            coeffs[m] += 1
+            w = replace(w, f=TruncatedSeries.make(w.normal, w.f.k, coeffs))
+        walls.append(w)
+    return replace(diagram, walls=tuple(walls))
+
+
+def check_imaginary_wall_to(rows, m):
+    """At H = k = m |delta|: both constructions agree, the diagram is
+    consistent, and it is inconsistent once f_inf's q^m coefficient moves."""
+    bmat, cox, cap, diagram = _deep_instance(rows, m)
+    assert diagram.same_walls(build_easy_scat(bmat, cap, cap))
+    report = check_consistency(diagram, cap, cox)
+    assert report["consistent"] and report["checked"] == report["faces"] > 0, report
+    assert not check_consistency(_moved_f_inf(diagram, m), cap, cox)["consistent"]
+
+
 def test_orientation_count():
     assert len(ORIENTATIONS) == 84
     assert len({_id(o) for o in ORIENTATIONS}) == 84
@@ -85,6 +132,12 @@ def test_consistent(orientation):
     _, cox, cap, diagram = _instance(orientation[2])
     report = check_consistency(diagram, cap, cox)
     assert report["consistent"] and report["checked"] == report["faces"] > 0, report
+
+
+@pytest.mark.parametrize("m", (2, 3))
+@pytest.mark.parametrize("orientation", ORIENTATIONS, ids=_id)
+def test_imaginary_wall_past_its_first_term(orientation, m):
+    check_imaginary_wall_to(orientation[2], m)
 
 
 # Clusters as they were found before the compatibility graph tested each

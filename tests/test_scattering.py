@@ -1226,10 +1226,9 @@ def test_aff_greg_shard_unique_shard_with_omega():
     # Each real wall is the unique shard in beta-perp whose relative interior
     # side contains -omega_c(. , beta).
     from affscat.shards import ShardContext
-    from affscat.weyl import WeylContext
 
     for b, cox in ((B_A11, COX_A11), (B_A2T, COX_A2T)):
-        sh = ShardContext(WeylContext(cox.cartan))
+        sh = ShardContext(cox.cartan)
         d = build_dcscat(b, height_cap=4, truncation=4)
         for w in d.walls:
             if w.origin == ORIGIN_IMAGINARY:
@@ -1287,7 +1286,9 @@ def test_wall_covectors_stored_as_ints():
 
 def test_dcscat_never_walks_w(monkeypatch):
     # The shard construction generates sortables directly: with every binding
-    # of the Weyl-group BFS made to raise, it still matches easy_scat.
+    # of the Weyl-group BFS made to raise, and with constructing a
+    # GroupElement or a WeylContext made to raise, both constructions still
+    # run and agree.  Each shard is read off a lean sortable witness.
     import sys
 
     import affscat.sortable
@@ -1296,12 +1297,17 @@ def test_dcscat_never_walks_w(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("build_dcscat must not enumerate W")
 
+    def no_group_elements(*args, **kwargs):
+        raise AssertionError("the constructions must not build a GroupElement or a WeylContext")
+
     for name, module in list(sys.modules.items()):
         if name.startswith("affscat") and hasattr(module, "enumerate_up_to_length"):
             monkeypatch.setattr(module, "enumerate_up_to_length", forbidden)
     assert affscat.weyl.enumerate_up_to_length is forbidden
     if hasattr(affscat.sortable, "enumerate_up_to_length"):
         assert affscat.sortable.enumerate_up_to_length is forbidden
+    for cls in (affscat.weyl.GroupElement, affscat.weyl.WeylContext):
+        monkeypatch.setattr(cls, "__init__", no_group_elements)
     b = ExchangeMatrix.from_rows(
         [[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, -1], [-1, 0, 1, 0]]
     )

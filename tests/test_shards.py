@@ -1,22 +1,104 @@
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import pytest
 from test_linalg import _reference_solve_linear
-from test_weyl import left_descents
+from test_weyl import ReferenceWeyl, is_identity, is_join_irreducible, left_descents, weak_leq
 
 from affscat.cartan import CartanMatrix, ExchangeMatrix
 from affscat.cones import Cone
 from affscat.coxeter import coxeter_context
-from affscat.linalg import primitive_vector, rank
-from affscat.shards import ShardContext
-from affscat.weyl import WeylContext, enumerate_up_to_length, is_join_irreducible
+from affscat.linalg import primitive_vector, rank, wedge_key
+from affscat.shards import ShardCone, ShardContext, _extreme_pair
+from affscat.weyl import GroupElement, enumerate_up_to_length
+
+
+class NotFoundWithinL(RuntimeError):
+    pass
+
+
+@dataclass(frozen=True)
+class Rank2Subsystem:
+    roots: tuple  # positive real roots in the plane, up to the height used
+    canonical: tuple  # the two canonical roots
+
+
+# Rank-2 subsystems and the map from a shard back to its join-irreducible,
+# which the scattering construction does not use: kept here verbatim, as the
+# oracles of the cutting relation and of the ji -> shard -> ji round trip.
+# shard_of_element is the shard map on a GroupElement, finding the cover
+# root by is_join_irreducible.
+class ReferenceShards(ShardContext):
+    def __init__(self, weyl: ReferenceWeyl):
+        super().__init__(weyl.cartan)
+        self.weyl = weyl
+
+    def rank2_subsystem(self, beta, gamma, height_cap=None) -> Rank2Subsystem:
+        height = max(sum(beta), sum(gamma))
+        if height_cap is None:
+            height_cap = height
+        if height_cap < height:
+            raise ValueError(f"height cap {height_cap} is below the pair's height {height}")
+        key = wedge_key(beta, gamma)
+        if key is None:
+            raise ValueError("need two independent roots")
+        members = self._planes(beta, height_cap)[key]
+        return Rank2Subsystem(
+            roots=tuple(sorted(members)),
+            canonical=_extreme_pair(members, beta, gamma),
+        )
+
+    def shard_of_element(self, j: GroupElement) -> ShardCone:
+        root = is_join_irreducible(self.weyl, j)
+        if root is None:
+            raise ValueError("element is not join-irreducible")
+        return self.shard_from_ji(root, j.inversions)
+
+    def chamber(self, w: GroupElement) -> Cone:
+        """wD as a cone in V*."""
+        n = self.cartan.n
+        ineqs = []
+        for i in range(n):
+            img = tuple(w.matrix[r][i] for r in range(n))  # w(alpha_i)
+            ineqs.append(self.cartan.primitive_in_coroot_lattice(tuple(-c for c in img)))
+        return Cone.from_constraints(n, ineqs=ineqs)
+
+    def upper_elements(self, shard: ShardCone, elements):
+        """Elements w with beta in inv(w) and wD meeting the shard in codim 1."""
+        n = self.cartan.n
+        out = []
+        for w in elements:
+            if shard.normal not in w.inversions:
+                continue
+            cols = set()
+            for i in range(n):
+                img = tuple(w.matrix[r][i] for r in range(n))
+                cols.add(img)
+                cols.add(tuple(-c for c in img))
+            if shard.normal not in cols:
+                continue  # beta-perp does not support a facet of wD
+            meet = self.chamber(w).intersect(shard.cone)
+            if meet.dim == n - 1:
+                out.append(w)
+        return out
+
+    def ji_of_shard(self, shard: ShardCone, length_cap: int) -> GroupElement:
+        elements = enumerate_up_to_length(self.weyl, length_cap)
+        uppers = self.upper_elements(shard, elements)
+        if not uppers:
+            raise NotFoundWithinL(f"no upper elements of the shard within length {length_cap}")
+        minimal = [w for w in uppers if not any(weak_leq(v, w) and v != w for v in uppers)]
+        assert len(minimal) == 1, "shard must have a unique minimal upper element"
+        j = minimal[0]
+        assert is_join_irreducible(self.weyl, j) is not None
+        return j
 
 
 def make(rows):
     b = ExchangeMatrix.from_rows(rows)
     cox = coxeter_context(b)
-    weyl = WeylContext(cox.cartan)
-    return ShardContext(weyl), cox
+    weyl = ReferenceWeyl(cox.cartan)
+    return ReferenceShards(weyl), cox
 
 
 SH_A11, COX_A11 = make([[0, 2], [-2, 0]])
@@ -40,7 +122,7 @@ def test_canonical_roots_affine_plane():
 
 def test_canonical_roots_orthogonal_pair():
     cm = CartanMatrix.from_rows([[2, 0], [0, 2]])
-    ctx = ShardContext(WeylContext(cm))
+    ctx = ReferenceShards(ReferenceWeyl(cm))
     sub = ctx.rank2_subsystem((1, 0), (0, 1))
     assert sub.canonical == ((0, 1), (1, 0))
     assert len(sub.roots) == 2
@@ -160,8 +242,7 @@ def test_cut_set_matches_fraction_reference():
 
 
 def test_shard_of_simple_is_full_hyperplane():
-    j = SH_A11.weyl.from_word((0,))
-    shard = SH_A11.shard_from_ji(j)
+    shard = SH_A11.shard_from_ji((1, 0), frozenset({(1, 0)}))
     assert shard.cut_list == ()
     lin, rays = shard.cone.generators
     assert len(lin) == 1 and rays == ()  # a full line in rank 2
@@ -169,7 +250,8 @@ def test_shard_of_simple_is_full_hyperplane():
 
 def test_shard_s1s2_example():
     j = SH_A11.weyl.from_word((0, 1))
-    shard = SH_A11.shard_from_ji(j)
+    shard = SH_A11.shard_of_element(j)
+    assert shard is SH_A11.shard_from_ji((2, 1), j.inversions)
     assert shard.normal == (2, 1)
     assert shard.cut_list == ((1, 0),)
     # same cone from the root side
@@ -180,7 +262,7 @@ def test_shard_s1s2_example():
 
 def test_nonsimple_shard_strictly_smaller():
     j = SH_A11.weyl.from_word((0, 1))
-    shard = SH_A11.shard_from_ji(j)
+    shard = SH_A11.shard_of_element(j)
     cov = SH_A11.cartan.primitive_in_coroot_lattice
     full = Cone.from_constraints(2, eqs=[cov(shard.normal)])
     assert full.contains_cone(shard.cone)
@@ -191,9 +273,9 @@ def test_shard_modes_agree_on_sortable_ji():
     from affscat.sortable import SortableContext
 
     for sh, cox in ((SH_A11, COX_A11), (SH_A2T, COX_A2T)):
-        sc = SortableContext(sh.weyl, cox)
-        for root, j in sc.ji_sortables(height_cap=4, length_cap=6).items():
-            a = sh.shard_from_ji(j)
+        sc = SortableContext(cox)
+        for root, wit in sc.ji_sortables(height_cap=4, length_cap=6).items():
+            a = sh.shard_from_ji(root, wit.inversions)
             b = sh.shard_from_root(root, cox)
             assert a.cone.generators == b.cone.generators, (root, a.cut_list, b.cut_list)
 
@@ -216,15 +298,15 @@ def test_sigma_j_jprime_antipodal():
     from affscat.sortable import SortableContext
 
     for sh, cox in ((SH_A11, COX_A11), (SH_A2T, COX_A2T)):
-        sc = SortableContext(sh.weyl, cox)
-        sc_inv = SortableContext(sh.weyl, cox.inverse())
+        sc = SortableContext(cox)
+        sc_inv = SortableContext(cox.inverse())
         ji = sc.ji_sortables(height_cap=4, length_cap=8)
         ji_inv = sc_inv.ji_sortables(height_cap=4, length_cap=8)
         both = set(ji) & set(ji_inv)
         assert both, "expected some shared cover roots"
         for root in both:
-            a = sh.shard_from_ji(ji[root])
-            b = sh.shard_from_ji(ji_inv[root])
+            a = sh.shard_from_ji(root, ji[root].inversions)
+            b = sh.shard_from_ji(root, ji_inv[root].inversions)
             assert b.cone.generators == a.cone.negate().generators
 
 
@@ -238,10 +320,10 @@ def test_sigma_sj_gluing():
                 continue
             for s in left_descents(sh.weyl, j):
                 sj = sh.weyl.left_div(j, s)
-                if sj.is_identity() or is_join_irreducible(sh.weyl, sj) is None:
+                if is_identity(sj) or is_join_irreducible(sh.weyl, sj) is None:
                     continue
-                shard_j = sh.shard_from_ji(j)
-                shard_sj = sh.shard_from_ji(sj)
+                shard_j = sh.shard_of_element(j)
+                shard_sj = sh.shard_of_element(sj)
                 reflected = Cone.from_constraints(
                     n,
                     eqs=[cov(sh.cartan.reflect_root(s, shard_sj.normal))],
@@ -254,7 +336,7 @@ def test_sigma_sj_gluing():
 
 
 def test_ji_of_shard_simple():
-    shard = SH_A11.shard_from_ji(SH_A11.weyl.from_word((0,)))
+    shard = SH_A11.shard_of_element(SH_A11.weyl.from_word((0,)))
     j = SH_A11.ji_of_shard(shard, length_cap=4)
     assert j == SH_A11.weyl.from_word((0,))
 
@@ -262,8 +344,8 @@ def test_ji_of_shard_simple():
 def test_ji_of_shard_round_trip():
     for sh, max_len in ((SH_A11, 6), (SH_A2T, 5)):
         for j in enumerate_up_to_length(sh.weyl, max_len):
-            if j.is_identity() or is_join_irreducible(sh.weyl, j) is None:
+            if is_identity(j) or is_join_irreducible(sh.weyl, j) is None:
                 continue
-            shard = sh.shard_from_ji(j)
+            shard = sh.shard_of_element(j)
             back = sh.ji_of_shard(shard, length_cap=max_len + 1)
             assert back == j

@@ -1,32 +1,159 @@
 from dataclasses import dataclass
 
 import pytest
+from test_cartan import k_form, reflect_weight
 from test_orientation_sweep import ORIENTATIONS as SWEEP_ORIENTATIONS
 from test_orientation_sweep import RANK5
+from test_weyl import ReferenceWeyl, covers, is_identity, is_join_irreducible, weak_leq
 
 from affscat.cartan import ExchangeMatrix
+from affscat.cones import Cone
 from affscat.coxeter import coxeter_context
-from affscat.sortable import SortableContext, _drop, _rotate
+from affscat.sortable import SortableContext
 from affscat.weyl import (
     CapExceeded,
     GroupElement,
-    WeylContext,
     enumerate_up_to_length,
-    is_join_irreducible,
-    weak_leq,
+    word_from_inversions,
 )
+
+
+# Reading's recursions on (inversion set, index order) pairs: c-sortability
+# with the c-sorting word, pi-down and the Cambrian cones.  The order is a
+# linear extension whose first letter is always initial in the current
+# Coxeter element, and parabolic descent drops letters from the order.  The
+# scattering construction does not use them; they are kept here verbatim, as
+# the oracles of the sortable generator, with the c-sorting word and the
+# GroupElement of a generated witness, read off its parent chain.
+def witness_word(wit) -> tuple:
+    word = []
+    while wit.parent is not None:
+        word.append(wit.letter)
+        wit = wit.parent
+    return tuple(reversed(word))
+
+
+def witness_element(wit) -> GroupElement:
+    """w as a GroupElement.  Each step of the chain multiplies u by a
+    letter t with u(alpha_t) > 0 on the right, which adds u(alpha_t),
+    column t of u's matrix, to the inversion set."""
+    word, inversions = [], []
+    columns = wit.columns
+    while wit.parent is not None:
+        word.append(wit.letter)
+        inversions.append(wit.parent.columns[wit.letter])
+        wit = wit.parent
+    matrix = tuple(zip(*columns))
+    return GroupElement(tuple(reversed(word)), frozenset(inversions), matrix)
+
+
+def _rotate(order, s):
+    return tuple(i for i in order if i != s) + (s,)
+
+
+def _drop(order, s):
+    return tuple(i for i in order if i != s)
+
+
+class ReferenceSortable(SortableContext):
+    def __init__(self, weyl: ReferenceWeyl, cox):
+        super().__init__(cox)
+        self.weyl = weyl
+        self._sort_cache: dict = {}
+        self._cone_cache: dict = {}
+
+    # -- sortability ----------------------------------------------------------
+
+    def sorting_word(self, inversions: frozenset, order=None):
+        """The c-sorting word if the element is c-sortable, else None."""
+        order = self.cox.order if order is None else order
+        key = (inversions, order)
+        if key in self._sort_cache:
+            return self._sort_cache[key]
+        result = self._sorting_word(inversions, order)
+        self._sort_cache[key] = result
+        return result
+
+    def _sorting_word(self, inversions, order):
+        if not inversions:
+            return ()
+        if not order:
+            return None  # nonidentity element of the trivial parabolic
+        s = order[0]
+        if self.cartan.simple_root(s) in inversions:
+            tail = self.sorting_word(self.cartan.peel(s, inversions), _rotate(order, s))
+            return None if tail is None else (s,) + tail
+        if any(b[s] != 0 for b in inversions):
+            return None  # not in the parabolic W_<s>
+        return self.sorting_word(inversions, _drop(order, s))
+
+    def is_sortable(self, w: GroupElement):
+        word = self.sorting_word(w.inversions)
+        if word is None:
+            return None
+        wit = self._levels[0][0]
+        for t in word:
+            wit = self._child(wit, t)
+        return wit
+
+    # -- pi-down ----------------------------------------------------------------
+
+    def pi_down(self, w: GroupElement) -> GroupElement:
+        inv = self._pi_down(w.inversions, self.cox.order)
+        return self.weyl.from_word(word_from_inversions(self.weyl, inv))
+
+    def _pi_down(self, inversions, order) -> frozenset:
+        if not inversions or not order:
+            return frozenset()
+        s = order[0]
+        alpha = self.cartan.simple_root(s)
+        if alpha in inversions:
+            below = self._pi_down(self.cartan.peel(s, inversions), _rotate(order, s))
+            assert alpha not in below
+            return frozenset({self.cartan.reflect_root(s, b) for b in below} | {alpha})
+        restricted = frozenset(b for b in inversions if b[s] == 0)
+        return self._pi_down(restricted, _drop(order, s))
+
+    # -- Cambrian cones -----------------------------------------------------------
+
+    def cone_normals(self, inversions: frozenset, order=None):
+        """C_c(v) for sortable v: n roots whose >=0 side cuts out Cone_c(v)."""
+        order = self.cox.order if order is None else order
+        key = (inversions, order)
+        if key in self._cone_cache:
+            return self._cone_cache[key]
+        if not inversions:
+            result = frozenset(self.cartan.simple_root(i) for i in order)
+        else:
+            s = order[0]
+            alpha = self.cartan.simple_root(s)
+            if alpha in inversions:
+                inner = self.cone_normals(self.cartan.peel(s, inversions), _rotate(order, s))
+                result = frozenset(self.cartan.reflect_root(s, b) for b in inner)
+            else:
+                inner = self.cone_normals(inversions, _drop(order, s))
+                result = inner | {alpha}
+        self._cone_cache[key] = result
+        return result
+
+    def cambrian_cone(self, v: GroupElement) -> Cone:
+        """Cone_c(v) = {x : <x, beta> >= 0 for beta in C_c(v)} in V*."""
+        normals = self.cone_normals(v.inversions)
+        cov = self.cartan.primitive_in_coroot_lattice
+        covs = [cov(tuple(-c for c in b)) for b in normals]
+        return Cone.from_constraints(self.cartan.n, ineqs=covs)
 
 
 def make(rows):
     b = ExchangeMatrix.from_rows(rows)
     cox = coxeter_context(b)
-    return SortableContext(WeylContext(cox.cartan), cox)
+    return ReferenceSortable(ReferenceWeyl(cox.cartan), cox)
 
 
 # Used by the tests alone, so kept here (with self as cartan).
 def act_word_on_weight(cartan, word, x):
     for i in reversed(word):
-        x = cartan.reflect_weight(i, x)
+        x = reflect_weight(cartan, i, x)
     return x
 
 
@@ -47,7 +174,7 @@ def test_s1s2s1_sortable():
     w = SC_A11.weyl.from_word((0, 1, 0))
     wit = SC_A11.is_sortable(w)
     assert wit is not None
-    assert wit.sorting_word == (0, 1, 0)
+    assert witness_word(wit) == (0, 1, 0)
 
 
 def test_s2_alone_sortable():
@@ -57,7 +184,7 @@ def test_s2_alone_sortable():
 
 def test_pi_down_fixes_sortables():
     for wit in SC_A11.sortables_up_to_length(6):
-        assert SC_A11.pi_down(wit.element) == wit.element
+        assert SC_A11.pi_down(witness_element(wit)) == witness_element(wit)
 
 
 def test_pi_down_example():
@@ -68,7 +195,7 @@ def test_pi_down_example():
 def test_pi_down_matches_brute_force():
     for sc in (SC_A11, SC_A2T):
         elems = enumerate_up_to_length(sc.weyl, 5)
-        sortable = [w.element for w in sc.sortables_up_to_length(5)]
+        sortable = [witness_element(w) for w in sc.sortables_up_to_length(5)]
         for w in elems:
             below = [v for v in sortable if weak_leq(v, w)]
             best = max(below, key=lambda v: v.length)
@@ -94,7 +221,7 @@ def test_cone_s1_example():
 
 def test_cones_disjoint_interiors():
     for sc in (SC_A11, SC_A2T):
-        cones = [sc.cambrian_cone(w.element) for w in sc.sortables_up_to_length(4)]
+        cones = [sc.cambrian_cone(witness_element(w)) for w in sc.sortables_up_to_length(4)]
         for i, c1 in enumerate(cones):
             assert c1.dim == sc.cartan.n  # full-dimensional simplicial
             for c2 in cones[i + 1 :]:
@@ -118,7 +245,7 @@ def test_above_below_alpha_perp():
     for sc in (SC_A11, SC_A2T):
         n = sc.cartan.n
         for wit in sc.sortables_up_to_length(4):
-            v = wit.element
+            v = witness_element(wit)
             cone = sc.cambrian_cone(v)
             lin, rays = cone.generators
             gens = list(rays) + [l for l in lin] + [tuple(-c for c in l) for l in lin]
@@ -133,11 +260,9 @@ def test_above_below_alpha_perp():
 
 def test_wall_cov_facet_normals():
     # negative entries of C_c(v) are exactly the cover roots of v.
-    from affscat.weyl import covers
-
     for sc in (SC_A11, SC_A2T):
         for wit in sc.sortables_up_to_length(5):
-            v = wit.element
+            v = witness_element(wit)
             neg_normals = {
                 tuple(-c for c in b)
                 for b in sc.cone_normals(v.inversions)
@@ -149,7 +274,7 @@ def test_wall_cov_facet_normals():
 
 def test_join_of_sortables_is_sortable():
     for sc in (SC_A11, SC_A2T):
-        sortable = [w.element for w in sc.sortables_up_to_length(4)]
+        sortable = [witness_element(w) for w in sc.sortables_up_to_length(4)]
         universe = enumerate_up_to_length(sc.weyl, 8)
         for v in sortable:
             for w in sortable:
@@ -165,7 +290,8 @@ def test_join_of_sortables_is_sortable():
 def test_ji_sortables_a11():
     ji = SC_A11.ji_sortables(height_cap=3, length_cap=6)
     assert set(ji) == {(1, 0), (0, 1), (2, 1)}
-    assert ji[(2, 1)] == SC_A11.weyl.from_word((0, 1))
+    assert witness_element(ji[(2, 1)]) == SC_A11.weyl.from_word((0, 1))
+    assert ji[(2, 1)].inversions == frozenset({(1, 0), (2, 1)})
 
 
 def test_ji_unique_per_root_finite_a2():
@@ -180,12 +306,12 @@ def test_sortable_iff_aligned():
     # conjugates of the standard rank-2 parabolics; all finite here).
     from itertools import combinations
 
+    from test_shards import ReferenceShards
+
     from affscat.linalg import rank, rref
-    from affscat.shards import ShardContext
-    from affscat.weyl import enumerate_up_to_length
 
     for sc in (SC_A11, SC_A2T):
-        sh = ShardContext(sc.weyl)
+        sh = ReferenceShards(sc.weyl)
         cox = sc.cox
         cm = sc.cartan
         n = cm.n
@@ -209,7 +335,7 @@ def test_sortable_iff_aligned():
             for sub in subsystems.values():
                 u, v = sub.canonical
                 om = cox.omega(u, v)
-                members = frozenset(r for r in sub.roots if cm.k_form(r, r) > 0)
+                members = frozenset(r for r in sub.roots if k_form(cm, r, r) > 0)
                 hit = w.inversions & members
                 if om == 0:
                     ok = hit <= {u, v}
@@ -250,20 +376,19 @@ ORIENTATIONS = (
     "rows, max_len", ORIENTATIONS, ids=["A1_1", "A2_2", "A2_1", "G2_1", "A3_1", "D4_1"]
 )
 def test_generated_sortables_match_filtered_enumeration(rows, max_len):
-    from affscat.weyl import covers, is_join_irreducible
-
     cox = coxeter_context(ExchangeMatrix.from_rows(rows))
-    weyl = WeylContext(cox.cartan)
+    weyl = ReferenceWeyl(cox.cartan)
     elements = enumerate_up_to_length(weyl, max_len)
     for c in (cox, cox.inverse()):
-        sc = SortableContext(weyl, c)
+        sc = ReferenceSortable(weyl, c)
         generated = sc.sortables_up_to_length(max_len)
         filtered = {w.inversions for w in elements if sc.is_sortable(w) is not None}
         assert len(generated) == len(filtered) > 1
-        assert {wit.element.inversions for wit in generated} == filtered
+        assert {witness_element(wit).inversions for wit in generated} == filtered
         for wit in generated:
-            assert wit.sorting_word == sc.sorting_word(wit.element.inversions)
-        keys = [(wit.element.length, wit.sorting_word) for wit in generated]
+            assert wit.inversions == witness_element(wit).inversions
+            assert witness_word(wit) == sc.sorting_word(wit.inversions)
+        keys = [(witness_element(wit).length, witness_word(wit)) for wit in generated]
         assert keys == sorted(keys)
     for w in elements:
         cov = covers(weyl, w)
@@ -282,21 +407,13 @@ class SortableWitness:
 
 
 # The Reading-Speyer level recursion that generated the sortables before the
-# nested-block generator, with the left multiplication it used, kept verbatim
-# as the reference for the generator's elements, words and order.
-class ReferenceWeyl(WeylContext):
-    def left_mul_up(self, w: GroupElement, s: int) -> GroupElement:
-        """s w when s is not <= w (length goes up)."""
-        alpha = self.simple_root(s)
-        assert alpha not in w.inversions, "left_mul_up requires s not <= w"
-        inv = frozenset({self.cartan.reflect_root(s, b) for b in w.inversions} | {alpha})
-        mat = self._left_reflect(s, w.matrix)
-        return GroupElement((s,) + w.word, inv, mat)
-
-
+# nested-block generator, with the left multiplication it used
+# (ReferenceWeyl.left_mul_up), kept verbatim as the reference for the
+# generator's elements, words and order.
 class _LevelRecursion(SortableContext):
     def __init__(self, weyl: ReferenceWeyl, cox):
-        super().__init__(weyl, cox)
+        super().__init__(cox)
+        self.weyl = weyl
         self._level_cache: dict = {}
 
     def sortables_up_to_length(self, max_len: int):
@@ -340,6 +457,15 @@ class _LevelRecursion(SortableContext):
 
 
 def _witness_keys(witnesses):
+    """(c-sorting word, inversion set, matrix) of each generated witness."""
+    return [
+        (witness_word(wit), witness_element(wit).inversions, witness_element(wit).matrix)
+        for wit in witnesses
+    ]
+
+
+def _reference_keys(witnesses):
+    """The same keys for the references' eager witnesses."""
     return [(wit.sorting_word, wit.element.inversions, wit.element.matrix) for wit in witnesses]
 
 
@@ -352,13 +478,12 @@ def test_generator_matches_level_recursion(rows, max_len):
     # Same elements, same c-sorting words and the same (length, word) order
     # as the level recursion, for c and c^-1.
     cox = coxeter_context(ExchangeMatrix.from_rows([list(r) for r in rows]))
-    weyl = WeylContext(cox.cartan)
     ref_weyl = ReferenceWeyl(cox.cartan)
     for c in (cox, cox.inverse()):
-        got = SortableContext(weyl, c).sortables_up_to_length(max_len)
+        got = SortableContext(c).sortables_up_to_length(max_len)
         want = _LevelRecursion(ref_weyl, c).sortables_up_to_length(max_len)
         assert len(got) > max_len
-        assert _witness_keys(got) == _witness_keys(want)
+        assert _witness_keys(got) == _reference_keys(want)
 
 
 A2T_ROWS = [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]
@@ -386,8 +511,9 @@ def test_generation_resumes_where_it_stopped():
 # set, and join-irreducibles found by is_join_irreducible's descent scan of
 # every sortable.  Kept verbatim as the reference for ji_sortables.
 class _GroupElementGenerator(SortableContext):
-    def __init__(self, weyl: WeylContext, cox):
-        super().__init__(weyl, cox)
+    def __init__(self, weyl: ReferenceWeyl, cox):
+        super().__init__(cox)
+        self.weyl = weyl
         identity = weyl.identity()
         self._levels = [[SortableWitness(identity, ())]]  # witnesses by length
         self._frontier = [(identity, -1, (1 << self.cartan.n) - 1, 0)]
@@ -427,7 +553,7 @@ class _GroupElementGenerator(SortableContext):
         found: dict = {}
         for wit in self.sortables_up_to_length(length_cap):
             w = wit.element
-            if w.is_identity():
+            if is_identity(w):
                 continue
             root = is_join_irreducible(self.weyl, w)
             if root is None or sum(root) > height_cap:
@@ -446,16 +572,18 @@ def _ji_keys(found):
 
 def _assert_ji_maps_agree(rows, height_cap):
     cox = coxeter_context(ExchangeMatrix.from_rows([list(r) for r in rows]))
-    weyl = WeylContext(cox.cartan)
+    weyl = ReferenceWeyl(cox.cartan)
     length_cap = 2 * height_cap
     for c in (cox, cox.inverse()):
-        sc, ref = SortableContext(weyl, c), _GroupElementGenerator(weyl, c)
-        got = sc.ji_sortables(height_cap, length_cap)
+        sc, ref = SortableContext(c), _GroupElementGenerator(weyl, c)
+        found = sc.ji_sortables(height_cap, length_cap)
+        got = {root: witness_element(wit) for root, wit in found.items()}
         assert got and _ji_keys(got) == _ji_keys(ref.ji_sortables(height_cap, length_cap))
         for root, w in got.items():
             assert is_join_irreducible(weyl, w) == root
+            assert found[root].inversions == w.inversions
         # the witnesses scanned are the reference's, element for element
-        assert _witness_keys(sc.sortables_up_to_length(length_cap)) == _witness_keys(
+        assert _witness_keys(sc.sortables_up_to_length(length_cap)) == _reference_keys(
             ref.sortables_up_to_length(length_cap)
         )
 

@@ -1,16 +1,79 @@
 import pytest
-from test_sortable import ReferenceWeyl
 
 from affscat.cartan import CartanMatrix, ExchangeMatrix, exchange_to_cartan
 from affscat.weyl import (
     CapExceeded,
+    GroupElement,
     WeylContext,
-    covers,
     enumerate_up_to_length,
-    is_join_irreducible,
-    weak_leq,
     word_from_inversions,
 )
+
+
+# The weak order, covers, join-irreducibility and left multiplication of
+# GroupElements, which the scattering construction does not use: kept here
+# verbatim, as the reference the sortable generator and the shard map are
+# checked against.
+class ReferenceWeyl(WeylContext):
+    def _left_reflect(self, s: int, m: tuple) -> tuple:
+        """s m: row s becomes m[s] - sum_j a_sj m[j]; the other rows are kept."""
+        row = m[s]
+        for j, c in enumerate(self.cartan.a[s]):
+            if c:
+                row = tuple(x - c * y for x, y in zip(row, m[j]))
+        return m[:s] + (row,) + m[s + 1 :]
+
+    def simple_root(self, i: int):
+        return self.cartan.simple_root(i)
+
+    def from_word(self, word) -> GroupElement:
+        w = self.identity()
+        for s in word:
+            w = self.right_mul(w, s)
+        return w
+
+    def left_div(self, w: GroupElement, s: int) -> GroupElement:
+        """s w for s <= w: inv(sw) = s.(inv(w) \\ {alpha_s})."""
+        assert self.simple_root(s) in w.inversions, "left_div requires s <= w"
+        inv = self.cartan.peel(s, w.inversions)
+        mat = self._left_reflect(s, w.matrix)
+        return GroupElement(word_from_inversions(self, inv), inv, mat)
+
+    def left_mul_up(self, w: GroupElement, s: int) -> GroupElement:
+        """s w when s is not <= w (length goes up)."""
+        alpha = self.simple_root(s)
+        assert alpha not in w.inversions, "left_mul_up requires s not <= w"
+        inv = frozenset({self.cartan.reflect_root(s, b) for b in w.inversions} | {alpha})
+        mat = self._left_reflect(s, w.matrix)
+        return GroupElement((s,) + w.word, inv, mat)
+
+
+def is_identity(w: GroupElement) -> bool:
+    return not w.inversions
+
+
+def weak_leq(v: GroupElement, w: GroupElement) -> bool:
+    return v.inversions <= w.inversions
+
+
+def covers(ctx: WeylContext, w: GroupElement):
+    """Lower covers [(ws, beta_t)] over right descents; beta_t = -w(alpha_s)."""
+    out = []
+    for s in ctx.right_descents(w):
+        root = tuple(-w.matrix[r][s] for r in range(ctx.n))
+        out.append((ctx.right_mul(w, s), root))
+    return out
+
+
+def is_join_irreducible(ctx: WeylContext, w: GroupElement):
+    """The unique cover root beta_t = -w(alpha_s) if s is the only right
+    descent of w (so w covers exactly one element), else None."""
+    descents = ctx.right_descents(w)
+    if len(descents) != 1:
+        return None
+    s = descents[0]
+    return tuple(-w.matrix[r][s] for r in range(ctx.n))
+
 
 # Used by the tests alone, so kept here (with self as ctx).
 def left_descents(ctx, w):
@@ -18,9 +81,9 @@ def left_descents(ctx, w):
     return [s for s in range(ctx.n) if ctx.simple_root(s) in w.inversions]
 
 
-A11 = WeylContext(exchange_to_cartan(ExchangeMatrix.from_rows([[0, 2], [-2, 0]])))
-A2 = WeylContext(CartanMatrix.from_rows([[2, -1], [-1, 2]]))
-A1A1 = WeylContext(CartanMatrix.from_rows([[2, 0], [0, 2]]))
+A11 = ReferenceWeyl(exchange_to_cartan(ExchangeMatrix.from_rows([[0, 2], [-2, 0]])))
+A2 = ReferenceWeyl(CartanMatrix.from_rows([[2, -1], [-1, 2]]))
+A1A1 = ReferenceWeyl(CartanMatrix.from_rows([[2, 0], [0, 2]]))
 
 
 def test_simple_generator():
@@ -71,7 +134,7 @@ def test_identity_not_join_irreducible():
 
 def test_every_dihedral_nonidentity_is_ji():
     for w in enumerate_up_to_length(A11, 6):
-        if not w.is_identity():
+        if not is_identity(w):
             assert is_join_irreducible(A11, w) is not None
 
 
@@ -134,11 +197,11 @@ def test_element_cap_env(monkeypatch):
 def test_biconvexity_of_inversion_sets():
     # Canonical roots of a rank-2 subsystem both inverted forces the whole
     # positive subsystem to be inverted.
-    from affscat.cartan import ExchangeMatrix, exchange_to_cartan
-    from affscat.shards import ShardContext
+    from test_cartan import k_form
+    from test_shards import ReferenceShards
 
-    ctx = WeylContext(exchange_to_cartan(ExchangeMatrix.from_rows([[0, 2], [-2, 0]])))
-    sh = ShardContext(ctx)
+    ctx = ReferenceWeyl(exchange_to_cartan(ExchangeMatrix.from_rows([[0, 2], [-2, 0]])))
+    sh = ReferenceShards(ctx)
     elements = enumerate_up_to_length(ctx, 6)
     roots = sorted(sh.cartan.real_roots_up_to_height(5))
     for i, b1 in enumerate(roots):
@@ -148,7 +211,7 @@ def test_biconvexity_of_inversion_sets():
             for w in elements:
                 if u in w.inversions and v in w.inversions:
                     for r in sub.roots:
-                        if sum(r) <= 6 and sh.cartan.k_form(r, r) > 0:
+                        if sum(r) <= 6 and k_form(sh.cartan, r, r) > 0:
                             assert r in w.inversions, (w.word, r)
 
 
