@@ -25,8 +25,8 @@ tau_c^{-1} only if it is positive, and a root of defect 0 (a tube root, or
 delta) never does (see APContext._orbit).  So each root is walked in one
 direction only, to its hit or the step cap, and an orbit that cannot hit is
 not walked at all: when a pair needs one of its entries, the stored prefix
-is stepped on to it.  The base cases read coroots, which the Cartan matrix
-computes once per root, in integers.
+is stepped on to it.  The base cases read coroots: the Cartan matrix's
+primitive coroot-lattice vector of each root, computed once, in integers.
 
 Compatibility is symmetric: a degree is zero exactly when its transpose is
 (Reading-Stella, An affine almost positive roots model).  So the
@@ -168,16 +168,11 @@ class APContext:
     def is_tube_real(self, root) -> bool:
         return root in self.tube.supp
 
-    # -- sigma and tau ----------------------------------------------------------------
-
-    def sigma(self, s: int, root):
-        """sigma_s: AP_c -> AP_{scs}, for s initial or final in c."""
-        if not (self.cox.is_initial(s) or self.cox.is_final(s)):
-            raise ValueError(f"sigma_{s} needs an initial or final letter")
-        return self._sigma(s, root)
+    # -- tau ---------------------------------------------------------------------------
 
     def _sigma(self, s: int, root):
-        # identity on negative simples other than -alpha_s, else the reflection
+        # sigma_s: the identity on negative simples other than -alpha_s,
+        # else the reflection s
         if all(c <= 0 for c in root) and sum(root) == -1 and root[s] == 0:
             return root
         return self.cartan.reflect_root(s, root)
@@ -200,13 +195,6 @@ class APContext:
         if all(c <= 0 for c in root) and sum(root) == -1:
             return next(i for i, c in enumerate(root) if c == -1)
         return None
-
-    def _coroot_coords(self, root):
-        """Integer alpha^vee coordinates of root^vee: the real coroot, or for
-        delta the primitive coroot-lattice vector on its ray."""
-        if root == self.delta:
-            return self.cartan.primitive_in_coroot_lattice(root)
-        return self.cartan.coroot(root)
 
     def tube_degree(self, a, b) -> int:
         """Compatibility degree on tube reals: -1 on the diagonal, 0 on strict
@@ -319,9 +307,10 @@ class APContext:
             # b's orbit must reach step ta, where a tie goes to a.
             orbit_b, tb = self._orbit(b, direction, cap if ta is None else ta + 1)
             if tb is not None and (ta is None or tb < ta):
-                # [[beta, -alpha_j]] = <rho_j, beta^vee>.
+                # [[beta, -alpha_j]] = <rho_j, beta^vee>, beta^vee the coroot
+                # of beta, or for delta the primitive vector of Q^vee on its ray.
                 j = self._negative_simple_index(orbit_b[tb])
-                return self._coroot_coords(self._entry(a, direction, tb))[j]
+                return self.cartan.primitive_in_coroot_lattice(self._entry(a, direction, tb))[j]
             if ta is not None:
                 # [[-alpha_i, beta]] = <rho_i^vee, beta>: the alpha_i coordinate.
                 i = self._negative_simple_index(orbit_a[ta])

@@ -7,13 +7,18 @@ is exact rational; no floats anywhere.
 
 A CartanMatrix keeps the root data both constructions read, in integers,
 computed once per matrix: the positive real roots up to the largest height
-cap asked so far (a smaller cap reads a prefix of them), the primitive
-coroot-lattice covector of each vector and the coroot of each real root.
-Both of the latter are read on the simple coroot basis alpha_i^vee =
-d_i^{-1} alpha_i, where v has coordinates d_i v_i; with the symmetrizer
-cleared to the positive integers d'_i, a positive multiple of d_i, they
-are (d'_i v_i) made primitive and 2 d'_i beta_i / K'(beta, beta), K' the
-form of d'.  The division is exact because a real coroot lies in Q^vee.
+cap asked so far (a smaller cap reads a prefix of them) and the primitive
+coroot-lattice covector of each vector, read on the simple coroot basis
+alpha_i^vee = d_i^{-1} alpha_i, where v has coordinates d_i v_i; with the
+symmetrizer cleared to the positive integers d'_i, a positive multiple of
+d_i, it is (d'_i v_i) made primitive.  On a real root beta this is the
+coroot beta^vee = 2 beta / K(beta, beta): a real coroot is a W-image of a
+simple coroot, so it is primitive in Q^vee.
+
+classify reads the type off two integer tests: Sylvester's criterion on
+diag(d')A for finite type, and for affine type the integer kernel of A,
+which must be one line spanned by a strictly positive vector delta (Kac,
+Infinite-dimensional Lie algebras, Thm 4.3).
 """
 
 from __future__ import annotations
@@ -36,10 +41,6 @@ class NotAcyclic(ValueError):
 
 
 class NotAffine(ValueError):
-    pass
-
-
-class NotRealRoot(ValueError):
     pass
 
 
@@ -192,10 +193,6 @@ class CartanMatrix:
     def simple_root(self, i: int) -> Vec:
         return tuple(1 if j == i else 0 for j in range(self.n))
 
-    def a_times(self, v: Vec) -> Vec:
-        """(A v)_i = sum_j a_ij v_j, i.e. K(alpha_i^vee, v) coordinatewise."""
-        return tuple(sum(self.a[i][j] * v[j] for j in range(self.n)) for i in range(self.n))
-
     def pairing(self, x: Vec, v: Vec):
         """<x, v> for x in V* (rho coordinates) and v in V (alpha coordinates)."""
         return sum(x[i] * self.d[i] * v[i] for i in range(self.n))
@@ -212,37 +209,18 @@ class CartanMatrix:
         return {}
 
     @cached_property
-    def _coroots(self) -> dict:
-        return {}
-
-    @cached_property
     def _roots(self) -> list:
         return [0, []]  # the largest height cap enumerated, and its roots
 
     def primitive_in_coroot_lattice(self, v: Vec) -> Vec:
         """The primitive vector of Q^vee on the ray through v, in alpha^vee
-        coordinates: (d'_i v_i) made primitive."""
+        coordinates: (d'_i v_i) made primitive.  On a real root it is the
+        coroot."""
         v = tuple(v)
         cov = self._covectors.get(v)
         if cov is None:
             cov = self._covectors[v] = primitive_vector(tuple(map(mul, self.d_int, v)))
         return cov
-
-    def coroot(self, beta: Vec) -> Vec:
-        """beta^vee = 2 beta / K(beta, beta) for a real root beta, in integer
-        alpha^vee coordinates 2 d'_i beta_i / K'(beta, beta)."""
-        cv = self._coroots.get(beta)
-        if cv is None:
-            kk = sum(map(mul, map(mul, beta, self.d_int), self.a_times(beta)))
-            if kk <= 0:
-                raise NotRealRoot(f"{beta} is not a real root (K(b,b) = {kk})")
-            cv = []
-            for di, c in zip(self.d_int, beta):
-                q, r = divmod(2 * di * c, kk)
-                assert r == 0, "a real coroot lies in Q^vee"
-                cv.append(q)
-            cv = self._coroots[beta] = tuple(cv)
-        return cv
 
     def reflect_root(self, i: int, v: Vec) -> Vec:
         """s_i(v) = v - K(alpha_i^vee, v) alpha_i on V; only coordinate i changes."""
@@ -259,14 +237,6 @@ class CartanMatrix:
         for i in reversed(word):
             v = self.reflect_root(i, v)
         return v
-
-    # -- symmetrized form and classification --------------------------------
-
-    def symmetrized(self) -> list:
-        return [[self.d[i] * self.a[i][j] for j in range(self.n)] for i in range(self.n)]
-
-    def classify(self) -> "TypeInfo":
-        return classify(self)
 
     # -- real roots ----------------------------------------------------------
 
@@ -348,10 +318,6 @@ class TypeInfo:
     is_a2k2: bool = False
 
 
-def _principal_submatrix(s, keep):
-    return [[s[i][j] for j in keep] for i in keep]
-
-
 def _is_positive_definite(sym) -> bool:
     n = len(sym)
     for k in range(1, n + 1):
@@ -361,27 +327,25 @@ def _is_positive_definite(sym) -> bool:
 
 
 def classify(cm: CartanMatrix) -> TypeInfo:
-    """Finite / Affine / Indefinite trichotomy via exact principal minors.
+    """Finite / Affine / Indefinite trichotomy in integers.
 
-    Affine means positive semidefinite with all proper principal minors
-    positive; delta is then the primitive integer kernel generator.
+    Finite means diag(d')A is positive definite (Sylvester).  Affine means
+    the integer kernel of A is one line spanned by a strictly positive
+    vector, delta, its primitive generator (Kac, Thm 4.3).  A decomposable
+    A with a strictly positive kernel vector has one on each component, so
+    its kernel has dimension at least 2: the rule also keeps those out.
     """
-    sym = cm.symmetrized()
-    n = cm.n
-    if _is_positive_definite(sym):
+    a = cm.a
+    if _is_positive_definite([[di * x for x in row] for di, row in zip(cm.d_int, a)]):
         return TypeInfo(kind="finite")
-    proper_pd = all(
-        _is_positive_definite(_principal_submatrix(sym, [i for i in range(n) if i != k]))
-        for k in range(n)
-    )
-    if not (proper_pd and det(sym) == 0):
+    _, ker = integer_kernel([list(row) for row in a])
+    if len(ker) != 1:
         return TypeInfo(kind="indefinite")
-    _, ker = integer_kernel([list(row) for row in cm.a])
-    assert len(ker) == 1, "affine Cartan matrix must have 1-dimensional kernel"
+    # the kernel vector is d > 0 at its free column (linalg.integer_kernel),
+    # so a line with a positive vector gives a positive one
     delta = primitive_vector(ker[0])
-    if any(c < 0 for c in delta):
-        delta = tuple(-c for c in delta)
-    assert all(c > 0 for c in delta)
+    if min(delta) <= 0:
+        return TypeInfo(kind="indefinite")
     label, aff_index = _match_affine_label(cm, delta)
     is_a2k2 = label.startswith("A_") and label.endswith("^(2)") and int(label[2:-4]) % 2 == 0
     return TypeInfo(kind="affine", label=label, delta=delta, aff_index=aff_index, is_a2k2=is_a2k2)

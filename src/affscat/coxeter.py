@@ -10,8 +10,9 @@ root's orbit reaches a negative simple (APContext._orbit).  gamma_c itself
 is never computed.
 
 A Coxeter element is carried as an index order (a linear extension of the
-sign digraph of B), so that "initial" and "final" letters are decided by
-commutation rather than by one fixed word.
+sign digraph of B).  The form omega_c is one cached integer table,
+omega_rows, with omega_c(alpha_i^vee, alpha_j) = b_ij: the shard cuts, the
+imaginary wall and the wall crossings of the consistency check all read it.
 """
 
 from __future__ import annotations
@@ -39,35 +40,21 @@ class CoxeterContext:
     def n(self) -> int:
         return self.cartan.n
 
-    # -- initial / final letters and moves -----------------------------------
-
-    def is_initial(self, s: int) -> bool:
-        """s is initial iff every letter before it commutes with it."""
-        pos = self.position
-        return all(
-            self.cartan.a[s][i] == 0
-            for i in range(self.n)
-            if i != s and pos[i] < pos[s]
-        )
-
-    def is_final(self, s: int) -> bool:
-        pos = self.position
-        return all(
-            self.cartan.a[s][i] == 0
-            for i in range(self.n)
-            if i != s and pos[i] > pos[s]
-        )
-
     def inverse(self) -> "CoxeterContext":
         return CoxeterContext(self.cartan, tuple(reversed(self.order)))
 
     # -- the forms ------------------------------------------------------------
 
-    def omega_entry(self, i: int, j: int):
-        """omega_c(alpha_i^vee, alpha_j)."""
-        if i == j:
-            return 0
-        return self.cartan.a[i][j] if self.position[i] > self.position[j] else -self.cartan.a[i][j]
+    @cached_property
+    def omega_rows(self) -> tuple:
+        """omega_c(alpha_i^vee, alpha_j) as integer rows: a_ij when j precedes
+        i in c, -a_ij when it follows.  This is b_ij, as the order of c is a
+        linear extension of the sign digraph of B."""
+        a, pos, n = self.cartan.a, self.position, self.n
+        return tuple(
+            tuple(0 if i == j else a[i][j] if pos[i] > pos[j] else -a[i][j] for j in range(n))
+            for i in range(n)
+        )
 
     def e_entry(self, i: int, j: int):
         """E_c(alpha_i^vee, alpha_j)."""
@@ -78,12 +65,7 @@ class CoxeterContext:
     def omega(self, u: Vec, v: Vec):
         """omega_c(u, v) for u, v in V (alpha coordinates)."""
         d = self.cartan.d
-        return sum(
-            u[i] * d[i] * self.omega_entry(i, j) * v[j]
-            for i in range(self.n)
-            for j in range(self.n)
-            if u[i] != 0 and v[j] != 0
-        )
+        return sum(u[i] * d[i] * vdot(row, v) for i, row in enumerate(self.omega_rows) if u[i])
 
     def e_form(self, u: Vec, v: Vec):
         d = self.cartan.d
@@ -97,10 +79,7 @@ class CoxeterContext:
     def omega_covector(self, beta: Vec) -> Vec:
         """omega_c(. , beta) as a weight vector: i-th rho coordinate is
         omega_c(alpha_i^vee, beta)."""
-        return tuple(
-            sum(self.omega_entry(i, j) * beta[j] for j in range(self.n) if beta[j] != 0)
-            for i in range(self.n)
-        )
+        return tuple(vdot(row, beta) for row in self.omega_rows)
 
     # -- nu_c ------------------------------------------------------------------
 

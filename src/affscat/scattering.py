@@ -1,8 +1,10 @@
 """Cluster scattering diagrams of acyclic affine type.
 
 build_dcscat assembles walls from shards of join-irreducible c- and
-c^{-1}-sortable elements plus the imaginary wall; build_easy_scat assembles
-the same diagram from the almost-positive roots and the cutting relation.
+c^{-1}-sortable elements plus the imaginary wall, building each wall once,
+after its length cap covers every expected normal; build_easy_scat
+assembles the same diagram from the almost-positive roots and the cutting
+relation.
 Consistency is checked by composing wall crossings around codimension-2
 cells, ordered angularly in an exact transverse plane, in integers, and
 applying each loop to x_i + x_j for two coordinates i, j of the cell's loop
@@ -197,8 +199,9 @@ class _Builder:
     def expected_normals(self):
         return [b for b in self.ap.ap_positive_real(self.H) if sum(b) <= self.H]
 
-    def ji_walls(self, origin: str, length_cap: int):
-        found = self.sortables[origin].ji_sortables(self.H, length_cap)
+    def ji_walls(self, origin: str, found: dict):
+        """The walls of the join-irreducibles found (cover root -> witness)
+        for one Coxeter element, sorted by cover root."""
         walls = []
         for root, wit in sorted(found.items()):
             shard = self.shards.shard_from_ji(root, wit.inversions)
@@ -222,7 +225,9 @@ class _Builder:
 def build_dcscat(bmat: ExchangeMatrix, height_cap: int, truncation: int) -> ScatDiagram:
     """Walls Sh(j) for c-sortable join-irreducibles, -Sh(j') for c^{-1}-sortable
     ones (cover roots up to the height cap), and the imaginary wall; duplicates
-    merged by exact cone equality."""
+    merged by exact cone equality, the c-sortable wall kept.  The length cap
+    doubles until the cover roots of the two families hold every expected
+    normal; only then are the walls built, once each."""
     if not bmat.is_acyclic():
         raise NotAcyclic("the shard construction needs an acyclic exchange matrix")
     cox = coxeter_context(bmat)
@@ -230,18 +235,12 @@ def build_dcscat(bmat: ExchangeMatrix, height_cap: int, truncation: int) -> Scat
     expected = builder.expected_normals()
     length_cap = max(2 * height_cap, 4)
     while True:
-        c_walls = builder.ji_walls(ORIGIN_SORTABLE, length_cap)
-        inv_walls = builder.ji_walls(ORIGIN_INV_SORTABLE, length_cap)
-        merged: dict = {}
-        overlap = 0
-        for w in c_walls + inv_walls:
-            key = w.key()
-            if key in merged:
-                overlap += 1
-                continue
-            merged[key] = w
-        covered = {w.normal for w in merged.values()}
-        missing = [b for b in expected if b not in covered]
+        # coverage is read off the cover roots; the walls are built after the loop
+        found = {
+            origin: sortables.ji_sortables(height_cap, length_cap)
+            for origin, sortables in builder.sortables.items()
+        }
+        missing = [b for b in expected if not any(b in f for f in found.values())]
         if not missing:
             break
         # every positive AP_c root is hit by a c- or c^{-1}-sortable
@@ -253,6 +252,14 @@ def build_dcscat(bmat: ExchangeMatrix, height_cap: int, truncation: int) -> Scat
                 f"{length_cap}; doubling it would pass the limit 64*(H+2) = {limit}"
             )
         length_cap *= 2
+    merged: dict = {}
+    overlap = 0
+    for origin in (ORIGIN_SORTABLE, ORIGIN_INV_SORTABLE):
+        for w in builder.ji_walls(origin, found[origin]):
+            if w.key() in merged:
+                overlap += 1
+            else:
+                merged[w.key()] = w
     walls = list(merged.values()) + [builder.imaginary_wall()]
     hyperplanes = [w.normal for w in walls]
     assert len(set(hyperplanes)) == len(hyperplanes), "one wall per hyperplane"
@@ -375,12 +382,6 @@ def _x_sum(n, k, indices) -> MonomialExpr:
     return MonomialExpr.from_dict(n, k, {(units[i], zero): 1 for i in indices})
 
 
-def _b_rows_from_cox(cox: CoxeterContext):
-    return tuple(
-        tuple(cox.omega_entry(i, j) for j in range(cox.n)) for i in range(cox.n)
-    )
-
-
 def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext) -> dict:
     """Compose wall crossings around every codimension-2 cell of the diagram
     and report which loops fail to be the identity mod m^(truncation+1).
@@ -429,10 +430,9 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
     n = diagram.cartan_n
     k = truncation
     walls = [w for w in diagram.walls if sum(w.normal) <= k]
-    b_rows = _b_rows_from_cox(cox)
     units = identity_mat(n)
     coroot = cox.cartan.primitive_in_coroot_lattice
-    crossing = {id(w): _crossing_data(w, coroot, b_rows) for w in walls}
+    crossing = {id(w): _crossing_data(w, coroot, cox.omega_rows) for w in walls}
     gens: dict = {}  # (i, j) -> x_i + x_j
     faces = _codim2_faces(walls, n)
     table = SignTable([w.cone for w in walls])
@@ -571,14 +571,17 @@ def _generic_relint_point(face: Cone, table: SignTable, inside):
     the span; there the candidate sum_i (a^(i+1) + i + 1) l(g_i) is a
     nonzero polynomial in the attempt a of degree at most the number of
     generators, so each such wall rejects at most that many attempts of
-    each parity.
+    each parity.  With W walls outside inside and G generators, at most
+    2 W G of the first 2 (W G + 1) attempts are rejected, and no more are
+    tried.
     """
     lin, rays = face.generators
     n = face.dim_ambient
     if not rays and not lin:
         return (0,) * n
     allowed = sum(1 << i for i in inside)
-    for attempt in range(1, 60):
+    others = len(table.forbid) - len(inside)
+    for attempt in range(1, 2 * (others * (len(rays) + len(lin)) + 1) + 1):
         point = [0] * n
         for i, g in enumerate(rays + lin):
             scale = attempt ** (i + 1) + i + 1

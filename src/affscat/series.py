@@ -13,7 +13,8 @@ The sum runs over the nonzero f_j only (most walls carry 1 + q), and the
 division by m is exact, staying in the integers when f is integral.  Powers
 are cached by (coefficient tuple, exponent), so equal terms on different walls
 share their entries.  series_root runs the same recurrence with exponent 1/e,
-multiplied through by e, to recover f from f^e.
+multiplied through by e, to recover f from f^e.  The imaginary wall's term
+needs no product: f_inf_series writes its coefficients down.
 
 A MonomialExpr holds the table the crossing kernel works on: its terms grouped
 by lambda, and within a group phi stored by its base-(k+1) index
@@ -40,10 +41,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-
-
-class MixedNormals(ValueError):
-    pass
 
 
 class NonIntegerExponent(ValueError):
@@ -79,39 +76,16 @@ class TruncatedSeries:
     def is_one(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:]) and self.coeffs[0] == 1
 
-    def _check(self, other: "TruncatedSeries"):
-        if self.normal != other.normal or self.k != other.k:
-            raise MixedNormals("series must share normal and truncation")
-
-    def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        out = [0] * (self.k + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(min(self.k - i, other.k) + 1):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries.make(self.normal, self.k, out)
-
-
-def geometric_inverse_square(normal, k) -> TruncatedSeries:
-    """(1 - q)^{-2} = sum (m+1) q^m."""
-    return TruncatedSeries.make(normal, k, [m + 1 for m in range(k + 1)])
-
 
 def f_inf_series(delta, is_a2k2: bool, ydeg: int) -> TruncatedSeries:
     """Scattering term on the imaginary wall, truncated at total yhat-degree ydeg.
 
-    (1 - yhat^delta)^{-2}, with an extra factor (1 + yhat^delta) in type
-    A_{2k}^(2).
+    (1 - yhat^delta)^{-2} = sum (m + 1) q^m with q = yhat^delta, times
+    (1 + q) in type A_{2k}^(2), which gives sum (2m + 1) q^m.
     """
     k = ydeg // sum(delta)
-    base = geometric_inverse_square(delta, k)
-    if is_a2k2:
-        base = base.mul(TruncatedSeries.one_plus_q(delta, k))
-    return base
+    step = 2 if is_a2k2 else 1
+    return TruncatedSeries.make(delta, k, [step * m + 1 for m in range(k + 1)])
 
 
 class MonomialExpr:

@@ -87,22 +87,18 @@ class ShardContext:
 
     # -- cutting -----------------------------------------------------------------
 
-    def cut_set(self, beta, height_cap=None):
-        """All positive roots cutting beta.  Complete for the default cap
-        height(beta) - 1; a larger cap only re-verifies stabilization."""
-        key = (beta, height_cap)
-        if key in self._cut_cache:
-            return self._cut_cache[key]
-        cap = sum(beta) - 1 if height_cap is None else height_cap
-        out = []
-        for members in self._planes(beta, max(cap, sum(beta))).values():
-            # members[0] spans the plane with beta: parallel roots come last
-            pair = _extreme_pair(members, beta, members[0])
-            if beta not in pair:
-                out.extend(gamma for gamma in pair if sum(gamma) <= cap)
-        result = tuple(sorted(out))
-        self._cut_cache[key] = result
-        return result
+    def cut_set(self, beta):
+        """All positive roots cutting beta, read off the plane buckets at
+        height(beta): by the theorem above each lies below it."""
+        if beta not in self._cut_cache:
+            out = []
+            for members in self._planes(beta, sum(beta)).values():
+                # members[0] spans the plane with beta: parallel roots come last
+                pair = _extreme_pair(members, beta, members[0])
+                if beta not in pair:
+                    out.extend(pair)
+            self._cut_cache[beta] = tuple(sorted(out))
+        return self._cut_cache[beta]
 
     # -- shard cones ----------------------------------------------------------------
 

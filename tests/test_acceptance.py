@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 from functools import reduce
 
+from test_cartan import coroot
 from test_shards import ReferenceShards
 from test_sortable import ReferenceSortable
 from test_weyl import ReferenceWeyl, is_identity, is_join_irreducible
@@ -146,8 +147,9 @@ def test_criterion_7_compatibility_degree_axioms():
             for bb in roots:
                 # (compat base)
                 assert deg(neg, bb) == bb[i], (name, i, bb)
-                # (compat cobase)
-                cv = ap._coroot_coords(bb)
+                # (compat cobase): the coroot, or for delta the primitive
+                # vector of Q^vee on its ray
+                cv = coroot(ap.cartan, bb) if bb != ap.delta else ap.cartan.primitive_in_coroot_lattice(bb)
                 assert deg(bb, neg) == cv[i], (name, i, bb)
         tube = [r for r in roots if ap.is_tube_real(r)]
         for a in tube:

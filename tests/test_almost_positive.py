@@ -5,7 +5,8 @@ import textwrap
 from fractions import Fraction
 
 import pytest
-from test_coxeter import ORIENTATIONS_TO_RANK6
+from test_cartan import a_times, coroot
+from test_coxeter import ORIENTATIONS_TO_RANK6, is_final, is_initial
 from test_linalg import _reference_solve_linear
 from test_orientation_sweep import ORIENTATIONS, RANK5, _id
 
@@ -126,7 +127,7 @@ def _xi_cycles(ap, xi):
         i: {
             j
             for j in range(len(xi))
-            if j != i and vdot(cov(xi[i]), ap.cartan.a_times(xi[j])) != 0
+            if j != i and vdot(cov(xi[i]), a_times(ap.cartan, xi[j])) != 0
         }
         for i in range(len(xi))
     }
@@ -246,17 +247,26 @@ def test_ap_excludes_nontube_hc_roots():
         assert not in_ap(ap, r)
 
 
+# APContext.sigma, which tau does not need (it calls _sigma): used by the
+# tests alone, so kept here (with self as ap).
+def sigma(ap, s: int, root):
+    """sigma_s: AP_c -> AP_{scs}, for s initial or final in c."""
+    if not (is_initial(ap.cox, s) or is_final(ap.cox, s)):
+        raise ValueError(f"sigma_{s} needs an initial or final letter")
+    return ap._sigma(s, root)
+
+
 def test_sigma_examples():
     for ap in ALL:
         for s in range(ap.n):
-            if not (ap.cox.is_initial(s) or ap.cox.is_final(s)):
+            if not (is_initial(ap.cox, s) or is_final(ap.cox, s)):
                 continue
             neg = tuple(-1 if j == s else 0 for j in range(ap.n))
-            assert ap.sigma(s, neg) == tuple(-c for c in neg)
+            assert sigma(ap, s, neg) == tuple(-c for c in neg)
             for i in range(ap.n):
                 if i != s:
                     other = tuple(-1 if j == i else 0 for j in range(ap.n))
-                    assert ap.sigma(s, other) == other
+                    assert sigma(ap, s, other) == other
 
 
 def test_tau_fixes_delta():
@@ -403,8 +413,8 @@ def test_compute_in_tubes():
         for b in ap.tube.apt_real:
             sa, sb = ap.tube.supp[a], ap.tube.supp[b]
             shift = sum(1 for i in sa if c_xi[i] in sb)
-            # coroot gives alpha^vee coordinates; alpha_i^vee = d_i^{-1} alpha_i
-            avee = tuple(Fraction(c) / d for c, d in zip(ap.cartan.coroot(a), ap.cartan.d))
+            # the coroot in alpha^vee coordinates; alpha_i^vee = d_i^{-1} alpha_i
+            avee = tuple(Fraction(c) / d for c, d in zip(coroot(ap.cartan, a), ap.cartan.d))
             assert ap.cox.e_form(avee, b) == len(sa & sb) - shift
 
 
@@ -497,10 +507,10 @@ def test_sigma_precondition():
         [[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, -1], [-1, 0, 1, 0]]
     )
     ap = APContext(coxeter_context(b))
-    assert not ap.cox.is_initial(1) and not ap.cox.is_final(1)
+    assert not is_initial(ap.cox, 1) and not is_final(ap.cox, 1)
     with pytest.raises(ValueError):
-        ap.sigma(1, ap.delta)
-    assert ap.sigma(0, ap.delta) == ap.delta
+        sigma(ap, 1, ap.delta)
+    assert sigma(ap, 0, ap.delta) == ap.delta
 
 
 def test_resolution_cap_error():
@@ -544,7 +554,7 @@ def _tau_walk_degree(ap, a, b, step_cap=None):
                 return int(y[i]), direction
             j = ap._negative_simple_index(y)
             if j is not None:
-                val = Fraction(ap._coroot_coords(x)[j])
+                val = Fraction(ap.cartan.primitive_in_coroot_lattice(x)[j])
                 assert val.denominator == 1
                 return int(val), direction
             x, y = step(x), step(y)

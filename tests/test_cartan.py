@@ -1,3 +1,5 @@
+import collections
+import itertools
 from fractions import Fraction
 from operator import mul
 
@@ -7,17 +9,45 @@ from affscat.cartan import (
     CartanMatrix,
     ExchangeMatrix,
     NotSkewSymmetrizable,
+    TypeInfo,
     _affine_table,
+    _match_affine_label,
     classify,
     exchange_to_cartan,
 )
+from affscat.linalg import det, integer_kernel, primitive_vector
 
+
+class NotRealRoot(ValueError):
+    pass
 
 
 # Used by the tests alone, so kept here (with self as cartan).
+def a_times(cartan, v):
+    """(A v)_i = sum_j a_ij v_j, i.e. K(alpha_i^vee, v) coordinatewise."""
+    return tuple(sum(cartan.a[i][j] * v[j] for j in range(cartan.n)) for i in range(cartan.n))
+
+
+def coroot(cartan, beta):
+    """beta^vee = 2 beta / K(beta, beta) for a real root beta, in integer
+    alpha^vee coordinates 2 d'_i beta_i / K'(beta, beta).
+
+    CartanMatrix.coroot as it was before primitive_in_coroot_lattice took
+    its place (without its per-matrix cache): the oracle of that identity."""
+    kk = sum(map(mul, map(mul, beta, cartan.d_int), a_times(cartan, beta)))
+    if kk <= 0:
+        raise NotRealRoot(f"{beta} is not a real root (K(b,b) = {kk})")
+    cv = []
+    for di, c in zip(cartan.d_int, beta):
+        q, r = divmod(2 * di * c, kk)
+        assert r == 0, "a real coroot lies in Q^vee"
+        cv.append(q)
+    return tuple(cv)
+
+
 def k_form(cartan, u, v):
     """K(u, v) with K(alpha_i, alpha_j) = d_i a_ij."""
-    av = cartan.a_times(v)
+    av = a_times(cartan, v)
     return sum(u[i] * cartan.d[i] * av[i] for i in range(cartan.n))
 
 
@@ -30,7 +60,7 @@ def reflect_weight(cartan, k, x):
 def reflect_by_root(cartan, beta, v):
     """t_beta(v) = v - K(beta^vee, v) beta for a real root beta, with
     K(beta^vee, v) = sum_i c_i (A v)_i for c = coroot(beta)."""
-    kv = sum(map(mul, cartan.coroot(beta), cartan.a_times(v)))
+    kv = sum(map(mul, coroot(cartan, beta), a_times(cartan, v)))
     return tuple(x - kv * b for x, b in zip(v, beta))
 
 
@@ -127,7 +157,7 @@ def test_builtin_affine_table_is_valid():
             info = classify(cm)
             assert info.kind == "affine", label
             assert info.label == label
-            assert not any(cm.a_times(info.delta))
+            assert not any(a_times(cm, info.delta))
             assert all(c > 0 for c in info.delta)
 
 
@@ -234,15 +264,43 @@ def test_real_roots_are_a_fresh_list_each_time():
 def test_coroot_normalization():
     cm = exchange_to_cartan(B_A22)
     for beta in cm.real_roots_up_to_height(6):
-        # coroot gives alpha^vee coordinates; alpha_i^vee = d_i^{-1} alpha_i
-        bv = tuple(Fraction(c) / d for c, d in zip(cm.coroot(beta), cm.d))
+        # the coroot in alpha^vee coordinates; alpha_i^vee = d_i^{-1} alpha_i
+        cv = cm.primitive_in_coroot_lattice(beta)
+        bv = tuple(Fraction(c) / d for c, d in zip(cv, cm.d))
         assert k_form(cm, bv, beta) == 2
+
+
+def _root_data_instances():
+    """(Cartan matrix, height cap) for every acyclic orientation of rank 2
+    to 6 at 2 |delta|, and the E_6^(1), E_7^(1) and E_8^(1) matrices at
+    |delta|."""
+    from test_orientation_sweep import acyclic_orientations
+
+    for n in range(2, 7):
+        for _, _, rows in acyclic_orientations(n):
+            cm = exchange_to_cartan(ExchangeMatrix.from_rows([list(r) for r in rows]))
+            yield cm, 2 * sum(classify(cm).delta)
+    for n in (7, 8, 9):
+        cm = CartanMatrix.from_rows(_affine_table(n)[-1][1])
+        yield cm, sum(classify(cm).delta)
+
+
+def test_primitive_coroot_lattice_vector_is_the_coroot():
+    # A real coroot is a W-image of a simple coroot, so it is primitive in
+    # Q^vee: the primitive vector on the ray through a real root is its
+    # coroot, for the positive real roots and their negatives alike.
+    checked = 0
+    for cm, cap in _root_data_instances():
+        for beta in cm.real_roots_up_to_height(cap):
+            neg = tuple(-c for c in beta)
+            assert cm.primitive_in_coroot_lattice(beta) == coroot(cm, beta), beta
+            assert cm.primitive_in_coroot_lattice(neg) == coroot(cm, neg), neg
+            checked += 1
+    assert checked > 10_000
 
 
 def test_reflection_by_imaginary_root_rejected():
     import pytest
-
-    from affscat.cartan import NotRealRoot
 
     cm = exchange_to_cartan(B_A11)
     delta = classify(cm).delta
@@ -253,3 +311,105 @@ def test_reflection_by_imaginary_root_rejected():
 def test_real_roots_zero_cap_empty():
     cm = exchange_to_cartan(B_A11)
     assert cm.real_roots_up_to_height(0) == []
+
+
+# classify as it was before the affine test moved to the kernel of A: n
+# proper principal minors, on the Fraction matrix diag(d)A.  Kept here
+# verbatim (with cm.symmetrized() inlined) as the oracle of the new rule.
+def _principal_submatrix(s, keep):
+    return [[s[i][j] for j in keep] for i in keep]
+
+
+def _is_positive_definite(sym) -> bool:
+    n = len(sym)
+    for k in range(1, n + 1):
+        if det([row[:k] for row in sym[:k]]) <= 0:
+            return False
+    return True
+
+
+def reference_classify(cm: CartanMatrix) -> TypeInfo:
+    """Finite / Affine / Indefinite trichotomy via exact principal minors.
+
+    Affine means positive semidefinite with all proper principal minors
+    positive; delta is then the primitive integer kernel generator.
+    """
+    sym = [[cm.d[i] * cm.a[i][j] for j in range(cm.n)] for i in range(cm.n)]
+    n = cm.n
+    if _is_positive_definite(sym):
+        return TypeInfo(kind="finite")
+    proper_pd = all(
+        _is_positive_definite(_principal_submatrix(sym, [i for i in range(n) if i != k]))
+        for k in range(n)
+    )
+    if not (proper_pd and det(sym) == 0):
+        return TypeInfo(kind="indefinite")
+    _, ker = integer_kernel([list(row) for row in cm.a])
+    assert len(ker) == 1, "affine Cartan matrix must have 1-dimensional kernel"
+    delta = primitive_vector(ker[0])
+    if any(c < 0 for c in delta):
+        delta = tuple(-c for c in delta)
+    assert all(c > 0 for c in delta)
+    label, aff_index = _match_affine_label(cm, delta)
+    is_a2k2 = label.startswith("A_") and label.endswith("^(2)") and int(label[2:-4]) % 2 == 0
+    return TypeInfo(kind="affine", label=label, delta=delta, aff_index=aff_index, is_a2k2=is_a2k2)
+
+
+# The symmetrizable pairs (a_ij, a_ji) with entries in {0, -1, ..., -4}.
+EDGE_PAIRS = [(0, 0)] + [(-x, -y) for x in range(1, 5) for y in range(1, 5)]
+
+
+def _symmetrizable(rows):
+    try:
+        return CartanMatrix.from_rows(rows)
+    except ValueError:
+        return None
+
+
+def _gcms():
+    """Symmetrizable GCMs, each once: every one of rank 2 and 3 with
+    off-diagonal entries in {0, ..., -4}; each affine diagram of rank 4 to
+    9 and each of its one-node deletions; each matrix one edge pair (in
+    EDGE_PAIRS) away from an affine diagram of rank 4 to 6; and direct sums
+    of two rank-2 matrices."""
+    seen = set()
+    for rows in _gcm_candidates():
+        key = tuple(map(tuple, rows))
+        if key not in seen:
+            seen.add(key)
+            cm = _symmetrizable(rows)
+            if cm is not None:
+                yield cm
+
+
+def _gcm_candidates():
+    for n in (2, 3):
+        slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for pairs in itertools.product(EDGE_PAIRS, repeat=len(slots)):
+            rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+            for (i, j), (x, y) in zip(slots, pairs):
+                rows[i][j], rows[j][i] = x, y
+            yield rows
+    for n in range(4, 10):
+        for _, a in _affine_table(n):
+            yield [list(r) for r in a]
+            for k in range(n):
+                yield [[a[i][j] for j in range(n) if j != k] for i in range(n) if i != k]
+            if n > 6:
+                continue
+            for i, j in itertools.combinations(range(n), 2):
+                for x, y in EDGE_PAIRS:
+                    rows = [list(r) for r in a]
+                    rows[i][j], rows[j][i] = x, y
+                    yield rows
+    for (x, y), (u, v) in itertools.product(EDGE_PAIRS[1:], repeat=2):
+        yield [[2, x, 0, 0], [y, 2, 0, 0], [0, 0, 2, u], [0, 0, v, 2]]
+
+
+def test_classify_matches_the_principal_minor_rule():
+    kinds = collections.Counter()
+    for cm in _gcms():
+        info = classify(cm)
+        assert info == reference_classify(cm), cm.a
+        kinds[info.kind] += 1
+    assert min(kinds[kind] for kind in ("finite", "affine", "indefinite")) > 50, kinds

@@ -7,21 +7,21 @@ its cutting step and the generator canonicalization in cones, of the cell
 split, the relative-interior point search and the segment test scat_cone_eq
 in scattering, and of the separating-hyperplane count in mutation.  The canonicalization and the
 point search read integer generators as they are: they call neither rref
-nor integral_multiple.  The Cartan matrix's coroots and coroot-lattice
-covectors, and with them the almost-positive model's coroot coordinates,
-come out as ints equal to the Fraction computation they replace."""
+nor integral_multiple.  The Cartan matrix's coroot-lattice covectors, and
+with them the coroots the almost-positive model reads, come out as ints
+equal to the Fraction computation they replace."""
 
 import ast
 from fractions import Fraction
 from pathlib import Path
 
 from test_almost_positive import FAN_INSTANCES, make
-from test_cartan import k_form, reflect_by_root
+from test_cartan import NotRealRoot, a_times, k_form, reflect_by_root
 from test_coxeter import gamma_c
 from test_orientation_sweep import ORIENTATIONS
 
 import affscat
-from affscat.cartan import ExchangeMatrix, NotRealRoot, exchange_to_cartan
+from affscat.cartan import ExchangeMatrix, exchange_to_cartan
 from affscat.linalg import primitive_vector, vdot
 
 CORE = sorted(p for p in Path(affscat.__file__).parent.glob("*.py") if p.name != "svg.py")
@@ -206,7 +206,7 @@ def test_coroot_coords_are_ints():
     for rows, H in FAN_INSTANCES:
         ap = make(rows)
         for r in ap.ap_roots(H):
-            cv = ap._coroot_coords(r)
+            cv = ap.cartan.primitive_in_coroot_lattice(r)
             assert _is_int_tuple(cv), r
             if r != ap.delta:
                 assert cv == coroot_coords(ap.cartan, coroot(ap.cartan, r)), r
@@ -218,8 +218,8 @@ def _check_root_data(cartan, roots, delta):
         assert _is_int_tuple(cov) and cov == primitive_vector(coroot_coords(cartan, v)), v
         assert cartan.primitive_in_coroot_lattice(list(v)) == cov, v
         if v != delta:
-            cv = cartan.coroot(v)
-            assert _is_int_tuple(cv) and cv == coroot_coords(cartan, coroot(cartan, v)), v
+            # on a real root, the coroot itself
+            assert cov == coroot_coords(cartan, coroot(cartan, v)), v
 
 
 def test_coroots_and_covectors_match_the_fraction_oracle():
@@ -292,6 +292,6 @@ def test_sign_reads_match_the_fraction_forms():
             assert _sign(cox.omega(u, ap.delta)) == _sign(cox.defect(u)), u
             for x in points:
                 assert _sign(cartan.pairing(x, u)) == _sign(vdot(x, cov(u))), (x, u)
-                assert (k_form(cartan, x, u) != 0) == (vdot(cov(x), cartan.a_times(u)) != 0)
+                assert (k_form(cartan, x, u) != 0) == (vdot(cov(x), a_times(cartan, u)) != 0)
                 checked += 1
     assert checked > 20_000

@@ -32,7 +32,6 @@ from affscat.scattering import (
     ScatDiagram,
     Wall,
     _angle_cmp,
-    _b_rows_from_cox,
     _cells,
     _codim2_faces,
     _crossing_data,
@@ -743,7 +742,7 @@ def _check_consistency_reference(diagram, truncation, cox):
     n = diagram.cartan_n
     k = truncation
     walls = [w for w in diagram.walls if sum(w.normal) <= k]
-    b_rows = _b_rows_from_cox(cox)
+    b_rows = cox.omega_rows
     units = identity_mat(n)
     coroot = functools.cache(cox.cartan.primitive_in_coroot_lattice)
     zero = (0,) * n
@@ -777,7 +776,7 @@ def _check_consistency_xsum_reference(diagram, truncation, cox):
     n = diagram.cartan_n
     k = truncation
     walls = [w for w in diagram.walls if sum(w.normal) <= k]
-    b_rows = _b_rows_from_cox(cox)
+    b_rows = cox.omega_rows
     units = identity_mat(n)
     xsum = _x_sum(n, k, range(n))
     coroot = cox.cartan.primitive_in_coroot_lattice
@@ -1326,3 +1325,73 @@ def test_length_cap_failure_names_the_cap(monkeypatch):
     monkeypatch.setattr(_Builder, "expected_normals", lambda self: [(3, 3)])
     with pytest.raises(CapExceeded, match=r"length cap 256.*64\*\(H\+2\) = 256"):
         build_dcscat(B_A11, height_cap=2, truncation=2)
+
+
+def _build_dcscat_every_round_reference(bmat, height_cap, truncation):
+    """build_dcscat as it was before coverage was read off the cover roots:
+    each length-cap round builds the walls of both families and reads the
+    covered normals off them."""
+    from affscat.scattering import ORIGIN_INV_SORTABLE, ORIGIN_SORTABLE, _Builder, _diagram
+
+    cox = coxeter_context(bmat)
+    builder = _Builder(cox, height_cap, truncation)
+    expected = builder.expected_normals()
+    length_cap = max(2 * height_cap, 4)
+    while True:
+        c_walls, inv_walls = (
+            builder.ji_walls(origin, builder.sortables[origin].ji_sortables(height_cap, length_cap))
+            for origin in (ORIGIN_SORTABLE, ORIGIN_INV_SORTABLE)
+        )
+        merged: dict = {}
+        overlap = 0
+        for w in c_walls + inv_walls:
+            key = w.key()
+            if key in merged:
+                overlap += 1
+                continue
+            merged[key] = w
+        covered = {w.normal for w in merged.values()}
+        missing = [b for b in expected if b not in covered]
+        if not missing:
+            break
+        length_cap *= 2
+    walls = list(merged.values()) + [builder.imaginary_wall()]
+    return _diagram(
+        builder.n, walls, height_cap, truncation, construction="dcscat", overlap_walls=overlap
+    )
+
+
+def test_dcscat_builds_each_wall_once_across_length_cap_rounds(monkeypatch):
+    # A_8^(2) orientation 0 at H = k = 9 needs two rounds, at length caps 18
+    # and 36.  Reading coverage off the cover roots builds each wall once,
+    # after the last round, and gives the diagram the every-round build gave.
+    from affscat.jsonio import diagram_json
+    from affscat.shards import ShardContext
+    from affscat.sortable import SortableContext
+    from test_orientation_sweep import acyclic_orientations
+
+    rows = next(r for label, index, r in acyclic_orientations(5) if (label, index) == ("A_8^(2)", 0))
+    shard_calls, length_caps = [], []
+    shard_from_ji = ShardContext.shard_from_ji
+    ji_sortables = SortableContext.ji_sortables
+
+    def counted_shard(self, root, inversions):
+        shard_calls.append(root)
+        return shard_from_ji(self, root, inversions)
+
+    def counted_ji(self, height_cap, length_cap):
+        length_caps.append(length_cap)
+        return ji_sortables(self, height_cap, length_cap)
+
+    monkeypatch.setattr(ShardContext, "shard_from_ji", counted_shard)
+    monkeypatch.setattr(SortableContext, "ji_sortables", counted_ji)
+    built = build_dcscat(ExchangeMatrix.from_rows([list(r) for r in rows]), 9, 9)
+    assert (len(shard_calls), length_caps) == (68, [18, 18, 36, 36])
+    assert len(set(shard_calls)) < len(shard_calls)  # some root is a JI for both c and c^-1
+    shard_calls.clear()
+    reference = _build_dcscat_every_round_reference(
+        ExchangeMatrix.from_rows([list(r) for r in rows]), 9, 9
+    )
+    assert len(shard_calls) == 135
+    assert diagram_json(built) == diagram_json(reference)
+    assert built.provenance == reference.provenance

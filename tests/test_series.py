@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from affscat.series import (
     CrossingData,
-    MixedNormals,
     MonomialExpr,
     NonIntegerExponent,
     TruncatedSeries,
     f_inf_series,
-    geometric_inverse_square,
     _series_power,
     path_product,
     series_root,
@@ -20,6 +18,49 @@ from affscat.series import (
 
 
 # Series operations that only the tests use.
+
+
+class MixedNormals(ValueError):
+    pass
+
+
+# TruncatedSeries.mul with its _check, and geometric_inverse_square, as they
+# were before f_inf_series took its closed form (with self as a series):
+# the oracles of _series_power and of f_inf_series.
+def _check(self, other: "TruncatedSeries"):
+    if self.normal != other.normal or self.k != other.k:
+        raise MixedNormals("series must share normal and truncation")
+
+
+def series_mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    _check(self, other)
+    out = [0] * (self.k + 1)
+    for i, a in enumerate(self.coeffs):
+        if a == 0:
+            continue
+        for j in range(min(self.k - i, other.k) + 1):
+            b = other.coeffs[j]
+            if b != 0:
+                out[i + j] += a * b
+    return TruncatedSeries.make(self.normal, self.k, out)
+
+
+def geometric_inverse_square(normal, k) -> TruncatedSeries:
+    """(1 - q)^{-2} = sum (m+1) q^m."""
+    return TruncatedSeries.make(normal, k, [m + 1 for m in range(k + 1)])
+
+
+def reference_f_inf_series(delta, is_a2k2: bool, ydeg: int) -> TruncatedSeries:
+    """Scattering term on the imaginary wall, truncated at total yhat-degree ydeg.
+
+    (1 - yhat^delta)^{-2}, with an extra factor (1 + yhat^delta) in type
+    A_{2k}^(2).
+    """
+    k = ydeg // sum(delta)
+    base = geometric_inverse_square(delta, k)
+    if is_a2k2:
+        base = series_mul(base, TruncatedSeries.one_plus_q(delta, k))
+    return base
 
 
 def one(normal, k) -> TruncatedSeries:
@@ -65,7 +106,7 @@ B_A2 = ((0, 1), (-1, 0))
 
 def test_square_of_one_plus_q():
     f = TruncatedSeries.one_plus_q((1, 0), 4)
-    assert f.mul(f).coeffs == (1, 2, 1, 0, 0)
+    assert series_mul(f, f).coeffs == (1, 2, 1, 0, 0)
 
 
 def test_geometric_inverse():
@@ -78,6 +119,7 @@ def test_inverse_square_matches_repeated_multiplication():
     by_power = int_pow(f, -2)
     assert by_power.coeffs == (1, 2, 3, 4, 5)
     assert by_power == geometric_inverse_square((1, 1), 4)
+    assert by_power == f_inf_series((1, 1), False, 8)
 
 
 def reference_inverse(f):
@@ -92,7 +134,7 @@ def reference_power(f, e):
     base = f if e >= 0 else reference_inverse(f)
     out = one(f.normal, f.k)
     for _ in range(abs(e)):
-        out = out.mul(base)
+        out = series_mul(out, base)
     return out
 
 
@@ -115,7 +157,7 @@ def test_miller_power_matches_repeated_multiplication(normal, k, coeffs):
         if e >= 0:
             assert int_pow(f, e) == by_mul
         else:
-            assert int_pow(f, e).mul(by_mul) == unit
+            assert series_mul(int_pow(f, e), by_mul) == unit
 
 
 @pytest.mark.parametrize("normal, k, coeffs", MILLER_CASES)
@@ -168,7 +210,32 @@ def test_mixed_normals_rejected():
     a = one((1, 0), 3)
     b = one((0, 1), 3)
     with pytest.raises(MixedNormals):
-        a.mul(b)
+        series_mul(a, b)
+
+
+def test_f_inf_closed_form_matches_the_product():
+    # The coefficients m + 1 of (1 - q)^-2, and 2m + 1 of (1 + q)(1 - q)^-2
+    # in type A_2k^(2), against the product they replace and against
+    # Miller's recurrence, for every q-degree below 40 on every delta of
+    # the affine diagrams of rank 2 to 9.
+    from affscat.cartan import CartanMatrix, _affine_table, classify
+
+    deltas = {
+        classify(CartanMatrix.from_rows(a)).delta for n in range(2, 10) for _, a in _affine_table(n)
+    }
+    for delta in deltas:
+        ht = sum(delta)
+        for a2k2 in (False, True):
+            for ydeg in range(40 * ht):
+                got = f_inf_series(delta, a2k2, ydeg)
+                assert got == reference_f_inf_series(delta, a2k2, ydeg), (delta, a2k2, ydeg)
+        qdeg = 39
+        inverse_square = _series_power((1, -1) + (0,) * (qdeg - 1), -2)
+        assert f_inf_series(delta, False, qdeg * ht).coeffs == inverse_square
+        times = series_mul(
+            TruncatedSeries.make(delta, qdeg, inverse_square), TruncatedSeries.one_plus_q(delta, qdeg)
+        )
+        assert f_inf_series(delta, True, qdeg * ht + ht - 1) == times
 
 
 def test_f_inf_branches():

@@ -5,7 +5,7 @@ import pytest
 from test_linalg import _reference_solve_linear
 from test_weyl import ReferenceWeyl, is_identity, is_join_irreducible, left_descents, weak_leq
 
-from affscat.cartan import CartanMatrix, ExchangeMatrix
+from affscat.cartan import CartanMatrix, ExchangeMatrix, classify
 from affscat.cones import Cone
 from affscat.coxeter import coxeter_context
 from affscat.linalg import primitive_vector, rank, wedge_key
@@ -147,13 +147,27 @@ def test_canonical_roots_need_the_pairs_height():
         SH_A11.rank2_subsystem((1, 2), (2, 1), height_cap=2)
 
 
+def cut_set_at_cap(sh, beta, height_cap):
+    """ShardContext.cut_set with the height cap it took before the cap was
+    fixed at height(beta) - 1 (with self as sh, and no cache): the roots up
+    to the cap that cut beta, read off the plane buckets at that cap."""
+    cap = height_cap
+    out = []
+    for members in sh._planes(beta, max(cap, sum(beta))).values():
+        # members[0] spans the plane with beta: parallel roots come last
+        pair = _extreme_pair(members, beta, members[0])
+        if beta not in pair:
+            out.extend(gamma for gamma in pair if sum(gamma) <= cap)
+    return tuple(sorted(out))
+
+
 def test_cut_stabilizes_with_bigger_cap():
     cases = [(SH_A11, beta) for beta in [(2, 1), (1, 2), (3, 2)]]
     cases += [
         (sh, beta) for sh in (SH_G21, SH_A31) for beta in sorted(sh.cartan.real_roots_up_to_height(8))
     ]
     for sh, beta in cases:
-        assert sh.cut_set(beta) == sh.cut_set(beta, height_cap=sum(beta) + 6), beta
+        assert sh.cut_set(beta) == cut_set_at_cap(sh, beta, sum(beta) + 6), beta
 
 
 # The benchmark's six orientations (A_1^(1), A_2^(2), A_2^(1), G_2^(1),
@@ -230,15 +244,16 @@ def _reference_cut_set(planes, roots, beta, cap, canonical):
 def test_cut_set_matches_fraction_reference():
     for rows, height in BENCHMARK_INSTANCES:
         sh, _ = make(rows)
-        delta = sh.cartan.classify().delta
+        delta = classify(sh.cartan).delta
         roots = sorted(sh.cartan.real_roots_up_to_height(height))
         planes = _reference_planes(roots, delta, height)
         canonical = {}
         for beta in roots:
-            for cap in (None, height):
-                ref_cap = sum(beta) - 1 if cap is None else cap
+            # Below height(beta), then at the larger cap: no root of height
+            # height(beta) or more cuts beta (the stabilisation theorem).
+            for ref_cap in (sum(beta) - 1, height):
                 expected = _reference_cut_set(planes, roots, beta, ref_cap, canonical)
-                assert sh.cut_set(beta, cap) == expected, (rows, beta, cap)
+                assert sh.cut_set(beta) == expected, (rows, beta, ref_cap)
 
 
 def test_shard_of_simple_is_full_hyperplane():
