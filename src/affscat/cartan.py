@@ -77,9 +77,6 @@ class ExchangeMatrix:
         mat.symmetrizer()  # raises NotSkewSymmetrizable on bad input
         return mat
 
-    def entry(self, i: int, j: int) -> int:
-        return self.b[i][j]
-
     @cached_property
     def mutation_tree(self) -> dict:
         """Word -> the rows of B mutated along it, grown lazily by

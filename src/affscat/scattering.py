@@ -28,9 +28,8 @@ cut from the first wall's piece by the second wall's inequalities.  A third
 wall of P can cover part of a meet without containing it, so each meet is
 split by the walls of P until each of them contains a cell or misses its
 relative interior (see _cells), and every cell gets its own loop.  No face
-or cell runs a double description: each is cut from cached generators.  The
-base point of each loop is located against one SignTable of the checked
-walls.
+or cell runs a double description: each is cut from cached generators.  Each
+loop is based at the sum of its cell's rays (see check_consistency).
 
 rank2_complete completes the rank-2 diagram in one pass around its loop,
 reading each outgoing ray's scattering term off the product as the loop
@@ -135,9 +134,7 @@ class _Builder:
     """One construction at one height cap and truncation.
 
     Its shard and almost-positive contexts are those of its CoxeterContext
-    (_shared_contexts), shared with every other build on the same matrix.
-    Its two SortableContexts are its own, because each reads AFFSCAT_CAP
-    when it is made."""
+    (_shared_contexts), shared with every other build on the same matrix."""
 
     def __init__(self, cox: CoxeterContext, height_cap: int, truncation: int):
         if cox.type_info.kind != "affine":
@@ -148,12 +145,6 @@ class _Builder:
         self.H = height_cap
         self.k = truncation
         self.shards, self.ap = _shared_contexts(cox)
-        # One per Coxeter element, so generated sortables survive length-cap
-        # doublings.
-        self.sortables = {
-            ORIGIN_SORTABLE: SortableContext(cox),
-            ORIGIN_INV_SORTABLE: SortableContext(cox.inverse()),
-        }
 
     def series_for(self, beta) -> TruncatedSeries:
         ht = sum(beta)
@@ -232,13 +223,19 @@ def build_dcscat(bmat: ExchangeMatrix, height_cap: int, truncation: int) -> Scat
         raise NotAcyclic("the shard construction needs an acyclic exchange matrix")
     cox = coxeter_context(bmat)
     builder = _Builder(cox, height_cap, truncation)
+    # One per Coxeter element and per build, so generated sortables survive
+    # length-cap doublings and each build reads AFFSCAT_CAP afresh.
+    sortables = {
+        ORIGIN_SORTABLE: SortableContext(cox),
+        ORIGIN_INV_SORTABLE: SortableContext(cox.inverse()),
+    }
     expected = builder.expected_normals()
     length_cap = max(2 * height_cap, 4)
     while True:
         # coverage is read off the cover roots; the walls are built after the loop
         found = {
-            origin: sortables.ji_sortables(height_cap, length_cap)
-            for origin, sortables in builder.sortables.items()
+            origin: context.ji_sortables(height_cap, length_cap)
+            for origin, context in sortables.items()
         }
         missing = [b for b in expected if not any(b in f for f in found.values())]
         if not missing:
@@ -389,6 +386,18 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
     containing it, and its loop plane comes from its two normals (see the
     module docstring).
 
+    Each loop is based at p, the sum of its cell F's rays (0 when F has
+    none), the relative-interior point _cells takes too.  loop_crossings
+    reads only which inequalities of each containing wall W are tight at its
+    base point.  Every inequality g of W is <= 0 on each ray of F and 0 on
+    F's lineality, so <p, g> = 0 exactly when g vanishes on all of F: the
+    tight set at every relative-interior point of F.  So the loop at p is
+    that of a generic point of F, one in no wall but those containing F, and
+    such a point exists: each wall of F's plane contains F or misses its
+    relative interior (_cells), and a wall outside the plane meets F's span
+    in a proper subspace, so finitely many of them cannot cover that
+    relative interior.
+
     A loop is the identity exactly when its path product fixes x_i + x_j
     for (i, j) = nonzero_minor(beta1, beta2), the two coordinates of the loop
     plane, for three reasons.
@@ -435,11 +444,10 @@ def check_consistency(diagram: ScatDiagram, truncation: int, cox: CoxeterContext
     crossing = {id(w): _crossing_data(w, coroot, cox.omega_rows) for w in walls}
     gens: dict = {}  # (i, j) -> x_i + x_j
     faces = _codim2_faces(walls, n)
-    table = SignTable([w.cone for w in walls])
     report = {"faces": len(faces), "failures": [], "checked": 0}
     for face, beta1, beta2, inside in faces:
         containing = [walls[i] for i in inside]
-        base = _generic_relint_point(face, table, inside)
+        base = [sum(c) for c in zip(*face.rays)] or [0] * n
         i, j = nonzero_minor(beta1, beta2)
         crossings = loop_crossings(containing, base, units[i], units[j], coroot)
         seq = [(crossing[id(e.wall)], e.sign) for e in crossings]
@@ -545,54 +553,6 @@ def _cells(cell: Cone, members) -> list:
             ]
             return [c for half in halves for c in _cells(half, members)]
     return [(cell, tuple(inside))]
-
-
-def _generic_relint_point(face: Cone, table: SignTable, inside):
-    """An integer relative-interior point of the face lying in none of the
-    cones of table (a SignTable of the walls) but those with index in inside,
-    the walls containing the face (deterministic perturbation search).
-
-    The generators are integer vectors, so every candidate is.  A candidate
-    sums (attempt^(i+1) + i + 1) g_i over the rays and then the lineality
-    basis, with the lineality terms negated on even attempts: every extreme
-    ray gets a positive weight, so the point lies in the relative interior
-    of the face whichever attempt it comes from, and only the avoidance test
-    picks among them.  Which relative-interior point is used does not change
-    the loop: loop_crossings reads only the inequalities of each containing
-    wall that are tight at the point, and at any relative-interior point
-    those are exactly the inequalities that vanish on the whole face (each
-    is <= 0 on the face, and a face of the face that meets its relative
-    interior is the whole face).
-
-    On a cell of _codim2_faces only walls outside its plane can reject a
-    candidate: each wall of the plane contains the cell or misses its
-    relative interior.  A wall outside the plane meets the cell's span in a
-    proper subspace, on which a linear form l vanishes while it does not on
-    the span; there the candidate sum_i (a^(i+1) + i + 1) l(g_i) is a
-    nonzero polynomial in the attempt a of degree at most the number of
-    generators, so each such wall rejects at most that many attempts of
-    each parity.  With W walls outside inside and G generators, at most
-    2 W G of the first 2 (W G + 1) attempts are rejected, and no more are
-    tried.
-    """
-    lin, rays = face.generators
-    n = face.dim_ambient
-    if not rays and not lin:
-        return (0,) * n
-    allowed = sum(1 << i for i in inside)
-    others = len(table.forbid) - len(inside)
-    for attempt in range(1, 2 * (others * (len(rays) + len(lin)) + 1) + 1):
-        point = [0] * n
-        for i, g in enumerate(rays + lin):
-            scale = attempt ** (i + 1) + i + 1
-            if i >= len(rays) and attempt % 2 == 0:
-                scale = -scale  # lineality directions may need both signs
-            for j, c in enumerate(g):
-                point[j] += scale * c
-        p = tuple(point)
-        if not table.locate(p) & ~allowed:
-            return p
-    raise AssertionError("could not find a generic relative-interior point")
 
 
 # -- rank-2 completion -----------------------------------------------------------

@@ -624,8 +624,9 @@ def test_canonical_generators_ignore_the_choice_of_basis():
 
 
 def test_relint_candidates_lie_in_the_relative_interior():
-    # Every candidate of scattering._generic_relint_point weights each
-    # extreme ray positively, so it needs no relative-interior test; on a
+    # Every candidate of the reference base point search
+    # test_scattering._generic_relint_point weights each extreme ray
+    # positively, so it needs no relative-interior test; on a
     # cell of scattering._codim2_faces the walls of its plane contain it or
     # miss its relative interior, so only walls outside it can reject one.
     rng = random.Random(8)

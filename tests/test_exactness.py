@@ -68,7 +68,6 @@ INTEGER_FUNCTIONS = (
     ("cones.py", "_edge_crossings"),
     ("cones.py", "_canonicalize_generators"),
     ("scattering.py", "_cells"),
-    ("scattering.py", "_generic_relint_point"),
     ("scattering.py", "scat_cone_eq"),
     ("mutation.py", "_separating_heights"),
 )
@@ -76,7 +75,6 @@ INTEGER_FUNCTIONS = (
 # reduction or clearing of denominators.
 GENERATOR_READERS = (
     ("cones.py", "_canonicalize_generators"),
-    ("scattering.py", "_generic_relint_point"),
 )
 
 

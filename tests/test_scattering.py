@@ -35,7 +35,6 @@ from affscat.scattering import (
     _cells,
     _codim2_faces,
     _crossing_data,
-    _generic_relint_point,
     _x_sum,
     build_dcscat,
     build_easy_scat,
@@ -268,6 +267,92 @@ def _generic_relint_point_reference(face: Cone, other_walls):
     raise AssertionError("could not find a generic relative-interior point")
 
 
+# check_consistency's base point search as it was before each loop was
+# based at the sum of its cell's rays, kept verbatim as the reference.
+def _generic_relint_point(face: Cone, table: SignTable, inside):
+    """An integer relative-interior point of the face lying in none of the
+    cones of table (a SignTable of the walls) but those with index in inside,
+    the walls containing the face (deterministic perturbation search).
+
+    The generators are integer vectors, so every candidate is.  A candidate
+    sums (attempt^(i+1) + i + 1) g_i over the rays and then the lineality
+    basis, with the lineality terms negated on even attempts: every extreme
+    ray gets a positive weight, so the point lies in the relative interior
+    of the face whichever attempt it comes from, and only the avoidance test
+    picks among them.  Which relative-interior point is used does not change
+    the loop: loop_crossings reads only the inequalities of each containing
+    wall that are tight at the point, and at any relative-interior point
+    those are exactly the inequalities that vanish on the whole face (each
+    is <= 0 on the face, and a face of the face that meets its relative
+    interior is the whole face).
+
+    On a cell of _codim2_faces only walls outside its plane can reject a
+    candidate: each wall of the plane contains the cell or misses its
+    relative interior.  A wall outside the plane meets the cell's span in a
+    proper subspace, on which a linear form l vanishes while it does not on
+    the span; there the candidate sum_i (a^(i+1) + i + 1) l(g_i) is a
+    nonzero polynomial in the attempt a of degree at most the number of
+    generators, so each such wall rejects at most that many attempts of
+    each parity.  With W walls outside inside and G generators, at most
+    2 W G of the first 2 (W G + 1) attempts are rejected, and no more are
+    tried.
+    """
+    lin, rays = face.generators
+    n = face.dim_ambient
+    if not rays and not lin:
+        return (0,) * n
+    allowed = sum(1 << i for i in inside)
+    others = len(table.forbid) - len(inside)
+    for attempt in range(1, 2 * (others * (len(rays) + len(lin)) + 1) + 1):
+        point = [0] * n
+        for i, g in enumerate(rays + lin):
+            scale = attempt ** (i + 1) + i + 1
+            if i >= len(rays) and attempt % 2 == 0:
+                scale = -scale  # lineality directions may need both signs
+            for j, c in enumerate(g):
+                point[j] += scale * c
+        p = tuple(point)
+        if not table.locate(p) & ~allowed:
+            return p
+    raise AssertionError("could not find a generic relative-interior point")
+
+
+def _ray_sum(cell: Cone):
+    """The base point check_consistency loops around: the sum of the cell's
+    rays, or 0."""
+    return [sum(c) for c in zip(*cell.rays)] or [0] * cell.dim_ambient
+
+
+def check_consistency_at_generic_points(diagram, truncation, cox):
+    """check_consistency's report, with every loop it reads at a cell's ray
+    sum checked against the loop at the cell's reference generic point
+    (_generic_relint_point): the same walls, directions and signs."""
+    cells, loops = [], []
+    real_faces, real_loop = _codim2_faces, loop_crossings
+
+    def faces(walls, n):
+        out = real_faces(walls, n)
+        table = SignTable([w.cone for w in walls])
+        cells.extend((cell, table, inside) for cell, _, _, inside in out)
+        return out
+
+    def loop(walls, base_point, u1, u2, covector):
+        got = real_loop(walls, base_point, u1, u2, covector)
+        loops.append((walls, base_point, u1, u2, covector, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(affscat.scattering, "_codim2_faces", faces)
+        mp.setattr(affscat.scattering, "loop_crossings", loop)
+        report = check_consistency(diagram, truncation, cox)
+    assert len(cells) == len(loops) == report["checked"]
+    for (cell, table, inside), (walls, base, u1, u2, cov, got) in zip(cells, loops):
+        assert base == _ray_sum(cell)
+        generic = real_loop(walls, _generic_relint_point(cell, table, inside), u1, u2, cov)
+        assert _crossing_triples(got) == _crossing_triples(generic), cell.generators
+    return report
+
+
 def _face_triples(faces):
     return [(face.generators, beta1, beta2) for face, beta1, beta2, *_ in faces]
 
@@ -441,10 +526,12 @@ def test_generic_relint_point_skips_candidates_in_other_walls():
 @pytest.mark.parametrize("name", sorted(LOOP_ROWS))
 def test_loop_crossings_match_reference_on_every_face(name):
     # Checks, on every codim-2 face at H = k = 4: the face's walls are those
-    # the plane-key filter and an all-walls contains_cone scan keep, the base
-    # point is the reference search's, and the trace directions and signs
-    # equal the arc-sample reference, on the plane of the first nonzero minor
-    # and on a random transverse integer plane.
+    # the plane-key filter and an all-walls contains_cone scan keep, the
+    # generic point search agrees with the reference search, and the trace
+    # directions and signs at the generic point equal the arc-sample
+    # reference and those at the sum of the face's rays, where
+    # check_consistency bases the loop, on the plane of the first nonzero
+    # minor and on a random transverse integer plane.
     bmat = ExchangeMatrix.from_rows(LOOP_ROWS[name])
     cox = coxeter_context(bmat)
     cov = cox.cartan.primitive_in_coroot_lattice
@@ -475,6 +562,7 @@ def test_loop_crossings_match_reference_on_every_face(name):
         for u1, u2 in planes:
             got = _crossing_triples(loop_crossings(containing, base, u1, u2, cov))
             assert got == _loop_crossings_reference(containing, base, u1, u2, cov), beta1
+            assert got == _crossing_triples(loop_crossings(containing, _ray_sum(face), u1, u2, cov))
             assert len(got) >= len(containing)
 
 
@@ -1239,19 +1327,22 @@ def test_aff_greg_shard_unique_shard_with_omega():
             assert hits[0].generators == w.cone.generators, w.normal
 
 
-def test_antipodal_diagram_for_negated_b():
+@pytest.mark.parametrize("orientation", ORIENTATIONS, ids=_id)
+def test_antipodal_diagram_for_negated_b(orientation):
     # Scat^T(-B) has the antipodal walls of Scat^T(B) with the same series
-    # coefficients; c^{-1} is the Coxeter element attached to -B.
-    for b in (B_A11, B_A2T):
-        d = build_dcscat(b, height_cap=4, truncation=4)
-        d_neg = build_dcscat(b.negate(), height_cap=4, truncation=4)
-        keys = sorted(
-            (w.normal, w.cone.negate().generators, w.f.coeffs) for w in d.walls
-        )
-        keys_neg = sorted(
-            (w.normal, w.cone.generators, w.f.coeffs) for w in d_neg.walls
-        )
-        assert keys == keys_neg
+    # coefficients; c^{-1} is the Coxeter element attached to -B.  The shard
+    # construction swaps c and c^{-1} for -B, so there the symmetry follows
+    # from the construction; build_easy_scat reads one Coxeter element only.
+    bmat, _, cap, _ = _instance(orientation[2])
+    for build in (build_dcscat, build_easy_scat):
+        d, d_neg = (build(b, cap, cap) for b in (bmat, bmat.negate()))
+        assert len(d.walls) == len(d_neg.walls)
+        for w, w_neg in zip(d.walls, d_neg.walls):
+            assert (w.normal, w.cone.negate().generators, w.f.coeffs) == (
+                w_neg.normal,
+                w_neg.cone.generators,
+                w_neg.f.coeffs,
+            ), (build.__name__, w.normal)
 
 
 def test_consistency_deeper_truncation():
@@ -1332,14 +1423,19 @@ def _build_dcscat_every_round_reference(bmat, height_cap, truncation):
     each length-cap round builds the walls of both families and reads the
     covered normals off them."""
     from affscat.scattering import ORIGIN_INV_SORTABLE, ORIGIN_SORTABLE, _Builder, _diagram
+    from affscat.sortable import SortableContext
 
     cox = coxeter_context(bmat)
     builder = _Builder(cox, height_cap, truncation)
+    sortables = {
+        ORIGIN_SORTABLE: SortableContext(cox),
+        ORIGIN_INV_SORTABLE: SortableContext(cox.inverse()),
+    }
     expected = builder.expected_normals()
     length_cap = max(2 * height_cap, 4)
     while True:
         c_walls, inv_walls = (
-            builder.ji_walls(origin, builder.sortables[origin].ji_sortables(height_cap, length_cap))
+            builder.ji_walls(origin, sortables[origin].ji_sortables(height_cap, length_cap))
             for origin in (ORIGIN_SORTABLE, ORIGIN_INV_SORTABLE)
         )
         merged: dict = {}
