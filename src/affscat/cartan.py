@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .linalg import Vec, det, integer_kernel, integral_multiple, primitive_vector
+from .linalg import Vec, echelon, integer_kernel, integral_multiple, primitive_vector
 
 
 class NotSkewSymmetrizable(ValueError):
@@ -316,9 +316,11 @@ class TypeInfo:
 
 
 def _is_positive_definite(sym) -> bool:
-    n = len(sym)
-    for k in range(1, n + 1):
-        if det([row[:k] for row in sym[:k]]) <= 0:
+    """Sylvester's criterion on an integer matrix: each leading principal
+    minor, sign * d from echelon (0 below full rank), is positive."""
+    for k in range(1, len(sym) + 1):
+        _, pivots, d, sign = echelon([row[:k] for row in sym[:k]])
+        if len(pivots) < k or sign * d <= 0:
             return False
     return True
 

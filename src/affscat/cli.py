@@ -3,8 +3,8 @@
 Subcommands: classify, walls, consistency, rank2, clusters, compare, svg.
 Input is a JSON file {"n": int, "b": [[int]]}.  Exit status 0 when all
 requested verifications pass, 1 on a verification failure, 2 on invalid
-input, 3 on an internal error; errors go to stderr as JSON, internal ones
-marked with "internal": true.
+input or an --out path that cannot be written, 3 on an internal error;
+errors go to stderr as JSON, internal ones marked with "internal": true.
 """
 
 from __future__ import annotations
@@ -25,13 +25,7 @@ from .jsonio import (
     read_exchange_matrix,
 )
 from .mutation import fans_compare
-from .scattering import (
-    _shared_contexts,
-    build_dcscat,
-    build_easy_scat,
-    check_consistency,
-    rank2_complete,
-)
+from .scattering import build_dcscat, build_easy_scat, check_consistency, rank2_complete
 from .svg import UnsupportedRank, render_slice
 from .weyl import element_cap
 
@@ -56,8 +50,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -153,7 +150,7 @@ def _dispatch(args, bmat) -> int:
         return 0
 
     if args.command == "clusters":
-        _, ap = _shared_contexts(coxeter_context(bmat))
+        ap = coxeter_context(bmat).ap
         real, imaginary, frontier = ap.clusters(args.H)
         roots = ap.compatibility_graph(args.H)[0]
         table = [

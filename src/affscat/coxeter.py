@@ -101,6 +101,22 @@ class CoxeterContext:
             out.append(val)
         return tuple(out)
 
+    # -- the contexts of the two constructions -----------------------------------
+
+    @cached_property
+    def shards(self):
+        """The ShardContext of this matrix: its cut sets and shard cones."""
+        from .shards import ShardContext
+
+        return ShardContext(self.cartan)
+
+    @cached_property
+    def ap(self):
+        """The APContext of this matrix: the almost-positive roots model."""
+        from .almost_positive import APContext
+
+        return APContext(self)
+
     # -- affine vectors ----------------------------------------------------------
 
     @cached_property
@@ -155,8 +171,8 @@ def coxeter_context(bmat) -> CoxeterContext:
     One context per ExchangeMatrix instance: it is built on the first call
     and kept on the matrix, as functools.cached_property keeps a value (and
     as ExchangeMatrix.mutation_tree is kept), so every stage run on one
-    matrix shares it, with the root data its CartanMatrix computes and the
-    build contexts that scattering keeps on it.  An equal matrix built
+    matrix shares it, with the root data its CartanMatrix computes and its
+    shard and almost-positive contexts (shards, ap).  An equal matrix built
     separately, say from a second read of the same JSON, gets a context of
     its own: nothing is cached by value."""
     from .cartan import exchange_to_cartan

@@ -3,12 +3,13 @@
 Vectors are plain tuples whose entries are ints or Fractions; all results
 are exact.  Nothing here knows about root systems.  One elimination does all
 the row reduction: echelon runs fraction-free Gauss-Jordan on rows cleared
-of denominators, in integers alone, and rank, integer_kernel, det and rref
-read its rows, pivots and common pivot value; only det and rref divide, once
-per entry, to return Fractions.  The cones canonicalize their generators on
-echelon's integer rows, and the Cartan matrix reads delta off one integer
-kernel vector; rref is kept for the benchmark's tracing and for the tests,
-which use it as a reference.  The kernels take integers as they come:
+of denominators, in integers alone, and rank, integer_kernel and rref read
+its rows, pivots and common pivot value; only rref divides, once per entry,
+to return Fractions.  The cones canonicalize their generators on echelon's
+integer rows, and the Cartan matrix reads delta off one integer kernel
+vector and its leading principal minors off echelon's sign and pivot value;
+rref is kept for the benchmark's tracing and for the tests, which use it as
+a reference.  The kernels take integers as they come:
 vdot pairs with one map(mul), integral_multiple returns a tuple whose
 entries are all ints unchanged, and primitive_vector returns it unchanged
 when its gcd is 1; other entries (bools and Fractions among them) take the
@@ -20,7 +21,7 @@ coordinates on which that plane projects isomorphically.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 Vec = tuple  # tuple of int | Fraction
@@ -175,12 +176,3 @@ def integer_kernel(rows: list[list]) -> tuple:
             v[p] = -row[j]
         basis.append(tuple(v))
     return free, basis
-
-
-def det(m: list[list]) -> Fraction:
-    """Determinant of a square matrix: sign * d from echelon, divided by the
-    factors that cleared the rows of denominators."""
-    _, pivots, d, sign = echelon(m)
-    if len(pivots) < len(m):
-        return Fraction(0)
-    return Fraction(sign * d, prod(lcm(*(x.denominator for x in row)) for row in m))

@@ -13,7 +13,7 @@ from .cartan import ExchangeMatrix
 from .cones import SignTable
 from .coxeter import coxeter_context
 from .linalg import primitive_vector, vdot
-from .scattering import _shared_contexts, build_dcscat, rampart_set, scat_cone_eq
+from .scattering import build_dcscat, rampart_set, scat_cone_eq
 from .weyl import CapExceeded, element_cap
 
 
@@ -161,7 +161,7 @@ def fans_compare(
     frontier-censored, not as discrepancies.
     """
     cox = coxeter_context(bmat)
-    _, ap = _shared_contexts(cox)
+    ap = cox.ap
     n = cox.n
     diagram = build_dcscat(bmat, height_cap, truncation)
     fan = ap.fan_cones(height_cap)

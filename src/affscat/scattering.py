@@ -44,7 +44,6 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import gcd
 
-from .almost_positive import APContext
 from .cartan import ExchangeMatrix, NotAcyclic, NotAffine, exchange_to_cartan
 from .cones import Cone, SignTable, bits
 from .coxeter import CoxeterContext, coxeter_context
@@ -65,7 +64,6 @@ from .series import (
     series_root,
     wall_cross,
 )
-from .shards import ShardContext
 from .sortable import SortableContext
 from .weyl import CapExceeded
 
@@ -118,99 +116,64 @@ class ScatDiagram:
         )
 
 
-def _shared_contexts(cox: CoxeterContext) -> tuple:
-    """The ShardContext and APContext of cox, built on first use and kept on
-    cox, as functools.cached_property keeps a value.  coxeter_context gives
-    every stage run on one ExchangeMatrix the same CoxeterContext, so
-    build_easy_scat and fans_compare reuse what build_dcscat computed on that
-    matrix: the root data, the cut sets, the shard cones and AP_c."""
-    shared = vars(cox).get("_shared_contexts")
-    if shared is None:
-        shared = vars(cox)["_shared_contexts"] = (ShardContext(cox.cartan), APContext(cox))
-    return shared
+def _affine_context(bmat: ExchangeMatrix, construction: str) -> CoxeterContext:
+    """The CoxeterContext of bmat, which must be acyclic and of affine type."""
+    if not bmat.is_acyclic():
+        raise NotAcyclic(f"the {construction} construction needs an acyclic exchange matrix")
+    cox = coxeter_context(bmat)
+    if cox.type_info.kind != "affine":
+        raise NotAffine("scattering construction requires affine type")
+    return cox
 
 
-class _Builder:
-    """One construction at one height cap and truncation.
+def _wall(normal, cone, ineq_roots, truncation: int, origin: str) -> Wall:
+    """The wall on normal with the series 1 + q truncated at k // ht(normal),
+    tagged initial at height 1."""
+    ht = sum(normal)
+    return Wall(
+        normal=normal,
+        cone=cone,
+        ineq_roots=tuple(sorted(ineq_roots)),
+        f=TruncatedSeries.one_plus_q(normal, truncation // ht),
+        origin=ORIGIN_INITIAL if ht == 1 else origin,
+    )
 
-    Its shard and almost-positive contexts are those of its CoxeterContext
-    (_shared_contexts), shared with every other build on the same matrix."""
 
-    def __init__(self, cox: CoxeterContext, height_cap: int, truncation: int):
-        if cox.type_info.kind != "affine":
-            raise NotAffine("scattering construction requires affine type")
-        self.cox = cox
-        self.cartan = cox.cartan
-        self.n = cox.n
-        self.H = height_cap
-        self.k = truncation
-        self.shards, self.ap = _shared_contexts(cox)
+def _imaginary_wall(cox: CoxeterContext, truncation: int) -> Wall:
+    """The wall on delta: its hyperplane cut by the roots of the finite
+    parabolic, each signed by its defect, with the series f_inf."""
+    info, cartan = cox.type_info, cox.cartan
+    # Finite subsystem roots: supported off the affine index.  Every root of
+    # the finite parabolic has height below 2 ht(delta) (ht(delta) - 1
+    # untwisted, up to 2 ht(delta) - 3 twisted, on every affine diagram of
+    # rank <= 9), so the added n is only slack.
+    height_bound = 2 * sum(info.delta) + cox.n
+    fin_pos = [r for r in cartan.real_roots_up_to_height(height_bound) if r[info.aff_index] == 0]
+    # The defect of r is a positive multiple of omega_c(r, delta).
+    cov = cartan.primitive_in_coroot_lattice
+    ineq_roots = []
+    for r in fin_pos:
+        val = cox.defect(r)
+        if val > 0:
+            ineq_roots.append(r)
+        elif val < 0:
+            ineq_roots.append(tuple(-c for c in r))
+    cone = Cone.from_constraints(
+        cox.n, eqs=[cov(info.delta)], ineqs=[cov(g) for g in ineq_roots]
+    )
+    return Wall(
+        normal=info.delta,
+        cone=cone,
+        ineq_roots=tuple(sorted(ineq_roots)),
+        f=f_inf_series(info.delta, info.is_a2k2, truncation),
+        origin=ORIGIN_IMAGINARY,
+    )
 
-    def series_for(self, beta) -> TruncatedSeries:
-        ht = sum(beta)
-        return TruncatedSeries.one_plus_q(beta, self.k // ht if ht else 0)
 
-    def imaginary_wall(self) -> Wall:
-        delta = self.cox.type_info.delta
-        aff = self.cox.type_info.aff_index
-        # Finite subsystem roots: supported off the affine index.  The finite
-        # root system is closed off by a plain orbit closure (it terminates).
-        fin_pos = [
-            r
-            for r in self.cartan.real_roots_up_to_height(self._finite_height_bound())
-            if r[aff] == 0
-        ]
-        # The defect of r is a positive multiple of omega_c(r, delta).
-        cov = self.cartan.primitive_in_coroot_lattice
-        ineq_roots = []
-        for r in fin_pos:
-            val = self.cox.defect(r)
-            if val > 0:
-                ineq_roots.append(r)
-            elif val < 0:
-                ineq_roots.append(tuple(-c for c in r))
-        cone = Cone.from_constraints(
-            self.n, eqs=[cov(delta)], ineqs=[cov(g) for g in ineq_roots]
-        )
-        f = f_inf_series(delta, self.cox.type_info.is_a2k2, self.k)
-        return Wall(
-            normal=delta,
-            cone=cone,
-            ineq_roots=tuple(sorted(ineq_roots)),
-            f=f,
-            origin=ORIGIN_IMAGINARY,
-        )
-
-    def _finite_height_bound(self) -> int:
-        # Every root of the finite parabolic has height below 2 ht(delta)
-        # (ht(delta) - 1 untwisted, up to 2 ht(delta) - 3 twisted, on every
-        # affine diagram of rank <= 9), so the added n is only slack.
-        return 2 * sum(self.cox.type_info.delta) + self.n
-
-    def expected_normals(self):
-        return [b for b in self.ap.ap_positive_real(self.H) if sum(b) <= self.H]
-
-    def ji_walls(self, origin: str, found: dict):
-        """The walls of the join-irreducibles found (cover root -> witness)
-        for one Coxeter element, sorted by cover root."""
-        walls = []
-        for root, wit in sorted(found.items()):
-            shard = self.shards.shard_from_ji(root, wit.inversions)
-            cone, ineqs = shard.cone, shard.cut_list
-            if origin == ORIGIN_INV_SORTABLE:
-                cone = cone.negate()
-                ineqs = tuple(tuple(-c for c in g) for g in ineqs)
-            tag = ORIGIN_INITIAL if sum(root) == 1 else origin
-            walls.append(
-                Wall(
-                    normal=root,
-                    cone=cone,
-                    ineq_roots=tuple(sorted(ineqs)),
-                    f=self.series_for(root),
-                    origin=tag,
-                )
-            )
-        return walls
+def _expected_normals(cox: CoxeterContext, height_cap: int) -> list:
+    """The positive real roots of AP_c up to the height cap: the normals of
+    the walls of both constructions, bar the imaginary one."""
+    return [b for b in cox.ap.ap_positive_real(height_cap) if sum(b) <= height_cap]
 
 
 def build_dcscat(bmat: ExchangeMatrix, height_cap: int, truncation: int) -> ScatDiagram:
@@ -218,18 +181,16 @@ def build_dcscat(bmat: ExchangeMatrix, height_cap: int, truncation: int) -> Scat
     ones (cover roots up to the height cap), and the imaginary wall; duplicates
     merged by exact cone equality, the c-sortable wall kept.  The length cap
     doubles until the cover roots of the two families hold every expected
-    normal; only then are the walls built, once each."""
-    if not bmat.is_acyclic():
-        raise NotAcyclic("the shard construction needs an acyclic exchange matrix")
-    cox = coxeter_context(bmat)
-    builder = _Builder(cox, height_cap, truncation)
+    normal; only then are the walls built, once each.  The shard cones are
+    those of cox.shards, so build_easy_scat on the same matrix reuses them."""
+    cox = _affine_context(bmat, "shard")
     # One per Coxeter element and per build, so generated sortables survive
     # length-cap doublings and each build reads AFFSCAT_CAP afresh.
     sortables = {
         ORIGIN_SORTABLE: SortableContext(cox),
         ORIGIN_INV_SORTABLE: SortableContext(cox.inverse()),
     }
-    expected = builder.expected_normals()
+    expected = _expected_normals(cox, height_cap)
     length_cap = max(2 * height_cap, 4)
     while True:
         # coverage is read off the cover roots; the walls are built after the loop
@@ -249,44 +210,39 @@ def build_dcscat(bmat: ExchangeMatrix, height_cap: int, truncation: int) -> Scat
                 f"{length_cap}; doubling it would pass the limit 64*(H+2) = {limit}"
             )
         length_cap *= 2
-    merged: dict = {}
-    overlap = 0
+    # The walls of both families, c first, each sorted by cover root; then
+    # merged by key, keeping the first.
+    built = []
     for origin in (ORIGIN_SORTABLE, ORIGIN_INV_SORTABLE):
-        for w in builder.ji_walls(origin, found[origin]):
-            if w.key() in merged:
-                overlap += 1
-            else:
-                merged[w.key()] = w
-    walls = list(merged.values()) + [builder.imaginary_wall()]
+        for root, wit in sorted(found[origin].items()):
+            shard = cox.shards.shard_from_ji(root, wit.inversions)
+            cone, ineqs = shard.cone, shard.cut_list
+            if origin == ORIGIN_INV_SORTABLE:
+                cone = cone.negate()
+                ineqs = [tuple(-c for c in g) for g in ineqs]
+            built.append(_wall(root, cone, ineqs, truncation, origin))
+    merged: dict = {}
+    for w in built:
+        merged.setdefault(w.key(), w)
+    overlap = len(built) - len(merged)
+    walls = list(merged.values()) + [_imaginary_wall(cox, truncation)]
     hyperplanes = [w.normal for w in walls]
     assert len(set(hyperplanes)) == len(hyperplanes), "one wall per hyperplane"
     return _diagram(
-        builder.n, walls, height_cap, truncation, construction="dcscat", overlap_walls=overlap
+        cox.n, walls, height_cap, truncation, construction="dcscat", overlap_walls=overlap
     )
 
 
 def build_easy_scat(bmat: ExchangeMatrix, height_cap: int, truncation: int) -> ScatDiagram:
     """One wall d_beta per positive root of AP_c up to the height cap, plus the
     imaginary wall."""
-    if not bmat.is_acyclic():
-        raise NotAcyclic("the d_beta construction needs an acyclic exchange matrix")
-    cox = coxeter_context(bmat)
-    builder = _Builder(cox, height_cap, truncation)
+    cox = _affine_context(bmat, "d_beta")
     walls = []
-    for beta in builder.expected_normals():
-        shard = builder.shards.shard_from_root(beta, cox)
-        tag = ORIGIN_INITIAL if sum(beta) == 1 else ORIGIN_SORTABLE
-        walls.append(
-            Wall(
-                normal=beta,
-                cone=shard.cone,
-                ineq_roots=shard.cut_list,
-                f=builder.series_for(beta),
-                origin=tag,
-            )
-        )
-    walls.append(builder.imaginary_wall())
-    return _diagram(builder.n, walls, height_cap, truncation, construction="easy_scat")
+    for beta in _expected_normals(cox, height_cap):
+        shard = cox.shards.shard_from_root(beta, cox)
+        walls.append(_wall(beta, shard.cone, shard.cut_list, truncation, ORIGIN_SORTABLE))
+    walls.append(_imaginary_wall(cox, truncation))
+    return _diagram(cox.n, walls, height_cap, truncation, construction="easy_scat")
 
 
 def _diagram(n, walls, height_cap, truncation, **provenance) -> ScatDiagram:

@@ -59,9 +59,9 @@ class ShardCone:
 
 class ShardContext:
     """Cut sets and shard cones of one Cartan matrix, each kept once computed.
-    The scattering builders share one per CoxeterContext, so build_dcscat
-    and build_easy_scat on one matrix cut each root and convert each
-    constraint list once between them."""
+    The scattering builders share one per matrix, CoxeterContext.shards, so
+    build_dcscat and build_easy_scat on one matrix cut each root and convert
+    each constraint list once between them."""
 
     def __init__(self, cartan: CartanMatrix):
         self.cartan = cartan

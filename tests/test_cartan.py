@@ -15,7 +15,8 @@ from affscat.cartan import (
     classify,
     exchange_to_cartan,
 )
-from affscat.linalg import det, integer_kernel, primitive_vector
+from affscat.linalg import integer_kernel, primitive_vector
+from test_linalg import det
 
 
 class NotRealRoot(ValueError):

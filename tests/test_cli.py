@@ -377,8 +377,8 @@ def test_walls_runs_one_double_description_per_shard_constraint_list(b_a2t, tmp_
 
 
 def test_compare_builds_one_ap_context_per_matrix(b_a2t, tmp_path, monkeypatch):
-    # fans_compare takes the APContext that build_dcscat keeps on the matrix's
-    # CoxeterContext, so the tube and AP_c are computed once per compare run.
+    # fans_compare and build_dcscat both read the matrix's CoxeterContext.ap,
+    # so the tube and AP_c are computed once per compare run.
     from affscat.almost_positive import APContext
 
     built = []
@@ -394,3 +394,78 @@ def test_compare_builds_one_ap_context_per_matrix(b_a2t, tmp_path, monkeypatch):
     assert run([*argv, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["clean"] is True
     assert len(built) == 1
+
+
+def test_every_stage_on_one_matrix_shares_its_contexts(b_a2t, tmp_path, monkeypatch):
+    # build_dcscat, build_easy_scat, fans_compare and the clusters stage all
+    # read the ShardContext and APContext of the matrix's CoxeterContext.
+    import affscat.cli
+    from affscat.almost_positive import APContext
+    from affscat.cartan import ExchangeMatrix
+    from affscat.coxeter import coxeter_context
+    from affscat.mutation import fans_compare
+    from affscat.scattering import (
+        ORIGIN_IMAGINARY,
+        ORIGIN_INV_SORTABLE,
+        build_dcscat,
+        build_easy_scat,
+    )
+    from affscat.shards import ShardContext
+
+    rows = [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]
+    b = ExchangeMatrix.from_rows(rows)
+    users = {ShardContext: [], APContext: []}
+
+    def recording(cls, name):
+        method = getattr(cls, name)
+
+        def recorded(self, *args):
+            users[cls].append(self)
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, recorded)
+
+    for name in ("shard_from_ji", "shard_from_root"):
+        recording(ShardContext, name)
+    for name in ("ap_positive_real", "clusters", "fan_cones"):
+        recording(APContext, name)
+    # the clusters stage reads its matrix from the input file: hand it b
+    monkeypatch.setattr(affscat.cli, "read_exchange_matrix", lambda data: b)
+
+    cox = coxeter_context(b)
+    shards, ap = cox.shards, cox.ap
+    d1 = build_dcscat(b, 6, 6)
+    d2 = build_easy_scat(b, 6, 6)
+    report = fans_compare(b, height_cap=4, truncation=4, probe_cap=4, sample_count=20, seed=0)
+    assert report["clean"] is True
+    out = tmp_path / "clusters.json"
+    assert run(["clusters", "--input", b_a2t, "--H", "4", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["real_clusters"]
+
+    assert coxeter_context(b) is cox and cox.shards is shards and cox.ap is ap
+    assert users[ShardContext] and all(user is shards for user in users[ShardContext])
+    assert users[APContext] and all(user is ap for user in users[APContext])
+    # A c-sortable wall and its d_beta wall come from one cached shard cone.
+    # A c^{-1}-sortable wall negates a shard cone and the imaginary wall is
+    # built per diagram, so those are equal cones but not one object.
+    easy = {w.key(): w for w in d2.walls}
+    assert set(easy) == {w.key() for w in d1.walls}
+    c_walls = [w for w in d1.walls if w.origin not in (ORIGIN_INV_SORTABLE, ORIGIN_IMAGINARY)]
+    assert len(c_walls) >= 5
+    assert all(easy[w.key()].cone is w.cone for w in c_walls)
+
+    # An equal matrix built separately gets contexts of its own.
+    other = coxeter_context(ExchangeMatrix.from_rows(rows))
+    assert other == cox and other is not cox
+    assert other.shards is not shards and other.ap is not ap
+
+
+def test_unwritable_out_is_a_usage_error(b_a11, tmp_path, capsys):
+    missing = tmp_path / "no_such_dir" / "x.json"
+    assert run(["walls", "--input", b_a11, "--H", "3", "--k", "3", "--out", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert "internal" not in err
+    assert str(missing) in err["error"]
+    assert not missing.exists()

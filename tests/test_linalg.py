@@ -1,14 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from affscat.linalg import (
-    det,
     echelon,
     integer_kernel,
     integral_multiple,
@@ -21,6 +20,18 @@ from affscat.linalg import (
 )
 
 F = Fraction
+
+
+# The determinant on echelon, which no module of the package calls: the
+# Cartan classification reads its minors off echelon directly.  Kept here
+# with its tests, and imported by tests/test_cartan.py.
+def det(m: list[list]) -> Fraction:
+    """Determinant of a square matrix: sign * d from echelon, divided by the
+    factors that cleared the rows of denominators."""
+    _, pivots, d, sign = echelon(m)
+    if len(pivots) < len(m):
+        return Fraction(0)
+    return Fraction(sign * d, prod(lcm(*(x.denominator for x in row)) for row in m))
 
 
 def test_integral_multiple():

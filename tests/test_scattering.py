@@ -46,7 +46,7 @@ from affscat.scattering import (
     rank2_complete,
     scat_cone_eq,
 )
-from affscat.series import MonomialExpr, TruncatedSeries, path_product
+from affscat.series import MonomialExpr, TruncatedSeries, f_inf_series, path_product
 from test_cones import FAN_INSTANCES, _ReferenceSignTable
 from test_orientation_sweep import ORIENTATIONS, _id, _instance
 from test_series import one
@@ -1409,11 +1409,10 @@ def test_dcscat_never_walks_w(monkeypatch):
 def test_length_cap_failure_names_the_cap(monkeypatch):
     import pytest
 
-    from affscat.scattering import _Builder
     from affscat.weyl import CapExceeded
 
     # (3, 3) is no root of A_1^(1), so no length cap can find its shard.
-    monkeypatch.setattr(_Builder, "expected_normals", lambda self: [(3, 3)])
+    monkeypatch.setattr(affscat.scattering, "_expected_normals", lambda cox, height_cap: [(3, 3)])
     with pytest.raises(CapExceeded, match=r"length cap 256.*64\*\(H\+2\) = 256"):
         build_dcscat(B_A11, height_cap=2, truncation=2)
 
@@ -1422,25 +1421,35 @@ def _build_dcscat_every_round_reference(bmat, height_cap, truncation):
     """build_dcscat as it was before coverage was read off the cover roots:
     each length-cap round builds the walls of both families and reads the
     covered normals off them."""
-    from affscat.scattering import ORIGIN_INV_SORTABLE, ORIGIN_SORTABLE, _Builder, _diagram
+    from affscat.scattering import (
+        ORIGIN_INV_SORTABLE,
+        ORIGIN_SORTABLE,
+        _diagram,
+        _expected_normals,
+        _imaginary_wall,
+        _wall,
+    )
     from affscat.sortable import SortableContext
 
     cox = coxeter_context(bmat)
-    builder = _Builder(cox, height_cap, truncation)
     sortables = {
         ORIGIN_SORTABLE: SortableContext(cox),
         ORIGIN_INV_SORTABLE: SortableContext(cox.inverse()),
     }
-    expected = builder.expected_normals()
+    expected = _expected_normals(cox, height_cap)
     length_cap = max(2 * height_cap, 4)
     while True:
-        c_walls, inv_walls = (
-            builder.ji_walls(origin, sortables[origin].ji_sortables(height_cap, length_cap))
-            for origin in (ORIGIN_SORTABLE, ORIGIN_INV_SORTABLE)
-        )
+        built = []
+        for origin, context in sortables.items():
+            for root, wit in sorted(context.ji_sortables(height_cap, length_cap).items()):
+                shard = cox.shards.shard_from_ji(root, wit.inversions)
+                cone, ineqs = shard.cone, shard.cut_list
+                if origin == ORIGIN_INV_SORTABLE:
+                    cone, ineqs = cone.negate(), [tuple(-c for c in g) for g in ineqs]
+                built.append(_wall(root, cone, ineqs, truncation, origin))
         merged: dict = {}
         overlap = 0
-        for w in c_walls + inv_walls:
+        for w in built:
             key = w.key()
             if key in merged:
                 overlap += 1
@@ -1451,10 +1460,76 @@ def _build_dcscat_every_round_reference(bmat, height_cap, truncation):
         if not missing:
             break
         length_cap *= 2
-    walls = list(merged.values()) + [builder.imaginary_wall()]
+    walls = list(merged.values()) + [_imaginary_wall(cox, truncation)]
     return _diagram(
-        builder.n, walls, height_cap, truncation, construction="dcscat", overlap_walls=overlap
+        cox.n, walls, height_cap, truncation, construction="dcscat", overlap_walls=overlap
     )
+
+
+class _ReferenceImaginaryWall:
+    """The imaginary wall as the shard construction's builder class built it,
+    its two methods kept verbatim (with the attributes they read) as the
+    reference of scattering._imaginary_wall."""
+
+    def __init__(self, cox, truncation):
+        self.cox = cox
+        self.cartan = cox.cartan
+        self.n = cox.n
+        self.k = truncation
+
+    def imaginary_wall(self) -> Wall:
+        delta = self.cox.type_info.delta
+        aff = self.cox.type_info.aff_index
+        # Finite subsystem roots: supported off the affine index.  The finite
+        # root system is closed off by a plain orbit closure (it terminates).
+        fin_pos = [
+            r
+            for r in self.cartan.real_roots_up_to_height(self._finite_height_bound())
+            if r[aff] == 0
+        ]
+        # The defect of r is a positive multiple of omega_c(r, delta).
+        cov = self.cartan.primitive_in_coroot_lattice
+        ineq_roots = []
+        for r in fin_pos:
+            val = self.cox.defect(r)
+            if val > 0:
+                ineq_roots.append(r)
+            elif val < 0:
+                ineq_roots.append(tuple(-c for c in r))
+        cone = Cone.from_constraints(
+            self.n, eqs=[cov(delta)], ineqs=[cov(g) for g in ineq_roots]
+        )
+        f = f_inf_series(delta, self.cox.type_info.is_a2k2, self.k)
+        return Wall(
+            normal=delta,
+            cone=cone,
+            ineq_roots=tuple(sorted(ineq_roots)),
+            f=f,
+            origin=ORIGIN_IMAGINARY,
+        )
+
+    def _finite_height_bound(self) -> int:
+        # Every root of the finite parabolic has height below 2 ht(delta)
+        # (ht(delta) - 1 untwisted, up to 2 ht(delta) - 3 twisted, on every
+        # affine diagram of rank <= 9), so the added n is only slack.
+        return 2 * sum(self.cox.type_info.delta) + self.n
+
+
+def test_imaginary_wall_matches_the_builder_reference():
+    # On the 84 orientations of rank <= 4 at H = k = max(4, |delta|): the
+    # same normal, inequality roots, cone constraints and generators, series
+    # and origin, and the wall the diagram holds.
+    from affscat.scattering import _imaginary_wall
+
+    for orientation in ORIENTATIONS:
+        _, cox, cap, diagram = _instance(orientation[2])
+        wall = _imaginary_wall(cox, cap)
+        ref = _ReferenceImaginaryWall(cox, cap).imaginary_wall()
+        assert (wall.normal, wall.ineq_roots, wall.origin) == (ref.normal, ref.ineq_roots, ref.origin)
+        assert (wall.cone.eqs, wall.cone.ineqs) == (ref.cone.eqs, ref.cone.ineqs), orientation
+        assert wall.cone.generators == ref.cone.generators, orientation
+        assert wall.f.coeffs == ref.f.coeffs and wall.f.k == ref.f.k, orientation
+        assert diagram.wall_by_normal(ref.normal)[0].full_key() == ref.full_key()
 
 
 def test_dcscat_builds_each_wall_once_across_length_cap_rounds(monkeypatch):
