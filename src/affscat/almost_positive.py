@@ -39,25 +39,31 @@ members have no common partner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .cartan import NotAffine
 from .cones import Cone
 from .coxeter import CoxeterContext
 from .linalg import rank
+from .record import Record
 
 
 class ResolutionCapExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class TubeStructure:
-    xi: tuple  # the tube generators: extreme rays of the cone on the tube roots
-    cycles: tuple  # the c-orbits of xi, as xi indices in the order c moves them
-    supp: dict  # each proper arc -> its xi-support, a frozenset of xi indices
-    apt_real: tuple  # APT_c, the real tube roots: the proper arcs, sorted
+class TubeStructure(Record):
+    _fields = ("xi", "cycles", "supp", "apt_real")
+
+    def __init__(self, xi: tuple, cycles: tuple, supp: dict, apt_real: tuple):
+        # the tube generators: extreme rays of the cone on the tube roots
+        object.__setattr__(self, "xi", xi)
+        # the c-orbits of xi, as xi indices in the order c moves them
+        object.__setattr__(self, "cycles", cycles)
+        # each proper arc -> its xi-support, a frozenset of xi indices
+        object.__setattr__(self, "supp", supp)
+        # APT_c, the real tube roots: the proper arcs, sorted
+        object.__setattr__(self, "apt_real", apt_real)
 
 
 class APContext:

@@ -24,12 +24,12 @@ Infinite-dimensional Lie algebras, Thm 4.3).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
 from .linalg import Vec, echelon, integer_kernel, integral_multiple, primitive_vector
+from .record import Record
 
 
 class NotSkewSymmetrizable(ValueError):
@@ -59,12 +59,14 @@ def _int_rows(rows) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
-class ExchangeMatrix:
+class ExchangeMatrix(Record):
     """Skew-symmetrizable integer matrix B = [b_ij]."""
 
-    n: int
-    b: tuple
+    _fields = ("n", "b")
+
+    def __init__(self, n: int, b: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "b", b)
 
     @staticmethod
     def from_rows(rows) -> "ExchangeMatrix":
@@ -150,17 +152,19 @@ class ExchangeMatrix:
         return tuple(order)
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class CartanMatrix(Record):
     """Symmetrizable generalized Cartan matrix with fixed symmetrizers d.
 
     d follows the convention d_i a_ij = d_j a_ji with every d_i^{-1} a positive
     integer and gcd(d_i^{-1}) = 1.
     """
 
-    n: int
-    a: tuple
-    d: tuple
+    _fields = ("n", "a", "d")
+
+    def __init__(self, n: int, a: tuple, d: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "d", d)
 
     # -- construction ------------------------------------------------------
 
@@ -304,15 +308,24 @@ def exchange_to_cartan(bmat: ExchangeMatrix) -> CartanMatrix:
     return CartanMatrix.from_rows(a, d=bmat.symmetrizer())
 
 
-@dataclass(frozen=True)
-class TypeInfo:
+class TypeInfo(Record):
     """Result of classifying a Cartan matrix: finite, affine, or indefinite."""
 
-    kind: str  # "finite" | "affine" | "indefinite"
-    label: str | None = None
-    delta: Vec | None = None
-    aff_index: int | None = None  # 0-based
-    is_a2k2: bool = False
+    _fields = ("kind", "label", "delta", "aff_index", "is_a2k2")
+
+    def __init__(
+        self,
+        kind: str,  # "finite" | "affine" | "indefinite"
+        label: str | None = None,
+        delta: Vec | None = None,
+        aff_index: int | None = None,  # 0-based
+        is_a2k2: bool = False,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "aff_index", aff_index)
+        object.__setattr__(self, "is_a2k2", is_a2k2)
 
 
 def _is_positive_definite(sym) -> bool:

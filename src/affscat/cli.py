@@ -10,7 +10,9 @@ errors go to stderr as JSON, internal ones marked with "internal": true.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .cartan import NotAcyclic, NotAffine, NotSkewSymmetrizable, classify, exchange_to_cartan
@@ -59,6 +61,16 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _check_out(out_path) -> None:
+    """Raise InputError unless the directory of out_path exists and is
+    writable: checked before the stage runs, so a run that cannot write its
+    result stops before computing it and creates no file."""
+    folder = os.path.dirname(os.path.abspath(out_path))
+    if not os.access(folder, os.W_OK):
+        reason = errno.EACCES if os.path.isdir(folder) else errno.ENOENT
+        raise InputError(f"cannot write --out {out_path}: {os.strerror(reason)}")
+
+
 def _fail(payload, code: int) -> int:
     sys.stderr.write(dumps(payload))
     return code
@@ -80,6 +92,8 @@ def run(argv=None) -> int:
         return _fail({"error": f"invalid input: {exc}"}, 2)
 
     try:
+        if args.out:
+            _check_out(args.out)
         return _dispatch(args, bmat)
     except (NotAffine, NotAcyclic, NotSkewSymmetrizable, UnsupportedRank, InputError) as exc:
         return _fail({"error": str(exc)}, 2)

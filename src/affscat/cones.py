@@ -74,7 +74,6 @@ dual description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
@@ -87,13 +86,16 @@ from .linalg import (
     rank,
     vdot,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Cone:
-    dim_ambient: int
-    eqs: tuple  # integer covectors e with <x, e> = 0
-    ineqs: tuple  # integer covectors g with <x, g> <= 0
+class Cone(Record):
+    _fields = ("dim_ambient", "eqs", "ineqs")
+
+    def __init__(self, dim_ambient: int, eqs: tuple, ineqs: tuple):
+        object.__setattr__(self, "dim_ambient", dim_ambient)
+        object.__setattr__(self, "eqs", eqs)  # integer covectors e with <x, e> = 0
+        object.__setattr__(self, "ineqs", ineqs)  # integer covectors g with <x, g> <= 0
 
     @staticmethod
     def from_constraints(dim, eqs=(), ineqs=()) -> "Cone":

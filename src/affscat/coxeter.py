@@ -17,17 +17,19 @@ imaginary wall and the wall crossings of the consistency check all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .cartan import CartanMatrix, NotAffine, TypeInfo, classify
 from .linalg import Vec, vdot
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CoxeterContext:
-    cartan: CartanMatrix
-    order: tuple  # 0-based index order; c = s_{order[0]} ... s_{order[-1]}
+class CoxeterContext(Record):
+    _fields = ("cartan", "order")
+
+    def __init__(self, cartan: CartanMatrix, order: tuple):
+        object.__setattr__(self, "cartan", cartan)
+        object.__setattr__(self, "order", order)  # 0-based; c = s_{order[0]} ... s_{order[-1]}
 
     @cached_property
     def position(self) -> tuple:
@@ -159,10 +161,13 @@ class CoxeterContext:
         return self.defect(v) == 0
 
 
-@dataclass(frozen=True)
-class AffineVectors:
-    x_c: Vec  # -omega_c(. , delta) in rho coordinates
-    h: Vec  # primitive integers, a positive multiple of omega_c(., delta); kernel is H_c
+class AffineVectors(Record):
+    _fields = ("x_c", "h")
+
+    def __init__(self, x_c: Vec, h: Vec):
+        object.__setattr__(self, "x_c", x_c)  # -omega_c(. , delta) in rho coordinates
+        # primitive integers, a positive multiple of omega_c(., delta); kernel is H_c
+        object.__setattr__(self, "h", h)
 
 
 def coxeter_context(bmat) -> CoxeterContext:

@@ -39,7 +39,6 @@ reaches it (the ordered factorization).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import gcd
@@ -55,6 +54,7 @@ from .linalg import (
     vdot,
     wedge_key,
 )
+from .record import Record
 from .series import (
     CrossingData,
     MonomialExpr,
@@ -75,13 +75,22 @@ ORIGIN_IMAGINARY = "imaginary"
 ORIGIN_RANK2 = "rank2_completed"
 
 
-@dataclass(frozen=True)
-class Wall:
-    normal: tuple  # primitive positive root in Q
-    cone: Cone
-    ineq_roots: tuple  # root-lattice functionals phi with <x, phi> <= 0 on the cone
-    f: TruncatedSeries
-    origin: str
+class Wall(Record):
+    _fields = ("normal", "cone", "ineq_roots", "f", "origin")
+
+    def __init__(
+        self,
+        normal: tuple,  # primitive positive root in Q
+        cone: Cone,
+        ineq_roots: tuple,  # root-lattice functionals phi with <x, phi> <= 0 on the cone
+        f: TruncatedSeries,
+        origin: str,
+    ):
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "ineq_roots", ineq_roots)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "origin", origin)
 
     def key(self):
         return (self.normal, self.cone.generators)
@@ -90,13 +99,26 @@ class Wall:
         return (self.normal, self.cone.generators, self.f.coeffs)
 
 
-@dataclass(frozen=True)
-class ScatDiagram:
-    cartan_n: int
-    walls: tuple
-    height_cap: int
-    truncation: int
-    provenance: dict = field(compare=False, default_factory=dict)
+class ScatDiagram(Record):
+    _fields = ("cartan_n", "walls", "height_cap", "truncation", "provenance")
+
+    def __init__(
+        self,
+        cartan_n: int,
+        walls: tuple,
+        height_cap: int,
+        truncation: int,
+        provenance: dict | None = None,
+    ):
+        object.__setattr__(self, "cartan_n", cartan_n)
+        object.__setattr__(self, "walls", walls)
+        object.__setattr__(self, "height_cap", height_cap)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "provenance", {} if provenance is None else provenance)
+
+    def _key(self) -> tuple:
+        """Every field but provenance, which == and hash leave out."""
+        return (self.cartan_n, self.walls, self.height_cap, self.truncation)
 
     @cached_property
     def wall_table(self) -> SignTable:
@@ -108,7 +130,7 @@ class ScatDiagram:
 
     def drop_imaginary(self) -> "ScatDiagram":
         kept = tuple(w for w in self.walls if w.origin != ORIGIN_IMAGINARY)
-        return replace(self, walls=kept)
+        return self.replace(walls=kept)
 
     def same_walls(self, other: "ScatDiagram") -> bool:
         return sorted(w.full_key() for w in self.walls) == sorted(
@@ -287,11 +309,19 @@ def _angle_cmp(d1, d2):
     return 0
 
 
-@dataclass
-class LoopCrossing:
-    wall: Wall
-    direction: tuple  # (a, b) coordinates in the transverse plane
-    sign: int  # +1 crossing against the normal, -1 with it
+class LoopCrossing(Record):
+    """One crossing of a loop: a mutable record, compared by value and
+    unhashable."""
+
+    _fields = ("wall", "direction", "sign")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, wall: Wall, direction: tuple, sign: int):
+        self.wall = wall
+        self.direction = direction  # (a, b) coordinates in the transverse plane
+        self.sign = sign  # +1 crossing against the normal, -1 with it
 
 
 def _crossing_data(wall: Wall, coroot, b_rows) -> CrossingData:

@@ -37,10 +37,11 @@ wall's kernel once per sign, however many loops cross the wall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
+
+from .record import Record
 
 
 class NonIntegerExponent(ValueError):
@@ -55,13 +56,15 @@ def _num(c):
     return int(f) if f.denominator == 1 else f
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Series sum_m coeffs[m] q^m with q = yhat^normal, truncated at q-degree k."""
 
-    normal: tuple
-    k: int
-    coeffs: tuple
+    _fields = ("normal", "k", "coeffs")
+
+    def __init__(self, normal: tuple, k: int, coeffs: tuple):
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def make(normal, k, coeffs) -> "TruncatedSeries":
@@ -183,16 +186,21 @@ def _phis(n: int, radix: int) -> _Phis:
     return _Phis(n, radix)
 
 
-@dataclass(frozen=True)
-class CrossingData:
+class CrossingData(Record):
     """Everything wall_cross needs about one wall: the scattering term, the
     primitive-normal data, and the exchange matrix pairing.  Its crossing
-    kernel at each (sign, truncation) is prepared on first use and kept."""
+    kernel at each (sign, truncation) is prepared on first use and kept in
+    _kernels, which is not a field: ==, hash and repr leave it out."""
 
-    f: TruncatedSeries
-    coroot: tuple  # crossing normal, alpha^vee coordinates, primitive in Q^vee
-    b_rows: tuple  # exchange matrix, for omega(alpha_i^vee, alpha_j) = b_ij
-    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("f", "coroot", "b_rows")
+
+    def __init__(self, f: TruncatedSeries, coroot: tuple, b_rows: tuple):
+        object.__setattr__(self, "f", f)
+        # crossing normal, alpha^vee coordinates, primitive in Q^vee
+        object.__setattr__(self, "coroot", coroot)
+        # exchange matrix, for omega(alpha_i^vee, alpha_j) = b_ij
+        object.__setattr__(self, "b_rows", b_rows)
+        object.__setattr__(self, "_kernels", {})
 
     def kernel(self, sign: int, k: int) -> tuple:
         """(s beta^vee, omega row, whether it is integral, f truncated at

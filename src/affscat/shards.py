@@ -42,19 +42,21 @@ kept in the tests as the oracle of the round trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cartan import CartanMatrix
 from .cones import Cone
 from .coxeter import CoxeterContext
 from .linalg import nonzero_minor, vdot, wedge_key
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ShardCone:
-    normal: tuple  # positive root beta
-    cut_list: tuple  # roots gamma with <x, gamma> <= 0 on the shard
-    cone: Cone
+class ShardCone(Record):
+    _fields = ("normal", "cut_list", "cone")
+
+    def __init__(self, normal: tuple, cut_list: tuple, cone: Cone):
+        object.__setattr__(self, "normal", normal)  # positive root beta
+        # roots gamma with <x, gamma> <= 0 on the shard
+        object.__setattr__(self, "cut_list", cut_list)
+        object.__setattr__(self, "cone", cone)
 
 
 class ShardContext:

@@ -17,10 +17,10 @@ they check the sortable generator and the shard map.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .cartan import CartanMatrix
 from .linalg import identity_mat
+from .record import Record
 
 DEFAULT_ELEMENT_CAP = 10**6
 
@@ -37,11 +37,14 @@ def element_cap() -> int:
     return int(env)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    word: tuple
-    inversions: frozenset
-    matrix: tuple  # action on V in alpha coordinates, columns are images of simples
+class GroupElement(Record):
+    _fields = ("word", "inversions", "matrix")
+
+    def __init__(self, word: tuple, inversions: frozenset, matrix: tuple):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "inversions", inversions)
+        # action on V in alpha coordinates, columns are images of simples
+        object.__setattr__(self, "matrix", matrix)
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.inversions == other.inversions

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import inspect
 import textwrap
@@ -209,7 +208,7 @@ def test_a_moved_affine_node_fails_check_b():
     cox = coxeter_context(ExchangeMatrix.from_rows(rows))
     info = cox.type_info
     assert info.label == "C_2^(1)" and info.aff_index != 1 and info.delta[1] == 2
-    vars(cox)["type_info"] = dataclasses.replace(info, aff_index=1)  # the cached value
+    vars(cox)["type_info"] = info.replace(aff_index=1)  # the cached value
     with pytest.raises(AssertionError, match=r"\(B\)"):
         APContext(cox).tube
 

@@ -460,7 +460,12 @@ def test_every_stage_on_one_matrix_shares_its_contexts(b_a2t, tmp_path, monkeypa
     assert other.shards is not shards and other.ap is not ap
 
 
-def test_unwritable_out_is_a_usage_error(b_a11, tmp_path, capsys):
+def test_unwritable_out_is_a_usage_error(b_a11, tmp_path, capsys, monkeypatch):
+    # The directory is checked before the stage runs: no diagram is built.
+    def never_reached(*args):
+        raise AssertionError("the stage ran before --out was checked")
+
+    monkeypatch.setattr("affscat.cli.build_dcscat", never_reached)
     missing = tmp_path / "no_such_dir" / "x.json"
     assert run(["walls", "--input", b_a11, "--H", "3", "--k", "3", "--out", str(missing)]) == 2
     captured = capsys.readouterr()

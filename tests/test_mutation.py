@@ -457,15 +457,13 @@ def test_separating_heights_counts_a_hyperplane_through_one_point():
 def test_fans_compare_reports_a_missing_wall(monkeypatch):
     # Negative control for frontier censoring: with the height-1 wall
     # (1,0,0) removed, pairs that it alone separates are still reported.
-    from dataclasses import replace
-
     import affscat.mutation as mu
 
     build = mu.build_dcscat
 
     def without_wall(bmat, height_cap, truncation):
         d = build(bmat, height_cap, truncation)
-        return replace(d, walls=tuple(w for w in d.walls if w.normal != (1, 0, 0)))
+        return d.replace(walls=tuple(w for w in d.walls if w.normal != (1, 0, 0)))
 
     monkeypatch.setattr(mu, "build_dcscat", without_wall)
     report = mu.fans_compare(B_A2T, 6, 6, 6, 200, 122)

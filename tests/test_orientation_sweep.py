@@ -19,7 +19,6 @@ checks on rank 5 at m = 2 and on all rank-6 orientations at m = 1.
 
 import functools
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -87,9 +86,9 @@ def _moved_f_inf(diagram, m):
         if w.origin == ORIGIN_IMAGINARY:
             coeffs = list(w.f.coeffs)
             coeffs[m] += 1
-            w = replace(w, f=TruncatedSeries.make(w.normal, w.f.k, coeffs))
+            w = w.replace(f=TruncatedSeries.make(w.normal, w.f.k, coeffs))
         walls.append(w)
-    return replace(diagram, walls=tuple(walls))
+    return diagram.replace(walls=tuple(walls))
 
 
 def check_imaginary_wall_to(rows, m):

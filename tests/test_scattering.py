@@ -1,7 +1,6 @@
 import functools
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -659,7 +658,7 @@ def _rank2_complete_reference(bmat: ExchangeMatrix, truncation: int) -> ScatDiag
             assert wall.normal == beta, "parallel outgoing rays must share a normal"
             coeffs = list(wall.f.coeffs)
             coeffs[m] += correction
-            walls[key] = replace(wall, f=TruncatedSeries.make(beta, wall.f.k, coeffs))
+            walls[key] = wall.replace(f=TruncatedSeries.make(beta, wall.f.k, coeffs))
     # final verification
     seq = loop_seq(list(walls.values()))
     xsum = _x_sum(2, k, (0, 1))
@@ -896,8 +895,8 @@ def _perturbed(diagram, index, delta):
     w = walls[index]
     coeffs = list(w.f.coeffs)
     coeffs[1] += delta
-    walls[index] = replace(w, f=TruncatedSeries.make(w.normal, w.f.k, coeffs))
-    return replace(diagram, walls=tuple(walls))
+    walls[index] = w.replace(f=TruncatedSeries.make(w.normal, w.f.k, coeffs))
+    return diagram.replace(walls=tuple(walls))
 
 
 # (rows, H = k): the verify workload's two instances, then A_1^(1), A_2^(1)
@@ -970,8 +969,8 @@ def test_consistency_sees_a_defect_on_one_generator(rows):
         half = Cone.from_constraints(
             n, eqs=[cov(units[i])], ineqs=[tuple(-c for c in cov(units[j]))]
         )
-        walls = tuple(replace(w, cone=half) if w.normal == units[i] else w for w in d.walls)
-        diagram = replace(d, walls=walls)
+        walls = tuple(w.replace(cone=half) if w.normal == units[i] else w for w in d.walls)
+        diagram = d.replace(walls=walls)
         got = check_consistency(diagram, 1, cox)
         assert got == _check_consistency_reference(diagram, 1, cox)
         assert not got["consistent"], i
@@ -1170,7 +1169,7 @@ def test_scat_cone_eq_matches_fraction_reference(rows, p, q, where, wall, lone_w
     d = _rank3_diagram(rows)
     chosen = d.walls[wall % len(d.walls)]
     if lone_wall:
-        d = replace(d, walls=(chosen,))
+        d = d.replace(walls=(chosen,))
     if where == "on_ray":
         q = tuple(2 * c for c in p)
     elif where != "anywhere":
