@@ -41,7 +41,7 @@ def make_parser() -> argparse.ArgumentParser:
         "classify", "walls", "consistency", "rank2", "clusters", "compare", "svg",
     ])
     p.add_argument("--input", required=True, help="JSON file with {'n':..., 'b':...}")
-    p.add_argument("--H", type=int, default=4, help="root height cap")
+    p.add_argument("--H", type=int, default=4, help="root height cap (consistency reads --k alone)")
     p.add_argument("--k", type=int, default=4, help="series truncation")
     p.add_argument("--L", type=int, default=6, help="mutation probe word cap")
     p.add_argument("--samples", type=int, default=200, help="sample pairs for compare")
@@ -141,7 +141,8 @@ def _dispatch(args, bmat) -> int:
 
     if args.command == "consistency":
         cox = coxeter_context(bmat)
-        diagram = build_dcscat(bmat, max(args.H, args.k), args.k)
+        # the check keeps only the walls of height <= k
+        diagram = build_dcscat(bmat, args.k, args.k)
         report = check_consistency(diagram, args.k, cox)
         _emit(dumps(report), args.out)
         return 0 if report["consistent"] else 1
@@ -149,7 +150,7 @@ def _dispatch(args, bmat) -> int:
     if args.command == "rank2":
         if bmat.n != 2:
             return _fail({"error": "rank2 requires a 2x2 exchange matrix"}, 2)
-        info = classify(exchange_to_cartan(bmat))
+        info = coxeter_context(bmat).type_info
         if info.kind == "affine":
             ydeg = args.k * sum(info.delta)
         else:

@@ -8,7 +8,10 @@ that changes neither the cone nor any sign, and a tuple of ints, such as the
 primitive covectors of root-lattice functionals that
 CartanMatrix.primitive_in_coroot_lattice computes, is kept as it is.  So a
 point with integer coordinates is tested in integer arithmetic alone
-(`contains`, `relint_contains`, SignTable).
+(`contains`, `relint_contains`, SignTable).  The scattering walls' cones
+are all built in one place, shards.ShardContext.assemble, which keeps one
+Cone per normal and constraint list, so each such cone's generators are
+computed once per matrix.
 
 Generators (lineality basis + extreme rays) are computed by the standard
 double description method with the zero-set adjacency test, in integers
@@ -216,17 +219,6 @@ class Cone(Record):
 
     def intersect(self, other: "Cone") -> "Cone":
         return Cone(self.dim_ambient, self.eqs + other.eqs, self.ineqs + other.ineqs)
-
-    def negate(self) -> "Cone":
-        """-C.  A cone without inequalities is a linear subspace, its own
-        negation, so it is returned as it is, with any generators it has."""
-        if not self.ineqs:
-            return self
-        return Cone(
-            self.dim_ambient,
-            self.eqs,
-            tuple(tuple(-c for c in g) for g in self.ineqs),
-        )
 
 
 class SignTable:

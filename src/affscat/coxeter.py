@@ -107,10 +107,10 @@ class CoxeterContext(Record):
 
     @cached_property
     def shards(self):
-        """The ShardContext of this matrix: its cut sets and shard cones."""
+        """The ShardContext of this matrix: its cut sets and wall cones."""
         from .shards import ShardContext
 
-        return ShardContext(self.cartan)
+        return ShardContext(self)
 
     @cached_property
     def ap(self):

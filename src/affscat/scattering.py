@@ -4,7 +4,10 @@ build_dcscat assembles walls from shards of join-irreducible c- and
 c^{-1}-sortable elements plus the imaginary wall, building each wall once,
 after its length cap covers every expected normal; build_easy_scat
 assembles the same diagram from the almost-positive roots and the cutting
-relation.
+relation.  Every wall cone, those of rank2_complete included, is cut out of
+its normal and inequality roots by the matrix's ShardContext
+(shards.ShardContext.assemble), so a cone that both constructions build,
+the imaginary wall's among them, is one Cone with one double description.
 Consistency is checked by composing wall crossings around codimension-2
 cells, ordered angularly in an exact transverse plane, in integers, and
 applying each loop to x_i + x_j for two coordinates i, j of the cell's loop
@@ -43,7 +46,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import gcd
 
-from .cartan import ExchangeMatrix, NotAcyclic, NotAffine, exchange_to_cartan
+from .cartan import ExchangeMatrix, NotAcyclic, NotAffine
 from .cones import Cone, SignTable, bits
 from .coxeter import CoxeterContext, coxeter_context
 from .linalg import (
@@ -163,7 +166,8 @@ def _wall(normal, cone, ineq_roots, truncation: int, origin: str) -> Wall:
 
 def _imaginary_wall(cox: CoxeterContext, truncation: int) -> Wall:
     """The wall on delta: its hyperplane cut by the roots of the finite
-    parabolic, each signed by its defect, with the series f_inf."""
+    parabolic, each signed by its defect, with the series f_inf.  Its cone
+    is cox.shards', so both constructions on one matrix share it."""
     info, cartan = cox.type_info, cox.cartan
     # Finite subsystem roots: supported off the affine index.  Every root of
     # the finite parabolic has height below 2 ht(delta) (ht(delta) - 1
@@ -172,7 +176,6 @@ def _imaginary_wall(cox: CoxeterContext, truncation: int) -> Wall:
     height_bound = 2 * sum(info.delta) + cox.n
     fin_pos = [r for r in cartan.real_roots_up_to_height(height_bound) if r[info.aff_index] == 0]
     # The defect of r is a positive multiple of omega_c(r, delta).
-    cov = cartan.primitive_in_coroot_lattice
     ineq_roots = []
     for r in fin_pos:
         val = cox.defect(r)
@@ -180,12 +183,9 @@ def _imaginary_wall(cox: CoxeterContext, truncation: int) -> Wall:
             ineq_roots.append(r)
         elif val < 0:
             ineq_roots.append(tuple(-c for c in r))
-    cone = Cone.from_constraints(
-        cox.n, eqs=[cov(info.delta)], ineqs=[cov(g) for g in ineq_roots]
-    )
     return Wall(
         normal=info.delta,
-        cone=cone,
+        cone=cox.shards.assemble(info.delta, ineq_roots).cone,
         ineq_roots=tuple(sorted(ineq_roots)),
         f=f_inf_series(info.delta, info.is_a2k2, truncation),
         origin=ORIGIN_IMAGINARY,
@@ -204,7 +204,8 @@ def build_dcscat(bmat: ExchangeMatrix, height_cap: int, truncation: int) -> Scat
     merged by exact cone equality, the c-sortable wall kept.  The length cap
     doubles until the cover roots of the two families hold every expected
     normal; only then are the walls built, once each.  The shard cones are
-    those of cox.shards, so build_easy_scat on the same matrix reuses them."""
+    those of cox.shards, so build_easy_scat on the same matrix reuses them;
+    a c^{-1}-sortable wall is cut out by its shard's cut list negated."""
     cox = _affine_context(bmat, "shard")
     # One per Coxeter element and per build, so generated sortables survive
     # length-cap doublings and each build reads AFFSCAT_CAP afresh.
@@ -238,11 +239,11 @@ def build_dcscat(bmat: ExchangeMatrix, height_cap: int, truncation: int) -> Scat
     for origin in (ORIGIN_SORTABLE, ORIGIN_INV_SORTABLE):
         for root, wit in sorted(found[origin].items()):
             shard = cox.shards.shard_from_ji(root, wit.inversions)
-            cone, ineqs = shard.cone, shard.cut_list
             if origin == ORIGIN_INV_SORTABLE:
-                cone = cone.negate()
-                ineqs = [tuple(-c for c in g) for g in ineqs]
-            built.append(_wall(root, cone, ineqs, truncation, origin))
+                # -Sh(j'): the shard's cut list negated, in its order
+                cut_list = [tuple(-c for c in g) for g in shard.cut_list]
+                shard = cox.shards.assemble(root, cut_list)
+            built.append(_wall(root, shard.cone, shard.cut_list, truncation, origin))
     merged: dict = {}
     for w in built:
         merged.setdefault(w.key(), w)
@@ -261,7 +262,7 @@ def build_easy_scat(bmat: ExchangeMatrix, height_cap: int, truncation: int) -> S
     cox = _affine_context(bmat, "d_beta")
     walls = []
     for beta in _expected_normals(cox, height_cap):
-        shard = cox.shards.shard_from_root(beta, cox)
+        shard = cox.shards.shard_from_root(beta)
         walls.append(_wall(beta, shard.cone, shard.cut_list, truncation, ORIGIN_SORTABLE))
     walls.append(_imaginary_wall(cox, truncation))
     return _diagram(cox.n, walls, height_cap, truncation, construction="easy_scat")
@@ -568,24 +569,15 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
     check Y == X is the closing of the whole loop.
     """
     assert bmat.n == 2, "completion is implemented for rank 2 only"
-    cartan = exchange_to_cartan(bmat)
+    shards = coxeter_context(bmat).shards
+    cartan = shards.cartan
     k = truncation
     b_rows = bmat.b
     coroot = cartan.primitive_in_coroot_lattice
-
-    def ray_wall_shape(beta, direction):
-        # The ray through `direction` inside beta-perp, cut out by a
-        # root-lattice functional negative on the ray.
-        j = next(i for i in range(2) if direction[i] != 0)
-        sgn = 1 if direction[j] > 0 else -1
-        phi = tuple(-sgn if i == j else 0 for i in range(2))
-        cone = Cone.from_constraints(2, eqs=[coroot(beta)], ineqs=[coroot(phi)])
-        return cone, (phi,)
-
     lines = [
         Wall(
             normal=beta,
-            cone=Cone.from_constraints(2, eqs=[coroot(beta)]),
+            cone=shards.assemble(beta, ()).cone,
             ineq_roots=(),
             f=TruncatedSeries.one_plus_q(beta, k),
             origin=ORIGIN_INITIAL,
@@ -625,8 +617,13 @@ def rank2_complete(bmat: ExchangeMatrix, truncation: int) -> ScatDiagram:
         f = TruncatedSeries.make(beta, k // sum(beta), roots.pop())
         if f.is_one():
             continue
-        cone, ineq_roots = ray_wall_shape(beta, direction)
-        wall = Wall(normal=beta, cone=cone, ineq_roots=ineq_roots, f=f, origin=ORIGIN_RANK2)
+        # The ray through direction inside beta-perp, cut out by a
+        # root-lattice functional negative on the ray.
+        j = next(i for i in range(2) if direction[i] != 0)
+        sgn = 1 if direction[j] > 0 else -1
+        phi = tuple(-sgn if i == j else 0 for i in range(2))
+        cone = shards.assemble(beta, (phi,)).cone
+        wall = Wall(normal=beta, cone=cone, ineq_roots=(phi,), f=f, origin=ORIGIN_RANK2)
         walls.append(wall)
         y = wall_cross(y, _crossing_data(wall, coroot, b_rows), ray_sign, k)
     assert y == xsum, "completion failed to close"

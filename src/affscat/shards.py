@@ -26,13 +26,17 @@ its bucket as the bucket's two extreme roots.  Two facts make that exact:
    combinations of the two real canonical roots and are never parallel to
    one of them, so they never change the extreme pair and are not listed.
 
-Shard cones are cut out by the integer covectors of
+Wall cones are cut out by the integer covectors of
 CartanMatrix.primitive_in_coroot_lattice, computed once per root.  A
-ShardContext keeps its cut sets and its shard cones, each cone by its
-normal and cut list: when shard_from_ji and shard_from_root cut a wall out
-with the same constraints, they return one ShardCone, whose Cone runs one
-double description.  The key holds the cut list, so each construction
-still reports its own constraints.
+ShardContext, one per CoxeterContext, turns a normal and its inequality
+roots into a wall cone, ShardContext.assemble, the one place that does so:
+the shards of both constructions, the c^{-1}-sortable walls from their
+negated cut lists, the imaginary wall and the walls of the rank-2
+completion.  It keeps each cone by its normal and its inequality roots in
+the order given, which is the order of the cone's inequalities: walls cut
+out by the same constraints get one ShardCone, whose Cone runs one double
+description.  The key holds the roots, so each construction still reports
+its own constraints.
 
 shard_from_ji takes a join-irreducible as its cover root and inversion set,
 both read off a sortable.SortableWitness, so no group element is built.  The
@@ -42,7 +46,6 @@ kept in the tests as the oracle of the round trip.
 
 from __future__ import annotations
 
-from .cartan import CartanMatrix
 from .cones import Cone
 from .coxeter import CoxeterContext
 from .linalg import nonzero_minor, vdot, wedge_key
@@ -54,21 +57,22 @@ class ShardCone(Record):
 
     def __init__(self, normal: tuple, cut_list: tuple, cone: Cone):
         object.__setattr__(self, "normal", normal)  # positive root beta
-        # roots gamma with <x, gamma> <= 0 on the shard
+        # roots gamma with <x, gamma> <= 0 on the wall
         object.__setattr__(self, "cut_list", cut_list)
         object.__setattr__(self, "cone", cone)
 
 
 class ShardContext:
-    """Cut sets and shard cones of one Cartan matrix, each kept once computed.
-    The scattering builders share one per matrix, CoxeterContext.shards, so
-    build_dcscat and build_easy_scat on one matrix cut each root and convert
-    each constraint list once between them."""
+    """Cut sets and wall cones of one Coxeter element, each kept once
+    computed.  The scattering builders share one per matrix,
+    CoxeterContext.shards, so build_dcscat and build_easy_scat on one matrix
+    cut each root and convert each constraint list once between them."""
 
-    def __init__(self, cartan: CartanMatrix):
-        self.cartan = cartan
+    def __init__(self, cox: CoxeterContext):
+        self.cox = cox
+        self.cartan = cox.cartan
         self._cut_cache: dict = {}
-        self._shard_cache: dict = {}  # (beta, sorted cut list) -> ShardCone
+        self._shard_cache: dict = {}  # (beta, roots in the order given) -> ShardCone
 
     # -- planes ------------------------------------------------------------------
 
@@ -109,18 +113,20 @@ class ShardContext:
         inversion set `inversions`: root-perp cut by the roots cutting root
         that j inverts."""
         cut_list = tuple(g for g in self.cut_set(root) if g in inversions)
-        return self._assemble(root, cut_list)
+        return self.assemble(root, cut_list)
 
-    def shard_from_root(self, beta, cox: CoxeterContext) -> ShardCone:
+    def shard_from_root(self, beta) -> ShardCone:
         # omega_c(g, beta) = sum_i g_i d_i omega_c(alpha_i^vee, beta), and
         # cov(g) is a positive multiple of (g_i d_i): the sign is read in ints.
         cov = self.cartan.primitive_in_coroot_lattice
-        omega_beta = cox.omega_covector(beta)
+        omega_beta = self.cox.omega_covector(beta)
         cut_list = tuple(g for g in self.cut_set(beta) if vdot(cov(g), omega_beta) > 0)
-        return self._assemble(beta, cut_list)
+        return self.assemble(beta, cut_list)
 
-    def _assemble(self, beta, cut_list) -> ShardCone:
-        key = (beta, tuple(sorted(cut_list)))
+    def assemble(self, beta, roots) -> ShardCone:
+        """The wall cone in beta-perp on which <x, g> <= 0 for each root g of
+        roots, its inequalities in the order of roots; one per (beta, roots)."""
+        key = (beta, tuple(roots))
         shard = self._shard_cache.get(key)
         if shard is None:
             cov = self.cartan.primitive_in_coroot_lattice

@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import reduce
 
 from test_cartan import coroot
+from test_cones import negate
 from test_shards import ReferenceShards
 from test_sortable import ReferenceSortable
 from test_weyl import ReferenceWeyl, is_identity, is_join_irreducible
@@ -183,7 +184,7 @@ def test_criterion_9_sortable_shard_round_trips():
     for name, b, max_len in [("A_1^(1)", B_A11, 12), ("A_2~", B_A2T, 10)]:
         cox = coxeter_context(b)
         weyl = ReferenceWeyl(cox.cartan)
-        shards = ReferenceShards(weyl)
+        shards = ReferenceShards(cox, weyl)
         elements = enumerate_up_to_length(weyl, max_len + 1)
         for orientation in (cox, cox.inverse()):
             sc = ReferenceSortable(weyl, orientation)
@@ -210,7 +211,7 @@ def test_criterion_9_sortable_shard_round_trips():
         for root in shared:
             a = shards.shard_from_ji(root, ji[root].inversions)
             bb = shards.shard_from_ji(root, ji_inv[root].inversions)
-            assert bb.cone.generators == a.cone.negate().generators, (name, root)
+            assert bb.cone.generators == negate(a.cone).generators, (name, root)
     _report(9, "ji -> Sh -> ji round trips and antipodal shard identity", t0, 300)
 
 

@@ -457,6 +457,7 @@ def test_fan_property_pairwise_intersection_in_face():
 
 
 def test_real_cluster_cones_are_doubled_cambrian_cones():
+    from test_cones import negate
     from test_sortable import ReferenceSortable, witness_element
     from test_weyl import ReferenceWeyl
 
@@ -468,7 +469,7 @@ def test_real_cluster_cones_are_doubled_cambrian_cones():
             sc.cambrian_cone(witness_element(w)).generators
             for w in sc.sortables_up_to_length(max_len)
         } | {
-            sc_inv.cambrian_cone(witness_element(w)).negate().generators
+            negate(sc_inv.cambrian_cone(witness_element(w))).generators
             for w in sc_inv.sortables_up_to_length(max_len)
         }
         real, _, _ = ap.clusters(H)

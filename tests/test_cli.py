@@ -344,11 +344,14 @@ def test_pinned_output_digest(name, command, flags, digest, tmp_path):
 
 def test_walls_runs_one_double_description_per_shard_constraint_list(b_a2t, tmp_path, monkeypatch):
     # Both constructions of one walls run share the matrix's ShardContext,
-    # which keeps one shard cone per (normal, cut list): a constraint list
-    # that both cut a wall out with is converted once, not once per build.
+    # which keeps one wall cone per (normal, inequality roots): a constraint
+    # list that both cut a wall out with is converted once, not once per
+    # build.  Every wall cone, the imaginary one included, comes from it, so
+    # no constraint list is converted twice anywhere in the run.
     from collections import Counter
 
     import affscat.cones
+    from affscat.scattering import ORIGIN_IMAGINARY
     from affscat.shards import ShardContext
 
     converted = Counter()
@@ -359,21 +362,24 @@ def test_walls_runs_one_double_description_per_shard_constraint_list(b_a2t, tmp_
         return double_description(dim, eqs, ineqs)
 
     shard_keys = set()
-    assemble = ShardContext._assemble
+    assemble = ShardContext.assemble
 
-    def recorded(self, beta, cut_list):
-        shard = assemble(self, beta, cut_list)
+    def recorded(self, beta, roots):
+        shard = assemble(self, beta, roots)
         shard_keys.add((shard.cone.dim_ambient, shard.cone.eqs, shard.cone.ineqs))
         return shard
 
     monkeypatch.setattr(affscat.cones, "_double_description", counted)
-    monkeypatch.setattr(ShardContext, "_assemble", recorded)
+    monkeypatch.setattr(ShardContext, "assemble", recorded)
     out = tmp_path / "walls.json"
     assert run(["walls", "--input", b_a2t, "--H", "8", "--k", "8", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["equal"] is True
+    data = json.loads(out.read_text())
+    assert data["equal"] is True
     assert len(shard_keys) > 10
     assert {converted[key] for key in shard_keys} <= {0, 1}
     assert sum(converted[key] for key in shard_keys) > 10
+    assert set(converted.values()) == {1}
+    assert any(w["origin"] == ORIGIN_IMAGINARY for w in data["dcscat"]["walls"])
 
 
 def test_compare_builds_one_ap_context_per_matrix(b_a2t, tmp_path, monkeypatch):
@@ -445,19 +451,44 @@ def test_every_stage_on_one_matrix_shares_its_contexts(b_a2t, tmp_path, monkeypa
     assert coxeter_context(b) is cox and cox.shards is shards and cox.ap is ap
     assert users[ShardContext] and all(user is shards for user in users[ShardContext])
     assert users[APContext] and all(user is ap for user in users[APContext])
-    # A c-sortable wall and its d_beta wall come from one cached shard cone.
-    # A c^{-1}-sortable wall negates a shard cone and the imaginary wall is
-    # built per diagram, so those are equal cones but not one object.
+    # A c-sortable wall and its d_beta wall come from one cached shard cone,
+    # and both diagrams' imaginary walls from one cached cone too.  A
+    # c^{-1}-sortable wall is cut out by its negated cut list, which no d_beta
+    # wall has, so those are equal cones but not one object.
     easy = {w.key(): w for w in d2.walls}
     assert set(easy) == {w.key() for w in d1.walls}
-    c_walls = [w for w in d1.walls if w.origin not in (ORIGIN_INV_SORTABLE, ORIGIN_IMAGINARY)]
-    assert len(c_walls) >= 5
-    assert all(easy[w.key()].cone is w.cone for w in c_walls)
+    shared = [w for w in d1.walls if w.origin != ORIGIN_INV_SORTABLE]
+    assert len(shared) >= 6
+    assert all(easy[w.key()].cone is w.cone for w in shared)
+    (imaginary,) = [w for w in d1.walls if w.origin == ORIGIN_IMAGINARY]
+    assert d2.wall_by_normal(imaginary.normal)[0].cone is imaginary.cone
 
     # An equal matrix built separately gets contexts of its own.
     other = coxeter_context(ExchangeMatrix.from_rows(rows))
     assert other == cox and other is not cox
     assert other.shards is not shards and other.ap is not ap
+
+
+def test_consistency_builds_at_its_truncation(b_a2t, tmp_path, monkeypatch):
+    # check_consistency keeps only the walls of height <= k, so consistency
+    # builds at height k whatever --H says, and prints the same bytes.
+    import affscat.cli
+
+    caps = []
+    build = affscat.cli.build_dcscat
+
+    def recorded(bmat, height_cap, truncation):
+        caps.append(height_cap)
+        return build(bmat, height_cap, truncation)
+
+    monkeypatch.setattr(affscat.cli, "build_dcscat", recorded)
+    outs = []
+    for h in ("12", "6"):
+        out = tmp_path / f"consistency-{h}.json"
+        assert run(["consistency", "--input", b_a2t, "--H", h, "--k", "6", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert caps == [6, 6]
+    assert outs[0] == outs[1]
 
 
 def test_unwritable_out_is_a_usage_error(b_a11, tmp_path, capsys, monkeypatch):

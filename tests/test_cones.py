@@ -24,6 +24,20 @@ from affscat.scattering import build_dcscat
 F = Fraction
 
 
+# Cone.negate, kept verbatim as a helper: the scattering walls no longer
+# negate a cone (a c^{-1}-sortable wall is cut out by its negated cut list).
+def negate(cone: Cone) -> Cone:
+    """-C.  A cone without inequalities is a linear subspace, its own
+    negation, so it is returned as it is, with any generators it has."""
+    if not cone.ineqs:
+        return cone
+    return Cone(
+        cone.dim_ambient,
+        cone.eqs,
+        tuple(tuple(-c for c in g) for g in cone.ineqs),
+    )
+
+
 def test_full_space_generators():
     c = Cone.from_constraints(2)
     lin, rays = c.generators
@@ -103,7 +117,7 @@ def test_implicit_equalities_relint():
 
 def test_negate():
     c = Cone.from_constraints(2, eqs=[(1, 1)], ineqs=[(0, 1)])
-    n = c.negate()
+    n = negate(c)
     assert c.rays == ((1, -1),)
     assert n.rays == ((-1, 1),)
 

@@ -370,6 +370,7 @@ def test_b_class_probe_inside_d_inf():
 def test_eta_transports_cambrian_cones():
     # eta_k^{B^T} carries enumerated Cambrian cones of B onto Cambrian cones
     # of mu_k(B), injectively (normal-set transport at desk scale).
+    from test_cones import negate
     from test_sortable import ReferenceSortable, witness_element
     from test_weyl import ReferenceWeyl
 
@@ -388,7 +389,7 @@ def test_eta_transports_cambrian_cones():
         sc2.cambrian_cone(witness_element(w)).generators
         for w in sc2.sortables_up_to_length(7)
     } | {
-        sc2_inv.cambrian_cone(witness_element(w)).negate().generators
+        negate(sc2_inv.cambrian_cone(witness_element(w))).generators
         for w in sc2_inv.sortables_up_to_length(7)
     }
     bt = b.transpose()

@@ -93,12 +93,14 @@ def _moved_f_inf(diagram, m):
 
 def check_imaginary_wall_to(rows, m):
     """At H = k = m |delta|: both constructions agree, the diagram is
-    consistent, and it is inconsistent once f_inf's q^m coefficient moves."""
+    consistent, and it is inconsistent once f_inf's q^m coefficient moves.
+    Returns the consistency report."""
     bmat, cox, cap, diagram = _deep_instance(rows, m)
     assert diagram.same_walls(build_easy_scat(bmat, cap, cap))
     report = check_consistency(diagram, cap, cox)
     assert report["consistent"] and report["checked"] == report["faces"] > 0, report
     assert not check_consistency(_moved_f_inf(diagram, m), cap, cox)["consistent"]
+    return report
 
 
 def test_orientation_count():

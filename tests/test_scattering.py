@@ -46,7 +46,7 @@ from affscat.scattering import (
     scat_cone_eq,
 )
 from affscat.series import MonomialExpr, TruncatedSeries, f_inf_series, path_product
-from test_cones import FAN_INSTANCES, _ReferenceSignTable
+from test_cones import FAN_INSTANCES, _ReferenceSignTable, negate
 from test_orientation_sweep import ORIENTATIONS, _id, _instance
 from test_series import one
 
@@ -1314,7 +1314,7 @@ def test_aff_greg_shard_unique_shard_with_omega():
     from affscat.shards import ShardContext
 
     for b, cox in ((B_A11, COX_A11), (B_A2T, COX_A2T)):
-        sh = ShardContext(cox.cartan)
+        sh = ShardContext(cox)
         d = build_dcscat(b, height_cap=4, truncation=4)
         for w in d.walls:
             if w.origin == ORIGIN_IMAGINARY:
@@ -1337,7 +1337,7 @@ def test_antipodal_diagram_for_negated_b(orientation):
         d, d_neg = (build(b, cap, cap) for b in (bmat, bmat.negate()))
         assert len(d.walls) == len(d_neg.walls)
         for w, w_neg in zip(d.walls, d_neg.walls):
-            assert (w.normal, w.cone.negate().generators, w.f.coeffs) == (
+            assert (w.normal, negate(w.cone).generators, w.f.coeffs) == (
                 w_neg.normal,
                 w_neg.cone.generators,
                 w_neg.f.coeffs,
@@ -1444,7 +1444,7 @@ def _build_dcscat_every_round_reference(bmat, height_cap, truncation):
                 shard = cox.shards.shard_from_ji(root, wit.inversions)
                 cone, ineqs = shard.cone, shard.cut_list
                 if origin == ORIGIN_INV_SORTABLE:
-                    cone, ineqs = cone.negate(), [tuple(-c for c in g) for g in ineqs]
+                    cone, ineqs = negate(cone), [tuple(-c for c in g) for g in ineqs]
                 built.append(_wall(root, cone, ineqs, truncation, origin))
         merged: dict = {}
         overlap = 0

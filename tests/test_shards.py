@@ -2,12 +2,13 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import pytest
+from test_cones import negate
 from test_linalg import _reference_solve_linear
 from test_weyl import ReferenceWeyl, is_identity, is_join_irreducible, left_descents, weak_leq
 
 from affscat.cartan import CartanMatrix, ExchangeMatrix, classify
 from affscat.cones import Cone
-from affscat.coxeter import coxeter_context
+from affscat.coxeter import CoxeterContext, coxeter_context
 from affscat.linalg import primitive_vector, rank, wedge_key
 from affscat.shards import ShardCone, ShardContext, _extreme_pair
 from affscat.weyl import GroupElement, enumerate_up_to_length
@@ -29,8 +30,8 @@ class Rank2Subsystem:
 # shard_of_element is the shard map on a GroupElement, finding the cover
 # root by is_join_irreducible.
 class ReferenceShards(ShardContext):
-    def __init__(self, weyl: ReferenceWeyl):
-        super().__init__(weyl.cartan)
+    def __init__(self, cox: CoxeterContext, weyl: ReferenceWeyl):
+        super().__init__(cox)
         self.weyl = weyl
 
     def rank2_subsystem(self, beta, gamma, height_cap=None) -> Rank2Subsystem:
@@ -97,8 +98,7 @@ class ReferenceShards(ShardContext):
 def make(rows):
     b = ExchangeMatrix.from_rows(rows)
     cox = coxeter_context(b)
-    weyl = ReferenceWeyl(cox.cartan)
-    return ReferenceShards(weyl), cox
+    return ReferenceShards(cox, ReferenceWeyl(cox.cartan)), cox
 
 
 SH_A11, COX_A11 = make([[0, 2], [-2, 0]])
@@ -122,7 +122,7 @@ def test_canonical_roots_affine_plane():
 
 def test_canonical_roots_orthogonal_pair():
     cm = CartanMatrix.from_rows([[2, 0], [0, 2]])
-    ctx = ReferenceShards(ReferenceWeyl(cm))
+    ctx = ReferenceShards(CoxeterContext(cm, (0, 1)), ReferenceWeyl(cm))
     sub = ctx.rank2_subsystem((1, 0), (0, 1))
     assert sub.canonical == ((0, 1), (1, 0))
     assert len(sub.roots) == 2
@@ -270,7 +270,7 @@ def test_shard_s1s2_example():
     assert shard.normal == (2, 1)
     assert shard.cut_list == ((1, 0),)
     # same cone from the root side
-    other = SH_A11.shard_from_root((2, 1), COX_A11)
+    other = SH_A11.shard_from_root((2, 1))
     assert shard.cone.generators == other.cone.generators
     assert shard.cut_list == other.cut_list
 
@@ -291,7 +291,7 @@ def test_shard_modes_agree_on_sortable_ji():
         sc = SortableContext(cox)
         for root, wit in sc.ji_sortables(height_cap=4, length_cap=6).items():
             a = sh.shard_from_ji(root, wit.inversions)
-            b = sh.shard_from_root(root, cox)
+            b = sh.shard_from_root(root)
             assert a.cone.generators == b.cone.generators, (root, a.cut_list, b.cut_list)
 
 
@@ -299,11 +299,11 @@ def test_d_beta_antipodal_for_inverse_coxeter():
     for sh, cox in ((SH_A11, COX_A11), (SH_A2T, COX_A2T)):
         inv = cox.inverse()
         for beta in sh.cartan.real_roots_up_to_height(4):
-            a = sh.shard_from_root(beta, cox)
-            b = sh.shard_from_root(beta, inv)
-            assert a.cone.generators in (b.cone.negate().generators, b.cone.generators)
+            a = sh.shard_from_root(beta)
+            b = inv.shards.shard_from_root(beta)
+            assert a.cone.generators in (negate(b.cone).generators, b.cone.generators)
             if sh.cut_set(beta):
-                assert a.cone.generators == b.cone.negate().generators
+                assert a.cone.generators == negate(b.cone).generators
                 assert a.cone.generators != b.cone.generators
 
 
@@ -322,7 +322,7 @@ def test_sigma_j_jprime_antipodal():
         for root in both:
             a = sh.shard_from_ji(root, ji[root].inversions)
             b = sh.shard_from_ji(root, ji_inv[root].inversions)
-            assert b.cone.generators == a.cone.negate().generators
+            assert b.cone.generators == negate(a.cone).generators
 
 
 def test_sigma_sj_gluing():

@@ -311,7 +311,7 @@ def test_sortable_iff_aligned():
     from affscat.linalg import rank, rref
 
     for sc in (SC_A11, SC_A2T):
-        sh = ReferenceShards(sc.weyl)
+        sh = ReferenceShards(sc.cox, sc.weyl)
         cox = sc.cox
         cm = sc.cartan
         n = cm.n

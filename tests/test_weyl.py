@@ -1,6 +1,7 @@
 import pytest
 
 from affscat.cartan import CartanMatrix, ExchangeMatrix, exchange_to_cartan
+from affscat.coxeter import coxeter_context
 from affscat.weyl import (
     CapExceeded,
     GroupElement,
@@ -200,8 +201,9 @@ def test_biconvexity_of_inversion_sets():
     from test_cartan import k_form
     from test_shards import ReferenceShards
 
-    ctx = ReferenceWeyl(exchange_to_cartan(ExchangeMatrix.from_rows([[0, 2], [-2, 0]])))
-    sh = ReferenceShards(ctx)
+    cox = coxeter_context(ExchangeMatrix.from_rows([[0, 2], [-2, 0]]))
+    ctx = ReferenceWeyl(cox.cartan)
+    sh = ReferenceShards(cox, ctx)
     elements = enumerate_up_to_length(ctx, 6)
     roots = sorted(sh.cartan.real_roots_up_to_height(5))
     for i, b1 in enumerate(roots):
